@@ -2,7 +2,7 @@
 
 Layout, all little-endian:
 
-    magic "MRB1"
+    magic "MRB2"
     codec id            u8   (0 stored, 1 interpolation, 2 block-Lorenzo;
                               high bit set when the zlib pass ran)
     dims                3x u64 (nx, ny, nz of the encoded array)
@@ -14,10 +14,21 @@ Layout, all little-endian:
     padded              u8
     u                   u32  (unit size; 0 when arrangement is none)
     block-order count   u64, then per block bx, by, bz as u64 triples
-    literal count       u64
-    Huffman table
-    payload length      u64
-    payload             bitstream then literal f64 values
+    stream length       u64  (bytes of the entropy stream that follows)
+    entropy stream:
+      literal count     u64
+      Huffman table     u32 symbol count, i32 symbols, u8 code lengths
+      payload length    u64
+      payload           bitstream, then the literal f64 values; optionally
+                        zlib-compressed as a whole
+    bitstream:
+      lane table        u16 bit length per lane of ``LANE_CODES`` codes
+                        (the lane count follows from the number of values)
+      lanes             each lane's codes MSB-first, zero-padded to a byte
+
+The stream length lets a reader find the end of the blob without parsing
+the entropy stream. Stored blobs (codec 0) put the raw f64 values in the
+payload slot behind an empty table, so they have no bitstream.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from ..layout import LINEAR, STACKED
 from .entropy import LOSSLESS_NONE, LOSSLESS_ZLIB
 from .policy import ErrorBoundPolicy
 
-MAGIC = b"MRB1"
+MAGIC = b"MRB2"
 
 CODEC_STORED = 0
 CODEC_INTERP = 1
@@ -57,7 +68,7 @@ class CompressedBlob:
     padded: bool
     u: int
     order: tuple[BlockCoord, ...]
-    stream: bytes  # entropy tail: literal count, table, payload
+    stream: bytes  # entropy stream: literal count, table, payload
     lossless: str = LOSSLESS_NONE
 
     def __post_init__(self):
@@ -107,6 +118,7 @@ class CompressedBlob:
         ]
         for c in self.order:
             head.append(struct.pack("<QQQ", c.bx, c.by, c.bz))
+        head.append(struct.pack("<Q", len(self.stream)))
         return b"".join(head) + self.stream
 
     @classmethod
@@ -148,18 +160,13 @@ class CompressedBlob:
                     order.append(BlockCoord(bx, by, bz, b_edge))
                 except ShapeError as exc:
                     raise FormatError(f"bad block coordinate in blob: {exc}") from exc
-            # the entropy tail: literal count, table, payload length, payload
-            (n_lit,) = struct.unpack_from("<Q", buf, offset)
-            tail = offset + 8
-            (n_sym,) = struct.unpack_from("<I", buf, tail)
-            tail += 4 + n_sym * 5
-            (plen,) = struct.unpack_from("<Q", buf, tail)
-            tail += 8 + plen
-            if tail > len(buf):
-                raise FormatError("blob payload truncated")
-            _ = n_lit
+            (stream_len,) = struct.unpack_from("<Q", buf, offset)
+            offset += 8
         except struct.error as exc:
             raise FormatError(f"blob header truncated: {exc}") from exc
+        end = offset + stream_len
+        if end > len(buf):
+            raise FormatError("blob stream truncated")
         if arrangement not in (ARRANGE_NONE, ARRANGE_LINEAR, ARRANGE_STACKED):
             raise FormatError(f"unknown arrangement {arrangement}")
         try:
@@ -176,10 +183,10 @@ class CompressedBlob:
             padded=bool(padded),
             u=int(u),
             order=tuple(order),
-            stream=bytes(buf[offset:tail]),
+            stream=bytes(buf[offset:end]),
             lossless=lossless,
         )
-        return blob, tail
+        return blob, end
 
     def size_bytes(self) -> int:
         return len(self.to_bytes())

@@ -1,10 +1,22 @@
 """Canonical Huffman coding of quantizer output.
 
 The code stream is a plain symbol sequence (quantization codes plus the
-literal escape mark), so a per-blob canonical table is enough. Encoding and
-decoding are vectorized: decoding computes, for every bit offset, the code
-length starting there, then follows the resulting jump chain with pointer
-doubling instead of walking bit by bit.
+literal escape mark), so a per-blob canonical table is enough.
+
+The packed bitstream is split into lanes of ``LANE_CODES`` consecutive
+codes (the last lane may be shorter), in the manner of the chunked Huffman
+coders of cuSZ. Every lane starts on a byte boundary and is zero-padded to
+a whole byte; a table of u16 lane lengths in bits heads the bitstream (bits,
+not bytes, so a decoder that was told the wrong code count always lands
+off a lane's end, even where the difference would fit in the padding). The
+lane count follows from the number of codes alone, never from the thread
+count or the machine, so the bytes are the same everywhere.
+
+Decoding advances all lanes in lockstep, one symbol per lane per step: each
+step peeks a window at every lane's bit position, resolves codes of up to
+``_LUT_BITS`` bits with one table lookup, and falls back to the canonical
+limits table for longer ones. Encoding places each code into 64-bit words
+from its cumulative bit offset.
 
 An optional general-purpose lossless pass (zlib) can squeeze the packed
 payload further; it is off by default.
@@ -22,7 +34,11 @@ import numpy as np
 from ..errors import FormatError, ShapeError
 
 MAX_CODE_LEN = 32
-_CHUNK_BITS = 1 << 25
+# codes per lane; a lane of MAX_CODE_LEN-bit codes must fit a u16 bit length
+LANE_CODES = 1024
+_LUT_BITS = 12
+_LEN_BITS = 6  # lookup entries hold (rank << _LEN_BITS) | code length
+_OUT_BLOCK = 128  # lanes transposed at a time into the decoded output
 
 LOSSLESS_NONE = "none"
 LOSSLESS_ZLIB = "zlib"
@@ -73,7 +89,7 @@ class HuffmanTable:
         ln = np.ascontiguousarray(self.lengths, dtype=np.uint8)
         if sym.shape != ln.shape or sym.ndim != 1:
             raise ShapeError("symbols and lengths must be aligned 1D arrays")
-        if sym.size > 1 and not (np.diff(sym) > 0).all():
+        if sym.size > 1 and not (sym[1:] > sym[:-1]).all():
             raise FormatError("table symbols must be strictly ascending")
         if sym.size and (ln.max() > MAX_CODE_LEN or ln.min() < 1):
             raise FormatError(f"code lengths must lie in [1, {MAX_CODE_LEN}]")
@@ -138,101 +154,166 @@ def build_table(codes: np.ndarray) -> HuffmanTable:
     return HuffmanTable(symbols, _huffman_lengths(counts))
 
 
+def _lane_count(n_codes: int) -> int:
+    return -(-n_codes // LANE_CODES)
+
+
 def pack_codes(table: HuffmanTable, codes: np.ndarray) -> bytes:
-    """MSB-first bit packing of the code sequence."""
+    """Lane-framed MSB-first bit packing of the code sequence:
+    [u16 bit length per lane][lane 0 bytes][lane 1 bytes]..., each lane
+    zero-padded to a whole byte."""
     codes = np.asarray(codes, dtype=np.int32).reshape(-1)
-    if codes.size == 0:
+    n = codes.size
+    if n == 0:
         return b""
     codevals, *_ = table.canonical()
     idx = np.searchsorted(table.symbols, codes)
-    hit = (idx < table.n_symbols) & (
-        table.symbols[np.minimum(idx, table.n_symbols - 1)] == codes
-    )
-    if not hit.all():
+    if not (table.symbols.take(idx, mode="clip") == codes).all():
         raise ShapeError("code stream contains symbols missing from the table")
-    ln = table.lengths[idx].astype(np.int64)
-    cv = codevals[idx]
-    total = int(ln.sum())
-    starts = np.concatenate([[0], np.cumsum(ln)[:-1]])
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, ln)
-    shifts = (np.repeat(ln, ln) - 1 - within).astype(np.uint64)
-    bits = ((np.repeat(cv, ln) >> shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits).tobytes()
+    u64 = np.uint64
+    ln = table.lengths[idx]
+    # every code left-justified in a 64-bit word
+    lj = (codevals << (64 - table.lengths.astype(u64)))[idx]
+    del idx
+    # bit offset of every code as if unframed, then moved to its lane's
+    # byte-aligned start
+    pos = np.cumsum(ln, dtype=u64)
+    n_lanes = _lane_count(n)
+    lane_end = pos[np.minimum(np.arange(1, n_lanes + 1) * LANE_CODES, n) - 1]
+    lane_bits = np.diff(lane_end, prepend=u64(0))
+    lane_bytes = (lane_bits + u64(7)) >> u64(3)
+    lane_shift = u64(8) * (np.cumsum(lane_bytes) - lane_bytes) - (lane_end - lane_bits)
+    pos -= ln
+    pos += np.repeat(lane_shift, LANE_CODES)[:n]
+    # each code lands in the word holding its first bit and spills its
+    # tail, if any, into the next one; bits never overlap, so codes sharing
+    # a word are ORed together
+    off = pos & u64(63)
+    word = (pos >> u64(6)).view(np.int64)
+    del pos
+    total_bytes = int(lane_bytes.sum())
+    words = np.zeros(total_bytes // 8 + 2, dtype=u64)
+    first = np.flatnonzero(np.diff(word, prepend=-1))
+    words[word[first]] = np.bitwise_or.reduceat(lj >> off, first)
+    spill = np.flatnonzero(off + ln > u64(64))
+    words[word[spill] + 1] |= lj[spill] << (u64(64) - off[spill])
+    body = words.astype(">u8").tobytes()[:total_bytes]
+    return lane_bits.astype("<u2").tobytes() + body
 
 
-def _unpack_chunk(buf: np.ndarray, lo: int, hi: int, present, limits, first, offsets):
-    """Per-bit-offset decode tables for offsets [lo, hi): the 32-bit window
-    value, the code length starting there, and (derived later) the jump."""
-    lo_byte = lo >> 3
-    hi_byte = ((hi - 1) >> 3) + 1
-    b = buf[lo_byte : hi_byte + 5].astype(np.uint64)
-    w = (
-        (b[:-4] << np.uint64(32))
-        | (b[1:-3] << np.uint64(24))
-        | (b[2:-2] << np.uint64(16))
-        | (b[3:-1] << np.uint64(8))
-        | b[4:]
-    )
-    p = np.arange(lo, hi, dtype=np.int64)
-    shift = (8 - (p & 7)).astype(np.uint64)
-    v = ((w[(p >> 3) - lo_byte] >> shift) & np.uint64(0xFFFFFFFF)).astype(np.uint64)
-    li = np.searchsorted(limits, v, side="right")
-    if int(li.max()) >= present.size:
-        raise FormatError("bitstream does not decode under the stored table")
-    ln = present[li]
-    return v, li, ln
+def _lookup_table(table: HuffmanTable) -> np.ndarray:
+    """Entry per ``_LUT_BITS``-bit prefix: (rank << _LEN_BITS) | length of
+    the code it starts with, or 0 when that code is longer (or invalid).
+    Canonical codes ascend in rank order, so the short ones fill a prefix
+    of the table."""
+    ln = np.sort(table.lengths).astype(np.uint64)  # lengths in rank order
+    k = int(np.searchsorted(ln, _LUT_BITS, side="right"))
+    spans = 1 << (_LUT_BITS - ln[:k].astype(np.int64))
+    entries = (np.arange(k, dtype=np.uint64) << np.uint64(_LEN_BITS)) | ln[:k]
+    lut = np.zeros(1 << _LUT_BITS, dtype=np.uint64)
+    lut[: int(spans.sum())] = np.repeat(entries, spans)
+    return lut
+
+
+def _windows(data: bytes, n: int) -> np.ndarray:
+    """Big-endian u64 starting at each byte offset below ``n`` (rounded up
+    to a multiple of 8), reading zeros past the end of ``data``."""
+    n = -(-n // 8) * 8
+    buf = np.zeros(n + 8, dtype=np.uint8)
+    buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    win = np.empty(n, dtype=np.uint64)
+    for k in range(8):
+        win[k::8] = np.frombuffer(buf, dtype=">u8", count=n // 8, offset=k)
+    return win
 
 
 def unpack_codes(table: HuffmanTable, data: bytes, n_codes: int) -> np.ndarray:
-    """Decode exactly ``n_codes`` symbols from the packed payload."""
+    """Decode exactly ``n_codes`` symbols from a bitstream written by
+    :func:`pack_codes`; any stream that does not hold exactly that many
+    codes under ``table`` raises :class:`FormatError`."""
     if n_codes == 0:
+        if data:
+            raise FormatError("bitstream holds bytes but no codes were expected")
         return np.zeros(0, dtype=np.int32)
     if table.n_symbols == 0:
         raise FormatError("empty table cannot decode a nonempty stream")
+    n_lanes = _lane_count(n_codes)
+    head = 2 * n_lanes
+    if len(data) < head:
+        raise FormatError("bitstream shorter than its lane table")
+    lane_bits = np.frombuffer(data, dtype="<u2", count=n_lanes).astype(np.int64)
+    lane_bytes = (lane_bits + 7) >> 3
+    if head + int(lane_bytes.sum()) != len(data):
+        raise FormatError("lane lengths do not add up to the bitstream length")
+    steps = min(n_codes, LANE_CODES)
+    last_count = n_codes - (n_lanes - 1) * LANE_CODES
+    lane_codes = np.full(n_lanes, LANE_CODES)
+    lane_codes[-1] = last_count
+    # every code takes 1 to MAX_CODE_LEN bits, which also caps the decoder's
+    # memory at a fixed multiple of the input
+    if (lane_bits < lane_codes).any() or (lane_bits > MAX_CODE_LEN * lane_codes).any():
+        raise FormatError("a lane length does not fit its code count")
     _, present, limits, first, offsets, rank_to_symbol = table.canonical()
-    buf = np.frombuffer(data + b"\x00" * 8, dtype=np.uint8)
-    nbits = len(data) * 8
-    out = np.empty(n_codes, dtype=np.int32)
-    pos = 0
-    produced = 0
-    while produced < n_codes:
-        lo = pos
-        hi = min(lo + _CHUNK_BITS, nbits)
-        if lo >= nbits:
-            raise FormatError("bitstream ended before all symbols were decoded")
-        v, li, ln = _unpack_chunk(buf, lo, hi, present, limits, first, offsets)
-        local_n = v.size
-        # local jump chain with a self-looping sentinel at the end
-        jump = np.minimum(np.arange(local_n, dtype=np.int64) + ln, local_n)
-        jump = np.append(jump, local_n)
-        remaining = n_codes - produced
-        arr = np.empty(remaining + 1, dtype=np.int64)
-        arr[0] = 0
-        filled = 1
-        hop = jump
-        while filled <= remaining:
-            m = min(filled, remaining + 1 - filled)
-            arr[filled : filled + m] = hop[arr[:m]]
-            filled += m
-            if filled <= remaining:
-                hop = hop[hop]
-        # keep only symbols that start safely inside this chunk
-        safe = local_n if hi == nbits else local_n - MAX_CODE_LEN
-        take = int(np.searchsorted(arr[: remaining + 1], safe, side="left"))
-        take = min(take, remaining)
-        if take == 0:
-            raise FormatError("bitstream does not decode under the stored table")
-        starts = arr[:take]
-        ranks = offsets[li[starts]] + (
-            (v[starts] >> (np.uint64(MAX_CODE_LEN) - ln[starts].astype(np.uint64)))
-            - first[li[starts]]
-        ).astype(np.int64)
-        if int(ranks.min()) < 0 or int(ranks.max()) >= rank_to_symbol.size:
-            raise FormatError("bitstream does not decode under the stored table")
-        out[produced : produced + take] = rank_to_symbol[ranks]
-        produced += take
-        pos = lo + int(arr[take])
-    return out
+    lut = _lookup_table(table)
+    # long codes, compared left-justified in the 64-bit window: limits at
+    # 2**32 are never exceeded, and rank = offset + code - first is formed
+    # in wrapping u64 arithmetic that is exact for every valid code
+    u64 = np.uint64
+    wide_limits = limits[limits < (1 << MAX_CODE_LEN)] << u64(64 - MAX_CODE_LEN)
+    long_shift = u64(64) - present.astype(u64)
+    long_entry = ((offsets.astype(u64) - first) << u64(_LEN_BITS)) + present.astype(u64)
+    lane_start = 8 * (head + np.cumsum(lane_bytes) - lane_bytes)
+    pos = lane_start.astype(u64)
+    # a lane overrunning its end reads at most MAX_CODE_LEN bits per step
+    win = _windows(data, len(data) + steps * MAX_CODE_LEN // 8 + 1)
+    found = np.zeros((steps, n_lanes), dtype=u64)  # lookup entries per step
+    three, seven = u64(3), u64(7)
+    lut_shift = u64(64 - _LUT_BITS)
+    len_mask = u64((1 << _LEN_BITS) - 1)
+    # the loop runs up to LANE_CODES times, so its per-call overhead counts:
+    # every step works in preallocated buffers, and gathers index through
+    # int64 views (numpy indexes with uint64 several times slower) in mode
+    # "clip" (mode "raise" copies through a buffer; the windows cover every
+    # index a lane can reach)
+    p, tmp, w, e = pos, np.empty_like(pos), np.empty_like(pos), np.empty_like(pos)
+    at = tmp.view(np.int64)
+    for s in range(steps):
+        if s == last_count:  # the short last lane is done
+            p, tmp, at, w, e = p[:-1], tmp[:-1], at[:-1], w[:-1], e[:-1]
+        np.right_shift(p, three, out=tmp)
+        win.take(at, out=w, mode="clip")
+        np.bitwise_and(p, seven, out=tmp)
+        np.left_shift(w, tmp, out=w)
+        np.right_shift(w, lut_shift, out=tmp)
+        lut.take(at, out=e, mode="clip")
+        if np.count_nonzero(e) < e.size:
+            # codes longer than the lookup window: canonical limits search
+            slow = np.flatnonzero(e == 0)
+            sel = w[slow]
+            li = np.searchsorted(wide_limits, sel, side="right")
+            if int(li.max()) >= present.size:
+                raise FormatError("bitstream does not decode under the stored table")
+            sel >>= long_shift[li]
+            sel <<= u64(_LEN_BITS)
+            sel += long_entry[li]
+            e[slow] = sel
+        found[s, : e.size] = e
+        np.bitwise_and(e, len_mask, out=tmp)
+        p += tmp
+    # every lane must end exactly at its declared length, padded with zeros
+    if not np.array_equal(pos.astype(np.int64), lane_start + lane_bits):
+        raise FormatError("a lane does not end at its declared bit length")
+    pad = 8 * lane_bytes - lane_bits
+    last_byte = np.frombuffer(data, dtype=np.uint8)[(lane_start >> 3) + lane_bytes - 1]
+    if (last_byte & ((1 << pad) - 1)).any():
+        raise FormatError("nonzero pad bits after a lane")
+    # lane-major output; transposing a few lanes at a time keeps the reads
+    # of the step-major ranks within a few pages
+    out = np.empty((n_lanes, steps), dtype=np.int32)
+    for lo in range(0, n_lanes, _OUT_BLOCK):
+        ranks = found[:, lo : lo + _OUT_BLOCK].T >> u64(_LEN_BITS)
+        out[lo : lo + _OUT_BLOCK] = rank_to_symbol[ranks.view(np.int64)]
+    return out.reshape(-1)[:n_codes]
 
 
 def entropy_encode(

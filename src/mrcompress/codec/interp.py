@@ -175,7 +175,9 @@ def interp_compress(
 def interp_decompress(blob: CompressedBlob) -> MergedArray | Volume:
     if blob.codec != CODEC_INTERP:
         raise ShapeError(f"blob holds codec {blob.codec}, not interpolation")
-    codes, lits, _ = entropy_decode(blob.stream, blob.n_values, 0, blob.lossless)
+    codes, lits, used = entropy_decode(blob.stream, blob.n_values, 0, blob.lossless)
+    if used != len(blob.stream):
+        raise FormatError("blob stream longer than its entropy stream")
     arr = _decode_array(blob.dims, blob.policy, codes, lits)
     if blob.arrangement == ARRANGE_NONE:
         return Volume(arr)

@@ -171,7 +171,9 @@ def block_compress(
 def block_decompress(blob: CompressedBlob) -> MergedArray | Volume:
     if blob.codec != CODEC_BLOCK:
         raise ShapeError(f"blob holds codec {blob.codec}, not block-Lorenzo")
-    codes, lits, _ = entropy_decode(blob.stream, blob.n_values, 0, blob.lossless)
+    codes, lits, used = entropy_decode(blob.stream, blob.n_values, 0, blob.lossless)
+    if used != len(blob.stream):
+        raise FormatError("blob stream longer than its entropy stream")
     arr = _decode_array(blob.dims, blob.policy, codes.astype(np.int64), lits)
     if blob.arrangement == ARRANGE_NONE:
         return Volume(arr)

@@ -55,13 +55,13 @@ def stored_decompress(blob: CompressedBlob) -> MergedArray | Volume:
     if blob.codec != CODEC_STORED:
         raise ShapeError(f"blob holds codec {blob.codec}, not stored")
     buf = blob.stream
-    (n_lit,) = struct.unpack_from("<Q", buf, 0)
-    (n_sym,) = struct.unpack_from("<I", buf, 8)
+    nx, ny, nz = blob.dims
+    if len(buf) != 20 + nx * ny * nz * 8:
+        raise FormatError("stored payload does not match the blob dims")
+    n_lit, n_sym, plen = struct.unpack_from("<QIQ", buf, 0)
     if n_lit or n_sym:
         raise FormatError("stored blobs carry no entropy data")
-    (plen,) = struct.unpack_from("<Q", buf, 12)
-    nx, ny, nz = blob.dims
-    if plen != nx * ny * nz * 8 or len(buf) < 20 + plen:
+    if plen != nx * ny * nz * 8:
         raise FormatError("stored payload does not match the blob dims")
     arr = np.frombuffer(buf, dtype="<f8", count=nx * ny * nz, offset=20)
     arr = arr.reshape(nz, ny, nx).astype(np.float64)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from mrcompress.codec.schedule import (
     build_grid_schedule,
     build_schedule,
 )
+from mrcompress.codec.stored import stored_compress, stored_decompress
 from mrcompress.errors import DataError, FormatError, ShapeError
 from mrcompress.grid import BlockCoord, Volume
 from mrcompress.layout import linear_merge, pad_linear, UnitBlock
@@ -440,6 +443,27 @@ def test_blob_corruption_is_detected():
     bad_eb[29:37] = np.float64(-1.0).tobytes()
     with pytest.raises(FormatError):
         CompressedBlob.from_bytes(bytes(bad_eb))
+    with pytest.raises(FormatError):  # the MRB1 layout has no reader
+        CompressedBlob.from_bytes(b"MRB1" + bytes(raw[4:]))
+    # the u64 stream length right before the stream frames the blob
+    at = len(raw) - len(blob.stream) - 8
+    assert int.from_bytes(raw[at : at + 8], "little") == len(blob.stream)
+    long_stream = bytearray(raw)
+    long_stream[at : at + 8] = (len(blob.stream) + 1).to_bytes(8, "little")
+    with pytest.raises(FormatError):
+        CompressedBlob.from_bytes(bytes(long_stream))
+    # bytes framed into the stream past the entropy stream's own end
+    block = block_compress(noisy_field((6, 6, 6), seed=17), ErrorBoundPolicy(eb=1e-2))
+    stored = stored_compress(noisy_field((3, 4, 5), seed=18))
+    for b, decode in (
+        (blob, interp_decompress),
+        (block, block_decompress),
+        (stored, stored_decompress),
+    ):
+        for stream in (b.stream + b"\0", b.stream[:10]):
+            framed, _ = CompressedBlob.from_bytes(replace(b, stream=stream).to_bytes())
+            with pytest.raises(FormatError):
+                decode(framed)
 
 
 def test_blob_original_bytes_ignores_padding():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mrcompress.codec.entropy as entropy
 from mrcompress.codec.entropy import (
     LOSSLESS_NONE,
     LOSSLESS_ZLIB,
@@ -16,26 +19,45 @@ from mrcompress.codec.entropy import (
 from mrcompress.errors import FormatError, ShapeError
 
 
-def _slow_unpack(table, data, n):
-    """Bit-at-a-time prefix decoder used as the reference implementation."""
+def _slow_lanes(table, data, n):
+    """Bit-at-a-time prefix decoder of each lane, used as the reference
+    implementation: reads the u16 lane bit lengths, then decodes every lane
+    from its own byte-aligned start. Returns one code array per lane."""
     codevals, *_ = table.canonical()
     lut = {
         (int(l), int(c)): int(s)
         for s, l, c in zip(table.symbols, table.lengths, codevals)
     }
+    n_lanes = -(-n // entropy.LANE_CODES)
+    lane_bits = np.frombuffer(data, "<u2", count=n_lanes).astype(int)
     bits = np.unpackbits(np.frombuffer(data, np.uint8))
-    out = np.empty(n, dtype=np.int32)
-    pos = acc = ln = 0
-    for i in range(n):
-        while True:
-            acc = (acc << 1) | int(bits[pos])
-            pos += 1
-            ln += 1
-            if (ln, acc) in lut:
-                out[i] = lut[(ln, acc)]
-                acc = ln = 0
-                break
-    return out
+    lanes = []
+    start = 16 * n_lanes
+    for li, nb in enumerate(lane_bits):
+        count = min(entropy.LANE_CODES, n - li * entropy.LANE_CODES)
+        out = np.empty(count, dtype=np.int32)
+        pos = start
+        acc = ln = 0
+        for i in range(count):
+            while True:
+                acc = (acc << 1) | int(bits[pos])
+                pos += 1
+                ln += 1
+                if (ln, acc) in lut:
+                    out[i] = lut[(ln, acc)]
+                    acc = ln = 0
+                    break
+        assert pos == start + nb
+        padded = start + 8 * (-(-nb // 8))
+        assert not bits[pos:padded].any()
+        lanes.append(out)
+        start = padded
+    assert start == 8 * len(data)
+    return lanes
+
+
+def _slow_unpack(table, data, n):
+    return np.concatenate(_slow_lanes(table, data, n))
 
 
 def _round_trip(codes, lits=(), lossless=LOSSLESS_NONE):
@@ -91,18 +113,21 @@ def test_vector_decoder_matches_slow_reference():
 
 
 def test_chunked_decode_crosses_chunk_boundary(monkeypatch):
-    # shrink the decoder window so a modest stream crosses many chunk
-    # seams, including codes straddling a boundary
-    import mrcompress.codec.entropy as entropy
-
-    monkeypatch.setattr(entropy, "_CHUNK_BITS", 1 << 10)
+    # shrink the lanes so modest streams cross many lane seams: a short last
+    # lane, a stream shorter than one lane, and an exact multiple of the lane
+    monkeypatch.setattr(entropy, "LANE_CODES", 64)
     rng = np.random.default_rng(4)
-    codes = rng.integers(0, 1024, size=20000).astype(np.int32)
-    table = build_table(codes)
-    packed = pack_codes(table, codes)
-    assert len(packed) * 8 > 100 * (1 << 10)
-    assert np.array_equal(unpack_codes(table, packed, codes.size), codes)
-    assert np.array_equal(_slow_unpack(table, packed, 5000), codes[:5000])
+    for size in [5000, 37, 64 * 40]:
+        codes = rng.integers(0, 1024, size=size).astype(np.int32)
+        table = build_table(codes)
+        packed = pack_codes(table, codes)
+        n_lanes = -(-size // 64)
+        lane_bits = np.frombuffer(packed, "<u2", count=n_lanes).astype(int)
+        assert len(packed) == 2 * n_lanes + sum(-(-lane_bits // 8))
+        fast = unpack_codes(table, packed, size)
+        assert np.array_equal(fast, codes)
+        for i, lane in enumerate(_slow_lanes(table, packed, size)):
+            assert np.array_equal(fast[i * 64 : i * 64 + lane.size], lane)
 
 
 def test_encoding_is_deterministic_under_ties():
@@ -141,12 +166,14 @@ def test_skewed_counts_respect_length_cap():
 
 
 def test_table_byte_round_trip():
-    table = build_table(np.array([-5, -5, 0, 0, 0, 7], np.int32))
-    raw = table.to_bytes()
-    back, used = HuffmanTable.from_bytes(raw)
-    assert used == len(raw)
-    assert np.array_equal(back.symbols, table.symbols)
-    assert np.array_equal(back.lengths, table.lengths)
+    # the int32 extremes also check that symbol ordering does not overflow
+    for codes in ([-5, -5, 0, 0, 0, 7], [-(2**31), 0, 2**31 - 1]):
+        table = build_table(np.array(codes, np.int32))
+        raw = table.to_bytes()
+        back, used = HuffmanTable.from_bytes(raw)
+        assert used == len(raw)
+        assert np.array_equal(back.symbols, table.symbols)
+        assert np.array_equal(back.lengths, table.lengths)
 
 
 def test_table_rejects_malformed_input():
@@ -195,3 +222,128 @@ def test_corrupt_zlib_payload_raises():
     buf[-10] ^= 0xFF
     with pytest.raises(FormatError):
         entropy_decode(bytes(buf), codes.size, 0, LOSSLESS_ZLIB)
+
+
+def _lane_stream(codes):
+    codes = np.asarray(codes, np.int32)
+    table = build_table(codes)
+    packed = pack_codes(table, codes)
+    n_lanes = -(-codes.size // entropy.LANE_CODES)
+    lane_bits = np.frombuffer(packed, "<u2", count=n_lanes).copy()
+    return table, lane_bits, packed[2 * n_lanes :]
+
+
+def test_flipped_lane_length_detected(monkeypatch):
+    monkeypatch.setattr(entropy, "LANE_CODES", 64)
+    codes = np.random.default_rng(5).integers(0, 50, size=300)
+    table, lane_bits, body = _lane_stream(codes)
+    flipped = lane_bits.copy()
+    flipped[0] ^= 0x100  # the lengths no longer add up to the payload
+    moved = lane_bits.copy()
+    moved[0] += 8  # lane 0 claims a byte of lane 1; the total still holds
+    moved[1] -= 8
+    nudged = lane_bits.copy()
+    nudged[np.flatnonzero(lane_bits % 8 != 1)[0]] -= 1  # same bytes, a bit short
+    for bad in (flipped, moved, nudged):
+        with pytest.raises(FormatError):
+            unpack_codes(table, bad.tobytes() + body, codes.size)
+
+
+def test_truncated_lane_detected(monkeypatch):
+    monkeypatch.setattr(entropy, "LANE_CODES", 64)
+    codes = np.random.default_rng(6).integers(0, 50, size=300)
+    table, lane_bits, body = _lane_stream(codes)
+    # drop the last byte of lane 0 and declare it one byte shorter
+    cut = lane_bits.copy()
+    cut[0] -= 8
+    first_bytes = -(-int(lane_bits[0]) // 8)
+    short_body = body[: first_bytes - 1] + body[first_bytes:]
+    with pytest.raises(FormatError):
+        unpack_codes(table, cut.tobytes() + short_body, codes.size)
+    with pytest.raises(FormatError):
+        unpack_codes(table, lane_bits.tobytes() + body[:-1], codes.size)
+
+
+def test_lane_table_longer_than_payload_detected():
+    codes = np.random.default_rng(7).integers(0, 50, size=3000)
+    table, lane_bits, body = _lane_stream(codes)
+    lane_bits[0] = 0xFFFF
+    with pytest.raises(FormatError):
+        unpack_codes(table, lane_bits.tobytes() + body, codes.size)
+    # a lane count far beyond the bytes is refused before any allocation
+    with pytest.raises(FormatError):
+        unpack_codes(table, lane_bits.tobytes() + body, 1 << 60)
+
+
+def test_lane_lengths_must_fit_code_counts():
+    # a lane of 1024 codes needs 1024 to 32768 bits; an all-zero lane table
+    # of matching size would otherwise size the decoder from n_codes alone
+    n_lanes = 4
+    codes = np.zeros(n_lanes * entropy.LANE_CODES, np.int32)
+    table = build_table(np.array([0, 1], np.int32))
+    with pytest.raises(FormatError):
+        unpack_codes(table, bytes(2 * n_lanes), codes.size)
+    table, lane_bits, body = _lane_stream(codes)
+    lane_bits[0] -= 8  # 1016 bits for 1024 one-bit codes; move the byte
+    lane_bits[1] += 8
+    with pytest.raises(FormatError):
+        unpack_codes(table, lane_bits.tobytes() + body, codes.size)
+
+
+def test_nonzero_pad_bits_detected():
+    codes = np.zeros(61, np.int32)  # 61 one-bit codes leave 3 pad bits
+    table, lane_bits, body = _lane_stream(codes)
+    assert lane_bits.tolist() == [61] and len(body) == 8
+    body = body[:-1] + bytes([body[-1] | 0x01])
+    with pytest.raises(FormatError):
+        unpack_codes(table, lane_bits.tobytes() + body, codes.size)
+
+
+def test_code_count_must_match_stream():
+    codes = np.random.default_rng(8).integers(0, 50, size=3000)
+    table = build_table(codes)
+    packed = pack_codes(table, codes)
+    for n in [codes.size - 1, codes.size + 1, 1, 0]:
+        with pytest.raises(FormatError):
+            unpack_codes(table, packed, n)
+
+
+@st.composite
+def _skewed_streams(draw):
+    """Code streams whose symbol counts grow geometrically, so the deepest
+    codes run past the lookup window."""
+    k = draw(st.integers(1, 24))
+    ratio = draw(st.floats(1.2, 2.0))
+    counts = np.minimum(np.floor(ratio ** np.arange(k)), 20000).astype(np.int64)
+    symbols = draw(
+        st.lists(st.integers(-(2**31), 2**31 - 1), min_size=k, max_size=k, unique=True)
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    codes = rng.permutation(np.repeat(np.array(symbols, np.int32), counts))
+    lits = rng.normal(size=draw(st.integers(0, 20)))
+    return codes, lits
+
+
+@settings(max_examples=60, deadline=None)
+@given(_skewed_streams(), st.sampled_from([LOSSLESS_NONE, LOSSLESS_ZLIB]))
+def test_round_trip_property_skewed_alphabets(stream, lossless):
+    codes, lits = stream
+    _round_trip(codes, lits, lossless)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pack_unpack_property_up_to_max_code_len(data):
+    # a complete code with lengths 1, 2, ..., 31, 32, 32: uniform draws
+    # from it hit every length up to MAX_CODE_LEN
+    lengths = np.array(list(range(1, MAX_CODE_LEN)) + [MAX_CODE_LEN] * 2, np.uint8)
+    table = HuffmanTable(np.arange(lengths.size, dtype=np.int32), lengths)
+    codes = np.array(
+        data.draw(st.lists(st.integers(0, lengths.size - 1), max_size=2500)), np.int32
+    )
+    packed = pack_codes(table, codes)
+    out = unpack_codes(table, packed, codes.size)
+    assert np.array_equal(out, codes)
+    if codes.size:
+        assert np.array_equal(_slow_unpack(table, packed, codes.size), codes)
