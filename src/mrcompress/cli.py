@@ -10,6 +10,7 @@ processed concurrently; results are byte-identical at any setting.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -36,12 +37,13 @@ from .pipeline import (
     assemble_volume,
     compress_level,
     compress_volume,
+    decode_level,
     decompress_level,
     decompress_volume,
     level_sample_pairs,
 )
 from .roi import Level, MultiResDataset, RoiConfig, build_adaptive, reconstruct_uniform, select_roi
-from .uncertainty import DEFAULT_WINDOW, fit_model, probability_field, sample_errors
+from .uncertainty import DEFAULT_WINDOW, fit_model, probability_field, sample_errors, sidecar_json
 
 
 def _thread_count() -> int:
@@ -67,11 +69,25 @@ def _level_map(fn, items):
         return list(ex.map(fn, items))
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic(path: str, write) -> None:
+    """Run ``write`` on a temp file next to ``path``, then rename it over
+    ``path``. The temp file is removed if either step fails."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+
+    _atomic(path, write)
 
 
 def _parse_dims(text: str):
@@ -92,16 +108,23 @@ def _is_container(path: str) -> bool:
         return fh.read(4) == MAGIC
 
 
-def _parallel_dataset(c: ContainerFile) -> MultiResDataset:
-    levels = _level_map(lambda lv: Level(dims=lv.archive.dims, u=lv.archive.u,
-                                         blocks=tuple(decompress_level(lv.archive))), c.levels)
+def _parallel_dataset(c: ContainerFile, decoded=None) -> MultiResDataset:
+    """The container's levels as unit blocks. ``decoded`` holds each level's
+    decode_level output when the caller already decoded them."""
+    decoded = decoded or [None] * c.n_levels
+
+    def level(i):
+        a = c.levels[i].archive
+        return Level(dims=a.dims, u=a.u, blocks=tuple(decompress_level(a, decoded[i])))
+
+    levels = _level_map(level, range(c.n_levels))
     return MultiResDataset(levels=tuple(levels), roi_mask=c.roi_mask)
 
 
-def _reconstruct(c: ContainerFile) -> Volume:
+def _reconstruct(c: ContainerFile, decoded=None) -> Volume:
     if c.n_levels == 1 and c.levels[0].archive.u == 0:
-        return decompress_volume(c.levels[0].archive)
-    return reconstruct_uniform(_parallel_dataset(c))
+        return decompress_volume(c.levels[0].archive, decoded[0] if decoded else None)
+    return reconstruct_uniform(_parallel_dataset(c, decoded))
 
 
 def cmd_roi(args) -> int:
@@ -167,9 +190,7 @@ def cmd_decompress(args) -> int:
         vol = decompress_volume(a) if a.u == 0 else assemble_volume(decompress_level(a), a.dims)
     else:
         raise ShapeError("multi-level container: pass --uniform to reconstruct one grid")
-    tmp = f"{args.out}.tmp.{os.getpid()}"
-    write_raw_volume(vol, tmp, args.dtype)
-    os.replace(tmp, args.out)
+    _atomic(args.out, lambda tmp: write_raw_volume(vol, tmp, args.dtype))
     nx, ny, nz = vol.dims
     print(f"wrote {args.out} dims {nx},{ny},{nz} {args.dtype}")
     return 0
@@ -177,13 +198,16 @@ def cmd_decompress(args) -> int:
 
 def cmd_uncertainty(args) -> int:
     c = read_container(args.input)
-    recon = _reconstruct(c)
+    # one decode per level feeds both the reconstruction and the sample pairs
+    decoded = _level_map(lambda lv: decode_level(lv.archive), c.levels)
+    recon = _reconstruct(c, decoded)
     if args.orig is not None:
         orig = read_raw_volume(args.orig, recon.dims, args.dtype)
         errors = sample_errors(orig.data, recon.data)
         values = recon.data.reshape(-1)
     else:
-        pairs = _level_map(level_sample_pairs, [lv.archive for lv in c.levels if lv.archive.samples is not None])
+        pairs = [level_sample_pairs(lv.archive, dec) for lv, dec in zip(c.levels, decoded)
+                 if lv.archive.samples is not None]
         if not pairs:
             raise DataError("container stores no sample regions; pass --orig to fit the model")
         orig_regions = [r for p in pairs for r in p[0]]
@@ -193,13 +217,7 @@ def cmd_uncertainty(args) -> int:
     model = fit_model(errors, values, args.isovalue, args.window)
     field = probability_field(recon, args.isovalue, model)
     _atomic_write(args.out, field.p.astype("<f4").tobytes())
-    sidecar = {
-        "dims": list(field.dims),
-        "isovalue": field.isovalue,
-        "mu": model.mu,
-        "sigma2": model.sigma2,
-    }
-    _atomic_write(args.out + ".json", (json.dumps(sidecar, indent=2) + "\n").encode())
+    _atomic_write(args.out + ".json", sidecar_json(field))
     flag = " (fallback: window never caught 2 samples)" if model.fallback else ""
     print(f"model: mu={model.mu:.6g} sigma2={model.sigma2:.6g} n={model.n_samples} window={model.window:g}{flag}")
     nx, ny, nz = field.dims

@@ -8,7 +8,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import ErrorBoundPolicy
 from .errors import ShapeError
@@ -20,6 +19,8 @@ SSIM_WINDOW = 8
 SSIM_STRIDE = 4
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+# ssim() relies on SSIM_WINDOW == 2 * SSIM_STRIDE: a window is 2x2x2 blocks
+_BLOCK_CELLS = SSIM_STRIDE**3
 
 
 def _paired(orig, recon):
@@ -44,11 +45,55 @@ def psnr(orig, recon) -> float:
     return float(20.0 * np.log10(vrange / np.sqrt(mse)))
 
 
+def _block_sum(a, b=None):
+    """Per-block sum of ``a`` (or of ``a * b``) over a (bz, 4, by, 4, bx, 4)
+    view; no temporary of the input's size."""
+    if b is None:
+        return np.einsum("aibjck->abc", a)
+    return np.einsum("aibjck,aibjck->abc", a, b)
+
+
+def _block_moments(x6):
+    """Block means, centered values and residual sums of a block view."""
+    m = _block_sum(x6) / _BLOCK_CELLS
+    d = x6 - m[:, None, :, None, :, None]
+    return m, d, _block_sum(d)
+
+
+def _corners(a):
+    """The eight blocks of every window, each as an array of window shape."""
+    mz, my, mx = (n - 1 for n in a.shape)
+    return [a[dz : dz + mz, dy : dy + my, dx : dx + mx] for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)]
+
+
+def _window_comoment(ma, sa, mua, mb, sb, mub, cab):
+    """Sum of (a - mua)(b - mub) over each window from its blocks' moments.
+
+    Per block this is the centered co-moment ``cab`` plus the shift of the
+    block means to the window means (Chan, Golub and LeVeque's pairwise
+    update). The residual sums ``sa``/``sb`` (sum of x minus the rounded
+    block mean, zero in exact arithmetic) cancel the first-order effect of
+    rounding the block means, which matters under a large offset."""
+    total = np.zeros(mua.shape)
+    for ca, csa, cb, csb, cc in zip(*map(_corners, (ma, sa, mb, sb, cab))):
+        da = ca - mua
+        db = cb - mub
+        total += cc + da * csb + db * csa + _BLOCK_CELLS * da * db
+    return total
+
+
 def ssim(orig, recon) -> float:
     """Mean local structural similarity over 8^3 windows at stride 4.
 
     Dynamic range is the original's value range (1.0 for a constant
-    original so the constants stay meaningful)."""
+    original so the constants stay meaningful).
+
+    A window at stride 4 is exactly 2x2x2 aligned 4^3 blocks, so one
+    centered pass computes each block's means and centered second moments
+    and every window merges its eight blocks' moments. No window is
+    materialized; the moments stay centered (no E[x^2] - E[x]^2), so
+    identical inputs give exactly 1.0 and large offsets lose no precision.
+    Cells past the last whole window do not count."""
     o, r = _paired(orig, recon)
     if min(o.shape) < SSIM_WINDOW:
         raise ShapeError(f"volume {o.shape} smaller than the {SSIM_WINDOW}^3 ssim window")
@@ -57,18 +102,20 @@ def ssim(orig, recon) -> float:
         L = 1.0
     c1 = (SSIM_K1 * L) ** 2
     c2 = (SSIM_K2 * L) ** 2
-    w = (SSIM_WINDOW,) * 3
-    ow = sliding_window_view(o, w)[::SSIM_STRIDE, ::SSIM_STRIDE, ::SSIM_STRIDE]
-    rw = sliding_window_view(r, w)[::SSIM_STRIDE, ::SSIM_STRIDE, ::SSIM_STRIDE]
-    ax = (-3, -2, -1)
-    mu_o = ow.mean(axis=ax)
-    mu_r = rw.mean(axis=ax)
-    # centered moments keep identical inputs at exactly 1.0
-    do = ow - mu_o[..., None, None, None]
-    dr = rw - mu_r[..., None, None, None]
-    var_o = (do * do).mean(axis=ax)
-    var_r = (dr * dr).mean(axis=ax)
-    cov = (do * dr).mean(axis=ax)
+    blocks = [(n - SSIM_WINDOW) // SSIM_STRIDE + 2 for n in o.shape]
+    crop = tuple(slice(0, SSIM_STRIDE * b) for b in blocks)
+    shape6 = (blocks[0], SSIM_STRIDE, blocks[1], SSIM_STRIDE, blocks[2], SSIM_STRIDE)
+    mo, do, so = _block_moments(o[crop].reshape(shape6))
+    mr, dr, sr = _block_moments(r[crop].reshape(shape6))
+    vo = _block_sum(do, do)
+    vr = _block_sum(dr, dr)
+    cor = _block_sum(do, dr)
+    mu_o = sum(_corners(mo)) / 8.0
+    mu_r = sum(_corners(mr)) / 8.0
+    n = float(SSIM_WINDOW**3)
+    var_o = _window_comoment(mo, so, mu_o, mo, so, mu_o, vo) / n
+    var_r = _window_comoment(mr, sr, mu_r, mr, sr, mu_r, vr) / n
+    cov = _window_comoment(mo, so, mu_o, mr, sr, mu_r, cor) / n
     num = (2.0 * mu_o * mu_r + c1) * (2.0 * cov + c2)
     den = (mu_o**2 + mu_r**2 + c1) * (var_o + var_r + c2)
     return float(np.mean(num / den))

@@ -112,11 +112,17 @@ def _should_pad(pad: str, codec: str, arrangement: str, u: int) -> bool:
     return codec == "interp" and arrangement == LINEAR and u > PAD_MIN_U
 
 
-def _fit_intensity(merged_orig, blob: CompressedBlob, blocksize: int, family: str, seed: int, sample_rate: float):
-    """Plan a sample, decompress once, and pick per-axis intensities."""
+def _decode_unpadded(blob: CompressedBlob):
+    """Codec output with any layout padding removed."""
     dec = decompress(blob)
     if isinstance(dec, MergedArray) and dec.padded:
         dec = unpad(dec)
+    return dec
+
+
+def _fit_intensity(merged_orig, blob: CompressedBlob, blocksize: int, family: str, seed: int, sample_rate: float):
+    """Plan a sample, decompress once, and pick per-axis intensities."""
+    dec = _decode_unpadded(blob)
     dec_values = dec.values if isinstance(dec, MergedArray) else dec.data
     dims = (dec_values.shape[2], dec_values.shape[1], dec_values.shape[0])
     plan = plan_sampling(dims, blocksize, max_rate=sample_rate, seed=seed)
@@ -173,43 +179,45 @@ def compress_volume(
     return LevelArchive(dims=vol.dims, u=0, blob=blob, post=post, samples=samples)
 
 
-def decompress_level(archive: LevelArchive):
-    """Invert compress_level: returns the list of unit blocks.
-
-    Post-processing, when configured, is applied to the unpadded merged
-    array before it is split back into blocks.
-    """
-    dec = decompress(archive.blob)
-    if isinstance(dec, Volume):
-        raise ShapeError("archive holds a whole volume; use decompress_volume")
-    if dec.padded:
-        dec = unpad(dec)
+def decode_level(archive: LevelArchive):
+    """Decode a level's payload once: the codec's output, unpadded and
+    post-processed. A MergedArray for a tiled level, a Volume for a whole
+    one; decompress_level, decompress_volume and level_sample_pairs all
+    start from it."""
+    dec = _decode_unpadded(archive.blob)
     if archive.post is not None:
         dec = apply_postprocess(dec, archive.blob.policy.eb, archive.post_blocksize, archive.post)
-    return unmerge(dec)
-
-
-def decompress_volume(archive: LevelArchive) -> Volume:
-    """Invert compress_volume."""
-    dec = decompress(archive.blob)
-    if not isinstance(dec, Volume):
-        raise ShapeError("archive holds merged blocks; use decompress_level")
-    if archive.post is not None:
-        out = apply_postprocess(dec, archive.blob.policy.eb, archive.post_blocksize, archive.post)
-        return out
     return dec
 
 
-def level_sample_pairs(archive: LevelArchive):
+def decompress_level(archive: LevelArchive, decoded=None):
+    """Invert compress_level: returns the list of unit blocks.
+
+    Post-processing, when configured, is applied to the unpadded merged
+    array before it is split back into blocks. ``decoded`` is the level's
+    decode_level output when the caller already holds it.
+    """
+    dec = decode_level(archive) if decoded is None else decoded
+    if isinstance(dec, Volume):
+        raise ShapeError("archive holds a whole volume; use decompress_volume")
+    return unmerge(dec)
+
+
+def decompress_volume(archive: LevelArchive, decoded=None) -> Volume:
+    """Invert compress_volume; ``decoded`` as for decompress_level."""
+    dec = decode_level(archive) if decoded is None else decoded
+    if not isinstance(dec, Volume):
+        raise ShapeError("archive holds merged blocks; use decompress_level")
+    return dec
+
+
+def level_sample_pairs(archive: LevelArchive, decoded=None):
     """Stored original sample regions paired with the matching regions of
-    the decompressed (and post-processed) level."""
+    the decompressed (and post-processed) level; ``decoded`` as for
+    decompress_level."""
     if archive.samples is None:
         raise ShapeError("archive stores no sample regions")
-    dec = decompress(archive.blob)
-    if isinstance(dec, MergedArray) and dec.padded:
-        dec = unpad(dec)
-    if archive.post is not None:
-        dec = apply_postprocess(dec, archive.blob.policy.eb, archive.post_blocksize, archive.post)
+    dec = decode_level(archive) if decoded is None else decoded
     values = dec.values if isinstance(dec, MergedArray) else dec.data
     dec_regions = tuple(extract_regions(values, archive.samples.plan))
     return archive.samples.regions, dec_regions

@@ -146,37 +146,41 @@ class ProbabilityField:
         return (dx, dy, dz)
 
 
+def _corner_product(a: np.ndarray) -> np.ndarray:
+    """Product of the eight corner values of every cell, formed as three
+    pairwise products: along x, then y, then z."""
+    a = a[:, :, :-1] * a[:, :, 1:]
+    a = a[:, :-1] * a[:, 1:]
+    return a[:-1] * a[1:]
+
+
 def probability_field(decomp: Volume, isovalue: float, model: ErrorModel) -> ProbabilityField:
     """Crossing probability for every cell of the volume."""
     if min(decomp.dims) < 2:
         raise ShapeError(f"need at least 2 points per axis, got dims {decomp.dims}")
     q = _below_probability(decomp.data, isovalue, model)
-    below = np.ones((decomp.nz - 1, decomp.ny - 1, decomp.nx - 1), dtype=np.float64)
-    above = np.ones_like(below)
-    for dz in (0, 1):
-        for dy in (0, 1):
-            for dx in (0, 1):
-                corner = q[
-                    dz : dz + below.shape[0],
-                    dy : dy + below.shape[1],
-                    dx : dx + below.shape[2],
-                ]
-                below *= corner
-                above *= 1.0 - corner
-    p = np.clip(1.0 - below - above, 0.0, 1.0)
+    below = _corner_product(q)
+    above = _corner_product(np.subtract(1.0, q, out=q))
+    p = np.subtract(1.0, below, out=below)
+    p -= above
+    np.clip(p, 0.0, 1.0, out=p)
     return ProbabilityField(p=p, isovalue=float(isovalue), model=model)
 
 
-def write_probability_field(field: ProbabilityField, path) -> None:
-    """Write the field as raw little-endian f32 (x fastest) plus a JSON
-    sidecar at ``path + ".json"`` describing dims and the fitted model."""
-    field.p.astype("<f4").tofile(path)
+def sidecar_json(field: ProbabilityField) -> bytes:
+    """The JSON sidecar of a probability field: dims and the fitted model."""
     sidecar = {
         "dims": list(field.dims),
         "isovalue": field.isovalue,
         "mu": field.model.mu,
         "sigma2": field.model.sigma2,
     }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    return (json.dumps(sidecar, indent=2) + "\n").encode()
+
+
+def write_probability_field(field: ProbabilityField, path) -> None:
+    """Write the field as raw little-endian f32 (x fastest) plus a JSON
+    sidecar at ``path + ".json"`` describing dims and the fitted model."""
+    field.p.astype("<f4").tofile(path)
+    with open(str(path) + ".json", "wb") as fh:
+        fh.write(sidecar_json(field))

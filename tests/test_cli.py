@@ -194,6 +194,43 @@ def test_uncertainty_from_stored_samples(tmp_path):
     assert np.fromfile(prob, dtype="<f4").size == 63**3
 
 
+def test_uncertainty_decodes_each_level_once(tmp_path, monkeypatch):
+    import mrcompress.pipeline as pipeline
+    from mrcompress.pipeline import decompress_level, level_sample_pairs
+    from mrcompress.roi import Level, MultiResDataset
+    from mrcompress.uncertainty import fit_model, probability_field, sample_errors
+
+    v = sum_of_gaussians((64, 64, 64), seed=16)
+    raw = _write_raw(tmp_path, v)
+    roi_out = str(tmp_path / "roi.mrc")
+    cont = str(tmp_path / "v.mrc")
+    prob = str(tmp_path / "prob.raw")
+    main(["roi", "--input", raw, "--dims", _dims_arg(v), "--dtype", "f64",
+          "--block", "8", "--percent", "25", "--out", roi_out])
+    assert main(["compress", "--input", roi_out, "--eb", "1e-2", "--post", "sz", "--out", cont]) == 0
+    c = read_container(cont)
+    assert c.n_levels == 2
+
+    calls = []
+    decompress = pipeline.decompress
+    monkeypatch.setattr(pipeline, "decompress", lambda blob: calls.append(blob) or decompress(blob))
+    assert main(["uncertainty", "--input", cont, "--isovalue", "0.5", "--out", prob]) == 0
+    assert len(calls) == c.n_levels
+    monkeypatch.undo()
+
+    # same bytes as the library path that decodes every level per use
+    archives = [lv.archive for lv in c.levels]
+    ds = MultiResDataset(levels=tuple(Level(dims=a.dims, u=a.u, blocks=tuple(decompress_level(a)))
+                                      for a in archives), roi_mask=c.roi_mask)
+    recon = reconstruct_uniform(ds)
+    pairs = [level_sample_pairs(a) for a in archives]
+    dec_regions = [r for p in pairs for r in p[1]]
+    errors = sample_errors([r for p in pairs for r in p[0]], dec_regions)
+    model = fit_model(errors, np.concatenate([r.reshape(-1) for r in dec_regions]), 0.5)
+    field = probability_field(recon, 0.5, model)
+    assert open(prob, "rb").read() == field.p.astype("<f4").tobytes()
+
+
 def test_uncertainty_without_samples_needs_orig(tmp_path):
     v = sum_of_gaussians((16, 16, 16), seed=10)
     raw = _write_raw(tmp_path, v)
@@ -273,6 +310,38 @@ def test_unexpected_failure_exits_four(tmp_path, monkeypatch):
     bad = tmp_path / "c.mrc"
     bad.write_bytes(b"MRC1")
     assert main(["decompress", "--input", str(bad), "--out", str(tmp_path / "o.raw")]) == 4
+
+
+def test_failed_writes_leave_no_temp_files(tmp_path, monkeypatch):
+    import mrcompress.cli as cli
+
+    v = sum_of_gaussians((16, 16, 16), seed=15)
+    raw = _write_raw(tmp_path, v)
+    cont = str(tmp_path / "v.mrc")
+    assert main(["compress", "--input", raw, "--dims", _dims_arg(v), "--dtype", "f64",
+                 "--eb", "1e-3", "--out", cont]) == 0
+    taken = tmp_path / "taken"
+    taken.mkdir()
+
+    # the rename over an existing directory fails, on both write paths
+    assert main(["compress", "--input", raw, "--dims", _dims_arg(v), "--dtype", "f64",
+                 "--eb", "1e-3", "--out", str(taken)]) == 2
+    assert main(["decompress", "--input", cont, "--out", str(taken)]) == 2
+    assert main(["uncertainty", "--input", cont, "--orig", raw, "--dtype", "f64",
+                 "--isovalue", "0.5", "--out", str(taken)]) == 2
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+    # the raw write itself fails halfway
+    def half_write(vol, path, dtype):
+        with open(path, "wb") as fh:
+            fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_raw_volume", half_write)
+    out = tmp_path / "back.raw"
+    assert main(["decompress", "--input", cont, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp.*"))
 
 
 # ---------------------------------------------------------------- threading

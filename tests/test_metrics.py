@@ -1,13 +1,19 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mrcompress.errors import ShapeError
 from mrcompress.grid import Volume
 from mrcompress.metrics import (
+    SSIM_K1,
+    SSIM_K2,
+    SSIM_STRIDE,
+    SSIM_WINDOW,
     RateDistortionPoint,
     psnr,
     rd_sweep,
@@ -96,6 +102,63 @@ def test_ssim_window_too_small():
 def test_ssim_constant_pair_is_one():
     o = Volume(np.full((8, 8, 8), 2.5))
     assert ssim(o, o) == 1.0
+
+
+def _sliding_window_ssim(o, r):
+    """Reference: materialize every 8^3 window at stride 4 and take its
+    centered moments directly."""
+    L = float(o.max() - o.min()) or 1.0
+    c1 = (SSIM_K1 * L) ** 2
+    c2 = (SSIM_K2 * L) ** 2
+    w = (SSIM_WINDOW,) * 3
+    ow = sliding_window_view(o, w)[::SSIM_STRIDE, ::SSIM_STRIDE, ::SSIM_STRIDE]
+    rw = sliding_window_view(r, w)[::SSIM_STRIDE, ::SSIM_STRIDE, ::SSIM_STRIDE]
+    ax = (-3, -2, -1)
+    mu_o = ow.mean(axis=ax)
+    mu_r = rw.mean(axis=ax)
+    do = ow - mu_o[..., None, None, None]
+    dr = rw - mu_r[..., None, None, None]
+    var_o = (do * do).mean(axis=ax)
+    var_r = (dr * dr).mean(axis=ax)
+    cov = (do * dr).mean(axis=ax)
+    num = (2.0 * mu_o * mu_r + c1) * (2.0 * cov + c2)
+    den = (mu_o**2 + mu_r**2 + c1) * (var_o + var_r + c2)
+    return float(np.mean(num / den))
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (9, 13, 17), (33, 20, 12), (48, 40, 36)])
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_ssim_matches_sliding_window_reference(shape, offset):
+    nz, ny, nx = shape
+    o = smooth_field((nx, ny, nz)).data + offset
+    rng = np.random.default_rng(11)
+    r = o + 1e-4 * rng.standard_normal(o.shape)
+    assert ssim(o, r) == pytest.approx(_sliding_window_ssim(o, r), abs=1e-12)
+    assert ssim(o, o) == 1.0
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+def test_ssim_matches_reference_far_from_one(offset):
+    # heavy noise keeps the structure term far from 1, so a first-order
+    # error in the merged window variances would show
+    o = sum_of_gaussians((20, 33, 12), seed=12).data * 40.0 + offset
+    rng = np.random.default_rng(13)
+    r = o + 2.0 * rng.standard_normal(o.shape)
+    want = _sliding_window_ssim(o, r)
+    assert want < 0.9
+    assert ssim(o, r) == pytest.approx(want, abs=1e-12)
+
+
+def test_ssim_allocates_little_beyond_its_inputs():
+    o = smooth_field((64, 64, 64)).data
+    r = o + 1e-3 * np.random.default_rng(14).standard_normal(o.shape)
+    tracemalloc.start()
+    try:
+        ssim(o, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * o.nbytes
 
 
 # ---------------------------------------------------------------- rd sweep
