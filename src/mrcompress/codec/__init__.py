@@ -25,7 +25,6 @@ from .policy import DEFAULT_ALPHA, DEFAULT_BETA, ErrorBoundPolicy, level_error_b
 from .quantize import (
     CODE_CAP,
     LITERAL_MARK,
-    QuantizedStream,
     dequantize_array,
     quantize,
     quantize_array,
@@ -49,12 +48,13 @@ INTERP = "interp"
 BLOCK = "block"
 
 
-def compress(m, policy, codec: str = INTERP, lossless: str = LOSSLESS_NONE) -> CompressedBlob:
-    """Compress a Volume or MergedArray with the named codec."""
+def compress(m, policy, codec: str = INTERP, lossless: str = LOSSLESS_NONE, recon: bool = False):
+    """Compress a Volume or MergedArray with the named codec; with
+    ``recon``, return (blob, decompress(blob)) without decoding."""
     if codec == INTERP:
-        return interp_compress(m, policy, lossless)
+        return interp_compress(m, policy, lossless, recon)
     if codec == BLOCK:
-        return block_compress(m, policy, lossless)
+        return block_compress(m, policy, lossless, recon)
     raise ShapeError(f"unknown codec {codec!r}")
 
 

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FormatError, ShapeError
-from ..grid import BlockCoord, Dims
-from ..layout import LINEAR, STACKED
+from ..grid import BlockCoord, Dims, Volume
+from ..layout import LINEAR, STACKED, MergedArray
 from .entropy import LOSSLESS_NONE, LOSSLESS_ZLIB
 from .policy import ErrorBoundPolicy
 
@@ -190,6 +190,32 @@ class CompressedBlob:
 
     def size_bytes(self) -> int:
         return len(self.to_bytes())
+
+    def wrap(self, arr: np.ndarray) -> MergedArray | Volume:
+        """The codec output for the decoded (z, y, x) array ``arr``: a
+        Volume for a whole volume, else a MergedArray with this layout."""
+        if self.arrangement == ARRANGE_NONE:
+            return Volume(arr)
+        return MergedArray(
+            values=arr,
+            order=self.order,
+            u=self.u,
+            arrangement=self.arrangement_name,
+            padded=self.padded,
+        )
+
+
+def unwrap(m: MergedArray | Volume) -> tuple[np.ndarray, dict]:
+    """The (z, y, x) array of ``m`` and the blob fields of its shape and
+    layout: the inverse of :meth:`CompressedBlob.wrap`."""
+    if isinstance(m, Volume):
+        arr, fields = m.data, dict(arrangement=ARRANGE_NONE, padded=False, u=0, order=())
+    elif isinstance(m, MergedArray):
+        arr = m.values
+        fields = dict(arrangement=arrangement_code(m.arrangement), padded=m.padded, u=m.u, order=m.order)
+    else:
+        raise ShapeError(f"cannot compress {type(m).__name__}")
+    return arr, dict(fields, dims=arr.shape[::-1])
 
 
 def arrangement_code(name) -> int:

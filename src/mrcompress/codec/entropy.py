@@ -24,7 +24,6 @@ payload further; it is off by default.
 
 from __future__ import annotations
 
-import heapq
 import struct
 import zlib
 from dataclasses import dataclass
@@ -39,13 +38,23 @@ LANE_CODES = 1024
 _LUT_BITS = 12
 _LEN_BITS = 6  # lookup entries hold (rank << _LEN_BITS) | code length
 _OUT_BLOCK = 128  # lanes transposed at a time into the decoded output
+# symbol spans up to this size pack through dense per-symbol tables; every
+# codec stream fits (its symbols lie in [-CODE_CAP, CODE_CAP + 1])
+_DENSE_SPAN = 1 << 17
 
 LOSSLESS_NONE = "none"
 LOSSLESS_ZLIB = "zlib"
 
 
 def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
-    """Code length per symbol index, deterministic under frequency ties."""
+    """Code length per symbol index, deterministic under frequency ties.
+
+    A two-queue Huffman build: the leaves sorted by (count, index), and the
+    merged nodes in creation order, which is nondecreasing in frequency.
+    Taking the smaller head, the leaf on a tie, pops nodes in the same
+    (frequency, id) order as a heap of leaves with ids 0..n-1 and merged
+    nodes numbered from n upwards.
+    """
     n = counts.size
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
@@ -53,22 +62,29 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
         return np.ones(1, dtype=np.uint8)
     work = counts.astype(np.int64)
     while True:
-        parent = np.full(2 * n - 1, -1, dtype=np.int64)
-        heap = [(int(work[i]), i, i) for i in range(n)]
-        heapq.heapify(heap)
-        next_id = n
-        while len(heap) > 1:
-            fa, _, a = heapq.heappop(heap)
-            fb, _, b = heapq.heappop(heap)
-            parent[a] = next_id
-            parent[b] = next_id
-            heapq.heappush(heap, (fa + fb, next_id, next_id))
-            next_id += 1
-        depths = np.zeros(2 * n - 1, dtype=np.int64)
+        order = np.argsort(work, kind="stable")
+        leaf_f = work[order].tolist()
+        leaf_id = order.tolist()
+        node_f = []
+        parent = [0] * (2 * n - 1)
+        i = j = 0
+        for node in range(n, 2 * n - 1):
+            f = 0
+            for _ in range(2):
+                if j == len(node_f) or (i < n and leaf_f[i] <= node_f[j]):
+                    f += leaf_f[i]
+                    parent[leaf_id[i]] = node
+                    i += 1
+                else:
+                    f += node_f[j]
+                    parent[n + j] = node
+                    j += 1
+            node_f.append(f)
+        depth = [0] * (2 * n - 1)
         # parents always have larger ids, so one reverse sweep resolves depths
         for node in range(2 * n - 3, -1, -1):
-            depths[node] = depths[parent[node]] + 1
-        lengths = depths[:n]
+            depth[node] = depth[parent[node]] + 1
+        lengths = np.array(depth[:n], dtype=np.int64)
         if lengths.max() <= MAX_CODE_LEN:
             return lengths.astype(np.uint8)
         # flatten the distribution until the tree fits the decoder window
@@ -158,6 +174,33 @@ def _lane_count(n_codes: int) -> int:
     return -(-n_codes // LANE_CODES)
 
 
+def _code_words(table: HuffmanTable, sym_lj: np.ndarray, codes: np.ndarray):
+    """(length, left-justified code word) of every code in ``codes``."""
+    if not table.n_symbols:
+        raise ShapeError("code stream contains symbols missing from the table")
+    lo = int(table.symbols[0])
+    span = int(table.symbols[-1]) - lo + 1
+    if span > _DENSE_SPAN:
+        idx = np.searchsorted(table.symbols, codes)
+        if not (table.symbols.take(idx, mode="clip") == codes).all():
+            raise ShapeError("code stream contains symbols missing from the table")
+        return table.lengths[idx], sym_lj[idx]
+    # dense tables over [lo, lo + span]; the extra last entry, of length 0,
+    # catches every code outside the span, and the gaps catch the rest
+    dense_ln = np.zeros(span + 1, dtype=np.uint8)
+    dense_lj = np.zeros(span + 1, dtype=np.uint64)
+    at = table.symbols.astype(np.int64) - lo
+    dense_ln[at] = table.lengths
+    dense_lj[at] = sym_lj
+    at = codes.astype(np.int64)
+    at -= lo
+    np.minimum(at.view(np.uint64), np.uint64(span), out=at.view(np.uint64))
+    ln = dense_ln.take(at)
+    if not ln.all():
+        raise ShapeError("code stream contains symbols missing from the table")
+    return ln, dense_lj.take(at)
+
+
 def pack_codes(table: HuffmanTable, codes: np.ndarray) -> bytes:
     """Lane-framed MSB-first bit packing of the code sequence:
     [u16 bit length per lane][lane 0 bytes][lane 1 bytes]..., each lane
@@ -167,14 +210,10 @@ def pack_codes(table: HuffmanTable, codes: np.ndarray) -> bytes:
     if n == 0:
         return b""
     codevals, *_ = table.canonical()
-    idx = np.searchsorted(table.symbols, codes)
-    if not (table.symbols.take(idx, mode="clip") == codes).all():
-        raise ShapeError("code stream contains symbols missing from the table")
     u64 = np.uint64
-    ln = table.lengths[idx]
     # every code left-justified in a 64-bit word
-    lj = (codevals << (64 - table.lengths.astype(u64)))[idx]
-    del idx
+    sym_lj = codevals << (64 - table.lengths.astype(u64))
+    ln, lj = _code_words(table, sym_lj, codes)
     # bit offset of every code as if unframed, then moved to its lane's
     # byte-aligned start
     pos = np.cumsum(ln, dtype=u64)

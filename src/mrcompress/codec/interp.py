@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import FormatError, ShapeError
 from ..grid import Volume
 from ..layout import MergedArray
-from .blob import ARRANGE_NONE, CODEC_INTERP, CompressedBlob, arrangement_code
+from .blob import CODEC_INTERP, CompressedBlob, unwrap
 from .entropy import LOSSLESS_NONE, entropy_decode, entropy_encode
 from .policy import ErrorBoundPolicy, level_error_bound
 from .quantize import LITERAL_MARK, dequantize_array, quantize_array
@@ -65,7 +65,9 @@ def _maxlevel(dims) -> int:
     return build_grid_schedule(dims).maxlevel
 
 
-def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy):
+def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy, recon: bool = False):
+    """Returns (codes, literals, the reconstruction when ``recon``); the
+    working array ends up equal to the decoder's output."""
     nz, ny, nx = arr.shape
     dims = (nx, ny, nz)
     maxlevel = _maxlevel(dims)
@@ -97,7 +99,7 @@ def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy):
             emit(pred, arr[sel], sel, eb)
     codes = np.concatenate(code_parts) if code_parts else np.zeros(0, np.int32)
     lits = np.concatenate(lit_parts) if lit_parts else np.zeros(0, np.float64)
-    return codes, lits
+    return codes, lits, work if recon else None
 
 
 def _decode_array(dims, policy: ErrorBoundPolicy, codes: np.ndarray, lits: np.ndarray):
@@ -146,30 +148,15 @@ def interp_compress(
     m: MergedArray | Volume,
     policy: ErrorBoundPolicy,
     lossless: str = LOSSLESS_NONE,
-) -> CompressedBlob:
-    if isinstance(m, Volume):
-        arr = m.data
-        arrangement = ARRANGE_NONE
-        u, order, padded = 0, (), False
-    elif isinstance(m, MergedArray):
-        arr = m.values
-        arrangement = arrangement_code(m.arrangement)
-        u, order, padded = m.u, m.order, m.padded
-    else:
-        raise ShapeError(f"cannot compress {type(m).__name__}")
-    codes, lits = _encode_array(arr, policy)
-    nz, ny, nx = arr.shape
-    return CompressedBlob(
-        codec=CODEC_INTERP,
-        dims=(nx, ny, nz),
-        policy=policy,
-        arrangement=arrangement,
-        padded=padded,
-        u=u,
-        order=order,
-        stream=entropy_encode(codes, lits, lossless),
-        lossless=lossless,
-    )
+    recon: bool = False,
+):
+    """Compress ``m``; with ``recon`` returns (blob, the decoder's output),
+    which the encoder holds already."""
+    arr, fields = unwrap(m)
+    codes, lits, rec = _encode_array(arr, policy, recon)
+    stream = entropy_encode(codes, lits, lossless)
+    blob = CompressedBlob(codec=CODEC_INTERP, policy=policy, stream=stream, lossless=lossless, **fields)
+    return (blob, blob.wrap(rec)) if recon else blob
 
 
 def interp_decompress(blob: CompressedBlob) -> MergedArray | Volume:
@@ -178,13 +165,4 @@ def interp_decompress(blob: CompressedBlob) -> MergedArray | Volume:
     codes, lits, used = entropy_decode(blob.stream, blob.n_values, 0, blob.lossless)
     if used != len(blob.stream):
         raise FormatError("blob stream longer than its entropy stream")
-    arr = _decode_array(blob.dims, blob.policy, codes, lits)
-    if blob.arrangement == ARRANGE_NONE:
-        return Volume(arr)
-    return MergedArray(
-        values=arr,
-        order=blob.order,
-        u=blob.u,
-        arrangement=blob.arrangement_name,
-        padded=blob.padded,
-    )
+    return blob.wrap(_decode_array(blob.dims, blob.policy, codes, lits))

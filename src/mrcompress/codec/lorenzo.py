@@ -3,19 +3,33 @@
 Each block is coded independently: the predictor for a cell is the
 inclusion-exclusion sum over its lower neighbors inside the block, with
 zero standing in for anything outside, so the block corner is effectively
-quantized against zero. All blocks of the same shape advance through their
-64 cells in lockstep, which keeps the per-cell work vectorized across
-blocks.
+quantized against zero.
+
+All M blocks advance through their cells in lockstep over a cell-major
+working array ``w`` of shape (ez+1, ey+1, ex+1, M): block index last, a
+zero halo at index 0 of each cell axis. Every ``w[z, y, x]`` is then one
+contiguous row holding that cell of all M blocks. The block edge on an axis
+is min(4, n), so a thin axis forms one short block instead of a padded one.
+
+Ragged high faces are zero-padded to whole blocks, so one pass covers every
+block. This is exact: a cell reads only its lower neighbors inside its own
+block, so no cell of the array ever reads a padded one. The padded cells
+are dropped from the stream with a (block, cell) validity mask, whose
+row-major order is the stream order: blocks in (z, y, x) order, each
+block's cells in (z, y, x) order.
 """
 
 from __future__ import annotations
+
+import math
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import FormatError, ShapeError
 from ..grid import Volume
 from ..layout import MergedArray
-from .blob import ARRANGE_NONE, CODEC_BLOCK, CompressedBlob, arrangement_code
+from .blob import CODEC_BLOCK, CompressedBlob, unwrap
 from .entropy import LOSSLESS_NONE, entropy_decode, entropy_encode
 from .policy import ErrorBoundPolicy
 from .quantize import LITERAL_MARK, quantize_array
@@ -23,149 +37,146 @@ from .quantize import LITERAL_MARK, quantize_array
 BLOCK_EDGE = 4
 
 
-def _block_table(shape):
-    """Partition a (nz, ny, nx) array into 4-blocks; returns a list of
-    (origin_z, origin_y, origin_x, sz, sy, sx) in block-index order
-    (x fastest) plus the flat code offset of every block."""
-    nz, ny, nx = shape
-    zs = [(o, min(BLOCK_EDGE, nz - o)) for o in range(0, nz, BLOCK_EDGE)]
-    ys = [(o, min(BLOCK_EDGE, ny - o)) for o in range(0, ny, BLOCK_EDGE)]
-    xs = [(o, min(BLOCK_EDGE, nx - o)) for o in range(0, nx, BLOCK_EDGE)]
-    table = []
-    for oz, sz in zs:
-        for oy, sy in ys:
-            for ox, sx in xs:
-                table.append((oz, oy, ox, sz, sy, sx))
-    sizes = np.array([t[3] * t[4] * t[5] for t in table], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return table, offsets
+class _Blocks:
+    """The partition of a (nz, ny, nx) array into blocks of edge min(4, n)
+    per axis, with the high faces padded to whole blocks."""
+
+    def __init__(self, shape):
+        self.edge = tuple(min(BLOCK_EDGE, max(n, 1)) for n in shape)
+        self.count = tuple(-(-n // e) for n, e in zip(shape, self.edge))
+        self.m, self.cells = math.prod(self.count), math.prod(self.edge)
+        self.full = tuple(b * e for b, e in zip(self.count, self.edge))
+        self.crop = tuple(slice(0, n) for n in shape)
+        self.ragged = self.full != tuple(shape)
+
+    def halo(self) -> np.ndarray:
+        return np.zeros(tuple(e + 1 for e in self.edge) + (self.m,))
+
+    def interior(self, w: np.ndarray) -> np.ndarray:
+        """View of the interior of a halo array as (bz, ez, by, ey, bx, ex)."""
+        return w.reshape(w.shape[:3] + self.count)[1:, 1:, 1:].transpose(3, 0, 4, 1, 5, 2)
+
+    def padded(self, arr: np.ndarray) -> np.ndarray:
+        """``arr`` zero-padded to whole blocks, as (bz, ez, by, ey, bx, ex)."""
+        if self.ragged:
+            full = np.zeros(self.full, arr.dtype)
+            full[self.crop] = arr
+            arr = full
+        return arr.reshape([v for be in zip(self.count, self.edge) for v in be])
+
+    @cached_property
+    def valid(self) -> np.ndarray:
+        """(M, cells) mask of the cells inside the array."""
+        inside = self.padded(np.ones([s.stop for s in self.crop], dtype=bool))
+        return inside.transpose(0, 2, 4, 1, 3, 5).reshape(self.m, self.cells)
+
+    def scatter(self, w: np.ndarray) -> np.ndarray:
+        """The (nz, ny, nx) array in the interior of the halo array ``w``."""
+        return np.ascontiguousarray(self.interior(w)).reshape(self.full)[self.crop]
+
+    def to_stream(self, cm: np.ndarray) -> np.ndarray:
+        """Cell-major (ez, ey, ex, M) values in stream order."""
+        per_block = cm.reshape(self.cells, self.m).T
+        return per_block[self.valid] if self.ragged else per_block.reshape(-1)
+
+    def from_stream(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_stream`, with zeros in the padded cells."""
+        cm = np.zeros((self.cells, self.m), dtype=values.dtype)
+        if self.ragged:
+            cm.T[self.valid] = values
+        else:
+            cm.T[...] = values.reshape(self.m, self.cells)
+        return cm.reshape(self.edge + (self.m,))
+
+    def locate(self, pos: np.ndarray):
+        """(block, cell) of the stream positions ``pos``."""
+        if self.ragged:
+            pos = np.flatnonzero(self.valid)[pos]
+        return np.divmod(pos, self.cells)
+
+
+def _escapes():
+    """Non-finite inputs travel as literals, and padded cells may predict
+    from them; the arithmetic on them is expected, not an error."""
+    return np.errstate(invalid="ignore", over="ignore")
 
 
 def _lorenzo_pred(w, z, y, x):
     """Inclusion-exclusion over lower neighbors; ``w`` carries a zero halo
-    at index 0 of each block axis."""
-    return (
-        w[:, z + 1, y + 1, x]
-        + w[:, z + 1, y, x + 1]
-        + w[:, z, y + 1, x + 1]
-        - w[:, z + 1, y, x]
-        - w[:, z, y + 1, x]
-        - w[:, z, y, x + 1]
-        + w[:, z, y, x]
-    )
+    at index 0 of each cell axis."""
+    pred = w[z + 1, y + 1, x] + w[z + 1, y, x + 1]
+    pred += w[z, y + 1, x + 1]
+    pred -= w[z + 1, y, x]
+    pred -= w[z, y + 1, x]
+    pred -= w[z, y, x + 1]
+    pred += w[z, y, x]
+    return pred
 
 
-def _groups(table):
-    by_shape = {}
-    for bi, t in enumerate(table):
-        by_shape.setdefault(t[3:], []).append(bi)
-    # deterministic group order: sorted by shape
-    return [(shape, np.array(idx)) for shape, idx in sorted(by_shape.items())]
-
-
-def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy):
-    table, offsets = _block_table(arr.shape)
-    codes = np.empty(offsets[-1], dtype=np.int32)
-    lit_store = np.zeros(offsets[-1], dtype=np.float64)
-    eb = policy.eb
-    for (sz, sy, sx), members in _groups(table):
-        stack = np.empty((members.size, sz, sy, sx), dtype=np.float64)
-        for k, bi in enumerate(members):
-            oz, oy, ox, *_ = table[bi]
-            stack[k] = arr[oz : oz + sz, oy : oy + sy, ox : ox + sx]
-        w = np.zeros((members.size, sz + 1, sy + 1, sx + 1), dtype=np.float64)
-        grp_codes = np.empty((members.size, sz * sy * sx), dtype=np.int32)
-        grp_lits = np.zeros((members.size, sz * sy * sx), dtype=np.float64)
-        cell = 0
-        for z in range(sz):
-            for y in range(sy):
-                for x in range(sx):
-                    pred = _lorenzo_pred(w, z, y, x)
-                    cc, recon, _ = quantize_array(pred, stack[:, z, y, x], eb)
-                    w[:, z + 1, y + 1, x + 1] = recon
-                    grp_codes[:, cell] = cc
-                    grp_lits[:, cell] = np.where(
-                        cc == LITERAL_MARK, stack[:, z, y, x], 0.0
-                    )
-                    cell += 1
-        for k, bi in enumerate(members):
-            codes[offsets[bi] : offsets[bi + 1]] = grp_codes[k]
-            lit_store[offsets[bi] : offsets[bi + 1]] = grp_lits[k]
-    lits = lit_store[codes == LITERAL_MARK]
-    return codes, lits
+def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy, recon: bool = False):
+    """Returns (codes, literals, the reconstruction when ``recon``)."""
+    blocks = _Blocks(arr.shape)
+    w = blocks.halo()
+    # the interior starts out as the input; each step replaces one cell row
+    # by its reconstruction, which is all that later steps read
+    blocks.interior(w)[...] = blocks.padded(arr)
+    codes = np.empty(blocks.edge + (blocks.m,), dtype=np.int32)
+    with _escapes():
+        for z, y, x in np.ndindex(*blocks.edge):
+            pred = _lorenzo_pred(w, z, y, x)
+            cc, rec, _ = quantize_array(pred, w[z + 1, y + 1, x + 1], policy.eb)
+            w[z + 1, y + 1, x + 1] = rec
+            codes[z, y, x] = cc
+    codes = blocks.to_stream(codes)
+    # an escaped cell reconstructs to its exact input
+    block, cell = blocks.locate(np.flatnonzero(codes == LITERAL_MARK))
+    z, y, x = np.unravel_index(cell, blocks.edge)
+    lits = w[z + 1, y + 1, x + 1, block]
+    return codes, lits, blocks.scatter(w) if recon else None
 
 
 def _decode_array(dims, policy: ErrorBoundPolicy, codes: np.ndarray, lits: np.ndarray):
     nx, ny, nz = dims
-    shape = (nz, ny, nx)
-    table, offsets = _block_table(shape)
-    if codes.size != offsets[-1]:
+    blocks = _Blocks((nz, ny, nx))
+    if codes.size != nx * ny * nz:
         raise FormatError("code stream does not match the array size")
-    marks = codes == LITERAL_MARK
-    if int(marks.sum()) != lits.size:
+    marks = np.flatnonzero(codes == LITERAL_MARK)
+    if marks.size != lits.size:
         raise FormatError("literal block does not match the code stream")
-    lit_store = np.zeros(codes.size, dtype=np.float64)
-    lit_store[marks] = lits
-    out = np.empty(shape, dtype=np.float64)
-    eb = policy.eb
-    for (sz, sy, sx), members in _groups(table):
-        ncell = sz * sy * sx
-        grp_codes = np.empty((members.size, ncell), dtype=np.int64)
-        grp_lits = np.empty((members.size, ncell), dtype=np.float64)
-        for k, bi in enumerate(members):
-            grp_codes[k] = codes[offsets[bi] : offsets[bi + 1]]
-            grp_lits[k] = lit_store[offsets[bi] : offsets[bi + 1]]
-        w = np.zeros((members.size, sz + 1, sy + 1, sx + 1), dtype=np.float64)
-        cell = 0
-        for z in range(sz):
-            for y in range(sy):
-                for x in range(sx):
-                    pred = _lorenzo_pred(w, z, y, x)
-                    cc = grp_codes[:, cell]
-                    recon = pred + (2.0 * eb) * cc
-                    lit = cc == LITERAL_MARK
-                    if lit.any():
-                        recon[lit] = grp_lits[lit, cell]
-                    w[:, z + 1, y + 1, x + 1] = recon
-                    cell += 1
-        for k, bi in enumerate(members):
-            oz, oy, ox, bsz, bsy, bsx = table[bi]
-            out[oz : oz + bsz, oy : oy + bsy, ox : ox + bsx] = w[
-                k, 1 : bsz + 1, 1 : bsy + 1, 1 : bsx + 1
-            ]
-    return out
+    # literals grouped by cell, each group in block order
+    block, cell = blocks.locate(marks)
+    by_cell = np.argsort(cell, kind="stable")
+    block, lits = block[by_cell], lits[by_cell]
+    bounds = np.searchsorted(cell[by_cell], np.arange(blocks.cells + 1)).tolist()
+    cm = blocks.from_stream(codes)
+    step = 2.0 * policy.eb
+    w = blocks.halo()
+    with _escapes():
+        for c, (z, y, x) in enumerate(np.ndindex(*blocks.edge)):
+            recon = _lorenzo_pred(w, z, y, x)
+            recon += step * cm[z, y, x]
+            lo, hi = bounds[c], bounds[c + 1]
+            if hi > lo:
+                recon[block[lo:hi]] = lits[lo:hi]
+            w[z + 1, y + 1, x + 1] = recon
+    return blocks.scatter(w)
 
 
 def block_compress(
     m: MergedArray | Volume,
     policy: ErrorBoundPolicy,
     lossless: str = LOSSLESS_NONE,
-) -> CompressedBlob:
+    recon: bool = False,
+):
+    """Compress ``m``; with ``recon`` returns (blob, the decoder's output),
+    which the encoder holds already."""
     if policy.adaptive:
         raise ShapeError("the block codec quantizes at a uniform bound")
-    if isinstance(m, Volume):
-        arr = m.data
-        arrangement = ARRANGE_NONE
-        u, order, padded = 0, (), False
-    elif isinstance(m, MergedArray):
-        arr = m.values
-        arrangement = arrangement_code(m.arrangement)
-        u, order, padded = m.u, m.order, m.padded
-    else:
-        raise ShapeError(f"cannot compress {type(m).__name__}")
-    codes, lits = _encode_array(arr, policy)
-    nz, ny, nx = arr.shape
-    return CompressedBlob(
-        codec=CODEC_BLOCK,
-        dims=(nx, ny, nz),
-        policy=policy,
-        arrangement=arrangement,
-        padded=padded,
-        u=u,
-        order=order,
-        stream=entropy_encode(codes, lits, lossless),
-        lossless=lossless,
-    )
+    arr, fields = unwrap(m)
+    codes, lits, rec = _encode_array(arr, policy, recon)
+    stream = entropy_encode(codes, lits, lossless)
+    blob = CompressedBlob(codec=CODEC_BLOCK, policy=policy, stream=stream, lossless=lossless, **fields)
+    return (blob, blob.wrap(rec)) if recon else blob
 
 
 def block_decompress(blob: CompressedBlob) -> MergedArray | Volume:
@@ -174,13 +185,4 @@ def block_decompress(blob: CompressedBlob) -> MergedArray | Volume:
     codes, lits, used = entropy_decode(blob.stream, blob.n_values, 0, blob.lossless)
     if used != len(blob.stream):
         raise FormatError("blob stream longer than its entropy stream")
-    arr = _decode_array(blob.dims, blob.policy, codes.astype(np.int64), lits)
-    if blob.arrangement == ARRANGE_NONE:
-        return Volume(arr)
-    return MergedArray(
-        values=arr,
-        order=blob.order,
-        u=blob.u,
-        arrangement=blob.arrangement_name,
-        padded=blob.padded,
-    )
+    return blob.wrap(_decode_array(blob.dims, blob.policy, codes, lits))

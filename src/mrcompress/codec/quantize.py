@@ -9,36 +9,12 @@ at those positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import DataError, ShapeError
 
 CODE_CAP = 2**15
 LITERAL_MARK = CODE_CAP + 1
-
-
-@dataclass(frozen=True)
-class QuantizedStream:
-    """Codes plus the escaped exact values, in stream order."""
-
-    codes: np.ndarray  # int32
-    literals: np.ndarray  # float64
-    code_cap: int = CODE_CAP
-
-    def __post_init__(self):
-        codes = np.ascontiguousarray(self.codes, dtype=np.int32)
-        lits = np.ascontiguousarray(self.literals, dtype=np.float64)
-        codes.flags.writeable = False
-        lits.flags.writeable = False
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "literals", lits)
-        n_marks = int((codes == LITERAL_MARK).sum())
-        if n_marks != lits.size:
-            raise ShapeError(
-                f"{n_marks} literal marks but {lits.size} literal values"
-            )
 
 
 def quantize_array(

@@ -14,23 +14,14 @@ import numpy as np
 from ..errors import FormatError, ShapeError
 from ..grid import Volume
 from ..layout import MergedArray
-from .blob import ARRANGE_NONE, CODEC_STORED, CompressedBlob, arrangement_code
+from .blob import CODEC_STORED, CompressedBlob, unwrap
 from .policy import ErrorBoundPolicy
 
 _STORED_POLICY = ErrorBoundPolicy(eb=1.0)
 
 
 def stored_compress(m: MergedArray | Volume) -> CompressedBlob:
-    if isinstance(m, Volume):
-        arr = m.data
-        arrangement = ARRANGE_NONE
-        u, order, padded = 0, (), False
-    elif isinstance(m, MergedArray):
-        arr = m.values
-        arrangement = arrangement_code(m.arrangement)
-        u, order, padded = m.u, m.order, m.padded
-    else:
-        raise ShapeError(f"cannot store {type(m).__name__}")
+    arr, fields = unwrap(m)
     payload = arr.astype("<f8").tobytes()
     stream = (
         struct.pack("<Q", 0)  # literal count
@@ -38,17 +29,7 @@ def stored_compress(m: MergedArray | Volume) -> CompressedBlob:
         + struct.pack("<Q", len(payload))
         + payload
     )
-    nz, ny, nx = arr.shape
-    return CompressedBlob(
-        codec=CODEC_STORED,
-        dims=(nx, ny, nz),
-        policy=_STORED_POLICY,
-        arrangement=arrangement,
-        padded=padded,
-        u=u,
-        order=order,
-        stream=stream,
-    )
+    return CompressedBlob(codec=CODEC_STORED, policy=_STORED_POLICY, stream=stream, **fields)
 
 
 def stored_decompress(blob: CompressedBlob) -> MergedArray | Volume:
@@ -64,13 +45,4 @@ def stored_decompress(blob: CompressedBlob) -> MergedArray | Volume:
     if plen != nx * ny * nz * 8:
         raise FormatError("stored payload does not match the blob dims")
     arr = np.frombuffer(buf, dtype="<f8", count=nx * ny * nz, offset=20)
-    arr = arr.reshape(nz, ny, nx).astype(np.float64)
-    if blob.arrangement == ARRANGE_NONE:
-        return Volume(arr)
-    return MergedArray(
-        values=arr,
-        order=blob.order,
-        u=blob.u,
-        arrangement=blob.arrangement_name,
-        padded=blob.padded,
-    )
+    return blob.wrap(arr.reshape(nz, ny, nx).astype(np.float64))

@@ -112,23 +112,23 @@ def _should_pad(pad: str, codec: str, arrangement: str, u: int) -> bool:
     return codec == "interp" and arrangement == LINEAR and u > PAD_MIN_U
 
 
-def _decode_unpadded(blob: CompressedBlob):
+def _unpadded(dec):
     """Codec output with any layout padding removed."""
-    dec = decompress(blob)
     if isinstance(dec, MergedArray) and dec.padded:
         dec = unpad(dec)
     return dec
 
 
-def _fit_intensity(merged_orig, blob: CompressedBlob, blocksize: int, family: str, seed: int, sample_rate: float):
-    """Plan a sample, decompress once, and pick per-axis intensities."""
-    dec = _decode_unpadded(blob)
+def _fit_intensity(merged_orig, dec, eb: float, blocksize: int, family: str, seed: int, sample_rate: float):
+    """Plan a sample on ``dec``, the codec's output for ``merged_orig`` at
+    bound ``eb``, and pick per-axis intensities."""
+    dec = _unpadded(dec)
     dec_values = dec.values if isinstance(dec, MergedArray) else dec.data
     dims = (dec_values.shape[2], dec_values.shape[1], dec_values.shape[0])
     plan = plan_sampling(dims, blocksize, max_rate=sample_rate, seed=seed)
     orig_regions = extract_regions(merged_orig, plan)
     dec_regions = extract_regions(dec_values, plan)
-    cfg = select_intensity(orig_regions, dec_regions, blob.policy.eb, blocksize, family)
+    cfg = select_intensity(orig_regions, dec_regions, eb, blocksize, family)
     return cfg, SampleSet(plan=plan, regions=tuple(orig_regions))
 
 
@@ -152,12 +152,15 @@ def compress_level(
     payload = merged
     if _should_pad(pad, codec, arrangement, u):
         payload = pad_linear(merged)
-    blob = compress(payload, policy, codec=codec, lossless=lossless)
     post = None
     samples = None
-    if post_family is not None:
+    if post_family is None:
+        blob = compress(payload, policy, codec=codec, lossless=lossless)
+    else:
+        # the encoder hands back the decoder's output, so fitting decodes nothing
+        blob, dec = compress(payload, policy, codec=codec, lossless=lossless, recon=True)
         blocksize = u if (codec == "interp" and u > 0) else BLOCK_EDGE
-        post, samples = _fit_intensity(merged.values, blob, blocksize, post_family, seed, sample_rate)
+        post, samples = _fit_intensity(merged.values, dec, policy.eb, blocksize, post_family, seed, sample_rate)
     return LevelArchive(dims=tuple(int(d) for d in dims), u=int(u), blob=blob, post=post, samples=samples)
 
 
@@ -171,11 +174,13 @@ def compress_volume(
     seed: int = 0,
 ) -> LevelArchive:
     """Compress a whole volume as a single-level archive with no tiling."""
-    blob = compress(vol, policy, codec=codec, lossless=lossless)
     post = None
     samples = None
-    if post_family is not None:
-        post, samples = _fit_intensity(vol.data, blob, BLOCK_EDGE, post_family, seed, sample_rate)
+    if post_family is None:
+        blob = compress(vol, policy, codec=codec, lossless=lossless)
+    else:
+        blob, dec = compress(vol, policy, codec=codec, lossless=lossless, recon=True)
+        post, samples = _fit_intensity(vol.data, dec, policy.eb, BLOCK_EDGE, post_family, seed, sample_rate)
     return LevelArchive(dims=vol.dims, u=0, blob=blob, post=post, samples=samples)
 
 
@@ -184,7 +189,7 @@ def decode_level(archive: LevelArchive):
     post-processed. A MergedArray for a tiled level, a Volume for a whole
     one; decompress_level, decompress_volume and level_sample_pairs all
     start from it."""
-    dec = _decode_unpadded(archive.blob)
+    dec = _unpadded(decompress(archive.blob))
     if archive.post is not None:
         dec = apply_postprocess(dec, archive.blob.policy.eb, archive.post_blocksize, archive.post)
     return dec

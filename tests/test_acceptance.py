@@ -11,6 +11,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from mrcompress.cli import main as cli_main
 from mrcompress.codec import ErrorBoundPolicy, build_schedule, level_error_bound
@@ -75,6 +76,7 @@ EBS = (1e-1, 1e-3, 1e-6)
 CODECS = ("interp", "block")
 
 
+@pytest.mark.slow
 def test_01_error_bound_never_violated():
     t0 = time.perf_counter()
     runs = 0
@@ -94,6 +96,7 @@ def test_01_error_bound_never_violated():
           f"0 violations, {elapsed:.1f}s: PASS")
 
 
+@pytest.mark.slow
 def test_02_postprocess_band_never_violated():
     slack = 1e-12  # float headroom on an otherwise exact band
     runs = 0

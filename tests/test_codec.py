@@ -10,13 +10,13 @@ from mrcompress.codec.blob import (
     CODEC_INTERP,
     CompressedBlob,
 )
+from mrcompress.codec.entropy import entropy_decode, entropy_encode
 from mrcompress.codec.interp import interp_compress, interp_decompress
 from mrcompress.codec.lorenzo import block_compress, block_decompress
 from mrcompress.codec.policy import ErrorBoundPolicy, level_error_bound
 from mrcompress.codec.quantize import (
     CODE_CAP,
     LITERAL_MARK,
-    QuantizedStream,
     dequantize_array,
     quantize,
     quantize_array,
@@ -244,10 +244,18 @@ def test_dequantize_checks_literal_count():
         dequantize_array(pred, codes, 0.1, np.zeros(2))
 
 
-def test_quantized_stream_validates_marks():
-    QuantizedStream(np.array([0, LITERAL_MARK], np.int32), np.array([7.0]))
-    with pytest.raises(ShapeError):
-        QuantizedStream(np.array([0, LITERAL_MARK], np.int32), np.zeros(0))
+def test_decoders_validate_literal_count():
+    # one literal value per literal mark, or the decoder refuses the stream
+    v = noisy_field((6, 5, 7), seed=19, scale=1e3)
+    p = ErrorBoundPolicy(eb=1e-9)
+    for enc, dec in ((interp_compress, interp_decompress), (block_compress, block_decompress)):
+        blob = enc(v, p)
+        codes, lits, _ = entropy_decode(blob.stream, blob.n_values)
+        assert (codes == LITERAL_MARK).sum() == lits.size > 0
+        assert max_abs_err(v, dec(replace(blob, stream=entropy_encode(codes, lits)))) <= 1e-9
+        for wrong in (lits[:-1], np.append(lits, 7.0)):
+            with pytest.raises(FormatError):
+                dec(replace(blob, stream=entropy_encode(codes, wrong)))
 
 
 # ----------------------------------------------------- interpolation codec
@@ -382,6 +390,33 @@ def test_dispatch_by_codec_name():
         assert max_abs_err(v, decompress(blob)) <= 1e-3
     with pytest.raises(ShapeError):
         compress(v, p, codec="wavelet")
+
+
+@pytest.mark.parametrize("codec", ["interp", "block"])
+def test_encoder_reconstruction_is_the_decoded_output(codec):
+    # the encoder's working state is the decoder's output, bit for bit,
+    # literals included
+    rng = np.random.default_rng(20)
+    blocks = [
+        UnitBlock(BlockCoord(i % 2, i // 2, 0, 8), 8, rng.normal(size=(8, 8, 8)))
+        for i in range(3)
+    ]
+    cases = [
+        (smooth_field((13, 6, 9), seed=21), 1e-3),
+        (noisy_field((5, 7, 3), seed=22, scale=1e4), 1e-9),
+        (pad_linear(linear_merge(blocks)), 1e-2),
+    ]
+    for m, eb in cases:
+        p = ErrorBoundPolicy(eb=eb)
+        blob, rec = compress(m, p, codec=codec, recon=True)
+        assert blob.to_bytes() == compress(m, p, codec=codec).to_bytes()
+        dec = decompress(blob)
+        assert type(rec) is type(dec)
+        if isinstance(dec, Volume):
+            assert rec.data.tobytes() == dec.data.tobytes()
+        else:
+            assert rec.values.tobytes() == dec.values.tobytes()
+            assert (rec.order, rec.u, rec.padded) == (dec.order, dec.u, dec.padded)
 
 
 def test_codec_refuses_cross_decode():

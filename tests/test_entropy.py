@@ -153,6 +153,70 @@ def test_pack_rejects_foreign_symbols():
         pack_codes(table, np.array([1, 2, 9], np.int32))
 
 
+def test_pack_rejects_symbols_in_table_gaps_and_wide_spans():
+    # dense rank tables: a gap inside the span, and codes on either side
+    table = build_table(np.array([-4, 0, 5, 5], np.int32))
+    for bad in (1, -5, 6, -(2**31), 2**31 - 1):
+        with pytest.raises(ShapeError):
+            pack_codes(table, np.array([0, bad, 5], np.int32))
+    # a span too wide for dense tables takes the sorted lookup
+    wide = np.array([-(2**31), 0, 0, 2**31 - 1, 7], np.int32)
+    table = build_table(wide)
+    assert unpack_codes(table, pack_codes(table, wide), wide.size).tolist() == wide.tolist()
+    with pytest.raises(ShapeError):
+        pack_codes(table, np.array([0, 1], np.int32))
+    with pytest.raises(ShapeError):
+        pack_codes(build_table(np.zeros(0, np.int32)), np.array([0], np.int32))
+
+
+def _heap_huffman_lengths(counts):
+    """Reference Huffman builder: a heap of (frequency, id) with leaves
+    numbered by symbol index and merged nodes numbered from n upwards,
+    flattening the counts until the tree fits MAX_CODE_LEN."""
+    import heapq
+
+    n = counts.size
+    if n == 0:
+        return np.zeros(0, dtype=np.uint8)
+    if n == 1:
+        return np.ones(1, dtype=np.uint8)
+    work = counts.astype(np.int64)
+    while True:
+        parent = np.full(2 * n - 1, -1, dtype=np.int64)
+        heap = [(int(work[i]), i) for i in range(n)]
+        heapq.heapify(heap)
+        next_id = n
+        while len(heap) > 1:
+            fa, a = heapq.heappop(heap)
+            fb, b = heapq.heappop(heap)
+            parent[a] = parent[b] = next_id
+            heapq.heappush(heap, (fa + fb, next_id))
+            next_id += 1
+        depths = np.zeros(2 * n - 1, dtype=np.int64)
+        for node in range(2 * n - 3, -1, -1):
+            depths[node] = depths[parent[node]] + 1
+        if depths[:n].max() <= MAX_CODE_LEN:
+            return depths[:n].astype(np.uint8)
+        work = (work + 1) // 2
+        work[work < 1] = 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 2**40), min_size=0, max_size=300), st.sampled_from([None, 3, 50]))
+def test_huffman_lengths_match_heap_reference(counts, cap):
+    # small caps force many ties between leaves and merged nodes
+    counts = np.array(counts, dtype=np.int64)
+    if cap is not None:
+        counts = counts % cap + 1
+    assert np.array_equal(_huffman_lengths(counts), _heap_huffman_lengths(counts))
+
+
+def test_huffman_lengths_match_heap_reference_when_flattening():
+    counts = 2 ** np.arange(40, dtype=np.int64)
+    assert _heap_huffman_lengths(counts).max() <= MAX_CODE_LEN
+    assert np.array_equal(_huffman_lengths(counts), _heap_huffman_lengths(counts))
+
+
 def test_skewed_counts_respect_length_cap():
     # Fibonacci-like counts would build a degenerate 60-deep tree; the
     # builder must flatten it into a decodable one

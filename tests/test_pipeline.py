@@ -144,6 +144,27 @@ def test_post_fit_populates_archive():
     assert max_abs_err(v, post) <= (1.0 + allow) * eb + 1e-12
 
 
+@pytest.mark.parametrize("codec, arrangement", [("interp", "linear"), ("interp", STACKED), ("block", "linear")])
+def test_post_fit_decodes_nothing(monkeypatch, codec, arrangement):
+    import mrcompress.pipeline as pipeline
+
+    v = sum_of_gaussians((32, 32, 32), seed=12)
+    p = ErrorBoundPolicy(eb=1e-3)
+    decompress = pipeline.decompress
+    calls = []
+    monkeypatch.setattr(pipeline, "decompress", lambda blob: calls.append(blob) or decompress(blob))
+    arch = compress_level(tile_volume(v, 8), v.dims, 8, p, codec=codec,
+                          arrangement=arrangement, post_family="sz")
+    varch = compress_volume(v, p, codec=codec, post_family="zfp")
+    assert calls == []
+    # the same choice as a fit on the decoded blob
+    post, samples = pipeline._fit_intensity(v.data, decompress(varch.blob), 1e-3, 4, "zfp", 0, 0.05)
+    assert (post, samples.plan) == (varch.post, varch.samples.plan)
+    assert arch.blob.padded == (codec == "interp" and arrangement == "linear")
+    level = assemble_volume(decompress_level(arch), v.dims)
+    assert max_abs_err(v, level) <= (1.0 + 3 * 0.5) * 1e-3 + 1e-12
+
+
 def test_post_blocksize_fallback_for_block_codec():
     v = sum_of_gaussians((32, 32, 32), seed=8)
     blocks = tile_volume(v, 8)
