@@ -25,7 +25,6 @@ from .container import (
     ContainerFile,
     ContainerLevel,
     container_from_dataset,
-    dataset_from_container,
     encode_container,
     read_container,
 )
@@ -34,7 +33,6 @@ from .grid import Volume, read_raw_volume, write_raw_volume
 from .layout import LINEAR, STACKED
 from .metrics import psnr, ssim
 from .pipeline import (
-    assemble_volume,
     compress_level,
     compress_volume,
     decode_level,
@@ -183,13 +181,9 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     c = read_container(args.input)
-    if args.uniform:
-        vol = _reconstruct(c)
-    elif c.n_levels == 1:
-        a = c.levels[0].archive
-        vol = decompress_volume(a) if a.u == 0 else assemble_volume(decompress_level(a), a.dims)
-    else:
+    if c.n_levels > 1 and not args.uniform:
         raise ShapeError("multi-level container: pass --uniform to reconstruct one grid")
+    vol = _reconstruct(c)
     _atomic(args.out, lambda tmp: write_raw_volume(vol, tmp, args.dtype))
     nx, ny, nz = vol.dims
     print(f"wrote {args.out} dims {nx},{ny},{nz} {args.dtype}")

@@ -26,6 +26,8 @@ Layout, all little-endian:
                         (the lane count follows from the number of values)
       lanes             each lane's codes MSB-first, zero-padded to a byte
 
+The fixed fields from magic through block-order count are one
+``struct.Struct`` (``_HEADER``), which both the writer and the reader use.
 The stream length lets a reader find the end of the blob without parsing
 the entropy stream. Stored blobs (codec 0) put the raw f64 values in the
 payload slot behind an empty table, so they have no bitstream.
@@ -54,6 +56,10 @@ _ZLIB_FLAG = 0x80
 ARRANGE_NONE = 0
 ARRANGE_LINEAR = 1
 ARRANGE_STACKED = 2
+
+# magic through block count; the block table, the stream length and the
+# stream follow
+_HEADER = struct.Struct("<4sB3QdBddBBIQ")
 
 _ARRANGE_TO_NAME = {ARRANGE_LINEAR: LINEAR, ARRANGE_STACKED: STACKED}
 _NAME_TO_ARRANGE = {LINEAR: ARRANGE_LINEAR, STACKED: ARRANGE_STACKED, None: ARRANGE_NONE}
@@ -102,87 +108,58 @@ class CompressedBlob:
         return nx * ny * nz * 8
 
     def to_bytes(self) -> bytes:
+        p = self.policy
         codec_byte = self.codec | (_ZLIB_FLAG if self.lossless == LOSSLESS_ZLIB else 0)
-        head = [
-            MAGIC,
-            struct.pack("<B", codec_byte),
-            struct.pack("<QQQ", *self.dims),
-            struct.pack("<d", self.policy.eb),
-            struct.pack("<B", 1 if self.policy.adaptive else 0),
-            struct.pack("<d", self.policy.alpha),
-            struct.pack("<d", self.policy.beta),
-            struct.pack("<B", self.arrangement),
-            struct.pack("<B", 1 if self.padded else 0),
-            struct.pack("<I", self.u),
-            struct.pack("<Q", len(self.order)),
-        ]
-        for c in self.order:
-            head.append(struct.pack("<QQQ", c.bx, c.by, c.bz))
-        head.append(struct.pack("<Q", len(self.stream)))
-        return b"".join(head) + self.stream
+        head = _HEADER.pack(
+            MAGIC, codec_byte, *self.dims, p.eb, p.adaptive, p.alpha, p.beta,
+            self.arrangement, self.padded, self.u, len(self.order),
+        )
+        table = np.array([(c.bx, c.by, c.bz) for c in self.order], dtype="<u8").tobytes()
+        return head + table + struct.pack("<Q", len(self.stream)) + self.stream
 
     @classmethod
     def from_bytes(cls, buf: bytes, offset: int = 0) -> tuple["CompressedBlob", int]:
         if buf[offset : offset + 4] != MAGIC:
             raise FormatError("bad blob magic")
-        offset += 4
-        (codec_byte,) = struct.unpack_from("<B", buf, offset)
-        offset += 1
-        lossless = LOSSLESS_ZLIB if codec_byte & _ZLIB_FLAG else LOSSLESS_NONE
-        codec = codec_byte & ~_ZLIB_FLAG
-        if codec not in (CODEC_STORED, CODEC_INTERP, CODEC_BLOCK):
-            raise FormatError(f"unknown codec id {codec}")
         try:
-            dims = struct.unpack_from("<QQQ", buf, offset)
-            offset += 24
-            (eb,) = struct.unpack_from("<d", buf, offset)
-            offset += 8
-            (adaptive,) = struct.unpack_from("<B", buf, offset)
-            offset += 1
-            (alpha,) = struct.unpack_from("<d", buf, offset)
-            offset += 8
-            (beta,) = struct.unpack_from("<d", buf, offset)
-            offset += 8
-            (arrangement,) = struct.unpack_from("<B", buf, offset)
-            offset += 1
-            (padded,) = struct.unpack_from("<B", buf, offset)
-            offset += 1
-            (u,) = struct.unpack_from("<I", buf, offset)
-            offset += 4
-            (n_blocks,) = struct.unpack_from("<Q", buf, offset)
-            offset += 8
-            order = []
-            b_edge = max(u, 1)
-            for _ in range(n_blocks):
-                bx, by, bz = struct.unpack_from("<QQQ", buf, offset)
-                offset += 24
-                try:
-                    order.append(BlockCoord(bx, by, bz, b_edge))
-                except ShapeError as exc:
-                    raise FormatError(f"bad block coordinate in blob: {exc}") from exc
+            (_, codec_byte, nx, ny, nz, eb, adaptive, alpha, beta,
+             arrangement, padded, u, n_blocks) = _HEADER.unpack_from(buf, offset)
+            offset += _HEADER.size
+            # checked before the table is read, so a corrupt count allocates nothing
+            if len(buf) - offset < 24 * n_blocks:
+                raise FormatError("blob block table truncated")
+            table = np.frombuffer(buf, dtype="<u8", count=3 * n_blocks, offset=offset)
+            offset += 24 * n_blocks
             (stream_len,) = struct.unpack_from("<Q", buf, offset)
             offset += 8
         except struct.error as exc:
             raise FormatError(f"blob header truncated: {exc}") from exc
+        lossless = LOSSLESS_ZLIB if codec_byte & _ZLIB_FLAG else LOSSLESS_NONE
+        codec = codec_byte & ~_ZLIB_FLAG
+        if codec not in (CODEC_STORED, CODEC_INTERP, CODEC_BLOCK):
+            raise FormatError(f"unknown codec id {codec}")
         end = offset + stream_len
         if end > len(buf):
             raise FormatError("blob stream truncated")
         if arrangement not in (ARRANGE_NONE, ARRANGE_LINEAR, ARRANGE_STACKED):
             raise FormatError(f"unknown arrangement {arrangement}")
         try:
-            policy = ErrorBoundPolicy(
-                eb=eb, adaptive=bool(adaptive), alpha=alpha, beta=beta
-            )
+            policy = ErrorBoundPolicy(eb=eb, adaptive=bool(adaptive), alpha=alpha, beta=beta)
         except ShapeError as exc:
             raise FormatError(f"blob carries an invalid policy: {exc}") from exc
+        b_edge = max(u, 1)
+        try:
+            order = tuple(BlockCoord(bx, by, bz, b_edge) for bx, by, bz in table.reshape(-1, 3).tolist())
+        except ShapeError as exc:
+            raise FormatError(f"bad block coordinate in blob: {exc}") from exc
         blob = cls(
             codec=codec,
-            dims=tuple(int(d) for d in dims),
+            dims=(nx, ny, nz),
             policy=policy,
             arrangement=arrangement,
             padded=bool(padded),
-            u=int(u),
-            order=tuple(order),
+            u=u,
+            order=order,
             stream=bytes(buf[offset:end]),
             lossless=lossless,
         )

@@ -378,23 +378,21 @@ def entropy_encode(
 
 
 def entropy_decode(
-    buf: bytes, n_codes: int, offset: int = 0, lossless: str = LOSSLESS_NONE
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Inverse of :func:`entropy_encode`; returns (codes, literals, offset
-    past the stream)."""
-    if len(buf) - offset < 8:
+    buf: bytes, n_codes: int, lossless: str = LOSSLESS_NONE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`entropy_encode`; returns (codes, literals). The
+    stream must end exactly where its payload ends."""
+    if len(buf) < 8:
         raise FormatError("truncated entropy stream")
-    (n_lit,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    table, offset = HuffmanTable.from_bytes(buf, offset)
+    (n_lit,) = struct.unpack_from("<Q", buf, 0)
+    table, offset = HuffmanTable.from_bytes(buf, 8)
     if len(buf) - offset < 8:
         raise FormatError("truncated entropy stream")
     (plen,) = struct.unpack_from("<Q", buf, offset)
     offset += 8
-    if len(buf) - offset < plen:
-        raise FormatError("entropy payload shorter than its declared length")
-    payload = bytes(buf[offset : offset + plen])
-    offset += plen
+    if len(buf) - offset != plen:
+        raise FormatError("entropy payload length disagrees with the stream's end")
+    payload = bytes(buf[offset:])
     if lossless == LOSSLESS_ZLIB:
         try:
             payload = zlib.decompress(payload)
@@ -406,4 +404,4 @@ def entropy_decode(
     literals = np.frombuffer(payload, dtype="<f8", count=n_lit,
                              offset=len(payload) - lit_bytes).astype(np.float64)
     codes = unpack_codes(table, payload[: len(payload) - lit_bytes], n_codes)
-    return codes, literals, offset
+    return codes, literals

@@ -3,9 +3,11 @@
 The 3D traversal refines a product lattice level by level. Within one global
 level the x, y, z axis passes run in that order; an axis pass predicts its
 new positions against every combination of already-active positions on the
-other two axes. Compressor and decompressor walk the identical pass sequence
-and predictors read only previously reconstructed values, so the two working
-states never diverge.
+other two axes. Compressor and decompressor run the one traversal
+(``_traverse``), which differs between them only in how a batch of targets
+is reconstructed from its prediction (quantize or dequantize), so both walk
+the identical pass sequence by construction. Predictors read only
+previously reconstructed values, so the two working states never diverge.
 
 Code-stream order within a pass: two-sided targets first, then one-sided,
 each batch raveled in (z, y, x ascending) order.
@@ -65,51 +67,53 @@ def _maxlevel(dims) -> int:
     return build_grid_schedule(dims).maxlevel
 
 
-def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy, recon: bool = False):
-    """Returns (codes, literals, the reconstruction when ``recon``); the
-    working array ends up equal to the decoder's output."""
-    nz, ny, nx = arr.shape
+def _traverse(work: np.ndarray, policy: ErrorBoundPolicy, visit) -> None:
+    """Run the seed and every pass of :func:`_walk` over ``work`` (z, y, x).
+
+    For each batch of targets, ``visit(pred, sel, eb)`` returns their
+    reconstruction, which is stored in ``work`` for later passes to predict
+    from. Encoder and decoder differ only in ``visit``.
+    """
+    nz, ny, nx = work.shape
     dims = (nx, ny, nz)
     maxlevel = _maxlevel(dims)
-    work = np.zeros_like(arr)
-    code_parts = []
-    lit_parts = []
-
-    def emit(pred, actual, sel, eb):
-        codes, recon, lits = quantize_array(pred, actual, eb)
-        work[sel] = recon
-        code_parts.append(codes.reshape(-1))
-        lit_parts.append(lits)
-
-    seed_sel = (slice(0, 1),) * 3
-    eb0 = level_error_bound(policy, 0, maxlevel)
-    emit(np.zeros((1, 1, 1)), arr[seed_sel], seed_sel, eb0)
-
+    seed = (slice(0, 1),) * 3
+    work[seed] = visit(np.zeros((1, 1, 1)), seed, level_error_bound(policy, 0, maxlevel))
     for g, ax, step, two, one, act in _walk(dims):
         eb = level_error_bound(policy, g, maxlevel)
         if two.size:
             sel = _selector(ax, two, act)
-            lo = _selector(ax, two - step, act)
-            hi = _selector(ax, two + step, act)
-            pred = 0.5 * (work[lo] + work[hi])
-            emit(pred, arr[sel], sel, eb)
+            pred = 0.5 * (work[_selector(ax, two - step, act)] + work[_selector(ax, two + step, act)])
+            work[sel] = visit(pred, sel, eb)
         if one.size:
             sel = _selector(ax, one, act)
-            pred = work[_selector(ax, one - step, act)]
-            emit(pred, arr[sel], sel, eb)
-    codes = np.concatenate(code_parts) if code_parts else np.zeros(0, np.int32)
-    lits = np.concatenate(lit_parts) if lit_parts else np.zeros(0, np.float64)
-    return codes, lits, work if recon else None
+            work[sel] = visit(work[_selector(ax, one - step, act)], sel, eb)
+
+
+def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy, recon: bool = False):
+    """Returns (codes, literals, the reconstruction when ``recon``); the
+    working array ends up equal to the decoder's output."""
+    work = np.zeros_like(arr)
+    code_parts = []
+    lit_parts = []
+
+    def quantize(pred, sel, eb):
+        codes, rec, lits = quantize_array(pred, arr[sel], eb)
+        code_parts.append(codes.reshape(-1))
+        lit_parts.append(lits)
+        return rec
+
+    _traverse(work, policy, quantize)
+    return np.concatenate(code_parts), np.concatenate(lit_parts), work if recon else None
 
 
 def _decode_array(dims, policy: ErrorBoundPolicy, codes: np.ndarray, lits: np.ndarray):
     nx, ny, nz = dims
-    maxlevel = _maxlevel(dims)
     work = np.zeros((nz, ny, nx), dtype=np.float64)
     cpos = 0
     lpos = 0
 
-    def absorb(pred, sel, eb):
+    def dequantize(pred, sel, eb):
         nonlocal cpos, lpos
         n = pred.size
         if cpos + n > codes.size:
@@ -121,24 +125,9 @@ def _decode_array(dims, policy: ErrorBoundPolicy, codes: np.ndarray, lits: np.nd
             raise FormatError("literal block shorter than the code stream demands")
         vals = lits[lpos : lpos + k]
         lpos += k
-        recon = dequantize_array(pred.reshape(-1), batch, eb, vals)
-        work[sel] = recon.reshape(pred.shape)
+        return dequantize_array(pred.reshape(-1), batch, eb, vals).reshape(pred.shape)
 
-    eb0 = level_error_bound(policy, 0, maxlevel)
-    absorb(np.zeros((1, 1, 1)), (slice(0, 1),) * 3, eb0)
-
-    for g, ax, step, two, one, act in _walk(dims):
-        eb = level_error_bound(policy, g, maxlevel)
-        if two.size:
-            sel = _selector(ax, two, act)
-            lo = _selector(ax, two - step, act)
-            hi = _selector(ax, two + step, act)
-            pred = 0.5 * (work[lo] + work[hi])
-            absorb(pred, sel, eb)
-        if one.size:
-            sel = _selector(ax, one, act)
-            pred = work[_selector(ax, one - step, act)]
-            absorb(pred, sel, eb)
+    _traverse(work, policy, dequantize)
     if cpos != codes.size or lpos != lits.size:
         raise FormatError("compressed stream longer than the array demands")
     return work
@@ -162,7 +151,5 @@ def interp_compress(
 def interp_decompress(blob: CompressedBlob) -> MergedArray | Volume:
     if blob.codec != CODEC_INTERP:
         raise ShapeError(f"blob holds codec {blob.codec}, not interpolation")
-    codes, lits, used = entropy_decode(blob.stream, blob.n_values, 0, blob.lossless)
-    if used != len(blob.stream):
-        raise FormatError("blob stream longer than its entropy stream")
+    codes, lits = entropy_decode(blob.stream, blob.n_values, blob.lossless)
     return blob.wrap(_decode_array(blob.dims, blob.policy, codes, lits))

@@ -182,7 +182,5 @@ def block_compress(
 def block_decompress(blob: CompressedBlob) -> MergedArray | Volume:
     if blob.codec != CODEC_BLOCK:
         raise ShapeError(f"blob holds codec {blob.codec}, not block-Lorenzo")
-    codes, lits, used = entropy_decode(blob.stream, blob.n_values, 0, blob.lossless)
-    if used != len(blob.stream):
-        raise FormatError("blob stream longer than its entropy stream")
+    codes, lits = entropy_decode(blob.stream, blob.n_values, blob.lossless)
     return blob.wrap(_decode_array(blob.dims, blob.policy, codes, lits))

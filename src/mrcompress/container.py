@@ -41,7 +41,7 @@ from .codec.stored import stored_compress
 from .errors import FormatError, MrcError, ShapeError
 from .layout import LINEAR, linear_merge, stack_merge
 from .pipeline import LevelArchive, SampleSet, compress_level, decompress_level
-from .postprocess import FAMILY_SZ, FAMILY_ZFP, IntensityConfig, SamplingPlan, family_candidates
+from .postprocess import FAMILY_SZ, FAMILY_ZFP, IntensityConfig, SamplingPlan
 from .roi import Level, MultiResDataset
 from .uncertainty import ErrorModel
 
@@ -71,7 +71,6 @@ class ContainerFile:
     roi_b: int = 0
     roi_x_percent: float = 0.0
     roi_mask: Optional[np.ndarray] = None
-    version: int = VERSION
 
     def __post_init__(self):
         if not self.levels:
@@ -164,7 +163,7 @@ def _unpack_model(buf: bytes, off: int):
 def encode_container(c: ContainerFile) -> bytes:
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<HBB", c.version, SCALAR_WIDTH, c.n_levels)
+    out += struct.pack("<HBB", VERSION, SCALAR_WIDTH, c.n_levels)
     mask = c.roi_mask if c.roi_mask is not None else np.zeros(0, dtype=bool)
     out += struct.pack("<IdQ", c.roi_b, c.roi_x_percent, mask.size)
     if mask.size:
@@ -234,6 +233,8 @@ def decode_container(buf: bytes) -> ContainerFile:
             blob, off = CompressedBlob.from_bytes(buf, off)
             if [(bc.bx, bc.by, bc.bz) for bc in blob.order] != coords:
                 raise FormatError("level coord table disagrees with its blob")
+            if u != blob.u:
+                raise FormatError(f"level u={u} disagrees with its blob's u={blob.u}")
             fam_code, ax, ay, az = struct.unpack_from("<B3d", buf, off)
             off += struct.calcsize("<B3d")
             post = None
@@ -242,17 +243,17 @@ def decode_container(buf: bytes) -> ContainerFile:
                     raise FormatError(f"unknown post-processing family code {fam_code}")
                 fam = _POST_NAME[fam_code]
                 try:
-                    post = IntensityConfig(family=fam, candidates=family_candidates(fam), chosen=(ax, ay, az))
+                    post = IntensityConfig(family=fam, chosen=(ax, ay, az))
                 except MrcError as exc:
                     raise FormatError(str(exc)) from exc
             (sc_off,) = struct.unpack_from("<Q", buf, off)
             off += 8
             sidecar_offs.append(sc_off)
-            levels.append((int(nx), int(ny), int(nz), int(u), blob, post))
+            levels.append(((int(nx), int(ny), int(nz)), blob, post))
     except struct.error as exc:
         raise FormatError(f"container truncated: {exc}") from exc
     out = []
-    for (nx, ny, nz, u, blob, post), sc_off in zip(levels, sidecar_offs):
+    for (dims, blob, post), sc_off in zip(levels, sidecar_offs):
         samples = None
         model = None
         if sc_off:
@@ -267,14 +268,13 @@ def decode_container(buf: bytes) -> ContainerFile:
                 samples, p = _unpack_samples(buf, p)
             if flags & _FLAG_MODEL:
                 model, p = _unpack_model(buf, p)
-        arch = LevelArchive(dims=(nx, ny, nz), u=u, blob=blob, post=post, samples=samples)
+        arch = LevelArchive(dims=dims, blob=blob, post=post, samples=samples)
         out.append(ContainerLevel(archive=arch, model=model))
     return ContainerFile(
         levels=tuple(out),
         roi_b=int(roi_b),
         roi_x_percent=float(roi_x),
         roi_mask=mask,
-        version=int(version),
     )
 
 
@@ -312,7 +312,7 @@ def container_from_dataset(
         if policy is None:
             merged = linear_merge(list(lv.blocks)) if arrangement == LINEAR else stack_merge(list(lv.blocks))
             blob = stored_compress(merged)
-            arch = LevelArchive(dims=lv.dims, u=lv.u, blob=blob)
+            arch = LevelArchive(dims=lv.dims, blob=blob)
         else:
             arch = compress_level(
                 list(lv.blocks), lv.dims, lv.u, policy,

@@ -49,7 +49,7 @@ class BlockCoord:
 class Volume:
     """An immutable dense 3D scalar field."""
 
-    __slots__ = ("data", "_range")
+    __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
         arr = np.array(data, dtype=np.float64, order="C", copy=True)
@@ -61,7 +61,6 @@ class Volume:
             raise DataError("volume contains non-finite values")
         arr.flags.writeable = False
         self.data = arr
-        self._range = None
 
     @classmethod
     def from_flat(cls, values, dims: Dims) -> "Volume":
@@ -97,17 +96,6 @@ class Volume:
     def values(self) -> np.ndarray:
         """Flat x-fastest view of the payload."""
         return self.data.reshape(-1)
-
-    @property
-    def value_range(self) -> tuple[float, float]:
-        if self._range is None:
-            self._range = (float(self.data.min()), float(self.data.max()))
-        return self._range
-
-    @property
-    def spread(self) -> float:
-        lo, hi = self.value_range
-        return hi - lo
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Volume):

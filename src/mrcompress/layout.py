@@ -19,6 +19,7 @@ from .grid import BlockCoord, Dims, _is_pow2
 
 LINEAR = "linear"
 STACKED = "stacked"
+PAD_MIN_U = 4  # padding pays off only above this unit-block edge
 
 
 @dataclass(frozen=True)
@@ -180,11 +181,11 @@ def _extrapolate_layer(values: np.ndarray, axis: int) -> np.ndarray:
     return np.concatenate([values, new], axis=axis)
 
 
-def pad_linear(m: MergedArray, min_u: int = 4) -> MergedArray:
+def pad_linear(m: MergedArray) -> MergedArray:
     """Grow one extrapolated layer on the high-x and high-y faces.
 
-    Padding pays off only for unit sizes above ``min_u`` (default 4); at or
-    below that the array is returned unchanged with ``padded`` still False.
+    Padding pays off only for unit sizes above ``PAD_MIN_U``; at or below
+    that the array is returned unchanged with ``padded`` still False.
     The x face is extended first, then the y face including the fresh x
     layer, so the corner line extrapolates from already-padded values.
     """
@@ -192,7 +193,7 @@ def pad_linear(m: MergedArray, min_u: int = 4) -> MergedArray:
         raise StateError("padding applies to linear arrangements only")
     if m.padded:
         raise StateError("array is already padded")
-    if m.u <= min_u:
+    if m.u <= PAD_MIN_U:
         return m
     values = _extrapolate_layer(m.values, axis=2)
     values = _extrapolate_layer(values, axis=1)

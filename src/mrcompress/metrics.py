@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .codec import ErrorBoundPolicy
+from .container import container_from_dataset, dataset_from_container
 from .errors import ShapeError
 from .grid import Volume
 from .pipeline import compress_volume, decompress_volume
@@ -167,23 +168,12 @@ def rd_sweep(
     if isinstance(source, MultiResDataset):
         if reference is None:
             raise ShapeError("dataset sweeps need the uniform reference volume")
-        from .pipeline import compress_level, decompress_level
-        from .roi import Level
-
         for eb in ebs:
             policy = ErrorBoundPolicy(eb=float(eb), adaptive=adaptive)
-            total = 0
-            out_levels = []
-            for lv in source.levels:
-                arch = compress_level(
-                    list(lv.blocks), lv.dims, lv.u, policy,
-                    codec=codec, lossless=lossless, post_family=post_family, seed=seed,
-                )
-                total += arch.size_bytes()
-                out_levels.append(Level(dims=lv.dims, u=lv.u, blocks=tuple(decompress_level(arch))))
-            ds = MultiResDataset(levels=tuple(out_levels), roi_mask=source.roi_mask, ratio=source.ratio)
-            recon = reconstruct_uniform(ds)
-            points.append(_point(eb, total, reference.size * 8, reference, recon))
+            c = container_from_dataset(source, policy, codec=codec, lossless=lossless,
+                                       post_family=post_family, seed=seed)
+            recon = reconstruct_uniform(dataset_from_container(c))
+            points.append(_point(eb, c.compressed_bytes(), reference.size * 8, reference, recon))
         return points
     raise ShapeError(f"cannot sweep a {type(source).__name__}")
 

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .codec import (
-    ARRANGE_NONE,
     LOSSLESS_NONE,
     CompressedBlob,
     ErrorBoundPolicy,
@@ -37,7 +36,6 @@ from .postprocess import (
 
 PAD_AUTO = "auto"
 PAD_OFF = "off"
-PAD_MIN_U = 4  # padding pays off only above this unit-block edge
 
 
 @dataclass(frozen=True)
@@ -59,15 +57,25 @@ class SampleSet:
         object.__setattr__(self, "regions", tuple(frozen))
 
 
+def post_blocksize(codec: str, u: int) -> int:
+    """Boundary pitch the smoothing pass targets for a level of unit-block
+    edge ``u`` (0 for a whole volume) coded with ``codec``."""
+    return u if codec == "interp" and u > 0 else BLOCK_EDGE
+
+
 @dataclass(frozen=True)
 class LevelArchive:
     """One compressed resolution level plus its reconstruction metadata."""
 
     dims: Dims  # full grid dims of the level, not of the merged array
-    u: int  # unit-block edge; 0 when the level is a whole unsplit volume
     blob: CompressedBlob
     post: Optional[IntensityConfig] = None
     samples: Optional[SampleSet] = None
+
+    @property
+    def u(self) -> int:
+        """Unit-block edge; 0 when the level is a whole unsplit volume."""
+        return self.blob.u
 
     @property
     def coords(self):
@@ -75,10 +83,8 @@ class LevelArchive:
 
     @property
     def post_blocksize(self) -> int:
-        """Boundary pitch the smoothing pass targets."""
-        if self.blob.codec_name == "interp" and self.u > 0:
-            return self.u
-        return BLOCK_EDGE
+        """See the module function :func:`post_blocksize`."""
+        return post_blocksize(self.blob.codec_name, self.u)
 
     def size_bytes(self) -> int:
         return self.blob.size_bytes()
@@ -104,12 +110,12 @@ def tile_volume(vol: Volume, u: int) -> list:
     return blocks
 
 
-def _should_pad(pad: str, codec: str, arrangement: str, u: int) -> bool:
+def _should_pad(pad: str, codec: str, arrangement: str) -> bool:
     if pad == PAD_OFF:
         return False
     if pad != PAD_AUTO:
         raise ShapeError(f"unknown pad mode {pad!r}")
-    return codec == "interp" and arrangement == LINEAR and u > PAD_MIN_U
+    return codec == "interp" and arrangement == LINEAR
 
 
 def _unpadded(dec):
@@ -132,6 +138,19 @@ def _fit_intensity(merged_orig, dec, eb: float, blocksize: int, family: str, see
     return cfg, SampleSet(plan=plan, regions=tuple(orig_regions))
 
 
+def _encode(payload, orig, dims: Dims, policy, codec, lossless, post_family, sample_rate, seed) -> LevelArchive:
+    """Compress ``payload`` into a level archive; with ``post_family``, fit
+    the post filter on the encoder's reconstruction against ``orig``, the
+    unpadded original values."""
+    if post_family is None:
+        return LevelArchive(dims=dims, blob=compress(payload, policy, codec=codec, lossless=lossless))
+    # the encoder hands back the decoder's output, so fitting decodes nothing
+    blob, dec = compress(payload, policy, codec=codec, lossless=lossless, recon=True)
+    blocksize = post_blocksize(codec, blob.u)
+    post, samples = _fit_intensity(orig, dec, policy.eb, blocksize, post_family, seed, sample_rate)
+    return LevelArchive(dims=dims, blob=blob, post=post, samples=samples)
+
+
 def compress_level(
     blocks,
     dims: Dims,
@@ -149,19 +168,11 @@ def compress_level(
     if not blocks:
         raise ShapeError("a level needs at least one unit block")
     merged = linear_merge(blocks) if arrangement == LINEAR else stack_merge(blocks)
-    payload = merged
-    if _should_pad(pad, codec, arrangement, u):
-        payload = pad_linear(merged)
-    post = None
-    samples = None
-    if post_family is None:
-        blob = compress(payload, policy, codec=codec, lossless=lossless)
-    else:
-        # the encoder hands back the decoder's output, so fitting decodes nothing
-        blob, dec = compress(payload, policy, codec=codec, lossless=lossless, recon=True)
-        blocksize = u if (codec == "interp" and u > 0) else BLOCK_EDGE
-        post, samples = _fit_intensity(merged.values, dec, policy.eb, blocksize, post_family, seed, sample_rate)
-    return LevelArchive(dims=tuple(int(d) for d in dims), u=int(u), blob=blob, post=post, samples=samples)
+    if merged.u != u:
+        raise ShapeError(f"blocks of u={merged.u} in a level with u={u}")
+    payload = pad_linear(merged) if _should_pad(pad, codec, arrangement) else merged
+    dims = tuple(int(d) for d in dims)
+    return _encode(payload, merged.values, dims, policy, codec, lossless, post_family, sample_rate, seed)
 
 
 def compress_volume(
@@ -174,14 +185,7 @@ def compress_volume(
     seed: int = 0,
 ) -> LevelArchive:
     """Compress a whole volume as a single-level archive with no tiling."""
-    post = None
-    samples = None
-    if post_family is None:
-        blob = compress(vol, policy, codec=codec, lossless=lossless)
-    else:
-        blob, dec = compress(vol, policy, codec=codec, lossless=lossless, recon=True)
-        post, samples = _fit_intensity(vol.data, dec, policy.eb, BLOCK_EDGE, post_family, seed, sample_rate)
-    return LevelArchive(dims=vol.dims, u=0, blob=blob, post=post, samples=samples)
+    return _encode(vol, vol.data, vol.dims, policy, codec, lossless, post_family, sample_rate, seed)
 
 
 def decode_level(archive: LevelArchive):

@@ -42,11 +42,9 @@ class IntensityConfig:
     """Clamp intensities chosen for the three axis passes."""
 
     family: str
-    candidates: tuple[float, ...]
     chosen: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(self.candidates))
         object.__setattr__(self, "chosen", tuple(self.chosen))
         if len(self.chosen) != 3:
             raise ShapeError("chosen intensities must cover the three axes")
@@ -54,12 +52,15 @@ class IntensityConfig:
             if a not in self.candidates:
                 raise ShapeError(f"intensity {a} is not one of the candidates")
 
+    @property
+    def candidates(self) -> tuple[float, ...]:
+        return family_candidates(self.family)
+
     @classmethod
     def uniform(cls, family: str, a: float | None = None) -> "IntensityConfig":
-        cands = family_candidates(family)
         if a is None:
-            a = cands[0]
-        return cls(family=family, candidates=cands, chosen=(a, a, a))
+            a = family_candidates(family)[0]
+        return cls(family=family, chosen=(a, a, a))
 
 
 def bezier_mid(d3, d4, d5):
@@ -212,30 +213,6 @@ def extract_regions(data, plan: SamplingPlan) -> list[np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
-class GainModel:
-    """Observed effect of one post-processing configuration on samples."""
-
-    hit_rate: float  # fraction of adjusted points moved toward the original
-    err_before: float  # L2 error of the samples before adjustment
-    err_after: float  # L2 error after adjustment
-
-
-def evaluate_gain(orig_regions, decomp_regions, post_regions) -> GainModel:
-    moved_good = 0
-    moved_all = 0
-    e0 = 0.0
-    e1 = 0.0
-    for o, d, p in zip(orig_regions, decomp_regions, post_regions):
-        e0 += float(((o - d) ** 2).sum())
-        e1 += float(((o - p) ** 2).sum())
-        moved = p != d
-        moved_all += int(moved.sum())
-        moved_good += int((((p - d) * (o - d))[moved] > 0).sum())
-    hit = moved_good / moved_all if moved_all else 1.0
-    return GainModel(hit_rate=hit, err_before=np.sqrt(e0), err_after=np.sqrt(e1))
-
-
 def select_intensity(
     orig_sample: list[np.ndarray],
     decomp_sample: list[np.ndarray],
@@ -268,4 +245,4 @@ def select_intensity(
             _axis_pass(w, axis, blocksize, best_a, eb)
         chosen.append(best_a)
     # chosen was collected in x, y, z pass order already
-    return IntensityConfig(family=family, candidates=cands, chosen=tuple(chosen))
+    return IntensityConfig(family=family, chosen=tuple(chosen))

@@ -33,15 +33,12 @@ class RoiConfig:
 
     b: int
     x_percent: float
-    tie_break: str = "block-index"
 
     def __post_init__(self):
         if not _is_pow2(self.b) or self.b < 8:
             raise ShapeError(f"ROI block edge must be a power of two >= 8, got {self.b}")
         if not (0.0 < self.x_percent <= 100.0):
             raise ShapeError(f"x_percent must be in (0, 100], got {self.x_percent}")
-        if self.tie_break != "block-index":
-            raise ShapeError(f"unknown tie break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -71,14 +68,11 @@ class MultiResDataset:
 
     levels: tuple[Level, ...]
     roi_mask: np.ndarray
-    ratio: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ShapeError("dataset needs at least one level")
-        if self.ratio != 2:
-            raise ShapeError("only refinement ratio 2 is supported")
         mask = np.asarray(self.roi_mask, dtype=bool).reshape(-1).copy()
         mask.flags.writeable = False
         object.__setattr__(self, "roi_mask", mask)
@@ -89,7 +83,7 @@ class MultiResDataset:
 
     def level_scale(self, li: int) -> int:
         """Cell edge of level li measured in finest-grid cells."""
-        return self.ratio**li
+        return 2**li
 
     def densities(self) -> list[float]:
         """Fraction of the domain carried by each level; sums to 1 when the

@@ -250,7 +250,7 @@ def test_decoders_validate_literal_count():
     p = ErrorBoundPolicy(eb=1e-9)
     for enc, dec in ((interp_compress, interp_decompress), (block_compress, block_decompress)):
         blob = enc(v, p)
-        codes, lits, _ = entropy_decode(blob.stream, blob.n_values)
+        codes, lits = entropy_decode(blob.stream, blob.n_values)
         assert (codes == LITERAL_MARK).sum() == lits.size > 0
         assert max_abs_err(v, dec(replace(blob, stream=entropy_encode(codes, lits)))) <= 1e-9
         for wrong in (lits[:-1], np.append(lits, 7.0)):
@@ -468,8 +468,9 @@ def test_blob_corruption_is_detected():
     raw = bytearray(blob.to_bytes())
     with pytest.raises(FormatError):
         CompressedBlob.from_bytes(b"XXXX" + bytes(raw[4:]))
-    with pytest.raises(FormatError):
-        CompressedBlob.from_bytes(bytes(raw[: len(raw) // 2]))
+    for cut in (4, 5, len(raw) // 2):
+        with pytest.raises(FormatError):
+            CompressedBlob.from_bytes(bytes(raw[:cut]))
     bad_codec = bytearray(raw)
     bad_codec[4] = 0x55
     with pytest.raises(FormatError):
@@ -478,6 +479,10 @@ def test_blob_corruption_is_detected():
     bad_eb[29:37] = np.float64(-1.0).tobytes()
     with pytest.raises(FormatError):
         CompressedBlob.from_bytes(bytes(bad_eb))
+    huge_table = bytearray(raw)  # block count sits just before the table
+    huge_table[60:68] = (1 << 60).to_bytes(8, "little")
+    with pytest.raises(FormatError):
+        CompressedBlob.from_bytes(bytes(huge_table))
     with pytest.raises(FormatError):  # the MRB1 layout has no reader
         CompressedBlob.from_bytes(b"MRB1" + bytes(raw[4:]))
     # the u64 stream length right before the stream frames the blob

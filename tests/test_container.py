@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -147,6 +148,19 @@ def test_absent_sidecars_stay_absent():
 # ------------------------------------------------------------ format errors
 
 
+def test_corrupt_level_u_is_a_format_error():
+    c, _ = _single_level_container()
+    raw = bytearray(encode_container(c))
+    # the level's u follows the fixed header, the mask and its dims
+    header = 4 + 4 + struct.calcsize("<IdQ")
+    mask_bytes = (c.roi_mask.size + 7) // 8 if c.roi_mask is not None else 0
+    u_at = header + mask_bytes + struct.calcsize("<3Q")
+    assert struct.unpack_from("<I", raw, u_at) == (8,)
+    struct.pack_into("<I", raw, u_at, 16)
+    with pytest.raises(FormatError):
+        decode_container(bytes(raw))
+
+
 def test_bad_magic_rejected():
     c, _ = _single_level_container()
     raw = bytearray(encode_container(c))
@@ -262,3 +276,20 @@ def test_two_level_sidecars_keep_their_levels():
         assert (sa is None) == (sb is None)
         if sa is not None:
             assert sa.plan == sb.plan
+
+
+# sha256 of encode_container for a 2-level ROI container with post "sz",
+# recorded before the interp traversal, blob header and level encoder were
+# each given a single definition
+GOLDEN_ROI_SZ = "ee70615ea0b6de6e6c7fb0b1906526572b226c005abaf893d4e8dac6ca26777e"
+
+
+def test_roi_container_golden_bytes():
+    v = sum_of_gaussians((64, 64, 64), seed=13)
+    cfg = RoiConfig(b=8, x_percent=25.0)
+    ds = build_adaptive(v, select_roi(v, cfg), cfg)
+    c = container_from_dataset(ds, policy=ErrorBoundPolicy(eb=1e-3), post_family="sz",
+                               roi_b=cfg.b, roi_x_percent=cfg.x_percent)
+    assert [lv.archive.u for lv in c.levels] == [8, 4]
+    assert all(lv.archive.post is not None for lv in c.levels)
+    assert hashlib.sha256(encode_container(c)).hexdigest() == GOLDEN_ROI_SZ

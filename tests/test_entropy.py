@@ -64,8 +64,7 @@ def _round_trip(codes, lits=(), lossless=LOSSLESS_NONE):
     codes = np.asarray(codes, dtype=np.int32)
     lits = np.asarray(lits, dtype=np.float64)
     buf = entropy_encode(codes, lits, lossless)
-    out_codes, out_lits, used = entropy_decode(buf, codes.size, 0, lossless)
-    assert used == len(buf)
+    out_codes, out_lits = entropy_decode(buf, codes.size, lossless)
     assert np.array_equal(out_codes, codes)
     assert np.array_equal(out_lits, lits)
     return buf
@@ -278,6 +277,9 @@ def test_truncated_streams_raise_format_errors():
     for cut in [4, 12, len(buf) // 2, len(buf) - 1]:
         with pytest.raises(FormatError):
             entropy_decode(buf[:cut], codes.size)
+    # the stream ends where its payload ends
+    with pytest.raises(FormatError):
+        entropy_decode(buf + b"\0", codes.size)
 
 
 def test_corrupt_zlib_payload_raises():
@@ -285,7 +287,7 @@ def test_corrupt_zlib_payload_raises():
     buf = bytearray(entropy_encode(codes, np.zeros(0), LOSSLESS_ZLIB))
     buf[-10] ^= 0xFF
     with pytest.raises(FormatError):
-        entropy_decode(bytes(buf), codes.size, 0, LOSSLESS_ZLIB)
+        entropy_decode(bytes(buf), codes.size, LOSSLESS_ZLIB)
 
 
 def _lane_stream(codes):

@@ -43,14 +43,6 @@ def test_volume_immutable():
         v.data[0, 0, 0] = 1.0
 
 
-def test_value_range_cached_matches_recomputed():
-    v = noisy_field((6, 5, 4), seed=3)
-    lo, hi = v.value_range
-    assert lo == v.data.min() and hi == v.data.max()
-    # second access returns the cached tuple
-    assert v.value_range == (lo, hi)
-
-
 def test_from_flat_round_trip():
     flat = np.arange(60, dtype=np.float64)
     v = Volume.from_flat(flat, (5, 4, 3))

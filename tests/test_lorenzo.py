@@ -140,7 +140,7 @@ def test_matches_scalar_reference(dims, seed, eb, special):
         arr[tuple(rng.integers(0, n) for n in arr.shape)] = special
     m = MergedArray(values=arr, order=(BlockCoord(0, 0, 0, 1),), u=1, arrangement="stacked")
     blob = block_compress(m, ErrorBoundPolicy(eb=eb))
-    codes, lits, _ = entropy_decode(blob.stream, blob.n_values)
+    codes, lits = entropy_decode(blob.stream, blob.n_values)
     dec = block_decompress(blob).values
     ref_codes, ref_lits, ref_out = _reference(arr, eb)
     assert np.array_equal(codes, ref_codes)

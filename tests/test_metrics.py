@@ -202,6 +202,17 @@ def test_rd_sweep_over_dataset():
         rd_sweep(ds, [1e-3])
 
 
+def test_rd_sweep_over_fully_fine_dataset():
+    # a 100% ROI leaves the coarse level empty
+    v = sum_of_gaussians((32, 32, 32), seed=11)
+    cfg = RoiConfig(b=8, x_percent=100.0)
+    ds = build_adaptive(v, select_roi(v, cfg), cfg)
+    assert len(ds.levels[1].blocks) == 0
+    (pt,) = rd_sweep(ds, [1e-3], reference=v)
+    assert pt.original_bytes == 32**3 * 8
+    assert pt.cr > 1.0 and pt.psnr_db > 40.0
+
+
 def test_rd_sweep_rejects_unknown_source():
     with pytest.raises(ShapeError):
         rd_sweep({"not": "a volume"}, [1e-3])

@@ -103,6 +103,12 @@ def test_empty_level_rejected():
         compress_level([], (8, 8, 8), 8, ErrorBoundPolicy(eb=1e-3))
 
 
+def test_level_u_must_match_its_blocks():
+    v = sum_of_gaussians((32, 32, 32), seed=5)
+    with pytest.raises(ShapeError):
+        compress_level(tile_volume(v, 16), v.dims, 8, ErrorBoundPolicy(eb=1e-3), post_family="sz")
+
+
 def test_volume_round_trip_and_dispatch_guards():
     v = sum_of_gaussians((12, 12, 12), seed=6)
     arch = compress_volume(v, ErrorBoundPolicy(eb=1e-4))
@@ -131,7 +137,7 @@ def test_post_fit_populates_archive():
     assert arch.samples.plan.achieved_rate <= 0.05
 
     # smoothing must stay inside its declared band around the plain decode
-    plain = LevelArchive(dims=arch.dims, u=arch.u, blob=arch.blob)
+    plain = LevelArchive(dims=arch.dims, blob=arch.blob)
     base = assemble_volume(decompress_level(plain), v.dims)
     post = assemble_volume(decompress_level(arch), v.dims)
     merged_dims = arch.blob.dims

@@ -7,12 +7,10 @@ from mrcompress.layout import UnitBlock, linear_merge
 from mrcompress.postprocess import (
     FAMILY_SZ,
     FAMILY_ZFP,
-    GainModel,
     IntensityConfig,
     apply_postprocess,
     bezier_mid,
     clamp_to_band,
-    evaluate_gain,
     extract_regions,
     family_candidates,
     plan_sampling,
@@ -63,9 +61,9 @@ def test_intensity_config_validation():
     assert cfg.chosen == (0.2, 0.2, 0.2)
     assert IntensityConfig.uniform(FAMILY_ZFP).chosen == (0.005,) * 3
     with pytest.raises(ShapeError):
-        IntensityConfig(FAMILY_SZ, family_candidates(FAMILY_SZ), (0.2, 0.2))
+        IntensityConfig(FAMILY_SZ, (0.2, 0.2))
     with pytest.raises(ShapeError):
-        IntensityConfig(FAMILY_SZ, family_candidates(FAMILY_SZ), (0.2, 0.2, 0.17))
+        IntensityConfig(FAMILY_SZ, (0.2, 0.2, 0.17))
 
 
 # ------------------------------------------------------------- axis passes
@@ -102,7 +100,7 @@ def test_blocksize_validation():
 
 def test_changes_confined_to_boundary_planes():
     v = noisy_field((16, 16, 16), seed=1)
-    cfg = IntensityConfig(FAMILY_SZ, family_candidates(FAMILY_SZ), (0.5, 0.25, 0.1))
+    cfg = IntensityConfig(FAMILY_SZ, (0.5, 0.25, 0.1))
     out = apply_postprocess(v, eb=0.3, blocksize=4, cfg=cfg)
     allow = postprocess_allowance(v.data.shape, 4, cfg)
     changed = out.data != v.data
@@ -113,7 +111,7 @@ def test_changes_confined_to_boundary_planes():
 def test_band_containment_property():
     v = noisy_field((20, 12, 16), seed=2)
     eb = 0.07
-    cfg = IntensityConfig(FAMILY_SZ, family_candidates(FAMILY_SZ), (0.5, 0.3, 0.45))
+    cfg = IntensityConfig(FAMILY_SZ, (0.5, 0.3, 0.45))
     out = apply_postprocess(v, eb=eb, blocksize=4, cfg=cfg)
     allow = postprocess_allowance(v.data.shape, 4, cfg)
     slack = 1e-12
@@ -121,7 +119,7 @@ def test_band_containment_property():
 
 
 def test_allowance_grid_values():
-    cfg = IntensityConfig(FAMILY_SZ, family_candidates(FAMILY_SZ), (0.5, 0.25, 0.1))
+    cfg = IntensityConfig(FAMILY_SZ, (0.5, 0.25, 0.1))
     allow = postprocess_allowance((8, 8, 8), 4, cfg)
     want = np.zeros((8, 8, 8))
     want[:, :, 3] += 0.5  # x pass
@@ -192,26 +190,6 @@ def test_select_requires_matched_samples():
         select_intensity([a], [], 0.1, 4, FAMILY_SZ)
     with pytest.raises(SamplingError):
         select_intensity([], [], 0.1, 4, FAMILY_SZ)
-
-
-# ------------------------------------------------------------ gain metrics
-
-
-def test_evaluate_gain_by_hand():
-    o = [np.array([0.0, 0.0])]
-    d = [np.array([1.0, 1.0])]
-    p = [np.array([0.5, 1.5])]  # first moved toward, second away
-    g = evaluate_gain(o, d, p)
-    assert g.hit_rate == 0.5
-    assert g.err_before == pytest.approx(np.sqrt(2.0))
-    assert g.err_after == pytest.approx(np.sqrt(0.25 + 2.25))
-
-
-def test_evaluate_gain_no_motion():
-    o = [np.zeros(3)]
-    d = [np.ones(3)]
-    g = evaluate_gain(o, d, [np.ones(3)])
-    assert g == GainModel(hit_rate=1.0, err_before=np.sqrt(3.0), err_after=np.sqrt(3.0))
 
 
 # ---------------------------------------------------------------- sampling
