@@ -174,6 +174,8 @@ def cmd_compress(args) -> int:
         a = lv.archive
         pad_note = "on" if a.blob.padded else "off"
         post_note = f" post={a.post.family} a={a.post.chosen}" if a.post else ""
+        if post and not a.post:
+            post_note = " post=off (too small to sample)"
         print(f"level {li}: u={a.u} pad={pad_note}{post_note}")
     print(f"cr: {c.original_bytes() / len(data):.2f} ({c.original_bytes()} -> {len(data)} bytes)")
     return 0

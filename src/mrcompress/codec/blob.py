@@ -3,14 +3,14 @@
 Layout, all little-endian:
 
     magic "MRB2"
-    codec id            u8   (0 stored, 1 interpolation, 2 block-Lorenzo;
-                              high bit set when the zlib pass ran)
+    codec id            u8   (the codec's position in ``CODECS``; high bit
+                              set when the zlib pass ran)
     dims                3x u64 (nx, ny, nz of the encoded array)
     eb                  f64
     adaptive            u8
     alpha               f64
     beta                f64
-    arrangement         u8   (0 none, 1 linear, 2 stacked)
+    arrangement         u8   (the layout's position in ``ARRANGEMENTS``)
     padded              u8
     u                   u32  (unit size; 0 when arrangement is none)
     block-order count   u64, then per block bx, by, bz as u64 triples
@@ -29,7 +29,7 @@ Layout, all little-endian:
 The fixed fields from magic through block-order count are one
 ``struct.Struct`` (``_HEADER``), which both the writer and the reader use.
 The stream length lets a reader find the end of the blob without parsing
-the entropy stream. Stored blobs (codec 0) put the raw f64 values in the
+the entropy stream. Stored blobs put the raw f64 values in the
 payload slot behind an empty table, so they have no bitstream.
 """
 
@@ -48,29 +48,22 @@ from .policy import ErrorBoundPolicy
 
 MAGIC = b"MRB2"
 
-CODEC_STORED = 0
-CODEC_INTERP = 1
-CODEC_BLOCK = 2
+# the wire byte of a codec or an arrangement is its position here
+CODECS = ("stored", "interp", "block")
+ARRANGEMENTS = (None, LINEAR, STACKED)  # None: a whole volume
 _ZLIB_FLAG = 0x80
-
-ARRANGE_NONE = 0
-ARRANGE_LINEAR = 1
-ARRANGE_STACKED = 2
 
 # magic through block count; the block table, the stream length and the
 # stream follow
 _HEADER = struct.Struct("<4sB3QdBddBBIQ")
 
-_ARRANGE_TO_NAME = {ARRANGE_LINEAR: LINEAR, ARRANGE_STACKED: STACKED}
-_NAME_TO_ARRANGE = {LINEAR: ARRANGE_LINEAR, STACKED: ARRANGE_STACKED, None: ARRANGE_NONE}
-
 
 @dataclass(frozen=True)
 class CompressedBlob:
-    codec: int
+    codec: int  # position in CODECS
     dims: Dims  # of the encoded array, padding included
     policy: ErrorBoundPolicy
-    arrangement: int
+    arrangement: str | None  # an entry of ARRANGEMENTS
     padded: bool
     u: int
     order: tuple[BlockCoord, ...]
@@ -78,19 +71,17 @@ class CompressedBlob:
     lossless: str = LOSSLESS_NONE
 
     def __post_init__(self):
-        if self.codec not in (CODEC_STORED, CODEC_INTERP, CODEC_BLOCK):
+        if self.codec not in range(len(CODECS)):
             raise ShapeError(f"unknown codec id {self.codec}")
+        if self.arrangement not in ARRANGEMENTS:
+            raise ShapeError(f"unknown arrangement {self.arrangement!r}")
         if self.lossless not in (LOSSLESS_NONE, LOSSLESS_ZLIB):
             raise ShapeError(f"unknown lossless pass {self.lossless!r}")
         object.__setattr__(self, "order", tuple(self.order))
 
     @property
-    def arrangement_name(self):
-        return _ARRANGE_TO_NAME.get(self.arrangement)
-
-    @property
     def codec_name(self) -> str:
-        return {CODEC_STORED: "stored", CODEC_INTERP: "interp", CODEC_BLOCK: "block"}[self.codec]
+        return CODECS[self.codec]
 
     @property
     def n_values(self) -> int:
@@ -112,7 +103,7 @@ class CompressedBlob:
         codec_byte = self.codec | (_ZLIB_FLAG if self.lossless == LOSSLESS_ZLIB else 0)
         head = _HEADER.pack(
             MAGIC, codec_byte, *self.dims, p.eb, p.adaptive, p.alpha, p.beta,
-            self.arrangement, self.padded, self.u, len(self.order),
+            ARRANGEMENTS.index(self.arrangement), self.padded, self.u, len(self.order),
         )
         table = np.array([(c.bx, c.by, c.bz) for c in self.order], dtype="<u8").tobytes()
         return head + table + struct.pack("<Q", len(self.stream)) + self.stream
@@ -136,12 +127,12 @@ class CompressedBlob:
             raise FormatError(f"blob header truncated: {exc}") from exc
         lossless = LOSSLESS_ZLIB if codec_byte & _ZLIB_FLAG else LOSSLESS_NONE
         codec = codec_byte & ~_ZLIB_FLAG
-        if codec not in (CODEC_STORED, CODEC_INTERP, CODEC_BLOCK):
+        if codec >= len(CODECS):
             raise FormatError(f"unknown codec id {codec}")
         end = offset + stream_len
         if end > len(buf):
             raise FormatError("blob stream truncated")
-        if arrangement not in (ARRANGE_NONE, ARRANGE_LINEAR, ARRANGE_STACKED):
+        if arrangement >= len(ARRANGEMENTS):
             raise FormatError(f"unknown arrangement {arrangement}")
         try:
             policy = ErrorBoundPolicy(eb=eb, adaptive=bool(adaptive), alpha=alpha, beta=beta)
@@ -156,7 +147,7 @@ class CompressedBlob:
             codec=codec,
             dims=(nx, ny, nz),
             policy=policy,
-            arrangement=arrangement,
+            arrangement=ARRANGEMENTS[arrangement],
             padded=bool(padded),
             u=u,
             order=order,
@@ -171,31 +162,18 @@ class CompressedBlob:
     def wrap(self, arr: np.ndarray) -> MergedArray | Volume:
         """The codec output for the decoded (z, y, x) array ``arr``: a
         Volume for a whole volume, else a MergedArray with this layout."""
-        if self.arrangement == ARRANGE_NONE:
+        if self.arrangement is None:
             return Volume(arr)
-        return MergedArray(
-            values=arr,
-            order=self.order,
-            u=self.u,
-            arrangement=self.arrangement_name,
-            padded=self.padded,
-        )
+        return MergedArray(values=arr, order=self.order, u=self.u, arrangement=self.arrangement, padded=self.padded)
 
 
 def unwrap(m: MergedArray | Volume) -> tuple[np.ndarray, dict]:
     """The (z, y, x) array of ``m`` and the blob fields of its shape and
     layout: the inverse of :meth:`CompressedBlob.wrap`."""
     if isinstance(m, Volume):
-        arr, fields = m.data, dict(arrangement=ARRANGE_NONE, padded=False, u=0, order=())
+        arr, fields = m.data, dict(arrangement=None, padded=False, u=0, order=())
     elif isinstance(m, MergedArray):
-        arr = m.values
-        fields = dict(arrangement=arrangement_code(m.arrangement), padded=m.padded, u=m.u, order=m.order)
+        arr, fields = m.values, dict(arrangement=m.arrangement, padded=m.padded, u=m.u, order=m.order)
     else:
         raise ShapeError(f"cannot compress {type(m).__name__}")
     return arr, dict(fields, dims=arr.shape[::-1])
-
-
-def arrangement_code(name) -> int:
-    if name not in _NAME_TO_ARRANGE:
-        raise ShapeError(f"unknown arrangement {name!r}")
-    return _NAME_TO_ARRANGE[name]

@@ -17,10 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import FormatError, ShapeError
-from ..grid import Volume
-from ..layout import MergedArray
-from .blob import CODEC_INTERP, CompressedBlob, unwrap
+from ..errors import FormatError
 from .entropy import LOSSLESS_NONE, entropy_decode, entropy_encode
 from .policy import ErrorBoundPolicy, level_error_bound
 from .quantize import LITERAL_MARK, dequantize_array, quantize_array
@@ -107,8 +104,18 @@ def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy, recon: bool = False
     return np.concatenate(code_parts), np.concatenate(lit_parts), work if recon else None
 
 
-def _decode_array(dims, policy: ErrorBoundPolicy, codes: np.ndarray, lits: np.ndarray):
-    nx, ny, nz = dims
+def interp_compress(arr: np.ndarray, policy: ErrorBoundPolicy, lossless: str = LOSSLESS_NONE, recon: bool = False):
+    """Code the (z, y, x) array ``arr``: returns (entropy stream, the
+    decoder's output when ``recon`` else None)."""
+    # the working state is freed before entropy coding unless it is returned
+    codes, lits, rec = _encode_array(arr, policy, recon)
+    return entropy_encode(codes, lits, lossless), rec
+
+
+def interp_decompress(blob) -> np.ndarray:
+    """The (z, y, x) array a blob of this codec holds."""
+    codes, lits = entropy_decode(blob.stream, blob.n_values, blob.lossless)
+    nx, ny, nz = blob.dims
     work = np.zeros((nz, ny, nx), dtype=np.float64)
     cpos = 0
     lpos = 0
@@ -127,29 +134,7 @@ def _decode_array(dims, policy: ErrorBoundPolicy, codes: np.ndarray, lits: np.nd
         lpos += k
         return dequantize_array(pred.reshape(-1), batch, eb, vals).reshape(pred.shape)
 
-    _traverse(work, policy, dequantize)
+    _traverse(work, blob.policy, dequantize)
     if cpos != codes.size or lpos != lits.size:
         raise FormatError("compressed stream longer than the array demands")
     return work
-
-
-def interp_compress(
-    m: MergedArray | Volume,
-    policy: ErrorBoundPolicy,
-    lossless: str = LOSSLESS_NONE,
-    recon: bool = False,
-):
-    """Compress ``m``; with ``recon`` returns (blob, the decoder's output),
-    which the encoder holds already."""
-    arr, fields = unwrap(m)
-    codes, lits, rec = _encode_array(arr, policy, recon)
-    stream = entropy_encode(codes, lits, lossless)
-    blob = CompressedBlob(codec=CODEC_INTERP, policy=policy, stream=stream, lossless=lossless, **fields)
-    return (blob, blob.wrap(rec)) if recon else blob
-
-
-def interp_decompress(blob: CompressedBlob) -> MergedArray | Volume:
-    if blob.codec != CODEC_INTERP:
-        raise ShapeError(f"blob holds codec {blob.codec}, not interpolation")
-    codes, lits = entropy_decode(blob.stream, blob.n_values, blob.lossless)
-    return blob.wrap(_decode_array(blob.dims, blob.policy, codes, lits))

@@ -27,9 +27,6 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import FormatError, ShapeError
-from ..grid import Volume
-from ..layout import MergedArray
-from .blob import CODEC_BLOCK, CompressedBlob, unwrap
 from .entropy import LOSSLESS_NONE, entropy_decode, entropy_encode
 from .policy import ErrorBoundPolicy
 from .quantize import LITERAL_MARK, quantize_array
@@ -135,8 +132,20 @@ def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy, recon: bool = False
     return codes, lits, blocks.scatter(w) if recon else None
 
 
-def _decode_array(dims, policy: ErrorBoundPolicy, codes: np.ndarray, lits: np.ndarray):
-    nx, ny, nz = dims
+def block_compress(arr: np.ndarray, policy: ErrorBoundPolicy, lossless: str = LOSSLESS_NONE, recon: bool = False):
+    """Code the (z, y, x) array ``arr``: returns (entropy stream, the
+    decoder's output when ``recon`` else None)."""
+    if policy.adaptive:
+        raise ShapeError("the block codec quantizes at a uniform bound")
+    # the working state is freed before entropy coding unless it is returned
+    codes, lits, rec = _encode_array(arr, policy, recon)
+    return entropy_encode(codes, lits, lossless), rec
+
+
+def block_decompress(blob) -> np.ndarray:
+    """The (z, y, x) array a blob of this codec holds."""
+    codes, lits = entropy_decode(blob.stream, blob.n_values, blob.lossless)
+    nx, ny, nz = blob.dims
     blocks = _Blocks((nz, ny, nx))
     if codes.size != nx * ny * nz:
         raise FormatError("code stream does not match the array size")
@@ -149,7 +158,7 @@ def _decode_array(dims, policy: ErrorBoundPolicy, codes: np.ndarray, lits: np.nd
     block, lits = block[by_cell], lits[by_cell]
     bounds = np.searchsorted(cell[by_cell], np.arange(blocks.cells + 1)).tolist()
     cm = blocks.from_stream(codes)
-    step = 2.0 * policy.eb
+    step = 2.0 * blob.policy.eb
     w = blocks.halo()
     with _escapes():
         for c, (z, y, x) in enumerate(np.ndindex(*blocks.edge)):
@@ -160,27 +169,3 @@ def _decode_array(dims, policy: ErrorBoundPolicy, codes: np.ndarray, lits: np.nd
                 recon[block[lo:hi]] = lits[lo:hi]
             w[z + 1, y + 1, x + 1] = recon
     return blocks.scatter(w)
-
-
-def block_compress(
-    m: MergedArray | Volume,
-    policy: ErrorBoundPolicy,
-    lossless: str = LOSSLESS_NONE,
-    recon: bool = False,
-):
-    """Compress ``m``; with ``recon`` returns (blob, the decoder's output),
-    which the encoder holds already."""
-    if policy.adaptive:
-        raise ShapeError("the block codec quantizes at a uniform bound")
-    arr, fields = unwrap(m)
-    codes, lits, rec = _encode_array(arr, policy, recon)
-    stream = entropy_encode(codes, lits, lossless)
-    blob = CompressedBlob(codec=CODEC_BLOCK, policy=policy, stream=stream, lossless=lossless, **fields)
-    return (blob, blob.wrap(rec)) if recon else blob
-
-
-def block_decompress(blob: CompressedBlob) -> MergedArray | Volume:
-    if blob.codec != CODEC_BLOCK:
-        raise ShapeError(f"blob holds codec {blob.codec}, not block-Lorenzo")
-    codes, lits = entropy_decode(blob.stream, blob.n_values, blob.lossless)
-    return blob.wrap(_decode_array(blob.dims, blob.policy, codes, lits))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DataError, ShapeError
+from ..errors import ShapeError
 
 CODE_CAP = 2**15
 LITERAL_MARK = CODE_CAP + 1
@@ -37,21 +37,6 @@ def quantize_array(
     codes = np.where(ok, q, LITERAL_MARK).astype(np.int32)
     recon = np.where(ok, recon, actual)
     return codes, recon, actual[~ok]
-
-
-def quantize(pred: float, actual: float, eb: float, code_cap: int = CODE_CAP):
-    """Scalar form: returns (code, reconstruction); code is None when the
-    value was escaped as a literal."""
-    if not (np.isfinite(pred) and np.isfinite(actual)):
-        raise DataError("quantizer inputs must be finite")
-    if not (np.isfinite(eb) and eb > 0):
-        raise ShapeError(f"error bound must be positive, got {eb}")
-    codes, recon, _ = quantize_array(
-        np.array([pred]), np.array([actual]), eb, cap=code_cap
-    )
-    if codes[0] == LITERAL_MARK:
-        return None, float(actual)
-    return int(codes[0]), float(recon[0])
 
 
 def dequantize_array(

@@ -1,8 +1,8 @@
 """Verbatim (uncompressed) blob payloads.
 
 ROI selection runs before compression, so its output container needs a way
-to hold raw arrays in the same blob envelope. Codec id 0 stores the float64
-values directly in the payload slot with an empty entropy table.
+to hold raw arrays in the same blob envelope. The stored codec puts the
+float64 values directly in the payload slot with an empty entropy table.
 """
 
 from __future__ import annotations
@@ -12,16 +12,18 @@ import struct
 import numpy as np
 
 from ..errors import FormatError, ShapeError
-from ..grid import Volume
-from ..layout import MergedArray
-from .blob import CODEC_STORED, CompressedBlob, unwrap
+from .entropy import LOSSLESS_NONE
 from .policy import ErrorBoundPolicy
 
-_STORED_POLICY = ErrorBoundPolicy(eb=1.0)
+# the blob header has a policy slot; stored blobs carry this one there
+STORED_POLICY = ErrorBoundPolicy(eb=1.0)
 
 
-def stored_compress(m: MergedArray | Volume) -> CompressedBlob:
-    arr, fields = unwrap(m)
+def stored_compress(arr: np.ndarray, policy: ErrorBoundPolicy, lossless: str = LOSSLESS_NONE, recon: bool = False):
+    """Keep the (z, y, x) array ``arr`` verbatim: returns (stream, ``arr``
+    when ``recon`` else None). ``policy`` bounds nothing here."""
+    if lossless != LOSSLESS_NONE:
+        raise ShapeError("stored blobs take no lossless pass")
     payload = arr.astype("<f8").tobytes()
     stream = (
         struct.pack("<Q", 0)  # literal count
@@ -29,12 +31,11 @@ def stored_compress(m: MergedArray | Volume) -> CompressedBlob:
         + struct.pack("<Q", len(payload))
         + payload
     )
-    return CompressedBlob(codec=CODEC_STORED, policy=_STORED_POLICY, stream=stream, **fields)
+    return stream, arr if recon else None
 
 
-def stored_decompress(blob: CompressedBlob) -> MergedArray | Volume:
-    if blob.codec != CODEC_STORED:
-        raise ShapeError(f"blob holds codec {blob.codec}, not stored")
+def stored_decompress(blob) -> np.ndarray:
+    """The (z, y, x) array a stored blob holds."""
     buf = blob.stream
     nx, ny, nz = blob.dims
     if len(buf) != 20 + nx * ny * nz * 8:
@@ -45,4 +46,4 @@ def stored_decompress(blob: CompressedBlob) -> MergedArray | Volume:
     if plen != nx * ny * nz * 8:
         raise FormatError("stored payload does not match the blob dims")
     arr = np.frombuffer(buf, dtype="<f8", count=nx * ny * nz, offset=20)
-    return blob.wrap(arr.reshape(nz, ny, nx).astype(np.float64))
+    return arr.reshape(nz, ny, nx).astype(np.float64)

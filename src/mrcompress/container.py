@@ -16,7 +16,7 @@ Layout, all integers little-endian:
         block count     u64
         coord table     bx, by, bz as u64 triples
         blob            one self-delimiting compressed-array record
-        post family     u8  (0 off, 1 sz, 2 zfp)
+        post family     u8  (position in ``_POST_FAMILIES``; 0 off)
         post intensity  3x f64 (x, y, z; zeros when off)
         sidecar offset  u64 (absolute; 0 when absent)
     sidecars, in level order, each:
@@ -36,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import CompressedBlob, ErrorBoundPolicy
-from .codec.stored import stored_compress
+from .codec import STORED, CompressedBlob, ErrorBoundPolicy, compress
+from .codec.stored import STORED_POLICY
 from .errors import FormatError, MrcError, ShapeError
 from .layout import LINEAR, linear_merge, stack_merge
 from .pipeline import LevelArchive, SampleSet, compress_level, decompress_level
@@ -49,9 +49,8 @@ MAGIC = b"MRC1"
 VERSION = 1
 SCALAR_WIDTH = 8
 
-_POST_OFF = 0
-_POST_CODE = {FAMILY_SZ: 1, FAMILY_ZFP: 2}
-_POST_NAME = {1: FAMILY_SZ, 2: FAMILY_ZFP}
+# the wire byte of a post-filter family is its position here; None is off
+_POST_FAMILIES = (None, FAMILY_SZ, FAMILY_ZFP)
 
 _FLAG_SAMPLES = 1
 _FLAG_MODEL = 2
@@ -178,10 +177,8 @@ def encode_container(c: ContainerFile) -> bytes:
         for bc in coords:
             out += struct.pack("<3Q", bc.bx, bc.by, bc.bz)
         out += a.blob.to_bytes()
-        if a.post is None:
-            out += struct.pack("<B3d", _POST_OFF, 0.0, 0.0, 0.0)
-        else:
-            out += struct.pack("<B3d", _POST_CODE[a.post.family], *a.post.chosen)
+        family, chosen = (a.post.family, a.post.chosen) if a.post else (None, (0.0, 0.0, 0.0))
+        out += struct.pack("<B3d", _POST_FAMILIES.index(family), *chosen)
         patch_at.append(len(out))
         out += struct.pack("<Q", 0)
     for k, lv in enumerate(c.levels):
@@ -237,13 +234,12 @@ def decode_container(buf: bytes) -> ContainerFile:
                 raise FormatError(f"level u={u} disagrees with its blob's u={blob.u}")
             fam_code, ax, ay, az = struct.unpack_from("<B3d", buf, off)
             off += struct.calcsize("<B3d")
-            post = None
-            if fam_code != _POST_OFF:
-                if fam_code not in _POST_NAME:
-                    raise FormatError(f"unknown post-processing family code {fam_code}")
-                fam = _POST_NAME[fam_code]
+            if fam_code >= len(_POST_FAMILIES):
+                raise FormatError(f"unknown post-processing family code {fam_code}")
+            family, post = _POST_FAMILIES[fam_code], None
+            if family is not None:
                 try:
-                    post = IntensityConfig(family=fam, chosen=(ax, ay, az))
+                    post = IntensityConfig(family=family, chosen=(ax, ay, az))
                 except MrcError as exc:
                     raise FormatError(str(exc)) from exc
             (sc_off,) = struct.unpack_from("<Q", buf, off)
@@ -311,8 +307,7 @@ def container_from_dataset(
             continue
         if policy is None:
             merged = linear_merge(list(lv.blocks)) if arrangement == LINEAR else stack_merge(list(lv.blocks))
-            blob = stored_compress(merged)
-            arch = LevelArchive(dims=lv.dims, blob=blob)
+            arch = LevelArchive(dims=lv.dims, blob=compress(merged, STORED_POLICY, codec=STORED))
         else:
             arch = compress_level(
                 list(lv.blocks), lv.dims, lv.u, policy,

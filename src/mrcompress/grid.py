@@ -106,25 +106,6 @@ class Volume:
         return f"Volume(dims={self.dims})"
 
 
-def linear_index(x: int, y: int, z: int, dims: Dims) -> int:
-    """Flat index of cell (x, y, z) under x-fastest ordering."""
-    nx, ny, nz = dims
-    if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
-        raise ShapeError(f"cell ({x}, {y}, {z}) outside dims {dims}")
-    return x + nx * (y + ny * z)
-
-
-def index_coords(i: int, dims: Dims) -> tuple[int, int, int]:
-    """Inverse of :func:`linear_index`."""
-    nx, ny, nz = dims
-    if not (0 <= i < nx * ny * nz):
-        raise ShapeError(f"flat index {i} outside dims {dims}")
-    x = i % nx
-    y = (i // nx) % ny
-    z = i // (nx * ny)
-    return (x, y, z)
-
-
 def block_grid(dims: Dims, b: int) -> Dims:
     """Block-grid dims (gx, gy, gz) of a volume partitioned into b-cubes."""
     nx, ny, nz = dims
@@ -133,13 +114,6 @@ def block_grid(dims: Dims, b: int) -> Dims:
     if nx % b or ny % b or nz % b:
         raise ShapeError(f"dims {dims} not divisible by block edge {b}")
     return (nx // b, ny // b, nz // b)
-
-
-def block_linear_index(c: BlockCoord, grid: Dims) -> int:
-    gx, gy, gz = grid
-    if not (c.bx < gx and c.by < gy and c.bz < gz):
-        raise ShapeError(f"block {c} outside grid {grid}")
-    return c.bx + gx * (c.by + gy * c.bz)
 
 
 def block_slices(c: BlockCoord) -> tuple[slice, slice, slice]:
@@ -151,21 +125,13 @@ def block_slices(c: BlockCoord) -> tuple[slice, slice, slice]:
     )
 
 
-def block_value_range(v: Volume, c: BlockCoord) -> tuple[float, float]:
-    """Min and max over one block; the block must lie fully inside ``v``."""
-    grid = block_grid(v.dims, c.b)
-    block_linear_index(c, grid)
-    sub = v.data[block_slices(c)]
-    return (float(sub.min()), float(sub.max()))
-
-
 def block_ranges(v: Volume, b: int) -> np.ndarray:
     """Value range of every b-block, flat in block-index order."""
     gx, gy, gz = block_grid(v.dims, b)
     cells = v.data.reshape(gz, b, gy, b, gx, b)
     hi = cells.max(axis=(1, 3, 5))
     lo = cells.min(axis=(1, 3, 5))
-    # (gz, gy, gx) C-order ravel puts bx fastest, matching block_linear_index
+    # (gz, gy, gx) C-order ravel puts bx fastest: index bx + gx * (by + gy * bz)
     return (hi - lo).reshape(-1)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -185,12 +184,3 @@ def write_jsonl(points, path) -> None:
             if math.isinf(row["psnr_db"]):
                 row["psnr_db"] = "inf" if row["psnr_db"] > 0 else "-inf"
             fh.write(json.dumps(row) + "\n")
-
-
-def write_csv(points, path) -> None:
-    fields = ["eb", "compressed_bytes", "original_bytes", "cr", "psnr_db", "ssim"]
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for p in points:
-            w.writerow(asdict(p))

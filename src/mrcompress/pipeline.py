@@ -22,7 +22,7 @@ from .codec import (
     decompress,
 )
 from .codec.lorenzo import BLOCK_EDGE
-from .errors import ShapeError
+from .errors import SamplingError, ShapeError
 from .grid import BlockCoord, Dims, Volume
 from .layout import LINEAR, MergedArray, UnitBlock, linear_merge, pad_linear, stack_merge, unmerge, unpad
 from .postprocess import (
@@ -147,7 +147,10 @@ def _encode(payload, orig, dims: Dims, policy, codec, lossless, post_family, sam
     # the encoder hands back the decoder's output, so fitting decodes nothing
     blob, dec = compress(payload, policy, codec=codec, lossless=lossless, recon=True)
     blocksize = post_blocksize(codec, blob.u)
-    post, samples = _fit_intensity(orig, dec, policy.eb, blocksize, post_family, seed, sample_rate)
+    try:
+        post, samples = _fit_intensity(orig, dec, policy.eb, blocksize, post_family, seed, sample_rate)
+    except SamplingError:  # no sample region fits the level: store it without post
+        return LevelArchive(dims=dims, blob=blob)
     return LevelArchive(dims=dims, blob=blob, post=post, samples=samples)
 
 

@@ -10,7 +10,7 @@ from mrcompress.container import read_container
 from mrcompress.grid import Volume, read_raw_volume, write_raw_volume
 from mrcompress.roi import RoiConfig, build_adaptive, reconstruct_uniform, select_roi
 
-from helpers import max_abs_err, sum_of_gaussians
+from helpers import max_abs_err, smooth_field, sum_of_gaussians
 
 
 def _write_raw(tmp_path, v, name="vol.raw", dtype="f64"):
@@ -192,6 +192,25 @@ def test_uncertainty_from_stored_samples(tmp_path):
     rc = main(["uncertainty", "--input", cont, "--isovalue", "0.5", "--out", prob])
     assert rc == 0
     assert np.fromfile(prob, dtype="<f4").size == 63**3
+
+
+def test_level_too_small_to_sample_compresses_without_post(tmp_path, capsys):
+    # the 16^3 unit blocks of the fine level merge to (16, 16, 208), where no
+    # block-aligned sample region fits under the 5% cap
+    v = smooth_field((64, 64, 64), seed=3)
+    raw = _write_raw(tmp_path, v, dtype="f32")
+    roi_out = str(tmp_path / "roi.mrc")
+    cont = str(tmp_path / "v.mrc")
+    assert main(["roi", "--input", raw, "--dims", _dims_arg(v), "--block", "16",
+                 "--percent", "20", "--out", roi_out]) == 0
+    capsys.readouterr()
+    assert main(["compress", "--input", roi_out, "--eb", "1e-3", "--post", "sz", "--out", cont]) == 0
+    assert "level 0: u=16 pad=on post=off (too small to sample)" in capsys.readouterr().out
+    a0, a1 = (lv.archive for lv in read_container(cont).levels)
+    assert a0.post is None and a0.samples is None
+    assert a1.post.family == "sz" and a1.samples is not None
+    assert main(["decompress", "--input", cont, "--uniform", "--out", str(tmp_path / "rec.raw")]) == 0
+    assert main(["uncertainty", "--input", cont, "--isovalue", "0.5", "--out", str(tmp_path / "p.raw")]) == 0
 
 
 def test_uncertainty_decodes_each_level_once(tmp_path, monkeypatch):

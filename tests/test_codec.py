@@ -4,21 +4,13 @@ import numpy as np
 import pytest
 
 from mrcompress.codec import compress, decompress
-from mrcompress.codec.blob import (
-    ARRANGE_NONE,
-    CODEC_BLOCK,
-    CODEC_INTERP,
-    CompressedBlob,
-)
+from mrcompress.codec.blob import ARRANGEMENTS, CODECS, CompressedBlob
 from mrcompress.codec.entropy import entropy_decode, entropy_encode
-from mrcompress.codec.interp import interp_compress, interp_decompress
-from mrcompress.codec.lorenzo import block_compress, block_decompress
 from mrcompress.codec.policy import ErrorBoundPolicy, level_error_bound
 from mrcompress.codec.quantize import (
     CODE_CAP,
     LITERAL_MARK,
     dequantize_array,
-    quantize,
     quantize_array,
 )
 from mrcompress.codec.schedule import (
@@ -29,8 +21,8 @@ from mrcompress.codec.schedule import (
     build_grid_schedule,
     build_schedule,
 )
-from mrcompress.codec.stored import stored_compress, stored_decompress
-from mrcompress.errors import DataError, FormatError, ShapeError
+from mrcompress.codec.stored import STORED_POLICY
+from mrcompress.errors import FormatError, ShapeError
 from mrcompress.grid import BlockCoord, Volume
 from mrcompress.layout import linear_merge, pad_linear, UnitBlock
 
@@ -175,42 +167,29 @@ def test_grid_schedule_aligns_axes_at_the_end():
 
 
 def test_quantize_worked_example():
-    code, recon = quantize(0.0, 0.37, 0.1)
-    assert code == 2
-    assert recon == pytest.approx(0.4, abs=1e-15)
+    codes, recon, lits = quantize_array([0.0], [0.37], 0.1)
+    assert codes.tolist() == [2] and lits.size == 0
+    assert recon[0] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_quantize_rounds_half_away_from_zero():
-    code_pos, recon_pos = quantize(0.0, 0.1, 0.1)
-    code_neg, recon_neg = quantize(0.0, -0.1, 0.1)
-    assert (code_pos, code_neg) == (1, -1)
-    assert recon_pos == pytest.approx(0.2)
-    assert recon_neg == pytest.approx(-0.2)
+    codes, recon, _ = quantize_array([0.0, 0.0], [0.1, -0.1], 0.1)
+    assert codes.tolist() == [1, -1]
+    assert recon.tolist() == pytest.approx([0.2, -0.2])
 
 
 def test_quantize_zero_residual():
-    code, recon = quantize(1.5, 1.5, 1e-3)
-    assert code == 0
-    assert recon == 1.5
+    codes, recon, _ = quantize_array([1.5], [1.5], 1e-3)
+    assert codes.tolist() == [0]
+    assert recon.tolist() == [1.5]
 
 
 def test_quantize_escapes_large_residuals():
     eb = 0.1
     actual = 2 * eb * (CODE_CAP + 10.0)
-    code, recon = quantize(0.0, actual, eb)
-    assert code is None
-    assert recon == actual  # literals are exact
-
-
-def test_quantize_rejects_bad_inputs():
-    with pytest.raises(DataError):
-        quantize(float("nan"), 1.0, 0.1)
-    with pytest.raises(DataError):
-        quantize(0.0, float("inf"), 0.1)
-    with pytest.raises(ShapeError):
-        quantize(0.0, 1.0, 0.0)
-    with pytest.raises(ShapeError):
-        quantize(0.0, 1.0, -0.5)
+    codes, recon, lits = quantize_array([0.0], [actual], eb)
+    assert codes.tolist() == [LITERAL_MARK]
+    assert recon.tolist() == lits.tolist() == [actual]  # literals are exact
 
 
 @pytest.mark.parametrize("eb", [1e-1, 1e-3, 1e-6])
@@ -248,14 +227,14 @@ def test_decoders_validate_literal_count():
     # one literal value per literal mark, or the decoder refuses the stream
     v = noisy_field((6, 5, 7), seed=19, scale=1e3)
     p = ErrorBoundPolicy(eb=1e-9)
-    for enc, dec in ((interp_compress, interp_decompress), (block_compress, block_decompress)):
-        blob = enc(v, p)
+    for codec in ("interp", "block"):
+        blob = compress(v, p, codec=codec)
         codes, lits = entropy_decode(blob.stream, blob.n_values)
         assert (codes == LITERAL_MARK).sum() == lits.size > 0
-        assert max_abs_err(v, dec(replace(blob, stream=entropy_encode(codes, lits)))) <= 1e-9
+        assert max_abs_err(v, decompress(replace(blob, stream=entropy_encode(codes, lits)))) <= 1e-9
         for wrong in (lits[:-1], np.append(lits, 7.0)):
             with pytest.raises(FormatError):
-                dec(replace(blob, stream=entropy_encode(codes, wrong)))
+                decompress(replace(blob, stream=entropy_encode(codes, wrong)))
 
 
 # ----------------------------------------------------- interpolation codec
@@ -264,8 +243,8 @@ def test_decoders_validate_literal_count():
 @pytest.mark.parametrize("eb", [1e-1, 1e-3, 1e-6])
 def test_interp_bound_on_smooth_data(eb):
     v = smooth_field((32, 32, 32), seed=3)
-    blob = interp_compress(v, ErrorBoundPolicy(eb=eb))
-    out = interp_decompress(blob)
+    blob = compress(v, ErrorBoundPolicy(eb=eb))
+    out = decompress(blob)
     assert isinstance(out, Volume)
     assert out.dims == v.dims
     assert max_abs_err(v, out) <= eb
@@ -274,20 +253,20 @@ def test_interp_bound_on_smooth_data(eb):
 def test_interp_bound_on_noise():
     # worst case for the predictor; the bound must still hold
     v = noisy_field((17, 23, 9), seed=4)
-    blob = interp_compress(v, ErrorBoundPolicy(eb=1e-2))
-    assert max_abs_err(v, interp_decompress(blob)) <= 1e-2
+    blob = compress(v, ErrorBoundPolicy(eb=1e-2))
+    assert max_abs_err(v, decompress(blob)) <= 1e-2
 
 
 def test_interp_adaptive_bound_still_holds():
     v = smooth_field((31, 16, 20), seed=5)
-    blob = interp_compress(v, ErrorBoundPolicy(eb=1e-3, adaptive=True))
-    assert max_abs_err(v, interp_decompress(blob)) <= 1e-3
+    blob = compress(v, ErrorBoundPolicy(eb=1e-3, adaptive=True))
+    assert max_abs_err(v, decompress(blob)) <= 1e-3
 
 
 def test_interp_constant_field_compresses_hard():
     v = Volume(np.zeros((16, 16, 16)))
-    blob = interp_compress(v, ErrorBoundPolicy(eb=1e-6))
-    assert max_abs_err(v, interp_decompress(blob)) == 0.0
+    blob = compress(v, ErrorBoundPolicy(eb=1e-6))
+    assert max_abs_err(v, decompress(blob)) == 0.0
     # one table entry, one bit per sample
     assert blob.size_bytes() < 16**3 / 8 + 128
     assert blob.original_bytes / blob.size_bytes() > 40
@@ -295,16 +274,16 @@ def test_interp_constant_field_compresses_hard():
 
 def test_interp_tiny_bound_degrades_to_exact_literals():
     v = noisy_field((8, 8, 8), seed=6)
-    blob = interp_compress(v, ErrorBoundPolicy(eb=1e-300))
-    out = interp_decompress(blob)
+    blob = compress(v, ErrorBoundPolicy(eb=1e-300))
+    out = decompress(blob)
     assert np.array_equal(out.data, v.data)
 
 
 def test_interp_single_cell_and_thin_axes():
     for dims in [(1, 1, 1), (4, 1, 7), (2, 3, 1)]:
         v = noisy_field(dims, seed=7)
-        blob = interp_compress(v, ErrorBoundPolicy(eb=1e-4))
-        out = interp_decompress(blob)
+        blob = compress(v, ErrorBoundPolicy(eb=1e-4))
+        out = decompress(blob)
         assert out.dims == dims
         assert max_abs_err(v, out) <= 1e-4
 
@@ -316,8 +295,8 @@ def test_interp_preserves_merge_metadata():
         for i in range(3)
     ]
     m = pad_linear(linear_merge(blocks))
-    blob = interp_compress(m, ErrorBoundPolicy(eb=1e-3))
-    out = interp_decompress(blob)
+    blob = compress(m, ErrorBoundPolicy(eb=1e-3))
+    out = decompress(blob)
     assert out.order == m.order
     assert out.u == 8 and out.padded and out.arrangement == m.arrangement
     assert np.abs(out.values - m.values).max() <= 1e-3
@@ -326,7 +305,7 @@ def test_interp_preserves_merge_metadata():
 def test_interp_deterministic_bytes():
     v = smooth_field((24, 24, 24), seed=9)
     p = ErrorBoundPolicy(eb=1e-3)
-    assert interp_compress(v, p).to_bytes() == interp_compress(v, p).to_bytes()
+    assert compress(v, p).to_bytes() == compress(v, p).to_bytes()
 
 
 # ------------------------------------------------------------ block codec
@@ -335,16 +314,16 @@ def test_interp_deterministic_bytes():
 @pytest.mark.parametrize("dims", [(16, 16, 16), (18, 5, 7)])
 def test_block_bound(dims):
     v = noisy_field(dims, seed=10)
-    blob = block_compress(v, ErrorBoundPolicy(eb=1e-3))
-    out = block_decompress(blob)
+    blob = compress(v, ErrorBoundPolicy(eb=1e-3), codec="block")
+    out = decompress(blob)
     assert out.dims == dims
     assert max_abs_err(v, out) <= 1e-3
 
 
 def test_block_zero_field_codes_to_nothing():
     v = Volume(np.zeros((16, 16, 16)))
-    blob = block_compress(v, ErrorBoundPolicy(eb=1e-6))
-    assert max_abs_err(v, block_decompress(blob)) == 0.0
+    blob = compress(v, ErrorBoundPolicy(eb=1e-6), codec="block")
+    assert max_abs_err(v, decompress(blob)) == 0.0
     assert blob.original_bytes / blob.size_bytes() > 40
 
 
@@ -355,13 +334,13 @@ def test_block_linear_ramp_beats_noise():
     ramp = Volume(0.03 * x + 0.02 * y - 0.01 * z)
     noise = noisy_field((16, 16, 16), seed=11)
     p = ErrorBoundPolicy(eb=1e-3)
-    assert block_compress(ramp, p).size_bytes() < 0.5 * block_compress(noise, p).size_bytes()
+    assert compress(ramp, p, codec="block").size_bytes() < 0.5 * compress(noise, p, codec="block").size_bytes()
 
 
 def test_block_rejects_adaptive_policy():
     v = noisy_field((8, 8, 8), seed=12)
     with pytest.raises(ShapeError):
-        block_compress(v, ErrorBoundPolicy(eb=1e-3, adaptive=True))
+        compress(v, ErrorBoundPolicy(eb=1e-3, adaptive=True), codec="block")
 
 
 def test_block_merge_round_trip():
@@ -371,8 +350,8 @@ def test_block_merge_round_trip():
         for i in range(4)
     ]
     m = linear_merge(blocks)
-    blob = block_compress(m, ErrorBoundPolicy(eb=1e-4))
-    out = block_decompress(blob)
+    blob = compress(m, ErrorBoundPolicy(eb=1e-4), codec="block")
+    out = decompress(blob)
     assert out.order == m.order
     assert np.abs(out.values - m.values).max() <= 1e-4
 
@@ -383,9 +362,9 @@ def test_block_merge_round_trip():
 def test_dispatch_by_codec_name():
     v = smooth_field((12, 12, 12), seed=14)
     p = ErrorBoundPolicy(eb=1e-3)
-    for codec, cid in [("interp", CODEC_INTERP), ("block", CODEC_BLOCK)]:
+    for codec, cid in [("interp", 1), ("block", 2)]:
         blob = compress(v, p, codec=codec)
-        assert blob.codec == cid
+        assert blob.codec == cid == CODECS.index(codec)
         assert blob.codec_name == codec
         assert max_abs_err(v, decompress(blob)) <= 1e-3
     with pytest.raises(ShapeError):
@@ -419,21 +398,12 @@ def test_encoder_reconstruction_is_the_decoded_output(codec):
             assert (rec.order, rec.u, rec.padded) == (dec.order, dec.u, dec.padded)
 
 
-def test_codec_refuses_cross_decode():
-    v = smooth_field((8, 8, 8), seed=15)
-    p = ErrorBoundPolicy(eb=1e-3)
-    with pytest.raises(ShapeError):
-        block_decompress(interp_compress(v, p))
-    with pytest.raises(ShapeError):
-        interp_decompress(block_compress(v, p))
-
-
 # ---------------------------------------------------------- blob transport
 
 
 def _sample_blob(lossless="none"):
     v = smooth_field((10, 12, 8), seed=16)
-    return interp_compress(v, ErrorBoundPolicy(eb=1e-3), lossless=lossless), v
+    return compress(v, ErrorBoundPolicy(eb=1e-3), lossless=lossless), v
 
 
 def test_blob_byte_round_trip():
@@ -443,19 +413,19 @@ def test_blob_byte_round_trip():
     assert used == len(raw)
     assert back == blob
     assert back.to_bytes() == raw
-    assert max_abs_err(v, interp_decompress(back)) <= 1e-3
+    assert max_abs_err(v, decompress(back)) <= 1e-3
 
 
 def test_blob_zlib_pass_round_trips():
     blob, v = _sample_blob(lossless="zlib")
     back, _ = CompressedBlob.from_bytes(blob.to_bytes())
     assert back.lossless == "zlib"
-    assert max_abs_err(v, interp_decompress(back)) <= 1e-3
+    assert max_abs_err(v, decompress(back)) <= 1e-3
 
 
 def test_blob_offset_decoding():
     b1, _ = _sample_blob()
-    b2 = block_compress(noisy_field((6, 6, 6), seed=17), ErrorBoundPolicy(eb=1e-2))
+    b2 = compress(noisy_field((6, 6, 6), seed=17), ErrorBoundPolicy(eb=1e-2), codec="block")
     raw = b1.to_bytes() + b2.to_bytes()
     first, off = CompressedBlob.from_bytes(raw)
     second, end = CompressedBlob.from_bytes(raw, off)
@@ -493,17 +463,37 @@ def test_blob_corruption_is_detected():
     with pytest.raises(FormatError):
         CompressedBlob.from_bytes(bytes(long_stream))
     # bytes framed into the stream past the entropy stream's own end
-    block = block_compress(noisy_field((6, 6, 6), seed=17), ErrorBoundPolicy(eb=1e-2))
-    stored = stored_compress(noisy_field((3, 4, 5), seed=18))
-    for b, decode in (
-        (blob, interp_decompress),
-        (block, block_decompress),
-        (stored, stored_decompress),
-    ):
+    block = compress(noisy_field((6, 6, 6), seed=17), ErrorBoundPolicy(eb=1e-2), codec="block")
+    stored = compress(noisy_field((3, 4, 5), seed=18), STORED_POLICY, codec="stored")
+    for b in (blob, block, stored):
         for stream in (b.stream + b"\0", b.stream[:10]):
             framed, _ = CompressedBlob.from_bytes(replace(b, stream=stream).to_bytes())
             with pytest.raises(FormatError):
-                decode(framed)
+                decompress(framed)
+
+
+def test_blob_arrangement_byte_is_its_table_position():
+    blob, _ = _sample_blob()
+    raw = bytearray(blob.to_bytes())
+    at = 54  # the u8 after magic, codec, dims, eb, adaptive, alpha and beta
+    assert raw[at] == ARRANGEMENTS.index(None) == 0
+    for name in ("linear", "stacked"):
+        raw[at] = ARRANGEMENTS.index(name)
+        assert CompressedBlob.from_bytes(bytes(raw))[0].arrangement == name
+    raw[at] = len(ARRANGEMENTS)
+    with pytest.raises(FormatError):
+        CompressedBlob.from_bytes(bytes(raw))
+    with pytest.raises(ShapeError):
+        replace(blob, arrangement="diagonal")
+
+
+def test_stored_codec_keeps_values_verbatim():
+    v = noisy_field((3, 4, 5), seed=18)
+    blob, rec = compress(v, STORED_POLICY, codec="stored", recon=True)
+    assert blob.codec_name == "stored" and rec == v
+    assert decompress(CompressedBlob.from_bytes(blob.to_bytes())[0]) == v
+    with pytest.raises(ShapeError):
+        compress(v, STORED_POLICY, codec="stored", lossless="zlib")
 
 
 def test_blob_original_bytes_ignores_padding():
@@ -513,12 +503,12 @@ def test_blob_original_bytes_ignores_padding():
         for i in range(2)
     ]
     m = pad_linear(linear_merge(blocks))
-    blob = interp_compress(m, ErrorBoundPolicy(eb=1e-3))
+    blob = compress(m, ErrorBoundPolicy(eb=1e-3))
     assert m.dims == (9, 9, 16)
     assert blob.original_bytes == 8 * 8 * 16 * 8
 
 
 def test_blob_unpadded_original_bytes():
     blob, v = _sample_blob()
-    assert blob.arrangement == ARRANGE_NONE
+    assert blob.arrangement is None
     assert blob.original_bytes == v.size * 8

@@ -16,7 +16,7 @@ from mrcompress.container import (
     write_container,
 )
 from mrcompress.errors import FormatError, ShapeError
-from mrcompress.pipeline import compress_level, compress_volume, tile_volume
+from mrcompress.pipeline import compress_level, compress_volume, decode_level, tile_volume
 from mrcompress.roi import RoiConfig, build_adaptive, reconstruct_uniform, select_roi
 from mrcompress.uncertainty import ErrorModel
 
@@ -293,3 +293,42 @@ def test_roi_container_golden_bytes():
     assert [lv.archive.u for lv in c.levels] == [8, 4]
     assert all(lv.archive.post is not None for lv in c.levels)
     assert hashlib.sha256(encode_container(c)).hexdigest() == GOLDEN_ROI_SZ
+
+
+# sha256 of the `roi` command's output for a 32^3 f64 field: codec 0
+# (stored), linear arrangement, no post, no sidecars
+GOLDEN_ROI_STORED = "65b7958fbf70b170a3714c63b868e77fbfa03846187a91a8bb56d3b21d579f49"
+
+
+def test_roi_command_golden_bytes(tmp_path):
+    from mrcompress.cli import main
+    from mrcompress.grid import write_raw_volume
+
+    raw, out = tmp_path / "vol.raw", tmp_path / "roi.mrc"
+    write_raw_volume(sum_of_gaussians((32, 32, 32), seed=14), raw, "f64")
+    assert main(["roi", "--input", str(raw), "--dims", "32,32,32", "--dtype", "f64",
+                 "--block", "8", "--percent", "25", "--out", str(out)]) == 0
+    c = read_container(out)
+    assert [lv.archive.blob.codec_name for lv in c.levels] == ["stored", "stored"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ROI_STORED
+
+
+# sha256 of a 2-level container with the block codec, the stacked
+# arrangement, the zlib pass, post "zfp" and an error-model sidecar: the
+# codec, arrangement and post-family bytes the other digests leave unpinned
+GOLDEN_BLOCK_STACKED_ZFP = "a535b9788f820e37b32710dd84ee97951751ae7e0d5074cb201d7bcaef3802c1"
+
+
+def test_block_stacked_zfp_container_golden_bytes():
+    _, cfg, ds = _dataset(seed=15)
+    c = container_from_dataset(ds, policy=ErrorBoundPolicy(eb=1e-3), codec="block",
+                               arrangement="stacked", lossless="zlib", post_family="zfp",
+                               roi_b=cfg.b, roi_x_percent=cfg.x_percent)
+    model = ErrorModel(mu=1e-5, sigma2=3e-7, isovalue=0.5, window=0.05, n_samples=77)
+    c = ContainerFile(levels=(ContainerLevel(archive=c.levels[0].archive, model=model),) + c.levels[1:],
+                      roi_b=c.roi_b, roi_x_percent=c.roi_x_percent, roi_mask=c.roi_mask)
+    blobs = [lv.archive.blob for lv in c.levels]
+    assert [(b.codec_name, b.lossless) for b in blobs] == [("block", "zlib")] * 2
+    assert all(decode_level(lv.archive).arrangement == "stacked" for lv in c.levels)
+    assert all(lv.archive.post.family == "zfp" for lv in c.levels)
+    assert hashlib.sha256(encode_container(c)).hexdigest() == GOLDEN_BLOCK_STACKED_ZFP

@@ -11,8 +11,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from mrcompress.codec import compress, decompress
 from mrcompress.codec.entropy import LOSSLESS_NONE, LOSSLESS_ZLIB
-from mrcompress.codec.interp import interp_compress, interp_decompress
 from mrcompress.codec.policy import ErrorBoundPolicy
 from mrcompress.grid import Volume
 from mrcompress.layout import linear_merge, pad_linear, stack_merge
@@ -75,8 +75,8 @@ def _values(out):
 
 def _digests(name):
     make, policy, lossless = GOLDEN_INPUTS[name]
-    blob = interp_compress(make(), policy, lossless)
-    dec = _values(interp_decompress(blob))
+    blob = compress(make(), policy, "interp", lossless)
+    dec = _values(decompress(blob))
     return (
         hashlib.sha256(blob.to_bytes()).hexdigest(),
         hashlib.sha256(dec.astype("<f8").tobytes()).hexdigest(),

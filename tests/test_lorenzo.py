@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrcompress.codec import compress, decompress
 from mrcompress.codec.entropy import entropy_decode
-from mrcompress.codec.lorenzo import BLOCK_EDGE, block_compress, block_decompress
+from mrcompress.codec.lorenzo import BLOCK_EDGE
 from mrcompress.codec.policy import ErrorBoundPolicy
 from mrcompress.codec.quantize import CODE_CAP, LITERAL_MARK
 from mrcompress.grid import BlockCoord, Volume
@@ -79,8 +80,8 @@ def _values(out):
 
 def _digests(name):
     make, eb = GOLDEN_INPUTS[name]
-    blob = block_compress(make(), ErrorBoundPolicy(eb=eb))
-    dec = _values(block_decompress(blob))
+    blob = compress(make(), ErrorBoundPolicy(eb=eb), "block")
+    dec = _values(decompress(blob))
     return (
         hashlib.sha256(blob.to_bytes()).hexdigest(),
         hashlib.sha256(dec.astype("<f8").tobytes()).hexdigest(),
@@ -139,9 +140,9 @@ def test_matches_scalar_reference(dims, seed, eb, special):
     if special:
         arr[tuple(rng.integers(0, n) for n in arr.shape)] = special
     m = MergedArray(values=arr, order=(BlockCoord(0, 0, 0, 1),), u=1, arrangement="stacked")
-    blob = block_compress(m, ErrorBoundPolicy(eb=eb))
+    blob = compress(m, ErrorBoundPolicy(eb=eb), "block")
     codes, lits = entropy_decode(blob.stream, blob.n_values)
-    dec = block_decompress(blob).values
+    dec = decompress(blob).values
     ref_codes, ref_lits, ref_out = _reference(arr, eb)
     assert np.array_equal(codes, ref_codes)
     assert lits.tobytes() == ref_lits.tobytes()

@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import tracemalloc
@@ -18,7 +17,6 @@ from mrcompress.metrics import (
     psnr,
     rd_sweep,
     ssim,
-    write_csv,
     write_jsonl,
 )
 from mrcompress.roi import RoiConfig, build_adaptive, select_roi
@@ -239,15 +237,3 @@ def test_write_jsonl_encodes_infinities_as_strings(tmp_path):
     assert rows[2]["psnr_db"] == "-inf"
     assert rows[0]["cr"] == 8.0
     assert rows[0]["compressed_bytes"] == 100
-
-
-def test_write_csv_round_trips_fields(tmp_path):
-    path = tmp_path / "sweep.csv"
-    write_csv(_points(), path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3
-    assert float(rows[0]["eb"]) == 1e-2
-    assert int(rows[0]["original_bytes"]) == 800
-    assert float(rows[1]["psnr_db"]) == math.inf
-    assert float(rows[2]["psnr_db"]) == -math.inf
