@@ -3,8 +3,6 @@
 Exit codes are fixed for scripting: 0 success, 2 usage or shape problems
 (argparse errors land here too), 3 malformed input files, 4 anything
 unexpected. Output files are written atomically (temp file, then rename).
-The MRC_THREADS environment variable caps how many resolution levels are
-processed concurrently; results are byte-identical at any setting.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,29 +39,6 @@ from .pipeline import (
 )
 from .roi import Level, MultiResDataset, RoiConfig, build_adaptive, reconstruct_uniform, select_roi
 from .uncertainty import DEFAULT_WINDOW, fit_model, probability_field, sample_errors, sidecar_json
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MRC_THREADS")
-    if raw is None:
-        return min(os.cpu_count() or 1, 8)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ShapeError(f"MRC_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ShapeError(f"MRC_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _level_map(fn, items):
-    """Apply fn across levels, ordered, honoring the thread cap."""
-    items = list(items)
-    n = _thread_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as ex:
-        return list(ex.map(fn, items))
 
 
 def _atomic(path: str, write) -> None:
@@ -106,23 +80,21 @@ def _is_container(path: str) -> bool:
         return fh.read(4) == MAGIC
 
 
-def _parallel_dataset(c: ContainerFile, decoded=None) -> MultiResDataset:
+def _dataset(c: ContainerFile, decoded=None) -> MultiResDataset:
     """The container's levels as unit blocks. ``decoded`` holds each level's
     decode_level output when the caller already decoded them."""
     decoded = decoded or [None] * c.n_levels
-
-    def level(i):
-        a = c.levels[i].archive
-        return Level(dims=a.dims, u=a.u, blocks=tuple(decompress_level(a, decoded[i])))
-
-    levels = _level_map(level, range(c.n_levels))
-    return MultiResDataset(levels=tuple(levels), roi_mask=c.roi_mask)
+    levels = tuple(
+        Level(dims=lv.archive.dims, u=lv.archive.u, blocks=tuple(decompress_level(lv.archive, dec)))
+        for lv, dec in zip(c.levels, decoded)
+    )
+    return MultiResDataset(levels=levels, roi_mask=c.roi_mask)
 
 
 def _reconstruct(c: ContainerFile, decoded=None) -> Volume:
     if c.n_levels == 1 and c.levels[0].archive.u == 0:
         return decompress_volume(c.levels[0].archive, decoded[0] if decoded else None)
-    return reconstruct_uniform(_parallel_dataset(c, decoded))
+    return reconstruct_uniform(_dataset(c, decoded))
 
 
 def cmd_roi(args) -> int:
@@ -146,19 +118,18 @@ def cmd_compress(args) -> int:
         raise ShapeError(f"sample rate must lie in (0, 0.05], got {args.sample_rate}")
     if _is_container(args.input):
         src = read_container(args.input)
-        ds = _parallel_dataset(src)
-
-        def one(lv):
-            return compress_level(
+        ds = _dataset(src)
+        levels = tuple(
+            ContainerLevel(archive=compress_level(
                 list(lv.blocks), lv.dims, lv.u, policy,
                 codec=args.codec, arrangement=args.arrangement, pad=args.pad,
                 lossless=args.lossless, post_family=post,
                 sample_rate=args.sample_rate, seed=args.seed,
-            )
-
-        archives = _level_map(one, ds.levels)
+            ))
+            for lv in ds.levels
+        )
         c = ContainerFile(
-            levels=tuple(ContainerLevel(archive=a) for a in archives),
+            levels=levels,
             roi_b=src.roi_b, roi_x_percent=src.roi_x_percent, roi_mask=ds.roi_mask,
         )
     else:
@@ -195,7 +166,7 @@ def cmd_decompress(args) -> int:
 def cmd_uncertainty(args) -> int:
     c = read_container(args.input)
     # one decode per level feeds both the reconstruction and the sample pairs
-    decoded = _level_map(lambda lv: decode_level(lv.archive), c.levels)
+    decoded = [decode_level(lv.archive) for lv in c.levels]
     recon = _reconstruct(c, decoded)
     if args.orig is not None:
         orig = read_raw_volume(args.orig, recon.dims, args.dtype)

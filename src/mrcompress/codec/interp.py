@@ -123,8 +123,6 @@ def interp_decompress(blob) -> np.ndarray:
     def dequantize(pred, sel, eb):
         nonlocal cpos, lpos
         n = pred.size
-        if cpos + n > codes.size:
-            raise FormatError("code stream shorter than the array demands")
         batch = codes[cpos : cpos + n]
         cpos += n
         k = int((batch == LITERAL_MARK).sum())
@@ -135,6 +133,6 @@ def interp_decompress(blob) -> np.ndarray:
         return dequantize_array(pred.reshape(-1), batch, eb, vals).reshape(pred.shape)
 
     _traverse(work, blob.policy, dequantize)
-    if cpos != codes.size or lpos != lits.size:
-        raise FormatError("compressed stream longer than the array demands")
+    if lpos != lits.size:
+        raise FormatError("literal block longer than the code stream demands")
     return work

@@ -147,8 +147,6 @@ def block_decompress(blob) -> np.ndarray:
     codes, lits = entropy_decode(blob.stream, blob.n_values, blob.lossless)
     nx, ny, nz = blob.dims
     blocks = _Blocks((nz, ny, nx))
-    if codes.size != nx * ny * nz:
-        raise FormatError("code stream does not match the array size")
     marks = np.flatnonzero(codes == LITERAL_MARK)
     if marks.size != lits.size:
         raise FormatError("literal block does not match the code stream")

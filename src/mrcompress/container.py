@@ -112,7 +112,9 @@ def _pack_samples(s: SampleSet) -> bytes:
     return head + coords + struct.pack("<Q", len(packed)) + packed
 
 
-def _unpack_samples(buf: bytes, off: int):
+def _unpack_samples(buf: bytes, off: int, blob: CompressedBlob):
+    """The sample set at ``off``; each region must be nonempty and lie inside
+    the level's decoded array, which is ``blob`` less its x and y pad layers."""
     try:
         i, j, seed, ex, ey, ez, n, rate = struct.unpack_from("<IIQ3QQd", buf, off)
         off += struct.calcsize("<IIQ3QQd")
@@ -129,6 +131,11 @@ def _unpack_samples(buf: bytes, off: int):
         raw = zlib.decompress(packed)
     except (struct.error, zlib.error) as exc:
         raise FormatError(f"bad sample sidecar: {exc}") from exc
+    nx, ny, nz = blob.dims
+    if blob.padded:
+        nx, ny = nx - 1, ny - 1
+    if min(ex, ey, ez) < 1 or any(ox + ex > nx or oy + ey > ny or oz + ez > nz for ox, oy, oz in origins):
+        raise FormatError("a sample region lies outside its level's array")
     per = ex * ey * ez
     vals = np.frombuffer(raw, dtype="<f8")
     if vals.size != per * n:
@@ -261,7 +268,7 @@ def decode_container(buf: bytes) -> ContainerFile:
                 raise FormatError(f"container truncated: {exc}") from exc
             p = sc_off + 1
             if flags & _FLAG_SAMPLES:
-                samples, p = _unpack_samples(buf, p)
+                samples, p = _unpack_samples(buf, p, blob)
             if flags & _FLAG_MODEL:
                 model, p = _unpack_model(buf, p)
         arch = LevelArchive(dims=dims, blob=blob, post=post, samples=samples)

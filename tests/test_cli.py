@@ -1,12 +1,14 @@
+import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mrcompress.cli import main
-from mrcompress.container import read_container
+from mrcompress.container import encode_container, read_container
 from mrcompress.grid import Volume, read_raw_volume, write_raw_volume
 from mrcompress.roi import RoiConfig, build_adaptive, reconstruct_uniform, select_roi
 
@@ -319,6 +321,22 @@ def test_malformed_container_exits_three(tmp_path):
     assert main(["decompress", "--input", str(cont), "--out", str(tmp_path / "o.raw")]) == 3
 
 
+def test_sample_region_outside_its_level_exits_three(tmp_path):
+    v = sum_of_gaussians((64, 64, 64), seed=16)
+    raw = _write_raw(tmp_path, v, dtype="f32")
+    roi_out, cont = str(tmp_path / "roi.mrc"), tmp_path / "v.mrc"
+    assert main(["roi", "--input", raw, "--dims", _dims_arg(v), "--block", "8", "--percent", "25",
+                 "--out", roi_out]) == 0
+    assert main(["compress", "--input", roi_out, "--eb", "1e-3", "--post", "sz", "--out", str(cont)]) == 0
+    c = read_container(cont)
+    a = c.levels[0].archive
+    plan = replace(a.samples.plan, origins=((10**6, 0, 0),) + a.samples.plan.origins[1:])
+    lv = replace(c.levels[0], archive=replace(a, samples=replace(a.samples, plan=plan)))
+    cont.write_bytes(encode_container(replace(c, levels=(lv,) + c.levels[1:])))
+    assert main(["uncertainty", "--input", str(cont), "--isovalue", "0.5",
+                 "--out", str(tmp_path / "p.raw")]) == 3
+
+
 def test_unexpected_failure_exits_four(tmp_path, monkeypatch):
     import mrcompress.cli as cli
 
@@ -363,39 +381,70 @@ def test_failed_writes_leave_no_temp_files(tmp_path, monkeypatch):
     assert not list(tmp_path.glob("*.tmp.*"))
 
 
-# ---------------------------------------------------------------- threading
+# ------------------------------------------------------------ level order
 
 
-def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    v = sum_of_gaussians((32, 32, 32), seed=14)
+def test_levels_run_on_the_calling_thread(tmp_path, monkeypatch):
+    import threading
+
+    import mrcompress.cli as cli
+
+    v = sum_of_gaussians((64, 64, 64), seed=14)
     raw = _write_raw(tmp_path, v)
-    roi_out = str(tmp_path / "roi.mrc")
-    main(["roi", "--input", raw, "--dims", _dims_arg(v), "--dtype", "f64",
-          "--block", "8", "--percent", "25", "--out", roi_out])
 
-    outs = {}
-    for n in ("1", "4"):
-        monkeypatch.setenv("MRC_THREADS", n)
-        cmp_out = tmp_path / f"cmp{n}.mrc"
-        rec_out = tmp_path / f"rec{n}.raw"
-        assert main(["compress", "--input", roi_out, "--eb", "1e-3",
-                     "--out", str(cmp_out)]) == 0
-        assert main(["decompress", "--input", str(cmp_out), "--uniform",
-                     "--out", str(rec_out), "--dtype", "f64"]) == 0
-        outs[n] = (cmp_out.read_bytes(), rec_out.read_bytes())
-    assert outs["1"] == outs["4"]
+    def chain(d):
+        d.mkdir()
+        roi, cmp_, rec, prob = (str(d / n) for n in ("roi.mrc", "cmp.mrc", "rec.raw", "prob.raw"))
+        assert main(["roi", "--input", raw, "--dims", _dims_arg(v), "--dtype", "f64",
+                     "--block", "8", "--percent", "25", "--out", roi]) == 0
+        assert main(["compress", "--input", roi, "--eb", "1e-3", "--post", "sz", "--out", cmp_]) == 0
+        assert main(["decompress", "--input", cmp_, "--uniform", "--out", rec, "--dtype", "f64"]) == 0
+        assert main(["uncertainty", "--input", cmp_, "--isovalue", "0.5", "--out", prob]) == 0
+        return [open(p, "rb").read() for p in (roi, cmp_, rec, prob, prob + ".json")]
+
+    calls = []
+    for name in ("compress_level", "decompress_level", "decode_level"):
+        def record(*args, name=name, fn=getattr(cli, name), **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, record)
+    # the CLI reads no thread setting, so a stale one changes nothing
+    monkeypatch.setenv("MRC_THREADS", "4")
+    first = chain(tmp_path / "a")
+    assert {name for name, _ in calls} == {"compress_level", "decompress_level", "decode_level"}
+    assert all(t is threading.main_thread() for _, t in calls)
+    monkeypatch.delenv("MRC_THREADS")
+    assert chain(tmp_path / "b") == first
 
 
-def test_invalid_thread_env_exits_two(tmp_path, monkeypatch):
-    v = sum_of_gaussians((32, 32, 32), seed=15)
-    raw = _write_raw(tmp_path, v)
-    roi_out = str(tmp_path / "roi.mrc")
-    main(["roi", "--input", raw, "--dims", _dims_arg(v), "--dtype", "f64",
-          "--block", "8", "--percent", "25", "--out", roi_out])
-    for bad in ("zero", "0", "-3"):
-        monkeypatch.setenv("MRC_THREADS", bad)
-        assert main(["compress", "--input", roi_out, "--eb", "1e-3",
-                     "--out", str(tmp_path / "x.mrc")]) == 2
+# sha256 of every output of the CLI chain on a 64^3 f32 field, recorded
+# while the levels still ran on a thread pool
+GOLDEN_CHAIN = {
+    "roi.mrc": "a23891a7de542f793f7d49c28b1b27070bccccb4d33594064028a8d2ce0048c6",
+    "out.mrc": "71336c4f2cdf83891c6c54b7dd4dffac2a40d7ee4325195ed604d309e4145354",
+    "out.f32": "448b5cc0106ac8fa25f36af1b0805e0f3304aea2db63af8a8c05a8d8a519b20c",
+    "prob.f32": "0863aec7c7d2e24dba126cd6dfc44510bbce67dc3dfcf26e3882a65ca64b46db",
+    "prob.f32.json": "3e998b67efea37610d15fee3c2abc4adf995f9a4036fec7c12db0fbd0c688c18",
+    "eval.json": "918b973d6dbaa95a32fa8e28424ab0c17359292dc3592abea6bed9f4eff93530",
+}
+
+
+def test_cli_chain_golden_bytes(tmp_path):
+    v = sum_of_gaussians((64, 64, 64), seed=16)
+    raw = _write_raw(tmp_path, v, name="vol.f32", dtype="f32")
+    out = {name: str(tmp_path / name) for name in GOLDEN_CHAIN}
+    assert main(["roi", "--input", raw, "--dims", _dims_arg(v), "--block", "8", "--percent", "25",
+                 "--out", out["roi.mrc"]]) == 0
+    assert main(["compress", "--input", out["roi.mrc"], "--eb", "1e-3", "--lossless", "zlib",
+                 "--post", "sz", "--out", out["out.mrc"]]) == 0
+    assert main(["decompress", "--input", out["out.mrc"], "--uniform", "--out", out["out.f32"]]) == 0
+    assert main(["uncertainty", "--input", out["out.mrc"], "--isovalue", "0.5",
+                 "--out", out["prob.f32"]]) == 0
+    assert main(["eval", "--orig", raw, "--dims", _dims_arg(v), "--recon", out["out.mrc"],
+                 "--out", out["eval.json"]]) == 0
+    digests = {name: hashlib.sha256(open(path, "rb").read()).hexdigest() for name, path in out.items()}
+    assert digests == GOLDEN_CHAIN
 
 
 # ------------------------------------------------------------- entry point

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mrcompress.container import (
     write_container,
 )
 from mrcompress.errors import FormatError, ShapeError
-from mrcompress.pipeline import compress_level, compress_volume, decode_level, tile_volume
+from mrcompress.pipeline import SampleSet, compress_level, compress_volume, decode_level, tile_volume
 from mrcompress.roi import RoiConfig, build_adaptive, reconstruct_uniform, select_roi
 from mrcompress.uncertainty import ErrorModel
 
@@ -239,6 +240,28 @@ def test_corrupt_sample_payload_rejected():
     raw[-3] ^= 0xFF  # inside the zlib-packed sample values
     with pytest.raises(FormatError):
         decode_container(bytes(raw))
+
+
+@pytest.mark.parametrize("edges, origin", [
+    ((8, 8, 16), (1, 0, 432)),  # one cell into the x pad layer
+    ((8, 8, 16), (0, 0, 500)),  # past the end of z
+    ((0, 8, 16), (0, 0, 432)),  # an empty region
+])
+def test_sample_region_outside_its_level_rejected(edges, origin):
+    c, _ = _single_level_container(post_family="sz")
+    a = c.levels[0].archive
+    assert a.blob.padded and a.blob.dims == (9, 9, 512)
+
+    def with_region(edges, origin):
+        ex, ey, ez = edges
+        plan = replace(a.samples.plan, edges=edges, origins=(origin,))
+        samples = SampleSet(plan=plan, regions=(np.zeros((ez, ey, ex)),))
+        return encode_container(ContainerFile(levels=(ContainerLevel(archive=replace(a, samples=samples)),)))
+
+    # a region ending on the last unpadded cell of every axis is accepted
+    decode_container(with_region((8, 8, 16), (0, 0, 496)))
+    with pytest.raises(FormatError):
+        decode_container(with_region(edges, origin))
 
 
 def test_container_requires_levels():
