@@ -198,7 +198,7 @@ def cmd_eval(args) -> int:
     if _is_container(args.recon):
         c = read_container(args.recon)
         recon = _reconstruct(c)
-        cr = c.original_bytes() / c.compressed_bytes()
+        cr = c.original_bytes() / os.path.getsize(args.recon)
     else:
         recon = read_raw_volume(args.recon, args.dims, args.dtype)
     p = psnr(orig, recon)

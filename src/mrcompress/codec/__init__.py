@@ -15,7 +15,6 @@ from .entropy import LOSSLESS_NONE
 from .interp import interp_compress, interp_decompress
 from .lorenzo import block_compress, block_decompress
 from .policy import DEFAULT_ALPHA, DEFAULT_BETA, ErrorBoundPolicy, level_error_bound
-from .schedule import build_schedule
 from .stored import stored_compress, stored_decompress
 
 STORED, INTERP, BLOCK = CODECS

@@ -125,6 +125,8 @@ class CompressedBlob:
             offset += 8
         except struct.error as exc:
             raise FormatError(f"blob header truncated: {exc}") from exc
+        if min(nx, ny, nz) < 1:
+            raise FormatError(f"blob dims must be positive, got ({nx}, {ny}, {nz})")
         lossless = LOSSLESS_ZLIB if codec_byte & _ZLIB_FLAG else LOSSLESS_NONE
         codec = codec_byte & ~_ZLIB_FLAG
         if codec >= len(CODECS):

@@ -1,13 +1,27 @@
 """Interpolation-predicted compression of whole arrays.
 
-The 3D traversal refines a product lattice level by level. Within one global
-level the x, y, z axis passes run in that order; an axis pass predicts its
-new positions against every combination of already-active positions on the
-other two axes. Compressor and decompressor run the one traversal
-(``_traverse``), which differs between them only in how a batch of targets
-is reconstructed from its prediction (quantize or dequantize), so both walk
-the identical pass sequence by construction. Predictors read only
-previously reconstructed values, so the two working states never diverge.
+One axis of n points is visited coarse to fine. Position 0 is the seed,
+coded against a zero prediction. The first pass predicts n - 1 from 0.
+Then one pass per stride S = 2^k, from the largest 2^k < n - 1 (at least 1)
+down to 1, targets the odd multiples of S below n - 1. A target whose far
+neighbor pos + S lies on the axis is interpolated two-sided from pos - S and
+pos + S; otherwise it is extrapolated one-sided from pos - S. Every position
+is a target exactly once, and every predictor reads only earlier passes. A
+pass with no targets (the stride-1 pass of a 2-point axis) still counts
+toward its axis's depth.
+
+The 3D traversal refines a product lattice level by level. The axes are
+aligned at the finishing end: every axis runs its stride-1 pass at the
+global maxlevel (the depth of the deepest axis), so short axes start late
+and their early, structure-bearing passes still land on tight adaptive
+bounds. Within one global level the x, y, z axis passes run in that order;
+an axis pass predicts its new positions against every combination of
+already-active positions on the other two axes. Compressor and decompressor
+run the one traversal (``_traverse``), which differs between them only in
+how a batch of targets is reconstructed from its prediction (quantize or
+dequantize), so both walk the identical pass sequence by construction.
+Predictors read only previously reconstructed values, so the two working
+states never diverge.
 
 Code-stream order within a pass: two-sided targets first, then one-sided,
 each batch raveled in (z, y, x ascending) order.
@@ -21,7 +35,21 @@ from ..errors import FormatError
 from .entropy import LOSSLESS_NONE, entropy_decode, entropy_encode
 from .policy import ErrorBoundPolicy, level_error_bound
 from .quantize import LITERAL_MARK, dequantize_array, quantize_array
-from .schedule import ENDPOINT, ONE_SIDED, TWO_SIDED, build_grid_schedule
+
+
+def _axis_passes(n: int) -> list:
+    """One axis's passes after the seed, coarse to fine, as
+    (step, two-sided positions, one-sided positions)."""
+    if n < 2:
+        return []
+    passes = [(n - 1, np.zeros(0, dtype=np.intp), np.array([n - 1], dtype=np.intp))]
+    step = 1 << max(0, (n - 2).bit_length() - 1)  # the largest 2^k < n - 1, at least 1
+    while step >= 1:
+        targets = np.arange(step, n - 1, 2 * step, dtype=np.intp)
+        two_sided = targets + step <= n - 1
+        passes.append((step, targets[two_sided], targets[~two_sided]))
+        step //= 2
+    return passes
 
 
 def _walk(dims):
@@ -29,26 +57,21 @@ def _walk(dims):
 
     Each item is (global level, axis, step, two_sided, one_sided, selectors)
     where selectors are the active position arrays (x, y, z) to combine with
-    the target positions. Axis levels are consumed end-aligned: every axis
-    finishes its stride-1 pass at the global maxlevel.
+    the target positions.
     """
-    gs = build_grid_schedule(dims)
-    maxlevel = gs.maxlevel
+    axes = [_axis_passes(n) for n in dims]
+    maxlevel = max(map(len, axes))
     active = [np.zeros(1, dtype=np.intp) for _ in range(3)]
     for g in range(1, maxlevel + 1):
-        for ax in range(3):
-            j = gs.axis_level(ax, g)
-            if j is None:
+        for ax, passes in enumerate(axes):
+            j = g - 1 - maxlevel + len(passes)
+            if j < 0:
                 continue
-            lvl = gs.axes[ax].levels[j]
-            two = lvl.positions(TWO_SIDED)
-            one = np.concatenate([lvl.positions(ONE_SIDED), lvl.positions(ENDPOINT)])
-            one.sort()
-            yield g, ax, lvl.step, two, one, (active[0], active[1], active[2])
+            step, two, one = passes[j]
+            yield g, ax, step, two, one, (active[0], active[1], active[2])
             fresh = np.concatenate([active[ax], two, one])
             fresh.sort()
             active[ax] = fresh
-    return
 
 
 def _selector(ax, positions, act):
@@ -60,10 +83,6 @@ def _selector(ax, positions, act):
     return np.ix_(positions, act_y, act_x)
 
 
-def _maxlevel(dims) -> int:
-    return build_grid_schedule(dims).maxlevel
-
-
 def _traverse(work: np.ndarray, policy: ErrorBoundPolicy, visit) -> None:
     """Run the seed and every pass of :func:`_walk` over ``work`` (z, y, x).
 
@@ -73,7 +92,7 @@ def _traverse(work: np.ndarray, policy: ErrorBoundPolicy, visit) -> None:
     """
     nz, ny, nx = work.shape
     dims = (nx, ny, nz)
-    maxlevel = _maxlevel(dims)
+    maxlevel = max(len(_axis_passes(n)) for n in dims)
     seed = (slice(0, 1),) * 3
     work[seed] = visit(np.zeros((1, 1, 1)), seed, level_error_bound(policy, 0, maxlevel))
     for g, ax, step, two, one, act in _walk(dims):

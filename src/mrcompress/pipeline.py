@@ -22,7 +22,7 @@ from .codec import (
     decompress,
 )
 from .codec.lorenzo import BLOCK_EDGE
-from .errors import SamplingError, ShapeError
+from .errors import DataError, FormatError, SamplingError, ShapeError
 from .grid import BlockCoord, Dims, Volume
 from .layout import LINEAR, MergedArray, UnitBlock, linear_merge, pad_linear, stack_merge, unmerge, unpad
 from .postprocess import (
@@ -196,7 +196,15 @@ def decode_level(archive: LevelArchive):
     post-processed. A MergedArray for a tiled level, a Volume for a whole
     one; decompress_level, decompress_volume and level_sample_pairs all
     start from it."""
-    dec = _unpadded(decompress(archive.blob))
+    # every level is coded from finite data, so a non-finite value means a
+    # corrupt stream; a whole volume is checked inside Volume
+    try:
+        dec = decompress(archive.blob)
+    except DataError as exc:
+        raise FormatError(f"decoded level: {exc}") from exc
+    if isinstance(dec, MergedArray) and not np.isfinite(dec.values).all():
+        raise FormatError("decoded level contains non-finite values")
+    dec = _unpadded(dec)
     if archive.post is not None:
         dec = apply_postprocess(dec, archive.blob.policy.eb, archive.post_blocksize, archive.post)
     return dec

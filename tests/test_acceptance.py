@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from mrcompress.cli import main as cli_main
-from mrcompress.codec import ErrorBoundPolicy, build_schedule, level_error_bound
+from mrcompress.codec import ErrorBoundPolicy, level_error_bound
+from mrcompress.codec.interp import _axis_passes
 from mrcompress.container import (
     container_from_dataset,
     dataset_from_container,
@@ -120,8 +121,9 @@ def test_02_postprocess_band_never_violated():
 
 def test_03_one_sided_schedule_positions():
     # point labels are 1-based: array index p holds point p+1
-    labels8 = {p + 1 for p in build_schedule(8).one_sided_targets()}
-    labels9 = build_schedule(9).one_sided_targets()
+    # interior one-sided targets: the endpoint pass (the first) does not count
+    labels8 = {p + 1 for _, _, one in _axis_passes(8)[1:] for p in one.tolist()}
+    labels9 = [p for _, _, one in _axis_passes(9)[1:] for p in one.tolist()]
     assert labels8 == {5, 7}
     assert labels9 == []
     print("criterion 03 schedule: 8 points -> one-sided {5, 7}, "

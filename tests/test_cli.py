@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from mrcompress.cli import main
-from mrcompress.container import encode_container, read_container
+from mrcompress.codec import ErrorBoundPolicy
+from mrcompress.codec.entropy import LOSSLESS_NONE, entropy_encode
+from mrcompress.container import ContainerFile, ContainerLevel, encode_container, read_container
 from mrcompress.grid import Volume, read_raw_volume, write_raw_volume
+from mrcompress.pipeline import compress_volume
 from mrcompress.roi import RoiConfig, build_adaptive, reconstruct_uniform, select_roi
 
 from helpers import max_abs_err, smooth_field, sum_of_gaussians
@@ -159,6 +162,24 @@ def test_eval_against_container_reports_cr(tmp_path, capsys):
     assert result["cr"] > 1.0
     assert result["psnr_db"] > 40.0
     assert 0.9 < result["ssim"] <= 1.0
+
+
+def test_eval_cr_counts_the_whole_container_file(tmp_path, capsys):
+    # headers and sample sidecars count, as in the ratio compress prints
+    v = sum_of_gaussians((64, 64, 64), seed=17)
+    raw = _write_raw(tmp_path, v, dtype="f32")
+    roi_out, cont = str(tmp_path / "roi.mrc"), str(tmp_path / "v.mrc")
+    assert main(["roi", "--input", raw, "--dims", _dims_arg(v), "--block", "8", "--percent", "25",
+                 "--out", roi_out]) == 0
+    capsys.readouterr()
+    assert main(["compress", "--input", roi_out, "--eb", "1e-3", "--post", "sz", "--lossless", "zlib",
+                 "--out", cont]) == 0
+    compress_cr = capsys.readouterr().out.split("cr: ")[1].split()[0]
+    out = tmp_path / "metrics.json"
+    assert main(["eval", "--orig", raw, "--recon", cont, "--dims", _dims_arg(v), "--out", str(out)]) == 0
+    cr = json.loads(out.read_text())["cr"]
+    assert cr == read_container(cont).original_bytes() / (tmp_path / "v.mrc").stat().st_size
+    assert f"{cr:.2f}" == compress_cr
 
 
 # -------------------------------------------------------------- uncertainty
@@ -321,6 +342,38 @@ def test_malformed_container_exits_three(tmp_path):
     assert main(["decompress", "--input", str(cont), "--out", str(tmp_path / "o.raw")]) == 3
 
 
+def _rewrite_blob(c, **changes):
+    a = c.levels[0].archive
+    return encode_container(replace(c, levels=(replace(c.levels[0], archive=replace(a, blob=replace(a.blob, **changes))),)))
+
+
+@pytest.mark.parametrize("codec", ["stored", "interp", "block"])
+def test_zero_dim_blob_exits_three(tmp_path, codec):
+    arch = compress_volume(sum_of_gaussians((4, 4, 4), seed=18), ErrorBoundPolicy(eb=1e-3), codec)
+    cont = tmp_path / "v.mrc"
+    # the stream a zero-value array carries, so only the dims are wrong
+    empty = entropy_encode(np.zeros(0, dtype=np.int32), np.zeros(0), LOSSLESS_NONE)
+    c = ContainerFile(levels=(ContainerLevel(archive=arch),))
+    cont.write_bytes(_rewrite_blob(c, dims=(0, 4, 4), stream=empty))
+    assert main(["decompress", "--input", str(cont), "--out", str(tmp_path / "o.raw")]) == 3
+
+
+@pytest.mark.parametrize("codec", ["interp", "block"])
+def test_nan_literal_exits_three(tmp_path, codec):
+    data = sum_of_gaussians((16, 16, 16), seed=19).data.copy()
+    data[3, 4, 5] = 1e6
+    v = Volume(data)
+    raw = _write_raw(tmp_path, v)
+    cont = tmp_path / "v.mrc"
+    assert main(["compress", "--input", raw, "--dims", _dims_arg(v), "--dtype", "f64", "--codec", codec,
+                 "--eb", "1e-3", "--out", str(cont)]) == 0
+    c = read_container(cont)
+    stream = c.levels[0].archive.blob.stream
+    assert int.from_bytes(stream[:8], "little") > 0  # the spike forces literals, stored last
+    cont.write_bytes(_rewrite_blob(c, stream=stream[:-8] + np.array([np.nan], dtype="<f8").tobytes()))
+    assert main(["decompress", "--input", str(cont), "--out", str(tmp_path / "o.raw")]) == 3
+
+
 def test_sample_region_outside_its_level_exits_three(tmp_path):
     v = sum_of_gaussians((64, 64, 64), seed=16)
     raw = _write_raw(tmp_path, v, dtype="f32")
@@ -419,14 +472,15 @@ def test_levels_run_on_the_calling_thread(tmp_path, monkeypatch):
 
 
 # sha256 of every output of the CLI chain on a 64^3 f32 field, recorded
-# while the levels still ran on a thread pool
+# while the levels still ran on a thread pool; eval.json re-recorded when
+# its cr began to count the whole container file (psnr and ssim unchanged)
 GOLDEN_CHAIN = {
     "roi.mrc": "a23891a7de542f793f7d49c28b1b27070bccccb4d33594064028a8d2ce0048c6",
     "out.mrc": "71336c4f2cdf83891c6c54b7dd4dffac2a40d7ee4325195ed604d309e4145354",
     "out.f32": "448b5cc0106ac8fa25f36af1b0805e0f3304aea2db63af8a8c05a8d8a519b20c",
     "prob.f32": "0863aec7c7d2e24dba126cd6dfc44510bbce67dc3dfcf26e3882a65ca64b46db",
     "prob.f32.json": "3e998b67efea37610d15fee3c2abc4adf995f9a4036fec7c12db0fbd0c688c18",
-    "eval.json": "918b973d6dbaa95a32fa8e28424ab0c17359292dc3592abea6bed9f4eff93530",
+    "eval.json": "aaad3ff398dd2dff580cd6afecf7a1d92c609d1c20c3c65a780c2401e305b0c6",
 }
 
 

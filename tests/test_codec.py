@@ -13,14 +13,7 @@ from mrcompress.codec.quantize import (
     dequantize_array,
     quantize_array,
 )
-from mrcompress.codec.schedule import (
-    ENDPOINT,
-    ONE_SIDED,
-    SEED_ZERO,
-    TWO_SIDED,
-    build_grid_schedule,
-    build_schedule,
-)
+from mrcompress.codec.interp import _axis_passes, _walk
 from mrcompress.codec.stored import STORED_POLICY
 from mrcompress.errors import FormatError, ShapeError
 from mrcompress.grid import BlockCoord, Volume
@@ -83,84 +76,65 @@ def test_level_bound_range_check():
 # -------------------------------------------------------------- schedule
 
 
-def _targets_by_kind(sched):
-    out = {}
-    for lvl in sched.levels:
-        for pos, kind in lvl.targets:
-            out.setdefault(kind, []).append(pos)
-    return out
+def _positions(passes, kind):
+    """Sorted targets of one kind (1: two-sided, 2: one-sided) over the
+    stride passes; the endpoint pass does not count."""
+    return sorted(int(p) for ps in passes[1:] for p in ps[kind])
 
 
 def test_schedule_eight_points():
-    s = build_schedule(8)
-    kinds = _targets_by_kind(s)
-    assert kinds[SEED_ZERO] == [0]
-    assert kinds[ENDPOINT] == [7]
-    assert sorted(kinds[ONE_SIDED]) == [4, 6]
-    assert sorted(kinds[TWO_SIDED]) == [1, 2, 3, 5]
-    assert s.one_sided_targets() == [4, 6]
+    passes = _axis_passes(8)
+    step, two, one = passes[0]
+    assert (step, two.tolist(), one.tolist()) == (7, [], [7])  # endpoint from the seed
+    assert [p[0] for p in passes] == [7, 4, 2, 1]
+    assert _positions(passes, 2) == [4, 6]
+    assert _positions(passes, 1) == [1, 2, 3, 5]
 
 
 def test_schedule_nine_points_has_no_one_sided():
-    s = build_schedule(9)
-    assert s.one_sided_targets() == []
-    kinds = _targets_by_kind(s)
-    assert ONE_SIDED not in kinds
-    assert sorted(kinds[TWO_SIDED]) == [1, 2, 3, 4, 5, 6, 7]
+    passes = _axis_passes(9)
+    assert passes[0][2].tolist() == [8]
+    assert _positions(passes, 2) == []
+    assert _positions(passes, 1) == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_schedule_tiny_axes():
-    s1 = build_schedule(1)
-    assert s1.maxlevel == 0
-    assert s1.levels[0].targets == ((0, SEED_ZERO),)
-    s2 = build_schedule(2)
-    kinds = _targets_by_kind(s2)
-    assert kinds[SEED_ZERO] == [0]
-    assert kinds[ENDPOINT] == [1]
-    assert s2.one_sided_targets() == []
-    with pytest.raises(ShapeError):
-        build_schedule(0)
+    assert _axis_passes(1) == []
+    passes = _axis_passes(2)
+    # an endpoint pass, then an empty stride-1 pass that still counts
+    # toward the axis's depth
+    assert [(s, t.tolist(), o.tolist()) for s, t, o in passes] == [(1, [], [1]), (1, [], [])]
 
 
 @pytest.mark.parametrize("n", list(range(1, 40)) + [64, 65, 100, 127, 128])
 def test_schedule_covers_every_position_once(n):
-    s = build_schedule(n)
-    seen = []
-    for lvl in s.levels:
-        seen.extend(pos for pos, _ in lvl.targets)
+    seen = [0]  # the seed
+    for _, two, one in _axis_passes(n):
+        seen.extend(two.tolist() + one.tolist())
     assert sorted(seen) == list(range(n))
     assert len(set(seen)) == n
 
 
 @pytest.mark.parametrize("n", list(range(2, 40)) + [64, 100, 128])
 def test_schedule_predictors_read_earlier_levels_only(n):
-    s = build_schedule(n)
-    known = set()
-    for lvl in s.levels:
-        for pos, kind in lvl.targets:
-            if kind == SEED_ZERO:
-                pass  # predicted against the constant zero
-            elif kind == ENDPOINT:
-                assert 0 in known
-            elif kind == TWO_SIDED:
-                assert pos - lvl.step in known and pos + lvl.step in known
-            else:
-                assert kind == ONE_SIDED
-                assert pos - lvl.step in known
-                assert pos + lvl.step > n - 1  # the far neighbor is off-axis
-        known.update(pos for pos, _ in lvl.targets)
+    known = {0}
+    for step, two, one in _axis_passes(n):
+        for pos in two.tolist():
+            assert pos - step in known and pos + step in known
+        for pos in one.tolist():
+            assert pos - step in known
+            assert pos + step > n - 1  # the far neighbor is off-axis
+        known.update(two.tolist() + one.tolist())
 
 
 def test_grid_schedule_aligns_axes_at_the_end():
-    gs = build_grid_schedule((8, 32, 16))
-    assert gs.maxlevel == build_schedule(32).maxlevel
-    # every axis runs its stride-1 level at the global maxlevel
-    for ax in range(3):
-        j = gs.axis_level(ax, gs.maxlevel)
-        assert gs.axes[ax].levels[j].step == 1
+    walk = list(_walk((8, 32, 16)))
+    maxlevel = len(_axis_passes(32))
+    assert max(g for g, *_ in walk) == maxlevel
+    # every axis runs its stride-1 pass at the global maxlevel
+    assert sorted((ax, step) for g, ax, step, *_ in walk if g == maxlevel) == [(0, 1), (1, 1), (2, 1)]
     # the short axis starts late
-    assert gs.axis_level(0, 1) is None
-    assert gs.axis_level(1, 1) == 1
+    assert sorted((ax, step) for g, ax, step, *_ in walk if g == 1) == [(1, 31)]
 
 
 # -------------------------------------------------------------- quantize
@@ -453,6 +427,9 @@ def test_blob_corruption_is_detected():
     huge_table[60:68] = (1 << 60).to_bytes(8, "little")
     with pytest.raises(FormatError):
         CompressedBlob.from_bytes(bytes(huge_table))
+    for dims in ((0, 4, 4), (4, 4, 0)):  # refused before the stream is parsed
+        with pytest.raises(FormatError):
+            CompressedBlob.from_bytes(replace(blob, dims=dims).to_bytes())
     with pytest.raises(FormatError):  # the MRB1 layout has no reader
         CompressedBlob.from_bytes(b"MRB1" + bytes(raw[4:]))
     # the u64 stream length right before the stream frames the blob

@@ -3,7 +3,8 @@
 The golden digests were recorded with the implementation whose encoder and
 decoder each carried their own copy of the pass walk; any change to the
 stream order, the predictor's evaluation order or the decoded values shows
-up here first.
+up here first. The short-axis entries (2x9x9, 3x2x17, 1x2x33, 9x2x3) were
+recorded with the dataclass-based schedule that preceded ``_axis_passes``.
 """
 
 import hashlib
@@ -42,6 +43,13 @@ GOLDEN_INPUTS = {
     ),
     "37x18x23": (lambda: smooth_field((37, 18, 23), seed=41, noise=0.01), ErrorBoundPolicy(eb=1e-3), LOSSLESS_NONE),
     "1x1x1": (lambda: Volume(np.full((1, 1, 1), 0.7)), ErrorBoundPolicy(eb=1e-3), LOSSLESS_NONE),
+    # 2- and 3-point axes and mixed lengths: an empty stride-1 pass still
+    # counts toward its axis's depth, which sets the adaptive bounds and
+    # the end alignment
+    "2x9x9": (lambda: smooth_field((2, 9, 9), seed=42, noise=0.01), ErrorBoundPolicy(eb=1e-3, adaptive=True), LOSSLESS_NONE),
+    "3x2x17": (lambda: smooth_field((3, 2, 17), seed=43, noise=0.01), ErrorBoundPolicy(eb=1e-3, adaptive=True), LOSSLESS_NONE),
+    "1x2x33": (lambda: smooth_field((1, 2, 33), seed=44, noise=0.01), ErrorBoundPolicy(eb=1e-3, adaptive=True), LOSSLESS_NONE),
+    "9x2x3": (lambda: smooth_field((9, 2, 3), seed=45, noise=0.01), ErrorBoundPolicy(eb=1e-3, adaptive=True), LOSSLESS_NONE),
 }
 
 # sha256 of (blob bytes, decoded little-endian f64 values)
@@ -50,6 +58,18 @@ GOLDEN = {
         "d03eddf5eca2030f98334017fce90620875378a2867e2d80316fd9cc9b99f7c5",
         "33c45d4d3b89c255dd6f3808d22d5d52163d35f32b8ae7ac0bd5b68366bccfe9",
     ),
+    "1x2x33": (
+        "9812a15bbe064315d539038fbb691cf7d004a4bf54f1a2b1ed968ee285eef18b",
+        "7934d45b165b4d463946a5f8a103fa9fc33a3e8173b20b15eb293d77858c8c8b",
+    ),
+    "2x9x9": (
+        "296a96e950a049e0398fcdf8e11a5c7abe793259bd0e8214b159d8942365ddbb",
+        "77d5300af93a16cd0e9db0c4e23fde9d95fa88cc47f5260908df1a444c14a375",
+    ),
+    "3x2x17": (
+        "b418031549ed3ccd43f30cc7443d7d788a6f5ab863855dbf216ebb6828de773f",
+        "37109629cd2fb87875a2c61cda91c54b1c48d220757c38d6de13426cf79507f9",
+    ),
     "37x18x23": (
         "30ca6475c5dae563d117baac717361436034634a6be2f3f6bbfc737af240f279",
         "0d4c25e3d84eddc0d2075486d4a59037cc68953a1ecea788aacc34d966cd8d56",
@@ -57,6 +77,10 @@ GOLDEN = {
     "adaptive-zlib": (
         "f5d4f3c7738e7b5976934e6292f74fa62f77a08eb13b04f9fd58f11c245cef2c",
         "d58e75134240dcf87247128e746c9ac9059d2ed59260c608604d17f5d4e02b25",
+    ),
+    "9x2x3": (
+        "ca98766bb107925543ea2fe7bbe3d6992cf648fa3b0caace7a74aba64458db57",
+        "866c8d0244c2b3978978fd3e8651b51cc3ec1051bb45d4e697746a9006a11c8c",
     ),
     "linear-padded": (
         "f2ffce72f9458d377dbc75139e20f3d3e0e9ca65f6c1813c498f04aacab102b0",

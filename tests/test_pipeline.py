@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mrcompress.codec import ErrorBoundPolicy
-from mrcompress.errors import ShapeError
+from mrcompress.errors import FormatError, ShapeError
 from mrcompress.grid import BlockCoord, Volume
 from mrcompress.layout import STACKED, UnitBlock
 from mrcompress.pipeline import (
@@ -11,6 +13,7 @@ from mrcompress.pipeline import (
     assemble_volume,
     compress_level,
     compress_volume,
+    decode_level,
     decompress_level,
     decompress_volume,
     level_sample_pairs,
@@ -79,6 +82,18 @@ def test_level_round_trip_within_bound(codec, arrangement):
                           codec=codec, arrangement=arrangement)
     out = assemble_volume(decompress_level(arch), v.dims)
     assert max_abs_err(v, out) <= 1e-3
+
+
+def test_nan_in_a_tiled_level_is_a_format_error():
+    # levels are coded from finite data, so a NaN literal means corruption
+    data = sum_of_gaussians((16, 16, 16), seed=6).data.copy()
+    data[3, 4, 5] = 1e6  # forces literals, which the stream stores last
+    v = Volume(data)
+    arch = compress_level(tile_volume(v, 8), v.dims, 8, ErrorBoundPolicy(eb=1e-3))
+    assert int.from_bytes(arch.blob.stream[:8], "little") > 0  # the literal count
+    stream = arch.blob.stream[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+    with pytest.raises(FormatError):
+        decode_level(replace(arch, blob=replace(arch.blob, stream=stream)))
 
 
 def test_pad_auto_rules():
