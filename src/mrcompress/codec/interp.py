@@ -24,10 +24,15 @@ Predictors read only previously reconstructed values, so the two working
 states never diverge.
 
 Code-stream order within a pass: two-sided targets first, then one-sided,
-each batch raveled in (z, y, x ascending) order.
+each batch raveled in (z, y, x ascending) order. After its stride-S pass an
+axis is active at 0::S below n - 1 and at n - 1, and a pass's two-sided
+targets are S::2S, so a batch is a product of at most two strided runs per
+axis: it is gathered and scattered by basic slicing, in that same order.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -53,34 +58,70 @@ def _axis_passes(n: int) -> list:
 
 
 def _walk(dims):
-    """Yield the deterministic pass sequence for an array of ``dims``.
+    """Yield (global level, axis, step, batches) for each pass over an array
+    of ``dims`` (x, y, z), in order.
 
-    Each item is (global level, axis, step, two_sided, one_sided, selectors)
-    where selectors are the active position arrays (x, y, z) to combine with
-    the target positions.
+    A batch is (targets, neighbors): the selector of its targets and those
+    of the one or two cells each is predicted from, at -step and (two-sided)
+    +step along the axis. A selector holds each axis's runs, (z, y, x): its
+    batch is the product of the runs' positions, raveled in that order.
     """
     axes = [_axis_passes(n) for n in dims]
     maxlevel = max(map(len, axes))
-    active = [np.zeros(1, dtype=np.intp) for _ in range(3)]
+    active = [(slice(0, 1, 1),)] * 3
     for g in range(1, maxlevel + 1):
         for ax, passes in enumerate(axes):
             j = g - 1 - maxlevel + len(passes)
             if j < 0:
                 continue
             step, two, one = passes[j]
-            yield g, ax, step, two, one, (active[0], active[1], active[2])
-            fresh = np.concatenate([active[ax], two, one])
-            fresh.sort()
-            active[ax] = fresh
+
+            def selector(t, shift):
+                runs = list(active)
+                runs[ax] = (slice(int(t[0]) + shift, int(t[-1]) + shift + 1, 2 * step),)
+                return runs[::-1]
+
+            batches = [(selector(t, 0), [selector(t, -step), selector(t, step)][:k])
+                       for t, k in ((two, 2), (one, 1)) if t.size]
+            yield g, ax, step, batches
+            # the axis is now active at 0::step below n - 1, and at n - 1
+            n = dims[ax]
+            active[ax] = (slice(0, n, step),) if (n - 1) % step == 0 else (slice(0, n - 1, step), slice(n - 1, n, 1))
 
 
-def _selector(ax, positions, act):
-    act_x, act_y, act_z = act
-    if ax == 0:
-        return np.ix_(act_z, act_y, positions)
-    if ax == 1:
-        return np.ix_(act_z, positions, act_x)
-    return np.ix_(positions, act_y, act_x)
+def _blocks(sel):
+    """The sub-blocks of a selector's batch, as (array index, batch index)
+    pairs in ravel order, and the batch shape."""
+    axes = []
+    for runs in sel:
+        ends = list(itertools.accumulate((len(range(r.start, r.stop, r.step)) for r in runs), initial=0))
+        axes.append([(r, slice(lo, hi)) for r, lo, hi in zip(runs, ends, ends[1:])])
+    shape = tuple(pairs[-1][1].stop for pairs in axes)
+    return [tuple(zip(*combo)) for combo in itertools.product(*axes)], shape
+
+
+def _gather(a: np.ndarray, sel, hi=None) -> np.ndarray:
+    """``a`` at ``sel``, or with ``hi`` the midpoint 0.5 * (a[sel] + a[hi]),
+    as one batch. A batch of one sub-block is a view of ``a``; otherwise
+    the sub-blocks are read through views into one new array."""
+    blocks, shape = _blocks(sel)
+    if hi is None and len(blocks) == 1:
+        return a[blocks[0][0]]
+    out = np.empty(shape, dtype=a.dtype)
+    if hi is None:
+        for src, dst in blocks:
+            out[dst] = a[src]
+        return out
+    for (src, dst), (src_hi, _) in zip(blocks, _blocks(hi)[0]):
+        np.add(a[src], a[src_hi], out=out[dst])
+    out *= 0.5
+    return out
+
+
+def _scatter(a: np.ndarray, sel, values: np.ndarray) -> None:
+    """Write the batch ``values`` into ``a`` at ``sel`` through views."""
+    for dst, src in _blocks(sel)[0]:
+        a[dst] = values[src]
 
 
 def _traverse(work: np.ndarray, policy: ErrorBoundPolicy, visit) -> None:
@@ -93,17 +134,12 @@ def _traverse(work: np.ndarray, policy: ErrorBoundPolicy, visit) -> None:
     nz, ny, nx = work.shape
     dims = (nx, ny, nz)
     maxlevel = max(len(_axis_passes(n)) for n in dims)
-    seed = (slice(0, 1),) * 3
-    work[seed] = visit(np.zeros((1, 1, 1)), seed, level_error_bound(policy, 0, maxlevel))
-    for g, ax, step, two, one, act in _walk(dims):
+    seed = [(slice(0, 1, 1),)] * 3
+    _scatter(work, seed, visit(np.zeros((1, 1, 1)), seed, level_error_bound(policy, 0, maxlevel)))
+    for g, _, _, batches in _walk(dims):
         eb = level_error_bound(policy, g, maxlevel)
-        if two.size:
-            sel = _selector(ax, two, act)
-            pred = 0.5 * (work[_selector(ax, two - step, act)] + work[_selector(ax, two + step, act)])
-            work[sel] = visit(pred, sel, eb)
-        if one.size:
-            sel = _selector(ax, one, act)
-            work[sel] = visit(work[_selector(ax, one - step, act)], sel, eb)
+        for sel, neighbors in batches:
+            _scatter(work, sel, visit(_gather(work, *neighbors), sel, eb))
 
 
 def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy, recon: bool = False):
@@ -114,7 +150,7 @@ def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy, recon: bool = False
     lit_parts = []
 
     def quantize(pred, sel, eb):
-        codes, rec, lits = quantize_array(pred, arr[sel], eb)
+        codes, rec, lits = quantize_array(pred, _gather(arr, sel), eb)
         code_parts.append(codes.reshape(-1))
         lit_parts.append(lits)
         return rec
@@ -136,22 +172,18 @@ def interp_decompress(blob) -> np.ndarray:
     codes, lits = entropy_decode(blob.stream, blob.n_values, blob.lossless)
     nx, ny, nz = blob.dims
     work = np.zeros((nz, ny, nx), dtype=np.float64)
+    marks = np.flatnonzero(codes == LITERAL_MARK)
+    if marks.size != lits.size:
+        raise FormatError("literal block does not match the code stream")
     cpos = 0
-    lpos = 0
 
     def dequantize(pred, sel, eb):
-        nonlocal cpos, lpos
-        n = pred.size
-        batch = codes[cpos : cpos + n]
-        cpos += n
-        k = int((batch == LITERAL_MARK).sum())
-        if lpos + k > lits.size:
-            raise FormatError("literal block shorter than the code stream demands")
-        vals = lits[lpos : lpos + k]
-        lpos += k
-        return dequantize_array(pred.reshape(-1), batch, eb, vals).reshape(pred.shape)
+        nonlocal cpos
+        end = cpos + pred.size
+        lo, hi = np.searchsorted(marks, (cpos, end))
+        rec = dequantize_array(pred, codes[cpos:end].reshape(pred.shape), eb, lits[lo:hi])
+        cpos = end
+        return rec
 
     _traverse(work, blob.policy, dequantize)
-    if lpos != lits.size:
-        raise FormatError("literal block longer than the code stream demands")
     return work

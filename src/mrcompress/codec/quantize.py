@@ -4,7 +4,9 @@ Residuals map to integer codes on a grid of width 2*eb (round half away from
 zero), which caps the pointwise reconstruction error at eb. Codes beyond
 CODE_CAP, or reconstructions that fail the bound check in floating point,
 fall back to storing the exact value; the code stream carries LITERAL_MARK
-at those positions.
+at those positions. The reconstruction is pred + 2*eb*code with the code as
+a float, and a zero code is +0.0 (never -0.0), as the decoder's float(0) is:
+a -0.0 prediction then reconstructs to +0.0 on both sides.
 """
 
 from __future__ import annotations
@@ -27,16 +29,29 @@ def quantize_array(
     """
     pred = np.asarray(pred, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
-    resid = actual - pred
-    grid = np.abs(resid) / (2.0 * eb) + 0.5
-    mag = np.floor(grid)
+    resid = np.subtract(actual, pred)
+    mag = np.abs(resid)
+    mag /= 2.0 * eb
+    mag += 0.5
+    np.floor(mag, out=mag)
     ok = mag <= cap  # catches inf/NaN magnitudes as well
-    q = np.where(ok, np.where(resid < 0, -mag, mag), 0.0).astype(np.int64)
-    recon = pred + (2.0 * eb) * q
-    ok &= np.abs(recon - actual) <= eb
-    codes = np.where(ok, q, LITERAL_MARK).astype(np.int32)
-    recon = np.where(ok, recon, actual)
-    return codes, recon, actual[~ok]
+    if not ok.all():
+        mag[~ok] = 0.0
+    np.copysign(mag, resid, out=mag)
+    mag += 0.0  # a zero code is +0.0, never -0.0
+    recon = np.multiply(mag, 2.0 * eb, out=resid)
+    recon += pred
+    codes = mag.astype(np.int32)
+    err = np.subtract(recon, actual, out=mag)
+    np.abs(err, out=err)
+    ok &= err <= eb
+    if ok.all():
+        return codes, recon, np.empty(0)
+    bad = ~ok
+    codes[bad] = LITERAL_MARK
+    lits = actual[bad]
+    recon[bad] = lits
+    return codes, recon, lits
 
 
 def dequantize_array(
@@ -44,9 +59,10 @@ def dequantize_array(
 ) -> np.ndarray:
     """Inverse of :func:`quantize_array` for one batch; ``literal_values``
     must be ordered like the marks in ``codes``."""
-    recon = pred + (2.0 * eb) * codes
+    recon = np.multiply(codes, 2.0 * eb)
+    recon += pred
     marks = codes == LITERAL_MARK
-    n = int(marks.sum())
+    n = np.count_nonzero(marks)
     if n != literal_values.size:
         raise ShapeError(f"{n} literal marks but {literal_values.size} values")
     if n:

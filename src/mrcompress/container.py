@@ -89,9 +89,6 @@ class ContainerFile:
     def original_bytes(self) -> int:
         return sum(lv.archive.blob.original_bytes for lv in self.levels)
 
-    def compressed_bytes(self) -> int:
-        return sum(lv.archive.size_bytes() for lv in self.levels)
-
 
 def _pack_samples(s: SampleSet) -> bytes:
     p = s.plan

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .codec import ErrorBoundPolicy
-from .container import container_from_dataset, dataset_from_container
+from .container import container_from_dataset, dataset_from_container, encode_container
 from .errors import ShapeError
 from .grid import Volume
 from .pipeline import compress_volume, decompress_volume
@@ -172,7 +172,7 @@ def rd_sweep(
             c = container_from_dataset(source, policy, codec=codec, lossless=lossless,
                                        post_family=post_family, seed=seed)
             recon = reconstruct_uniform(dataset_from_container(c))
-            points.append(_point(eb, c.compressed_bytes(), reference.size * 8, reference, recon))
+            points.append(_point(eb, len(encode_container(c)), reference.size * 8, reference, recon))
         return points
     raise ShapeError(f"cannot sweep a {type(source).__name__}")
 

@@ -57,3 +57,17 @@ def sum_of_gaussians(dims, n=6, seed=0) -> Volume:
 
 def max_abs_err(a: Volume, b: Volume) -> float:
     return float(np.abs(a.data - b.data).max())
+
+
+def signed_zero_field(dims, seed=0) -> Volume:
+    """A smooth field whose low-z half is -0.0 and next two planes +0.0,
+    with spikes no code reaches (their neighbors store -0.0 as literals)
+    and -1e-13 specks that quantize to 0 against -0.0 predictions."""
+    data = smooth_field(dims, seed=seed, noise=0.01).data.copy()
+    half = data.shape[0] // 2
+    data[:half] = -0.0
+    data[half : half + 2] = 0.0
+    flat = data.reshape(-1)
+    flat[::13] = 1e4
+    flat[5::7] = -1e-13
+    return Volume(data)

@@ -1,7 +1,10 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrcompress.codec import compress, decompress
 from mrcompress.codec.blob import ARRANGEMENTS, CODECS, CompressedBlob
@@ -13,13 +16,13 @@ from mrcompress.codec.quantize import (
     dequantize_array,
     quantize_array,
 )
-from mrcompress.codec.interp import _axis_passes, _walk
+from mrcompress.codec.interp import _axis_passes, _gather, _scatter, _walk
 from mrcompress.codec.stored import STORED_POLICY
 from mrcompress.errors import FormatError, ShapeError
 from mrcompress.grid import BlockCoord, Volume
 from mrcompress.layout import linear_merge, pad_linear, UnitBlock
 
-from helpers import max_abs_err, noisy_field, smooth_field
+from helpers import max_abs_err, noisy_field, signed_zero_field, smooth_field
 
 
 # ---------------------------------------------------------------- policy
@@ -137,7 +140,130 @@ def test_grid_schedule_aligns_axes_at_the_end():
     assert sorted((ax, step) for g, ax, step, *_ in walk if g == 1) == [(1, 31)]
 
 
+def _reference_walk(dims):
+    """The pass sequence as index arrays: (global level, axis, step,
+    two-sided, one-sided, active positions (x, y, z)), each active array
+    grown by concatenating and sorting every earlier pass's targets."""
+    axes = [_axis_passes(n) for n in dims]
+    maxlevel = max(map(len, axes))
+    active = [np.zeros(1, dtype=np.intp) for _ in range(3)]
+    for g in range(1, maxlevel + 1):
+        for ax, passes in enumerate(axes):
+            j = g - 1 - maxlevel + len(passes)
+            if j < 0:
+                continue
+            step, two, one = passes[j]
+            yield g, ax, step, two, one, (active[0], active[1], active[2])
+            fresh = np.concatenate([active[ax], two, one])
+            fresh.sort()
+            active[ax] = fresh
+
+
+def _reference_selector(ax, positions, act):
+    act_x, act_y, act_z = act
+    if ax == 0:
+        return np.ix_(act_z, act_y, positions)
+    if ax == 1:
+        return np.ix_(act_z, positions, act_x)
+    return np.ix_(positions, act_y, act_x)
+
+
+_SELECTOR_AXES = (1, 2, 3, 4, 5, 8, 9, 16, 17, 33)
+
+
+@pytest.mark.parametrize(
+    "dims_list",
+    [list(itertools.product(_SELECTOR_AXES, _SELECTOR_AXES, [nz])) for nz in _SELECTOR_AXES]
+    + [[(17, 17, 1648)], [(9, 9, 3272)], [(128, 128, 128)]],
+    ids=[f"nz{nz}" for nz in _SELECTOR_AXES] + ["17x17x1648", "9x9x3272", "128cube"],
+)
+def test_slice_selectors_match_index_gathers(dims_list):
+    # every batch of every pass reads and writes the cells, in the order,
+    # of the np.ix_ product of the active and target position arrays
+    for dims in dims_list:
+        nx, ny, nz = dims
+        work = np.arange(1.0, nx * ny * nz + 1).reshape(nz, ny, nx)
+        walk = list(_walk(dims))
+        ref = list(_reference_walk(dims))
+        assert [w[:3] for w in walk] == [r[:3] for r in ref]
+        for (*_, batches), (_, ax, step, two, one, act) in zip(walk, ref):
+            expected = [(t, [t - step, t + step][:k]) for t, k in ((two, 2), (one, 1)) if t.size]
+            assert len(batches) == len(expected)
+            for (sel, neighbors), (t, ref_neighbors) in zip(batches, expected):
+                ix = _reference_selector(ax, t, act)
+                got = _gather(work, sel)
+                assert got.shape == work[ix].shape and np.array_equal(got, work[ix])
+                ref_reads = [work[_reference_selector(ax, p, act)] for p in ref_neighbors]
+                for nb, want in zip(neighbors, ref_reads):
+                    assert np.array_equal(_gather(work, nb), want)
+                if len(ref_reads) == 2:
+                    mid = _gather(work, *neighbors)
+                    assert mid.tobytes() == (0.5 * (ref_reads[0] + ref_reads[1])).tobytes()
+                values = -np.arange(1.0, got.size + 1).reshape(got.shape)
+                a = np.zeros_like(work)
+                b = np.zeros_like(work)
+                _scatter(a, sel, values)
+                b[ix] = values
+                assert np.array_equal(a, b)
+
+
 # -------------------------------------------------------------- quantize
+
+
+def _reference_quantize(pred, actual, eb, cap=CODE_CAP):
+    """``quantize_array`` as it was before it worked in place, verbatim."""
+    pred = np.asarray(pred, dtype=np.float64)
+    actual = np.asarray(actual, dtype=np.float64)
+    resid = actual - pred
+    grid = np.abs(resid) / (2.0 * eb) + 0.5
+    mag = np.floor(grid)
+    ok = mag <= cap  # catches inf/NaN magnitudes as well
+    q = np.where(ok, np.where(resid < 0, -mag, mag), 0.0).astype(np.int64)
+    recon = pred + (2.0 * eb) * q
+    ok &= np.abs(recon - actual) <= eb
+    codes = np.where(ok, q, LITERAL_MARK).astype(np.int32)
+    recon = np.where(ok, recon, actual)
+    return codes, recon, actual[~ok]
+
+
+@st.composite
+def _quantize_case(draw):
+    """(pred, actual, eb): signed-zero predictions, residuals on half-bin
+    ties, in the CODE_CAP and CODE_CAP + 1 bins or anywhere, and
+    signed-zero, infinite and NaN inputs; a power-of-two eb makes the ties
+    exact."""
+    eb = draw(st.one_of(st.floats(1e-12, 1e2), st.integers(-39, 6).map(lambda e: 2.0**e)))
+    pred, actual = [], []
+    for _ in range(draw(st.integers(1, 24))):
+        p = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)))
+        k = draw(st.one_of(st.integers(-3, 3), st.sampled_from([CODE_CAP, CODE_CAP + 1, -CODE_CAP, -CODE_CAP - 1])))
+        kind = draw(st.sampled_from(["tie", "bin", "special", "any"]))
+        if kind == "tie":
+            a = p + (k + 0.5) * 2.0 * eb
+        elif kind == "bin":
+            a = p + (k + draw(st.floats(-0.5, 0.5))) * 2.0 * eb
+        elif kind == "special":
+            a = draw(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        else:
+            a = draw(st.floats(allow_nan=True, allow_infinity=True))
+        pred.append(p)
+        actual.append(a)
+    return np.array(pred), np.array(actual), eb
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quantize_case())
+@example((np.array([-0.0]), np.array([-1e-13]), 1e-3))  # a zero code on a -0.0 prediction
+def test_quantize_matches_reference(case):
+    pred, actual, eb = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = quantize_array(pred, actual, eb)
+        want = _reference_quantize(pred, actual, eb)
+    for g, w in zip(got, want):  # codes, reconstruction (signed zeros count), literals
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 
 
 def test_quantize_worked_example():
@@ -358,6 +484,7 @@ def test_encoder_reconstruction_is_the_decoded_output(codec):
         (smooth_field((13, 6, 9), seed=21), 1e-3),
         (noisy_field((5, 7, 3), seed=22, scale=1e4), 1e-9),
         (pad_linear(linear_merge(blocks)), 1e-2),
+        (signed_zero_field((10, 12, 19), seed=46), 1e-3),
     ]
     for m, eb in cases:
         p = ErrorBoundPolicy(eb=eb)

@@ -4,7 +4,9 @@ The golden digests were recorded with the implementation whose encoder and
 decoder each carried their own copy of the pass walk; any change to the
 stream order, the predictor's evaluation order or the decoded values shows
 up here first. The short-axis entries (2x9x9, 3x2x17, 1x2x33, 9x2x3) were
-recorded with the dataclass-based schedule that preceded ``_axis_passes``.
+recorded with the dataclass-based schedule that preceded ``_axis_passes``;
+the signed-zero entries with the ``np.ix_`` gathers and the out-of-place
+quantizer that preceded the strided-slice batches.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ from mrcompress.grid import Volume
 from mrcompress.layout import linear_merge, pad_linear, stack_merge
 from mrcompress.pipeline import tile_volume
 
-from helpers import smooth_field, sum_of_gaussians
+from helpers import signed_zero_field, smooth_field, sum_of_gaussians
 
 
 def _padded_linear():
@@ -50,6 +52,10 @@ GOLDEN_INPUTS = {
     "3x2x17": (lambda: smooth_field((3, 2, 17), seed=43, noise=0.01), ErrorBoundPolicy(eb=1e-3, adaptive=True), LOSSLESS_NONE),
     "1x2x33": (lambda: smooth_field((1, 2, 33), seed=44, noise=0.01), ErrorBoundPolicy(eb=1e-3, adaptive=True), LOSSLESS_NONE),
     "9x2x3": (lambda: smooth_field((9, 2, 3), seed=45, noise=0.01), ErrorBoundPolicy(eb=1e-3, adaptive=True), LOSSLESS_NONE),
+    # -0.0 and +0.0 regions with literal-forcing spikes; at both bounds some
+    # zero codes sit on -0.0 predictions, where the reconstruction is +0.0
+    "signed-zeros-1e-3": (lambda: signed_zero_field((10, 12, 19), seed=46), ErrorBoundPolicy(eb=1e-3), LOSSLESS_NONE),
+    "signed-zeros-1e-9": (lambda: signed_zero_field((10, 12, 19), seed=46), ErrorBoundPolicy(eb=1e-9), LOSSLESS_NONE),
 }
 
 # sha256 of (blob bytes, decoded little-endian f64 values)
@@ -85,6 +91,14 @@ GOLDEN = {
     "linear-padded": (
         "f2ffce72f9458d377dbc75139e20f3d3e0e9ca65f6c1813c498f04aacab102b0",
         "1fbf02fdc109cf1a81c4f32ab7d51293b35512f35822aa79991bee3eeb2fe831",
+    ),
+    "signed-zeros-1e-3": (
+        "dfe8541d309dc6ea6f0eab4a4a33ba4804120bf1db5c65a544953c1f1c2a730e",
+        "941c0100ef101612f860b05946a284f63e8c0d20db3608d841800569969e2ad7",
+    ),
+    "signed-zeros-1e-9": (
+        "4bb6ad6b71240dd26cdd278a889953b986c76d3af26d3b37009371601303d275",
+        "bd8814ae81723b4b7f144ef55b5f2d759cda709c32cc33def2dea9fccda1bbaf",
     ),
     "stacked": (
         "347a1f941b34adf743d57436f9d1cbae2a5420ee3d276e92b3f3f4d5ed988bdd",

@@ -2,7 +2,8 @@
 
 The golden digests were recorded with the per-block implementation that
 preceded the cell-major kernel; any change to the stream or to the decoded
-values shows up here first.
+values shows up here first. The signed-zero entry was recorded with the
+out-of-place quantizer that preceded the in-place one.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from mrcompress.codec.quantize import CODE_CAP, LITERAL_MARK
 from mrcompress.grid import BlockCoord, Volume
 from mrcompress.layout import MergedArray
 
-from helpers import noisy_field, smooth_field
+from helpers import noisy_field, signed_zero_field, smooth_field
 
 
 def _with_specials():
@@ -43,6 +44,7 @@ GOLDEN_INPUTS = {
     "1x1x1": (lambda: Volume(np.full((1, 1, 1), 0.7)), 1e-3),
     "3x2x1": (lambda: noisy_field((3, 2, 1), seed=43), 1e-3),
     "5x9x13-specials": (_with_specials, 1e-3),
+    "signed-zeros": (lambda: signed_zero_field((13, 11, 9), seed=47), 1e-4),
 }
 
 # sha256 of (blob bytes, decoded little-endian f64 values)
@@ -70,6 +72,10 @@ GOLDEN = {
     "5x9x13-specials": (
         "1dd29ff9672ce33763ab0220628cd051d9799c2def702211c404e82f97ad45f8",
         "16e30f11eb01b06709e89908835ad85fcf15505f6ff07c778d6acfef73d5d7e4",
+    ),
+    "signed-zeros": (
+        "c2d9266e1cc79296a064c9f88ad29bfdbb5ce7d33a028ba688c8cb5028c23f13",
+        "44dd8d701449a494e1d73dd024ba14ca87c84e165e84a914f48dbd5d0efa76a6",
     ),
 }
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from mrcompress.codec import ErrorBoundPolicy
+from mrcompress.container import container_from_dataset, encode_container
 from mrcompress.errors import ShapeError
 from mrcompress.grid import Volume
 from mrcompress.metrics import (
@@ -198,6 +200,18 @@ def test_rd_sweep_over_dataset():
     assert np.isfinite(pt.psnr_db)
     with pytest.raises(ShapeError):
         rd_sweep(ds, [1e-3])
+
+
+def test_rd_sweep_over_dataset_counts_the_whole_file():
+    # the container headers and the post filter's sample sidecars count too
+    v = sum_of_gaussians((32, 32, 32), seed=10)
+    cfg = RoiConfig(b=8, x_percent=25.0)
+    ds = build_adaptive(v, select_roi(v, cfg), cfg)
+    (pt,) = rd_sweep(ds, [1e-3], post_family="sz", reference=v)
+    c = container_from_dataset(ds, ErrorBoundPolicy(eb=1e-3), post_family="sz")
+    assert any(lv.archive.samples is not None for lv in c.levels)
+    assert pt.compressed_bytes == len(encode_container(c))
+    assert pt.compressed_bytes > sum(lv.archive.size_bytes() for lv in c.levels)
 
 
 def test_rd_sweep_over_fully_fine_dataset():
