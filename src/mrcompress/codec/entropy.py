@@ -16,7 +16,10 @@ Decoding advances all lanes in lockstep, one symbol per lane per step: each
 step peeks a window at every lane's bit position, resolves codes of up to
 ``_LUT_BITS`` bits with one table lookup, and falls back to the canonical
 limits table for longer ones. Encoding places each code into 64-bit words
-from its cumulative bit offset.
+from its cumulative bit offset. Lanes are independent, so packing runs in
+groups of ``_GROUP_LANES`` (64) lanes and joins the groups' lane tables,
+then their bodies: its working memory is bounded by the group, and the
+bytes do not depend on the group size.
 
 An optional general-purpose lossless pass (zlib) can squeeze the packed
 payload further; it is off by default.
@@ -38,6 +41,7 @@ LANE_CODES = 1024
 _LUT_BITS = 12
 _LEN_BITS = 6  # lookup entries hold (rank << _LEN_BITS) | code length
 _OUT_BLOCK = 128  # lanes transposed at a time into the decoded output
+_GROUP_LANES = 64  # lanes packed at a time
 # symbol spans up to this size pack through dense per-symbol tables; every
 # codec stream fits (its symbols lie in [-CODE_CAP, CODE_CAP + 1])
 _DENSE_SPAN = 1 << 17
@@ -174,17 +178,24 @@ def _lane_count(n_codes: int) -> int:
     return -(-n_codes // LANE_CODES)
 
 
-def _code_words(table: HuffmanTable, sym_lj: np.ndarray, codes: np.ndarray):
-    """(length, left-justified code word) of every code in ``codes``."""
+def _code_words(table: HuffmanTable):
+    """Function mapping a code array to the (length, left-justified code
+    word) of every code, with its lookup tables built once."""
     if not table.n_symbols:
         raise ShapeError("code stream contains symbols missing from the table")
+    codevals, *_ = table.canonical()
+    # every code left-justified in a 64-bit word
+    sym_lj = codevals << (64 - table.lengths.astype(np.uint64))
     lo = int(table.symbols[0])
     span = int(table.symbols[-1]) - lo + 1
     if span > _DENSE_SPAN:
-        idx = np.searchsorted(table.symbols, codes)
-        if not (table.symbols.take(idx, mode="clip") == codes).all():
-            raise ShapeError("code stream contains symbols missing from the table")
-        return table.lengths[idx], sym_lj[idx]
+
+        def words(codes):
+            idx = np.searchsorted(table.symbols, codes)
+            if not (table.symbols.take(idx, mode="clip") == codes).all():
+                raise ShapeError("code stream contains symbols missing from the table")
+            return table.lengths[idx], sym_lj[idx]
+        return words
     # dense tables over [lo, lo + span]; the extra last entry, of length 0,
     # catches every code outside the span, and the gaps catch the rest
     dense_ln = np.zeros(span + 1, dtype=np.uint8)
@@ -192,28 +203,23 @@ def _code_words(table: HuffmanTable, sym_lj: np.ndarray, codes: np.ndarray):
     at = table.symbols.astype(np.int64) - lo
     dense_ln[at] = table.lengths
     dense_lj[at] = sym_lj
-    at = codes.astype(np.int64)
-    at -= lo
-    np.minimum(at.view(np.uint64), np.uint64(span), out=at.view(np.uint64))
-    ln = dense_ln.take(at)
-    if not ln.all():
-        raise ShapeError("code stream contains symbols missing from the table")
-    return ln, dense_lj.take(at)
+
+    def words(codes):
+        at = codes.astype(np.int64)
+        at -= lo
+        np.minimum(at.view(np.uint64), np.uint64(span), out=at.view(np.uint64))
+        ln = dense_ln.take(at)
+        if not ln.all():
+            raise ShapeError("code stream contains symbols missing from the table")
+        return ln, dense_lj.take(at)
+    return words
 
 
-def pack_codes(table: HuffmanTable, codes: np.ndarray) -> bytes:
-    """Lane-framed MSB-first bit packing of the code sequence:
-    [u16 bit length per lane][lane 0 bytes][lane 1 bytes]..., each lane
-    zero-padded to a whole byte."""
-    codes = np.asarray(codes, dtype=np.int32).reshape(-1)
-    n = codes.size
-    if n == 0:
-        return b""
-    codevals, *_ = table.canonical()
+def _pack_lanes(ln: np.ndarray, lj: np.ndarray):
+    """(u16 lane bit lengths, lane bytes) of whole lanes of codes given as
+    lengths and left-justified code words."""
     u64 = np.uint64
-    # every code left-justified in a 64-bit word
-    sym_lj = codevals << (64 - table.lengths.astype(u64))
-    ln, lj = _code_words(table, sym_lj, codes)
+    n = ln.size
     # bit offset of every code as if unframed, then moved to its lane's
     # byte-aligned start
     pos = np.cumsum(ln, dtype=u64)
@@ -236,8 +242,22 @@ def pack_codes(table: HuffmanTable, codes: np.ndarray) -> bytes:
     words[word[first]] = np.bitwise_or.reduceat(lj >> off, first)
     spill = np.flatnonzero(off + ln > u64(64))
     words[word[spill] + 1] |= lj[spill] << (u64(64) - off[spill])
-    body = words.astype(">u8").tobytes()[:total_bytes]
-    return lane_bits.astype("<u2").tobytes() + body
+    return lane_bits.astype("<u2").tobytes(), words.astype(">u8").tobytes()[:total_bytes]
+
+
+def pack_codes(table: HuffmanTable, codes: np.ndarray) -> bytes:
+    """Lane-framed MSB-first bit packing of the code sequence:
+    [u16 bit length per lane][lane 0 bytes][lane 1 bytes]..., each lane
+    zero-padded to a whole byte."""
+    codes = np.asarray(codes, dtype=np.int32).reshape(-1)
+    if codes.size == 0:
+        return b""
+    words = _code_words(table)
+    group = _GROUP_LANES * LANE_CODES
+    heads, bodies = zip(*(
+        _pack_lanes(*words(codes[lo : lo + group])) for lo in range(0, codes.size, group)
+    ))
+    return b"".join(heads + bodies)
 
 
 def _lookup_table(table: HuffmanTable) -> np.ndarray:
@@ -276,6 +296,9 @@ def unpack_codes(table: HuffmanTable, data: bytes, n_codes: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int32)
     if table.n_symbols == 0:
         raise FormatError("empty table cannot decode a nonempty stream")
+    # the step table holds (rank << _LEN_BITS) | length in a u32
+    if table.n_symbols > 1 << (32 - _LEN_BITS):
+        raise FormatError("table has more symbols than the decoder can rank")
     n_lanes = _lane_count(n_codes)
     head = 2 * n_lanes
     if len(data) < head:
@@ -305,7 +328,7 @@ def unpack_codes(table: HuffmanTable, data: bytes, n_codes: int) -> np.ndarray:
     pos = lane_start.astype(u64)
     # a lane overrunning its end reads at most MAX_CODE_LEN bits per step
     win = _windows(data, len(data) + steps * MAX_CODE_LEN // 8 + 1)
-    found = np.zeros((steps, n_lanes), dtype=u64)  # lookup entries per step
+    found = np.zeros((steps, n_lanes), dtype=np.uint32)  # lookup entries per step
     three, seven = u64(3), u64(7)
     lut_shift = u64(64 - _LUT_BITS)
     len_mask = u64((1 << _LEN_BITS) - 1)
@@ -350,8 +373,8 @@ def unpack_codes(table: HuffmanTable, data: bytes, n_codes: int) -> np.ndarray:
     # of the step-major ranks within a few pages
     out = np.empty((n_lanes, steps), dtype=np.int32)
     for lo in range(0, n_lanes, _OUT_BLOCK):
-        ranks = found[:, lo : lo + _OUT_BLOCK].T >> u64(_LEN_BITS)
-        out[lo : lo + _OUT_BLOCK] = rank_to_symbol[ranks.view(np.int64)]
+        ranks = found[:, lo : lo + _OUT_BLOCK].T >> np.uint32(_LEN_BITS)
+        out[lo : lo + _OUT_BLOCK] = rank_to_symbol[ranks.view(np.int32)]
     return out.reshape(-1)[:n_codes]
 
 

@@ -21,6 +21,7 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 # ssim() relies on SSIM_WINDOW == 2 * SSIM_STRIDE: a window is 2x2x2 blocks
 _BLOCK_CELLS = SSIM_STRIDE**3
+_SLAB_BLOCKS = 4  # block rows in z per slab of ssim's block moments
 
 
 def _paired(orig, recon):
@@ -93,7 +94,9 @@ def ssim(orig, recon) -> float:
     and every window merges its eight blocks' moments. No window is
     materialized; the moments stay centered (no E[x^2] - E[x]^2), so
     identical inputs give exactly 1.0 and large offsets lose no precision.
-    Cells past the last whole window do not count."""
+    The block moments are computed over z-slabs of ``_SLAB_BLOCKS`` block
+    rows into preallocated arrays, so the centered temporaries are
+    slab-sized. Cells past the last whole window do not count."""
     o, r = _paired(orig, recon)
     if min(o.shape) < SSIM_WINDOW:
         raise ShapeError(f"volume {o.shape} smaller than the {SSIM_WINDOW}^3 ssim window")
@@ -102,14 +105,18 @@ def ssim(orig, recon) -> float:
         L = 1.0
     c1 = (SSIM_K1 * L) ** 2
     c2 = (SSIM_K2 * L) ** 2
-    blocks = [(n - SSIM_WINDOW) // SSIM_STRIDE + 2 for n in o.shape]
-    crop = tuple(slice(0, SSIM_STRIDE * b) for b in blocks)
-    shape6 = (blocks[0], SSIM_STRIDE, blocks[1], SSIM_STRIDE, blocks[2], SSIM_STRIDE)
-    mo, do, so = _block_moments(o[crop].reshape(shape6))
-    mr, dr, sr = _block_moments(r[crop].reshape(shape6))
-    vo = _block_sum(do, do)
-    vr = _block_sum(dr, dr)
-    cor = _block_sum(do, dr)
+    bz, by, bx = blocks = [(n - SSIM_WINDOW) // SSIM_STRIDE + 2 for n in o.shape]
+    mo, so, vo, mr, sr, vr, cor = (np.empty(blocks) for _ in range(7))
+    for z in range(0, bz, _SLAB_BLOCKS):
+        rows = slice(z, min(z + _SLAB_BLOCKS, bz))
+        crop = (slice(SSIM_STRIDE * rows.start, SSIM_STRIDE * rows.stop),
+                slice(0, SSIM_STRIDE * by), slice(0, SSIM_STRIDE * bx))
+        shape6 = (rows.stop - rows.start, SSIM_STRIDE, by, SSIM_STRIDE, bx, SSIM_STRIDE)
+        mo[rows], do, so[rows] = _block_moments(o[crop].reshape(shape6))
+        mr[rows], dr, sr[rows] = _block_moments(r[crop].reshape(shape6))
+        vo[rows] = _block_sum(do, do)
+        vr[rows] = _block_sum(dr, dr)
+        cor[rows] = _block_sum(do, dr)
     mu_o = sum(_corners(mo)) / 8.0
     mu_r = sum(_corners(mr)) / 8.0
     n = float(SSIM_WINDOW**3)

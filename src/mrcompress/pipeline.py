@@ -23,8 +23,8 @@ from .codec import (
 )
 from .codec.lorenzo import BLOCK_EDGE
 from .errors import DataError, FormatError, SamplingError, ShapeError
-from .grid import BlockCoord, Dims, Volume
-from .layout import LINEAR, MergedArray, UnitBlock, linear_merge, pad_linear, stack_merge, unmerge, unpad
+from .grid import Dims, Volume
+from .layout import LINEAR, MergedArray, linear_merge, pad_linear, stack_merge, unmerge, unpad
 from .postprocess import (
     IntensityConfig,
     SamplingPlan,
@@ -88,26 +88,6 @@ class LevelArchive:
 
     def size_bytes(self) -> int:
         return self.blob.size_bytes()
-
-
-def tile_volume(vol: Volume, u: int) -> list:
-    """Split a volume into unit blocks covering it exactly."""
-    if u < 1:
-        raise ShapeError(f"unit-block edge must be >= 1, got {u}")
-    nx, ny, nz = vol.dims
-    if nx % u or ny % u or nz % u:
-        raise ShapeError(f"dims {vol.dims} not divisible by unit-block edge {u}")
-    blocks = []
-    for bz in range(nz // u):
-        for by in range(ny // u):
-            for bx in range(nx // u):
-                sub = vol.data[
-                    bz * u : (bz + 1) * u,
-                    by * u : (by + 1) * u,
-                    bx * u : (bx + 1) * u,
-                ]
-                blocks.append(UnitBlock(coord=BlockCoord(bx, by, bz, u), u=u, data=sub))
-    return blocks
 
 
 def _should_pad(pad: str, codec: str, arrangement: str) -> bool:
@@ -241,29 +221,3 @@ def level_sample_pairs(archive: LevelArchive, decoded=None):
     values = dec.values if isinstance(dec, MergedArray) else dec.data
     dec_regions = tuple(extract_regions(values, archive.samples.plan))
     return archive.samples.regions, dec_regions
-
-
-def assemble_volume(blocks, dims: Dims) -> Volume:
-    """Place unit blocks back onto a full grid of the given dims."""
-    if not blocks:
-        raise ShapeError("no blocks to assemble")
-    nx, ny, nz = dims
-    out = np.zeros((nz, ny, nx), dtype=np.float64)
-    seen = np.zeros((nz, ny, nx), dtype=bool)
-    for b in blocks:
-        u = b.u
-        c = b.coord
-        if (c.bx + 1) * u > nx or (c.by + 1) * u > ny or (c.bz + 1) * u > nz:
-            raise ShapeError(f"block {c} outside dims {dims}")
-        sl = (
-            slice(c.bz * u, (c.bz + 1) * u),
-            slice(c.by * u, (c.by + 1) * u),
-            slice(c.bx * u, (c.bx + 1) * u),
-        )
-        if seen[sl].any():
-            raise ShapeError(f"block {c} overlaps previously placed data")
-        out[sl] = b.data
-        seen[sl] = True
-    if not seen.all():
-        raise ShapeError("blocks do not cover the requested dims")
-    return Volume(out)

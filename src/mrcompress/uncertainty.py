@@ -22,6 +22,7 @@ from .grid import Dims, Volume
 
 DEFAULT_WINDOW = 0.05
 _MAX_WIDENINGS = 4
+_SLAB_CELLS = 16  # cell planes per slab of probability_field
 
 
 @dataclass(frozen=True)
@@ -114,17 +115,6 @@ def _below_probability(values, isovalue: float, model: ErrorModel) -> np.ndarray
     return (centered < isovalue).astype(np.float64)
 
 
-def cell_crossing_probability(corners, isovalue: float, model: ErrorModel) -> float:
-    """Probability that the isosurface crosses a cell with the given eight
-    decompressed corner values."""
-    corners = np.asarray(corners, dtype=np.float64).reshape(-1)
-    if corners.size != 8:
-        raise ShapeError(f"a cell has 8 corners, got {corners.size}")
-    q = _below_probability(corners, isovalue, model)
-    p = 1.0 - np.prod(q) - np.prod(1.0 - q)
-    return float(min(max(p, 0.0), 1.0))
-
-
 @dataclass(frozen=True)
 class ProbabilityField:
     """Per-cell crossing probabilities on the dual grid of a volume."""
@@ -155,14 +145,22 @@ def _corner_product(a: np.ndarray) -> np.ndarray:
 
 
 def probability_field(decomp: Volume, isovalue: float, model: ErrorModel) -> ProbabilityField:
-    """Crossing probability for every cell of the volume."""
+    """Crossing probability for every cell of the volume.
+
+    The field is built in z-slabs of ``_SLAB_CELLS`` cell planes, each
+    reading one more point plane than it has cell planes, into one
+    preallocated output, so the temporaries are slab-sized; the operations
+    per cell are those of a whole-volume pass."""
     if min(decomp.dims) < 2:
         raise ShapeError(f"need at least 2 points per axis, got dims {decomp.dims}")
-    q = _below_probability(decomp.data, isovalue, model)
-    below = _corner_product(q)
-    above = _corner_product(np.subtract(1.0, q, out=q))
-    p = np.subtract(1.0, below, out=below)
-    p -= above
+    nz, ny, nx = decomp.data.shape
+    p = np.empty((nz - 1, ny - 1, nx - 1))
+    for z in range(0, nz - 1, _SLAB_CELLS):
+        q = _below_probability(decomp.data[z : z + _SLAB_CELLS + 1], isovalue, model)
+        below = _corner_product(q)
+        above = _corner_product(np.subtract(1.0, q, out=q))
+        out = np.subtract(1.0, below, out=p[z : z + _SLAB_CELLS])
+        out -= above
     np.clip(p, 0.0, 1.0, out=p)
     return ProbabilityField(p=p, isovalue=float(isovalue), model=model)
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 
-from mrcompress.grid import Volume
+from mrcompress.errors import ShapeError
+from mrcompress.grid import BlockCoord, Dims, Volume
+from mrcompress.layout import UnitBlock
+from mrcompress.uncertainty import ErrorModel, _below_probability
 
 
 def coords(dims):
@@ -71,3 +74,60 @@ def signed_zero_field(dims, seed=0) -> Volume:
     flat[::13] = 1e4
     flat[5::7] = -1e-13
     return Volume(data)
+
+
+def tile_volume(vol: Volume, u: int) -> list:
+    """Split a volume into unit blocks covering it exactly."""
+    if u < 1:
+        raise ShapeError(f"unit-block edge must be >= 1, got {u}")
+    nx, ny, nz = vol.dims
+    if nx % u or ny % u or nz % u:
+        raise ShapeError(f"dims {vol.dims} not divisible by unit-block edge {u}")
+    blocks = []
+    for bz in range(nz // u):
+        for by in range(ny // u):
+            for bx in range(nx // u):
+                sub = vol.data[
+                    bz * u : (bz + 1) * u,
+                    by * u : (by + 1) * u,
+                    bx * u : (bx + 1) * u,
+                ]
+                blocks.append(UnitBlock(coord=BlockCoord(bx, by, bz, u), u=u, data=sub))
+    return blocks
+
+
+def assemble_volume(blocks, dims: Dims) -> Volume:
+    """Place unit blocks back onto a full grid of the given dims."""
+    if not blocks:
+        raise ShapeError("no blocks to assemble")
+    nx, ny, nz = dims
+    out = np.zeros((nz, ny, nx), dtype=np.float64)
+    seen = np.zeros((nz, ny, nx), dtype=bool)
+    for b in blocks:
+        u = b.u
+        c = b.coord
+        if (c.bx + 1) * u > nx or (c.by + 1) * u > ny or (c.bz + 1) * u > nz:
+            raise ShapeError(f"block {c} outside dims {dims}")
+        sl = (
+            slice(c.bz * u, (c.bz + 1) * u),
+            slice(c.by * u, (c.by + 1) * u),
+            slice(c.bx * u, (c.bx + 1) * u),
+        )
+        if seen[sl].any():
+            raise ShapeError(f"block {c} overlaps previously placed data")
+        out[sl] = b.data
+        seen[sl] = True
+    if not seen.all():
+        raise ShapeError("blocks do not cover the requested dims")
+    return Volume(out)
+
+
+def cell_crossing_probability(corners, isovalue: float, model: ErrorModel) -> float:
+    """Probability that the isosurface crosses a cell with the given eight
+    decompressed corner values."""
+    corners = np.asarray(corners, dtype=np.float64).reshape(-1)
+    if corners.size != 8:
+        raise ShapeError(f"a cell has 8 corners, got {corners.size}")
+    q = _below_probability(corners, isovalue, model)
+    p = 1.0 - np.prod(q) - np.prod(1.0 - q)
+    return float(min(max(p, 0.0), 1.0))

@@ -38,18 +38,24 @@ from mrcompress.metrics import psnr, ssim
 from mrcompress.pipeline import (
     PAD_AUTO,
     PAD_OFF,
-    assemble_volume,
     compress_level,
     compress_volume,
     decompress_level,
     decompress_volume,
-    tile_volume,
 )
 from mrcompress.postprocess import postprocess_allowance
 from mrcompress.roi import RoiConfig, build_adaptive, reconstruct_uniform, select_roi
-from mrcompress.uncertainty import ErrorModel, cell_crossing_probability
+from mrcompress.uncertainty import ErrorModel
 
-from helpers import gaussian_bumps, noisy_field, smooth_field, sum_of_gaussians
+from helpers import (
+    assemble_volume,
+    cell_crossing_probability,
+    gaussian_bumps,
+    noisy_field,
+    smooth_field,
+    sum_of_gaussians,
+    tile_volume,
+)
 
 
 def _corpus():

@@ -17,11 +17,11 @@ from mrcompress.container import (
     write_container,
 )
 from mrcompress.errors import FormatError, ShapeError
-from mrcompress.pipeline import SampleSet, compress_level, compress_volume, decode_level, tile_volume
+from mrcompress.pipeline import SampleSet, compress_level, compress_volume, decode_level
 from mrcompress.roi import RoiConfig, build_adaptive, reconstruct_uniform, select_roi
 from mrcompress.uncertainty import ErrorModel
 
-from helpers import max_abs_err, sum_of_gaussians
+from helpers import max_abs_err, sum_of_gaussians, tile_volume
 
 
 def _dataset(dims=(32, 32, 32), percent=25.0, seed=0):

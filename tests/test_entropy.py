@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -413,3 +415,148 @@ def test_pack_unpack_property_up_to_max_code_len(data):
     assert np.array_equal(out, codes)
     if codes.size:
         assert np.array_equal(_slow_unpack(table, packed, codes.size), codes)
+
+
+# ------------------------------------------------------------ lane groups
+
+
+def _reference_code_words(table, sym_lj, codes):
+    """(length, left-justified code word) of every code in ``codes``."""
+    if not table.n_symbols:
+        raise ShapeError("code stream contains symbols missing from the table")
+    lo = int(table.symbols[0])
+    span = int(table.symbols[-1]) - lo + 1
+    if span > entropy._DENSE_SPAN:
+        idx = np.searchsorted(table.symbols, codes)
+        if not (table.symbols.take(idx, mode="clip") == codes).all():
+            raise ShapeError("code stream contains symbols missing from the table")
+        return table.lengths[idx], sym_lj[idx]
+    # dense tables over [lo, lo + span]; the extra last entry, of length 0,
+    # catches every code outside the span, and the gaps catch the rest
+    dense_ln = np.zeros(span + 1, dtype=np.uint8)
+    dense_lj = np.zeros(span + 1, dtype=np.uint64)
+    at = table.symbols.astype(np.int64) - lo
+    dense_ln[at] = table.lengths
+    dense_lj[at] = sym_lj
+    at = codes.astype(np.int64)
+    at -= lo
+    np.minimum(at.view(np.uint64), np.uint64(span), out=at.view(np.uint64))
+    ln = dense_ln.take(at)
+    if not ln.all():
+        raise ShapeError("code stream contains symbols missing from the table")
+    return ln, dense_lj.take(at)
+
+
+def _reference_pack(table, codes):
+    """Whole-stream packer: every lane placed in one pass over all codes.
+    Lane groups must reproduce its bytes exactly."""
+    codes = np.asarray(codes, dtype=np.int32).reshape(-1)
+    n = codes.size
+    if n == 0:
+        return b""
+    codevals, *_ = table.canonical()
+    u64 = np.uint64
+    # every code left-justified in a 64-bit word
+    sym_lj = codevals << (64 - table.lengths.astype(u64))
+    ln, lj = _reference_code_words(table, sym_lj, codes)
+    # bit offset of every code as if unframed, then moved to its lane's
+    # byte-aligned start
+    pos = np.cumsum(ln, dtype=u64)
+    n_lanes = entropy._lane_count(n)
+    lane_end = pos[np.minimum(np.arange(1, n_lanes + 1) * entropy.LANE_CODES, n) - 1]
+    lane_bits = np.diff(lane_end, prepend=u64(0))
+    lane_bytes = (lane_bits + u64(7)) >> u64(3)
+    lane_shift = u64(8) * (np.cumsum(lane_bytes) - lane_bytes) - (lane_end - lane_bits)
+    pos -= ln
+    pos += np.repeat(lane_shift, entropy.LANE_CODES)[:n]
+    # each code lands in the word holding its first bit and spills its
+    # tail, if any, into the next one; bits never overlap, so codes sharing
+    # a word are ORed together
+    off = pos & u64(63)
+    word = (pos >> u64(6)).view(np.int64)
+    del pos
+    total_bytes = int(lane_bytes.sum())
+    words = np.zeros(total_bytes // 8 + 2, dtype=u64)
+    first = np.flatnonzero(np.diff(word, prepend=-1))
+    words[word[first]] = np.bitwise_or.reduceat(lj >> off, first)
+    spill = np.flatnonzero(off + ln > u64(64))
+    words[word[spill] + 1] |= lj[spill] << (u64(64) - off[spill])
+    body = words.astype(">u8").tobytes()[:total_bytes]
+    return lane_bits.astype("<u2").tobytes() + body
+
+
+def _laplace_codes(n, scale, seed):
+    rng = np.random.default_rng(seed)
+    return np.round(rng.laplace(0.0, scale, size=n)).astype(np.int32)
+
+
+def _check_against_reference(table, codes):
+    packed = pack_codes(table, codes)
+    assert packed == _reference_pack(table, codes)
+    assert np.array_equal(unpack_codes(table, packed, codes.size), codes)
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 65535, 65536, 65537, 3 * 65536 + 5])
+def test_lane_groups_match_whole_stream_packer(n):
+    assert entropy._GROUP_LANES * entropy.LANE_CODES == 65536
+    codes = _laplace_codes(n, 2.0, n)
+    _check_against_reference(build_table(codes), codes)
+
+
+@pytest.mark.parametrize("group_lanes", [1, 16, 256])
+def test_packed_bytes_do_not_depend_on_group_size(monkeypatch, group_lanes):
+    codes = _laplace_codes(300_000, 3.0, 9)
+    table = build_table(codes)
+    want = _reference_pack(table, codes)
+    monkeypatch.setattr(entropy, "_GROUP_LANES", group_lanes)
+    assert pack_codes(table, codes) == want
+
+
+def test_lane_groups_with_codes_past_the_lookup_window():
+    # geometric counts give the rare symbols codes far longer than the
+    # lookup window, spread over every group
+    counts = np.minimum(np.floor(1.6 ** np.arange(30)), 40000).astype(np.int64)
+    rng = np.random.default_rng(15)
+    codes = rng.permutation(np.repeat(np.arange(-15, 15, dtype=np.int32), counts))
+    table = build_table(codes)
+    assert int(table.lengths.max()) > entropy._LUT_BITS
+    assert codes.size > 2 * 65536
+    _check_against_reference(table, codes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 3 * 65536 + 100),
+    st.floats(0.05, 200.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_lane_groups_property_laplace_streams(n, scale, seed):
+    codes = _laplace_codes(n, scale, seed)
+    _check_against_reference(build_table(codes), codes)
+
+
+def test_decoder_refuses_tables_its_step_table_cannot_rank(monkeypatch):
+    # the step table stores (rank << _LEN_BITS) | length in a u32; with 30
+    # length bits only ranks 0 to 3 fit
+    monkeypatch.setattr(entropy, "_LEN_BITS", 30)
+    ok = np.arange(200, dtype=np.int32) % 4
+    table = build_table(ok)
+    assert np.array_equal(unpack_codes(table, pack_codes(table, ok), ok.size), ok)
+    wide = np.arange(200, dtype=np.int32) % 5
+    table = build_table(wide)
+    with pytest.raises(FormatError):
+        unpack_codes(table, pack_codes(table, wide), wide.size)
+
+
+def test_pack_memory_is_bounded_by_the_lane_group():
+    codes = _laplace_codes(1 << 20, 2.0, 16)
+    table = build_table(codes)
+    tracemalloc.start()
+    try:
+        pack_codes(table, codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-stream pass holds several 8-byte arrays per code (43.5 MB for
+    # this stream)
+    assert peak < 8e6

@@ -19,9 +19,8 @@ from mrcompress.codec.entropy import LOSSLESS_NONE, LOSSLESS_ZLIB
 from mrcompress.codec.policy import ErrorBoundPolicy
 from mrcompress.grid import Volume
 from mrcompress.layout import linear_merge, pad_linear, stack_merge
-from mrcompress.pipeline import tile_volume
 
-from helpers import signed_zero_field, smooth_field, sum_of_gaussians
+from helpers import signed_zero_field, smooth_field, sum_of_gaussians, tile_volume
 
 
 def _padded_linear():

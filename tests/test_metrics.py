@@ -16,6 +16,12 @@ from mrcompress.metrics import (
     SSIM_STRIDE,
     SSIM_WINDOW,
     RateDistortionPoint,
+    _block_moments,
+    _block_sum,
+    _corners,
+    _paired,
+    _SLAB_BLOCKS,
+    _window_comoment,
     psnr,
     rd_sweep,
     ssim,
@@ -159,6 +165,60 @@ def test_ssim_allocates_little_beyond_its_inputs():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * o.nbytes
+
+
+def _reference_ssim(orig, recon):
+    """Whole-volume block moments: every centered temporary spans the
+    volume. The slabbed ssim must return exactly its value."""
+    o, r = _paired(orig, recon)
+    if min(o.shape) < SSIM_WINDOW:
+        raise ShapeError(f"volume {o.shape} smaller than the {SSIM_WINDOW}^3 ssim window")
+    L = float(o.max() - o.min())
+    if L == 0.0:
+        L = 1.0
+    c1 = (SSIM_K1 * L) ** 2
+    c2 = (SSIM_K2 * L) ** 2
+    blocks = [(n - SSIM_WINDOW) // SSIM_STRIDE + 2 for n in o.shape]
+    crop = tuple(slice(0, SSIM_STRIDE * b) for b in blocks)
+    shape6 = (blocks[0], SSIM_STRIDE, blocks[1], SSIM_STRIDE, blocks[2], SSIM_STRIDE)
+    mo, do, so = _block_moments(o[crop].reshape(shape6))
+    mr, dr, sr = _block_moments(r[crop].reshape(shape6))
+    vo = _block_sum(do, do)
+    vr = _block_sum(dr, dr)
+    cor = _block_sum(do, dr)
+    mu_o = sum(_corners(mo)) / 8.0
+    mu_r = sum(_corners(mr)) / 8.0
+    n = float(SSIM_WINDOW**3)
+    var_o = _window_comoment(mo, so, mu_o, mo, so, mu_o, vo) / n
+    var_r = _window_comoment(mr, sr, mu_r, mr, sr, mu_r, vr) / n
+    cov = _window_comoment(mo, so, mu_o, mr, sr, mu_r, cor) / n
+    num = (2.0 * mu_o * mu_r + c1) * (2.0 * cov + c2)
+    den = (mu_o**2 + mu_r**2 + c1) * (var_o + var_r + c2)
+    return float(np.mean(num / den))
+
+
+# z block counts below, at and around one and two slabs
+@pytest.mark.parametrize("blocks_z", [3, 4, 5, 8, 9])
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_ssim_slabs_match_whole_volume_moments(blocks_z, offset):
+    assert _SLAB_BLOCKS == 4
+    nz = SSIM_STRIDE * blocks_z
+    o = sum_of_gaussians((19, 14, nz), seed=17).data + offset
+    r = o + 1e-3 * np.random.default_rng(18).standard_normal(o.shape)
+    assert repr(ssim(o, r)) == repr(_reference_ssim(o, r))
+
+
+def test_ssim_memory_is_bounded_by_the_slab():
+    o = smooth_field((64, 64, 128)).data
+    r = o + 1e-3 * np.random.default_rng(19).standard_normal(o.shape)
+    tracemalloc.start()
+    try:
+        ssim(o, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # whole-volume block moments peak at about 2.25 times the input
+    assert peak < o.nbytes
 
 
 # ---------------------------------------------------------------- rd sweep

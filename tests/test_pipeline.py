@@ -10,18 +10,16 @@ from mrcompress.layout import STACKED, UnitBlock
 from mrcompress.pipeline import (
     LevelArchive,
     SampleSet,
-    assemble_volume,
     compress_level,
     compress_volume,
     decode_level,
     decompress_level,
     decompress_volume,
     level_sample_pairs,
-    tile_volume,
 )
 from mrcompress.postprocess import plan_sampling, postprocess_allowance
 
-from helpers import max_abs_err, noisy_field, sum_of_gaussians
+from helpers import assemble_volume, max_abs_err, noisy_field, sum_of_gaussians, tile_volume
 
 
 # ------------------------------------------------------------------ tiling

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,16 +8,18 @@ from mrcompress.errors import ShapeError
 from mrcompress.grid import Volume
 from mrcompress.uncertainty import (
     DEFAULT_WINDOW,
+    _SLAB_CELLS,
     ErrorModel,
     ProbabilityField,
-    cell_crossing_probability,
+    _below_probability,
+    _corner_product,
     fit_model,
     probability_field,
     sample_errors,
     write_probability_field,
 )
 
-from helpers import smooth_field
+from helpers import cell_crossing_probability, smooth_field
 
 
 def _model(mu=0.0, sigma2=1.0, iso=0.0):
@@ -209,6 +212,42 @@ def test_field_zero_sigma_marks_crossed_cells_exactly():
     corners = v.data[z : z + 2, y : y + 2, x : x + 2]
     want = float((corners < 0.2).any() and (corners >= 0.2).any())
     assert f.p[z, y, x] == want
+
+
+def _reference_probability_field(decomp, isovalue, model):
+    """Whole-volume pass: every temporary spans the volume. The slabbed
+    field must reproduce its bytes exactly."""
+    q = _below_probability(decomp.data, isovalue, model)
+    below = _corner_product(q)
+    above = _corner_product(np.subtract(1.0, q, out=q))
+    p = np.subtract(1.0, below, out=below)
+    p -= above
+    np.clip(p, 0.0, 1.0, out=p)
+    return p
+
+
+@pytest.mark.parametrize("cells_z", [1, 15, 16, 17, 32, 33])
+@pytest.mark.parametrize("sigma2", [0.02, 0.0])
+def test_field_slabs_match_whole_volume_pass(cells_z, sigma2):
+    assert _SLAB_CELLS == 16
+    v = smooth_field((9, 7, cells_z + 1), seed=6, noise=0.05)
+    m = _model(mu=0.004, sigma2=sigma2)
+    want = _reference_probability_field(v, 0.1, m)
+    assert probability_field(v, 0.1, m).p.tobytes() == want.tobytes()
+
+
+def test_field_memory_is_bounded_by_the_slab():
+    v = smooth_field((64, 64, 128), seed=7)
+    m = _model(sigma2=0.01)
+    tracemalloc.start()
+    try:
+        f = probability_field(v, 0.1, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus slab-sized temporaries; a whole-volume pass peaks at
+    # about 4.1 times the output
+    assert peak < 2.5 * f.p.nbytes
 
 
 def test_field_needs_two_points_per_axis():
