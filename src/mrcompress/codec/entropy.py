@@ -38,7 +38,7 @@ from ..errors import FormatError, ShapeError
 MAX_CODE_LEN = 32
 # codes per lane; a lane of MAX_CODE_LEN-bit codes must fit a u16 bit length
 LANE_CODES = 1024
-_LUT_BITS = 12
+_LUT_BITS = 16
 _LEN_BITS = 6  # lookup entries hold (rank << _LEN_BITS) | code length
 _OUT_BLOCK = 128  # lanes transposed at a time into the decoded output
 _GROUP_LANES = 64  # lanes packed at a time

@@ -7,6 +7,16 @@ probability that an isosurface crosses the cell: one minus the probability
 that all corners fall below the isovalue, minus the probability that all
 fall above. With sigma = 0 the field degenerates to the deterministic
 marching-cubes crossing test.
+
+Only cells the isosurface can cross are evaluated. A corner whose standard
+score z = (iso - (v + mu)) / sigma is at least ``_Z_ONE`` or at most
+``_Z_ZERO`` lies where ``ndtr`` returns exactly 1.0 or exactly 0.0 (with
+sigma = 0 every corner is exactly 1.0 or 0.0), so a cell whose eight corners
+all saturate on one side has p = 1 - 1 - 0 or 1 - 0 - 1, exactly +0.0, and
+keeps the +0.0 of the zeroed output without a ``ndtr`` call. Every other
+cell is live. A slab with more than ``_DENSE_LIVE`` (a fifth) of its cells
+live runs the products over the whole slab; a sparser one gathers the live
+cells' corners and runs them there alone, in the same order.
 """
 
 from __future__ import annotations
@@ -23,6 +33,9 @@ from .grid import Dims, Volume
 DEFAULT_WINDOW = 0.05
 _MAX_WIDENINGS = 4
 _SLAB_CELLS = 16  # cell planes per slab of probability_field
+_Z_ONE = 9.0  # ndtr(z) == 1.0 exactly for every z >= _Z_ONE
+_Z_ZERO = -40.0  # ndtr(z) == 0.0 exactly for every z <= _Z_ZERO
+_DENSE_LIVE = 0.2  # live-cell share of a slab above which it is evaluated whole
 
 
 @dataclass(frozen=True)
@@ -107,14 +120,6 @@ def fit_model(
     )
 
 
-def _below_probability(values, isovalue: float, model: ErrorModel) -> np.ndarray:
-    """P(corner true value < isovalue) per corner."""
-    centered = np.asarray(values, dtype=np.float64) + model.mu
-    if model.sigma2 > 0.0:
-        return ndtr((isovalue - centered) / model.sigma)
-    return (centered < isovalue).astype(np.float64)
-
-
 @dataclass(frozen=True)
 class ProbabilityField:
     """Per-cell crossing probabilities on the dual grid of a volume."""
@@ -138,30 +143,70 @@ class ProbabilityField:
 
 def _corner_product(a: np.ndarray) -> np.ndarray:
     """Product of the eight corner values of every cell, formed as three
-    pairwise products: along x, then y, then z."""
+    pairwise products: along x, then y, then z (axes 2, 1, 0). On booleans
+    it is the logical and; on gathered (2, 2, 2, n) corners it gives each of
+    the n cells in a (1, 1, 1, n) array."""
     a = a[:, :, :-1] * a[:, :, 1:]
     a = a[:, :-1] * a[:, 1:]
     return a[:-1] * a[1:]
+
+
+def _crossing(q: np.ndarray, out=None) -> np.ndarray:
+    """1 - P(all corners below) - P(all above), clipped to [0, 1], for every
+    cell of the corner probabilities ``q``, which it overwrites."""
+    below = _corner_product(q)
+    above = _corner_product(np.subtract(1.0, q, out=q))
+    p = np.subtract(1.0, below, out=below if out is None else out)
+    p -= above
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def probability_field(decomp: Volume, isovalue: float, model: ErrorModel) -> ProbabilityField:
     """Crossing probability for every cell of the volume.
 
     The field is built in z-slabs of ``_SLAB_CELLS`` cell planes, each
-    reading one more point plane than it has cell planes, into one
-    preallocated output, so the temporaries are slab-sized; the operations
-    per cell are those of a whole-volume pass."""
+    reading one more point plane than it has cell planes, into one zeroed
+    output, so the temporaries are slab-sized. A slab marks its points
+    saturated at one (z >= ``_Z_ONE``; with sigma 0, v + mu < iso) or at
+    zero (z <= ``_Z_ZERO``; with sigma 0, the rest) and skips the cells whose
+    corners all saturate on one side: their p is exactly +0.0, the zeroed
+    output's value. ``ndtr`` runs on the other points, or on the whole slab
+    when they are most of it. A slab with more than ``_DENSE_LIVE`` of its
+    cells live multiplies over the whole slab; otherwise the live cells'
+    corners are gathered and multiplied alone. Both keep a whole-volume
+    pass's order (x pairs, then y, then z), so every value is the same."""
     if min(decomp.dims) < 2:
         raise ShapeError(f"need at least 2 points per axis, got dims {decomp.dims}")
     nz, ny, nx = decomp.data.shape
-    p = np.empty((nz - 1, ny - 1, nx - 1))
+    corner_offsets = np.add.outer(np.add.outer([0, ny * nx], [0, nx]), [0, 1])[..., None]
+    p = np.zeros((nz - 1, ny - 1, nx - 1))
     for z in range(0, nz - 1, _SLAB_CELLS):
-        q = _below_probability(decomp.data[z : z + _SLAB_CELLS + 1], isovalue, model)
-        below = _corner_product(q)
-        above = _corner_product(np.subtract(1.0, q, out=q))
-        out = np.subtract(1.0, below, out=p[z : z + _SLAB_CELLS])
-        out -= above
-    np.clip(p, 0.0, 1.0, out=p)
+        t = decomp.data[z : z + _SLAB_CELLS + 1] + model.mu
+        if model.sigma2 > 0.0:
+            np.subtract(isovalue, t, out=t)
+            t /= model.sigma
+            one, zero = t >= _Z_ONE, t <= _Z_ZERO
+        else:
+            one = t < isovalue
+            zero = ~one
+        all_one, all_zero = _corner_product(one), _corner_product(zero)
+        n_live = all_one.size - np.count_nonzero(all_one) - np.count_nonzero(all_zero)
+        if not n_live:
+            continue
+        if 2 * (np.count_nonzero(one) + np.count_nonzero(zero)) < t.size:
+            q = ndtr(t)
+        else:
+            q = one.astype(np.float64)
+            band = np.flatnonzero(~(one | zero))
+            q.reshape(-1)[band] = ndtr(t.reshape(-1)[band])
+        out = p[z : z + _SLAB_CELLS]
+        if n_live > _DENSE_LIVE * all_one.size:
+            _crossing(q, out=out)
+        else:
+            cells = np.flatnonzero(~(all_one | all_zero))
+            rows = cells // (nx - 1)  # z * (ny - 1) + y of each live cell
+            corners = q.reshape(-1)[cells + rows + rows // (ny - 1) * nx + corner_offsets]
+            out.reshape(-1)[cells] = _crossing(corners)[0, 0, 0]
     return ProbabilityField(p=p, isovalue=float(isovalue), model=model)
 
 

@@ -1,11 +1,12 @@
 """Synthetic fields and small utilities shared across the test suite."""
 
 import numpy as np
+from scipy.special import ndtr
 
 from mrcompress.errors import ShapeError
 from mrcompress.grid import BlockCoord, Dims, Volume
 from mrcompress.layout import UnitBlock
-from mrcompress.uncertainty import ErrorModel, _below_probability
+from mrcompress.uncertainty import ErrorModel
 
 
 def coords(dims):
@@ -120,6 +121,14 @@ def assemble_volume(blocks, dims: Dims) -> Volume:
     if not seen.all():
         raise ShapeError("blocks do not cover the requested dims")
     return Volume(out)
+
+
+def _below_probability(values, isovalue: float, model: ErrorModel) -> np.ndarray:
+    """P(corner true value < isovalue) per corner."""
+    centered = np.asarray(values, dtype=np.float64) + model.mu
+    if model.sigma2 > 0.0:
+        return ndtr((isovalue - centered) / model.sigma)
+    return (centered < isovalue).astype(np.float64)
 
 
 def cell_crossing_probability(corners, isovalue: float, model: ErrorModel) -> float:

@@ -3,15 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+import mrcompress.uncertainty as uncertainty
 from mrcompress.errors import ShapeError
 from mrcompress.grid import Volume
 from mrcompress.uncertainty import (
     DEFAULT_WINDOW,
+    _DENSE_LIVE,
     _SLAB_CELLS,
+    _Z_ONE,
+    _Z_ZERO,
     ErrorModel,
     ProbabilityField,
-    _below_probability,
     _corner_product,
     fit_model,
     probability_field,
@@ -19,7 +23,7 @@ from mrcompress.uncertainty import (
     write_probability_field,
 )
 
-from helpers import cell_crossing_probability, smooth_field
+from helpers import _below_probability, cell_crossing_probability, smooth_field, sum_of_gaussians
 
 
 def _model(mu=0.0, sigma2=1.0, iso=0.0):
@@ -226,14 +230,116 @@ def _reference_probability_field(decomp, isovalue, model):
     return p
 
 
+def _live_cells(data, isovalue, model):
+    """Cells whose eight corners are not all saturated on one side (standard
+    score at least _Z_ONE, or at most _Z_ZERO; for sigma 0, below the
+    isovalue, or not)."""
+    centered = data + model.mu
+    if model.sigma2 > 0.0:
+        t = (isovalue - centered) / model.sigma
+        one, zero = t >= _Z_ONE, t <= _Z_ZERO
+    else:
+        one = centered < isovalue
+        zero = ~one
+    return ~(_corner_product(one) | _corner_product(zero))
+
+
+def _slab_live_shares(data, isovalue, model):
+    live = _live_cells(data, isovalue, model)
+    return [live[z : z + _SLAB_CELLS].mean() for z in range(0, live.shape[0], _SLAB_CELLS)]
+
+
 @pytest.mark.parametrize("cells_z", [1, 15, 16, 17, 32, 33])
-@pytest.mark.parametrize("sigma2", [0.02, 0.0])
+@pytest.mark.parametrize("sigma2", [0.02, 0.0, 100.0])
 def test_field_slabs_match_whole_volume_pass(cells_z, sigma2):
     assert _SLAB_CELLS == 16
     v = smooth_field((9, 7, cells_z + 1), seed=6, noise=0.05)
     m = _model(mu=0.004, sigma2=sigma2)
     want = _reference_probability_field(v, 0.1, m)
     assert probability_field(v, 0.1, m).p.tobytes() == want.tobytes()
+    if sigma2 == 100.0:
+        assert _live_cells(v.data, 0.1, m).all()
+
+
+@pytest.mark.parametrize("cells_z", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize("sigma2", [1e-6, 0.0])
+def test_sparse_field_matches_whole_volume_pass(cells_z, sigma2):
+    # a few Gaussian bumps: 0.1-5% of the cells are live at isovalue 0.3,
+    # so every slab takes the gathered kernel
+    v = sum_of_gaussians((64, 48, cells_z + 1), n=6, seed=6)
+    m = _model(mu=0.004, sigma2=sigma2)
+    assert 0.0 < max(_slab_live_shares(v.data, 0.3, m)) < _DENSE_LIVE
+    want = _reference_probability_field(v, 0.3, m)
+    assert probability_field(v, 0.3, m).p.tobytes() == want.tobytes()
+
+
+def test_field_slabs_on_both_sides_of_the_kernel_choice():
+    # 33 cell planes: the first slab is noise around the isovalue (every
+    # cell live), the second far above it but for plane 16, which it shares
+    # with the first, and three points near the isovalue; the third has no
+    # live cell
+    rng = np.random.default_rng(8)
+    data = np.full((34, 20, 24), 10.0)
+    data[:17] = rng.normal(0.0, 0.2, (17, 20, 24))
+    data[24, 5, 7] = data[24, 12, 3] = data[27, 18, 20] = 0.05
+    v = Volume(data)
+    m = _model(sigma2=0.01)
+    shares = _slab_live_shares(v.data, 0.0, m)
+    assert shares[0] > _DENSE_LIVE > shares[1] > 0.0 == shares[2]
+    want = _reference_probability_field(v, 0.0, m)
+    assert probability_field(v, 0.0, m).p.tobytes() == want.tobytes()
+
+
+def test_field_corners_at_the_saturation_thresholds():
+    # sigma 0.5: v = -4.5 sits at z = 9.0 exactly and v = 20.0 at z = -40.0;
+    # cells mix them with their neighbouring floats and with band values
+    assert (0.0 - (-4.5)) / 0.5 == _Z_ONE and (0.0 - 20.0) / 0.5 == _Z_ZERO
+    values = np.array([-4.5, np.nextafter(-4.5, 0.0), 20.0, np.nextafter(20.0, 0.0), 0.3])
+    rng = np.random.default_rng(9)
+    m = _model(sigma2=0.25)
+    for weights in ([0.4, 0.1, 0.4, 0.1, 0.0], [0.3, 0.1, 0.3, 0.1, 0.2]):
+        v = Volume(rng.choice(values, size=(20, 9, 11), p=weights))
+        want = _reference_probability_field(v, 0.0, m)
+        assert probability_field(v, 0.0, m).p.tobytes() == want.tobytes()
+    flat = Volume(np.full((3, 3, 3), -4.5))
+    assert probability_field(flat, 0.0, m).p.tobytes() == np.zeros((2, 2, 2)).tobytes()
+
+
+@pytest.mark.parametrize("isovalue", [-100.0, 100.0])
+@pytest.mark.parametrize("sigma2", [0.02, 0.0])
+def test_field_isovalue_outside_the_value_range(isovalue, sigma2):
+    v = smooth_field((9, 7, 20), seed=6, noise=0.05)
+    m = _model(mu=0.004, sigma2=sigma2)
+    p = probability_field(v, isovalue, m).p
+    assert p.tobytes() == _reference_probability_field(v, isovalue, m).tobytes()
+    assert (p == 0.0).all() and not np.signbit(p).any()
+
+
+def test_ndtr_saturates_at_the_thresholds():
+    # the skipped cells are exact only while ndtr saturates inside these
+    # bounds; a scipy that moves saturation fails here first
+    ones = np.concatenate([np.linspace(_Z_ONE, 60.0, 200_001), [1e3, 1e300, np.inf]])
+    zeros = np.concatenate([np.linspace(-1e3, _Z_ZERO, 200_001), [-1e300, -np.inf]])
+    assert (ndtr(ones) == 1.0).all()
+    assert (ndtr(zeros) == 0.0).all()
+
+
+def test_field_evaluates_ndtr_near_the_surface_only(monkeypatch):
+    evaluated = []
+
+    def counting_ndtr(z):
+        evaluated.append(np.size(z))
+        return ndtr(z)
+
+    v = sum_of_gaussians((64, 48, 34), n=6, seed=6)
+    m = _model(mu=0.004, sigma2=1e-6)
+    assert _live_cells(v.data, 0.3, m).mean() < 0.10
+    monkeypatch.setattr(uncertainty, "ndtr", counting_ndtr)
+    p = probability_field(v, 0.3, m).p
+    # a pass without the skip evaluates every point, shared slab planes twice
+    assert 0 < sum(evaluated) < 0.15 * v.data.size
+    monkeypatch.undo()
+    assert p.tobytes() == _reference_probability_field(v, 0.3, m).tobytes()
 
 
 def test_field_memory_is_bounded_by_the_slab():
