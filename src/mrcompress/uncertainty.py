@@ -8,15 +8,16 @@ that all corners fall below the isovalue, minus the probability that all
 fall above. With sigma = 0 the field degenerates to the deterministic
 marching-cubes crossing test.
 
-Only cells the isosurface can cross are evaluated. A corner whose standard
-score z = (iso - (v + mu)) / sigma is at least ``_Z_ONE`` or at most
-``_Z_ZERO`` lies where ``ndtr`` returns exactly 1.0 or exactly 0.0 (with
-sigma = 0 every corner is exactly 1.0 or 0.0), so a cell whose eight corners
-all saturate on one side has p = 1 - 1 - 0 or 1 - 0 - 1, exactly +0.0, and
-keeps the +0.0 of the zeroed output without a ``ndtr`` call. Every other
-cell is live. A slab with more than ``_DENSE_LIVE`` (a fifth) of its cells
-live runs the products over the whole slab; a sparser one gathers the live
-cells' corners and runs them there alone, in the same order.
+Only cells the isosurface can cross are evaluated. Where the standard score
+z = (iso - (v + mu)) / sigma is at least ``_Z_ONE`` or at most ``_Z_ZERO``,
+``ndtr`` is exactly 1.0 or 0.0 (with sigma = 0, every corner is), so a cell
+whose eight corners all saturate on one side has p = 1 - 1 - 0 or 1 - 0 - 1,
+exactly +0.0: it keeps the zeroed output's value without a ``ndtr`` call.
+``ndtr`` runs on the unsaturated points of a slab, or on all its points when
+they are more than ``_DENSE_BAND`` of it. A slab with more than
+``_DENSE_LIVE`` (a fifth) of its cells live runs the products over the whole
+slab; a sparser one gathers the live cells' corners and runs them alone, in
+the same order.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ _SLAB_CELLS = 16  # cell planes per slab of probability_field
 _Z_ONE = 9.0  # ndtr(z) == 1.0 exactly for every z >= _Z_ONE
 _Z_ZERO = -40.0  # ndtr(z) == 0.0 exactly for every z <= _Z_ZERO
 _DENSE_LIVE = 0.2  # live-cell share of a slab above which it is evaluated whole
+_DENSE_BAND = 0.65  # band-point share of a slab above which ndtr runs on all of it
 
 
 @dataclass(frozen=True)
@@ -171,10 +173,11 @@ def probability_field(decomp: Volume, isovalue: float, model: ErrorModel) -> Pro
     zero (z <= ``_Z_ZERO``; with sigma 0, the rest) and skips the cells whose
     corners all saturate on one side: their p is exactly +0.0, the zeroed
     output's value. ``ndtr`` runs on the other points, or on the whole slab
-    when they are most of it. A slab with more than ``_DENSE_LIVE`` of its
-    cells live multiplies over the whole slab; otherwise the live cells'
-    corners are gathered and multiplied alone. Both keep a whole-volume
-    pass's order (x pairs, then y, then z), so every value is the same."""
+    when they are more than ``_DENSE_BAND`` of it. A slab with more than
+    ``_DENSE_LIVE`` of its cells live multiplies over the whole slab;
+    otherwise the live cells' corners are gathered and multiplied alone.
+    Both keep a whole-volume pass's order (x pairs, then y, then z), so
+    every value is the same."""
     if min(decomp.dims) < 2:
         raise ShapeError(f"need at least 2 points per axis, got dims {decomp.dims}")
     nz, ny, nx = decomp.data.shape
@@ -193,8 +196,9 @@ def probability_field(decomp: Volume, isovalue: float, model: ErrorModel) -> Pro
         n_live = all_one.size - np.count_nonzero(all_one) - np.count_nonzero(all_zero)
         if not n_live:
             continue
-        if 2 * (np.count_nonzero(one) + np.count_nonzero(zero)) < t.size:
-            q = ndtr(t)
+        n_band = t.size - np.count_nonzero(one) - np.count_nonzero(zero)
+        if n_band > _DENSE_BAND * t.size:
+            q = ndtr(t)  # the same values: saturation is exact
         else:
             q = one.astype(np.float64)
             band = np.flatnonzero(~(one | zero))

@@ -10,6 +10,7 @@ from mrcompress.errors import ShapeError
 from mrcompress.grid import Volume
 from mrcompress.uncertainty import (
     DEFAULT_WINDOW,
+    _DENSE_BAND,
     _DENSE_LIVE,
     _SLAB_CELLS,
     _Z_ONE,
@@ -275,9 +276,9 @@ def test_sparse_field_matches_whole_volume_pass(cells_z, sigma2):
 
 def test_field_slabs_on_both_sides_of_the_kernel_choice():
     # 33 cell planes: the first slab is noise around the isovalue (every
-    # cell live), the second far above it but for plane 16, which it shares
-    # with the first, and three points near the isovalue; the third has no
-    # live cell
+    # cell and point live), the second far above it but for plane 16, which
+    # it shares with the first, and three points near the isovalue; the
+    # third has no live cell
     rng = np.random.default_rng(8)
     data = np.full((34, 20, 24), 10.0)
     data[:17] = rng.normal(0.0, 0.2, (17, 20, 24))
@@ -286,6 +287,9 @@ def test_field_slabs_on_both_sides_of_the_kernel_choice():
     m = _model(sigma2=0.01)
     shares = _slab_live_shares(v.data, 0.0, m)
     assert shares[0] > _DENSE_LIVE > shares[1] > 0.0 == shares[2]
+    t = -v.data / m.sigma
+    band = [((s > _Z_ZERO) & (s < _Z_ONE)).mean() for s in (t[:17], t[16:33])]
+    assert band[0] > _DENSE_BAND > band[1]
     want = _reference_probability_field(v, 0.0, m)
     assert probability_field(v, 0.0, m).p.tobytes() == want.tobytes()
 
