@@ -7,11 +7,11 @@ Layout, all little-endian:
                               set when the zlib pass ran)
     dims                3x u64 (nx, ny, nz of the encoded array)
     eb                  f64
-    adaptive            u8
+    adaptive            u8   (0 or 1)
     alpha               f64
     beta                f64
     arrangement         u8   (the layout's position in ``ARRANGEMENTS``)
-    padded              u8
+    padded              u8   (0 or 1)
     u                   u32  (unit size; 0 when arrangement is none)
     block-order count   u64, then per block bx, by, bz as u64 triples
     stream length       u64  (bytes of the entropy stream that follows)
@@ -27,7 +27,8 @@ Layout, all little-endian:
       lanes             each lane's codes MSB-first, zero-padded to a byte
 
 The fixed fields from magic through block-order count are one
-``struct.Struct`` (``_HEADER``), which both the writer and the reader use.
+``struct.Struct`` (``_HEADER``), which both the writer and the reader use;
+the reader goes through :class:`~mrcompress.wire.Reader`.
 The stream length lets a reader find the end of the blob without parsing
 the entropy stream. Stored blobs put the raw f64 values in the
 payload slot behind an empty table, so they have no bitstream.
@@ -43,6 +44,7 @@ import numpy as np
 from ..errors import FormatError, ShapeError
 from ..grid import BlockCoord, Dims, Volume
 from ..layout import LINEAR, STACKED, MergedArray
+from ..wire import U64, Reader, triples
 from .entropy import LOSSLESS_NONE, LOSSLESS_ZLIB
 from .policy import ErrorBoundPolicy
 
@@ -105,58 +107,39 @@ class CompressedBlob:
             MAGIC, codec_byte, *self.dims, p.eb, p.adaptive, p.alpha, p.beta,
             ARRANGEMENTS.index(self.arrangement), self.padded, self.u, len(self.order),
         )
-        table = np.array([(c.bx, c.by, c.bz) for c in self.order], dtype="<u8").tobytes()
-        return head + table + struct.pack("<Q", len(self.stream)) + self.stream
+        table = triples([(c.bx, c.by, c.bz) for c in self.order])
+        return head + table + U64.pack(len(self.stream)) + self.stream
 
     @classmethod
     def from_bytes(cls, buf: bytes, offset: int = 0) -> tuple["CompressedBlob", int]:
-        if buf[offset : offset + 4] != MAGIC:
+        r = Reader(buf, offset)
+        (magic, codec_byte, nx, ny, nz, eb, adaptive, alpha, beta,
+         arrangement, padded, u, n_blocks) = r.take(_HEADER)
+        if magic != MAGIC:
             raise FormatError("bad blob magic")
-        try:
-            (_, codec_byte, nx, ny, nz, eb, adaptive, alpha, beta,
-             arrangement, padded, u, n_blocks) = _HEADER.unpack_from(buf, offset)
-            offset += _HEADER.size
-            # checked before the table is read, so a corrupt count allocates nothing
-            if len(buf) - offset < 24 * n_blocks:
-                raise FormatError("blob block table truncated")
-            table = np.frombuffer(buf, dtype="<u8", count=3 * n_blocks, offset=offset)
-            offset += 24 * n_blocks
-            (stream_len,) = struct.unpack_from("<Q", buf, offset)
-            offset += 8
-        except struct.error as exc:
-            raise FormatError(f"blob header truncated: {exc}") from exc
+        table = r.triples(n_blocks)
+        (stream_len,) = r.take(U64)
+        stream = r.bytes(stream_len)
         if min(nx, ny, nz) < 1:
             raise FormatError(f"blob dims must be positive, got ({nx}, {ny}, {nz})")
         lossless = LOSSLESS_ZLIB if codec_byte & _ZLIB_FLAG else LOSSLESS_NONE
         codec = codec_byte & ~_ZLIB_FLAG
         if codec >= len(CODECS):
             raise FormatError(f"unknown codec id {codec}")
-        end = offset + stream_len
-        if end > len(buf):
-            raise FormatError("blob stream truncated")
         if arrangement >= len(ARRANGEMENTS):
             raise FormatError(f"unknown arrangement {arrangement}")
+        if adaptive > 1 or padded > 1:
+            raise FormatError("a blob flag byte is neither 0 nor 1")
+        if arrangement == 0 and (u or table or padded):
+            raise FormatError("a whole-volume blob carries a block layout")
         try:
             policy = ErrorBoundPolicy(eb=eb, adaptive=bool(adaptive), alpha=alpha, beta=beta)
+            order = tuple(BlockCoord(bx, by, bz, max(u, 1)) for bx, by, bz in table)
         except ShapeError as exc:
-            raise FormatError(f"blob carries an invalid policy: {exc}") from exc
-        b_edge = max(u, 1)
-        try:
-            order = tuple(BlockCoord(bx, by, bz, b_edge) for bx, by, bz in table.reshape(-1, 3).tolist())
-        except ShapeError as exc:
-            raise FormatError(f"bad block coordinate in blob: {exc}") from exc
-        blob = cls(
-            codec=codec,
-            dims=(nx, ny, nz),
-            policy=policy,
-            arrangement=ARRANGEMENTS[arrangement],
-            padded=bool(padded),
-            u=u,
-            order=order,
-            stream=bytes(buf[offset:end]),
-            lossless=lossless,
-        )
-        return blob, end
+            raise FormatError(f"blob carries an invalid policy or block: {exc}") from exc
+        blob = cls(codec=codec, dims=(nx, ny, nz), policy=policy, arrangement=ARRANGEMENTS[arrangement],
+                   padded=bool(padded), u=u, order=order, stream=stream, lossless=lossless)
+        return blob, r.offset
 
     def size_bytes(self) -> int:
         return len(self.to_bytes())

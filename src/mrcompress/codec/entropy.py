@@ -22,18 +22,19 @@ then their bodies: its working memory is bounded by the group, and the
 bytes do not depend on the group size.
 
 An optional general-purpose lossless pass (zlib) can squeeze the packed
-payload further; it is off by default.
+payload further; it is off by default. Undoing it is capped at the largest
+payload the code and literal counts allow.
 """
 
 from __future__ import annotations
 
-import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import FormatError, ShapeError
+from ..wire import U32, U64, Reader, inflate
 
 MAX_CODE_LEN = 32
 # codes per lane; a lane of MAX_CODE_LEN-bit codes must fit a u16 bit length
@@ -150,23 +151,15 @@ class HuffmanTable:
         return codevals, present, limits, first, offsets, rank_to_symbol
 
     def to_bytes(self) -> bytes:
-        head = struct.pack("<I", self.n_symbols)
-        return head + self.symbols.astype("<i4").tobytes() + self.lengths.tobytes()
+        return U32.pack(self.n_symbols) + self.symbols.astype("<i4").tobytes() + self.lengths.tobytes()
 
     @classmethod
     def from_bytes(cls, buf: bytes, offset: int = 0) -> tuple["HuffmanTable", int]:
-        if len(buf) - offset < 4:
-            raise FormatError("truncated entropy table")
-        (n,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        need = n * 5
-        if len(buf) - offset < need:
-            raise FormatError("truncated entropy table")
-        symbols = np.frombuffer(buf, dtype="<i4", count=n, offset=offset)
-        offset += n * 4
-        lengths = np.frombuffer(buf, dtype=np.uint8, count=n, offset=offset)
-        offset += n
-        return cls(symbols.astype(np.int32), lengths.copy()), offset
+        r = Reader(buf, offset)
+        (n,) = r.take(U32)
+        symbols = r.array("<i4", n).astype(np.int32)
+        lengths = r.array(np.uint8, n).copy()
+        return cls(symbols, lengths), r.offset
 
 
 def build_table(codes: np.ndarray) -> HuffmanTable:
@@ -301,9 +294,7 @@ def unpack_codes(table: HuffmanTable, data: bytes, n_codes: int) -> np.ndarray:
         raise FormatError("table has more symbols than the decoder can rank")
     n_lanes = _lane_count(n_codes)
     head = 2 * n_lanes
-    if len(data) < head:
-        raise FormatError("bitstream shorter than its lane table")
-    lane_bits = np.frombuffer(data, dtype="<u2", count=n_lanes).astype(np.int64)
+    lane_bits = Reader(data).array("<u2", n_lanes).astype(np.int64)
     lane_bytes = (lane_bits + 7) >> 3
     if head + int(lane_bytes.sum()) != len(data):
         raise FormatError("lane lengths do not add up to the bitstream length")
@@ -392,12 +383,7 @@ def entropy_encode(
         payload = zlib.compress(payload, 6)
     elif lossless != LOSSLESS_NONE:
         raise ShapeError(f"unknown lossless pass {lossless!r}")
-    return (
-        struct.pack("<Q", literals.size)
-        + table.to_bytes()
-        + struct.pack("<Q", len(payload))
-        + payload
-    )
+    return U64.pack(literals.size) + table.to_bytes() + U64.pack(len(payload)) + payload
 
 
 def entropy_decode(
@@ -405,22 +391,19 @@ def entropy_decode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`entropy_encode`; returns (codes, literals). The
     stream must end exactly where its payload ends."""
-    if len(buf) < 8:
-        raise FormatError("truncated entropy stream")
-    (n_lit,) = struct.unpack_from("<Q", buf, 0)
-    table, offset = HuffmanTable.from_bytes(buf, 8)
-    if len(buf) - offset < 8:
-        raise FormatError("truncated entropy stream")
-    (plen,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    if len(buf) - offset != plen:
+    r = Reader(buf)
+    (n_lit,) = r.take(U64)
+    # every literal sits behind one escape code
+    if n_lit > n_codes:
+        raise FormatError(f"{n_lit} literals cannot follow {n_codes} codes")
+    table, r.offset = HuffmanTable.from_bytes(buf, r.offset)
+    (plen,) = r.take(U64)
+    if len(buf) - r.offset != plen:
         raise FormatError("entropy payload length disagrees with the stream's end")
-    payload = bytes(buf[offset:])
+    payload = r.bytes(plen)
     if lossless == LOSSLESS_ZLIB:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise FormatError(f"lossless pass failed to undo: {exc}") from exc
+        # the lane table, codes of at most MAX_CODE_LEN bits, the literals
+        payload = inflate(payload, 2 * _lane_count(n_codes) + MAX_CODE_LEN // 8 * n_codes + 8 * n_lit)
     lit_bytes = n_lit * 8
     if len(payload) < lit_bytes:
         raise FormatError("payload shorter than its literal block")

@@ -12,11 +12,15 @@ import struct
 import numpy as np
 
 from ..errors import FormatError, ShapeError
+from ..wire import Reader
 from .entropy import LOSSLESS_NONE
 from .policy import ErrorBoundPolicy
 
 # the blob header has a policy slot; stored blobs carry this one there
 STORED_POLICY = ErrorBoundPolicy(eb=1.0)
+
+# the entropy stream head: literal count, an empty table, payload length
+_HEAD = struct.Struct("<QIQ")
 
 
 def stored_compress(arr: np.ndarray, policy: ErrorBoundPolicy, lossless: str = LOSSLESS_NONE, recon: bool = False):
@@ -25,25 +29,16 @@ def stored_compress(arr: np.ndarray, policy: ErrorBoundPolicy, lossless: str = L
     if lossless != LOSSLESS_NONE:
         raise ShapeError("stored blobs take no lossless pass")
     payload = arr.astype("<f8").tobytes()
-    stream = (
-        struct.pack("<Q", 0)  # literal count
-        + struct.pack("<I", 0)  # empty table
-        + struct.pack("<Q", len(payload))
-        + payload
-    )
-    return stream, arr if recon else None
+    return _HEAD.pack(0, 0, len(payload)) + payload, arr if recon else None
 
 
 def stored_decompress(blob) -> np.ndarray:
     """The (z, y, x) array a stored blob holds."""
-    buf = blob.stream
+    r = Reader(blob.stream)
+    n_lit, n_sym, plen = r.take(_HEAD)
     nx, ny, nz = blob.dims
-    if len(buf) != 20 + nx * ny * nz * 8:
-        raise FormatError("stored payload does not match the blob dims")
-    n_lit, n_sym, plen = struct.unpack_from("<QIQ", buf, 0)
     if n_lit or n_sym:
         raise FormatError("stored blobs carry no entropy data")
-    if plen != nx * ny * nz * 8:
+    if plen != nx * ny * nz * 8 or r.offset + plen != len(blob.stream):
         raise FormatError("stored payload does not match the blob dims")
-    arr = np.frombuffer(buf, dtype="<f8", count=nx * ny * nz, offset=20)
-    return arr.reshape(nz, ny, nx).astype(np.float64)
+    return r.array("<f8", nx * ny * nz).reshape(nz, ny, nx).astype(np.float64)

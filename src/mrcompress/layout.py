@@ -60,6 +60,8 @@ class MergedArray:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "order", tuple(self.order))
+        if not _is_pow2(self.u):
+            raise ShapeError(f"unit size must be a power of two, got {self.u}")
         if self.arrangement not in (LINEAR, STACKED):
             raise ShapeError(f"unknown arrangement {self.arrangement!r}")
         dz, dy, dx = arr.shape
@@ -213,19 +215,13 @@ def unmerge(m: MergedArray) -> list[UnitBlock]:
     if m.padded:
         raise StateError("unpad before unmerging")
     u = m.u
-    dz, dy, dx = m.values.shape
+    _, dy, dx = m.values.shape
     blocks = []
+    # MergedArray guarantees the linear dims and the stacked u-grid
     if m.arrangement == LINEAR:
-        if dx != u or dy != u or dz != u * m.n_blocks:
-            raise ShapeError(
-                f"linear merge of {m.n_blocks} u={u} blocks cannot have shape "
-                f"{m.values.shape}"
-            )
         for i, coord in enumerate(m.order):
             blocks.append(UnitBlock(coord, u, m.values[i * u:(i + 1) * u]))
     else:
-        if dx % u or dy % u or dz % u:
-            raise ShapeError(f"stacked shape {m.values.shape} not divisible by u={u}")
         gx, gy = dx // u, dy // u
         for slot, coord in enumerate(m.order):
             sx = slot % gx

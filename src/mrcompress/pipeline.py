@@ -177,10 +177,11 @@ def decode_level(archive: LevelArchive):
     one; decompress_level, decompress_volume and level_sample_pairs all
     start from it."""
     # every level is coded from finite data, so a non-finite value means a
-    # corrupt stream; a whole volume is checked inside Volume
+    # corrupt stream (a whole volume is checked inside Volume), and a blob
+    # whose layout cannot be rebuilt from its dims is corrupt too
     try:
         dec = decompress(archive.blob)
-    except DataError as exc:
+    except (DataError, ShapeError) as exc:
         raise FormatError(f"decoded level: {exc}") from exc
     if isinstance(dec, MergedArray) and not np.isfinite(dec.values).all():
         raise FormatError("decoded level contains non-finite values")

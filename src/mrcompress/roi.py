@@ -126,8 +126,6 @@ def build_adaptive(v: Volume, mask: np.ndarray, cfg: RoiConfig) -> MultiResDatas
     once into u=b/2 blocks on the half-resolution grid."""
     grid = block_grid(v.dims, cfg.b)
     m3 = _mask_grid(np.asarray(mask, dtype=bool).reshape(-1), grid)
-    if cfg.b < 8:
-        raise ShapeError(f"adaptive build needs b >= 8, got {cfg.b}")
     fine_blocks = []
     coarse_blocks = []
     cu = cfg.b // 2
@@ -158,6 +156,10 @@ def _coverage_check(ds: MultiResDataset) -> None:
     """
     nx, ny, nz = ds.fine_dims
     footprints = [lv.u * ds.level_scale(li) for li, lv in enumerate(ds.levels)]
+    # checked before the lattice is allocated, for dims read from a corrupt file
+    covered = sum(len(lv.blocks) * fp**3 for lv, fp in zip(ds.levels, footprints))
+    if covered != nx * ny * nz:
+        raise CoverageError(f"levels cover {covered} cells of a {nx * ny * nz}-cell domain")
     g = int(np.gcd.reduce(np.array(footprints + [nx, ny, nz], dtype=np.int64)))
     counter = np.zeros((nz // g, ny // g, nx // g), dtype=np.int32)
     for li, lv in enumerate(ds.levels):

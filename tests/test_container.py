@@ -19,7 +19,6 @@ from mrcompress.container import (
 from mrcompress.errors import FormatError, ShapeError
 from mrcompress.pipeline import SampleSet, compress_level, compress_volume, decode_level
 from mrcompress.roi import RoiConfig, build_adaptive, reconstruct_uniform, select_roi
-from mrcompress.uncertainty import ErrorModel
 
 from helpers import max_abs_err, sum_of_gaussians, tile_volume
 
@@ -30,12 +29,21 @@ def _dataset(dims=(32, 32, 32), percent=25.0, seed=0):
     return v, cfg, build_adaptive(v, select_roi(v, cfg), cfg)
 
 
-def _single_level_container(post_family=None, model=None, seed=1):
+def _single_level_container(post_family=None, seed=1):
     v = sum_of_gaussians((32, 32, 32), seed=seed)
     blocks = tile_volume(v, 8)
     arch = compress_level(blocks, v.dims, 8, ErrorBoundPolicy(eb=1e-3),
                           post_family=post_family)
-    return ContainerFile(levels=(ContainerLevel(archive=arch, model=model),)), v
+    return ContainerFile(levels=(ContainerLevel(archive=arch),)), v
+
+
+def _two_level_sz_container():
+    # 64^3 so both merged levels are big enough for the 5 percent sample cap
+    v = sum_of_gaussians((64, 64, 64), seed=6)
+    cfg = RoiConfig(b=8, x_percent=25.0)
+    ds = build_adaptive(v, select_roi(v, cfg), cfg)
+    return container_from_dataset(ds, policy=ErrorBoundPolicy(eb=1e-3), post_family="sz",
+                                  roi_b=cfg.b, roi_x_percent=cfg.x_percent)
 
 
 # -------------------------------------------------------------- round trips
@@ -78,18 +86,17 @@ def test_fully_fine_roi_drops_the_empty_coarse_level():
     ) == v
 
 
-@pytest.mark.parametrize("variant", ["stored", "samples", "model", "both"])
+# "both": a two-level ROI container with a sample sidecar on both levels
+@pytest.mark.parametrize("variant", ["stored", "samples", "both"])
 def test_reencode_is_byte_identical(variant):
     if variant == "stored":
         _, _, ds = _dataset(seed=4)
         c = container_from_dataset(ds)
+    elif variant == "samples":
+        c, _ = _single_level_container(post_family="sz")
     else:
-        model = None
-        fam = "sz" if variant in ("samples", "both") else None
-        if variant in ("model", "both"):
-            model = ErrorModel(mu=1e-4, sigma2=2e-6, isovalue=0.5,
-                               window=0.05, n_samples=321, fallback=False)
-        c, _ = _single_level_container(post_family=fam, model=model)
+        c = _two_level_sz_container()
+        assert all(lv.archive.samples is not None for lv in c.levels)
     raw = encode_container(c)
     again = encode_container(decode_container(raw))
     assert again == raw
@@ -130,20 +137,23 @@ def test_sample_sidecar_round_trip():
         assert np.array_equal(ra, rb)
 
 
-def test_model_sidecar_round_trip():
-    model = ErrorModel(mu=-2.5e-4, sigma2=3.1e-7, isovalue=0.75,
-                       window=0.1, n_samples=4096, fallback=True)
-    c, _ = _single_level_container(model=model)
-    back = decode_container(encode_container(c))
-    assert back.levels[0].model == model
-    assert back.levels[0].archive.samples is None
-
-
 def test_absent_sidecars_stay_absent():
     c, _ = _single_level_container()
     back = decode_container(encode_container(c))
     assert back.levels[0].archive.samples is None
-    assert back.levels[0].model is None
+
+
+@pytest.mark.parametrize("flags", [0, 2, 3])
+def test_sidecar_flags_other_than_samples_rejected(flags):
+    c, _ = _single_level_container(post_family="sz")
+    a = c.levels[0].archive
+    raw = bytearray(encode_container(c))
+    # the sidecar starts where the same container without one ends
+    at = len(encode_container(ContainerFile(levels=(ContainerLevel(archive=replace(a, samples=None)),))))
+    assert raw[at] == 1
+    raw[at] = flags
+    with pytest.raises(FormatError):
+        decode_container(bytes(raw))
 
 
 # ------------------------------------------------------------ format errors
@@ -273,32 +283,17 @@ def test_container_requires_levels():
 
 
 def test_two_level_sidecars_keep_their_levels():
-    # 64^3 so both merged levels are big enough for the 5 percent sample cap
-    v = sum_of_gaussians((64, 64, 64), seed=6)
-    cfg = RoiConfig(b=8, x_percent=25.0)
-    ds = build_adaptive(v, select_roi(v, cfg), cfg)
-    c = container_from_dataset(ds, policy=ErrorBoundPolicy(eb=1e-3), post_family="sz")
-    models = [
-        ErrorModel(mu=0.0, sigma2=1e-6, isovalue=0.1, window=0.05, n_samples=11),
-        None,
-    ]
-    c = ContainerFile(
-        levels=tuple(
-            ContainerLevel(archive=lv.archive, model=m)
-            for lv, m in zip(c.levels, models)
-        ),
-        roi_b=c.roi_b,
-        roi_x_percent=c.roi_x_percent,
-        roi_mask=c.roi_mask,
-    )
+    c = _two_level_sz_container()
+    # only the fine level keeps its sidecar, so each must stay with its level
+    c = replace(c, levels=(c.levels[0], ContainerLevel(archive=replace(c.levels[1].archive, samples=None))))
     back = decode_container(encode_container(c))
-    assert back.levels[0].model == models[0]
-    assert back.levels[1].model is None
     for orig_lv, back_lv in zip(c.levels, back.levels):
         sa, sb = orig_lv.archive.samples, back_lv.archive.samples
         assert (sa is None) == (sb is None)
         if sa is not None:
             assert sa.plan == sb.plan
+            for ra, rb in zip(sa.regions, sb.regions):
+                assert np.array_equal(ra, rb)
 
 
 # sha256 of encode_container for a 2-level ROI container with post "sz",
@@ -337,9 +332,9 @@ def test_roi_command_golden_bytes(tmp_path):
 
 
 # sha256 of a 2-level container with the block codec, the stacked
-# arrangement, the zlib pass, post "zfp" and an error-model sidecar: the
-# codec, arrangement and post-family bytes the other digests leave unpinned
-GOLDEN_BLOCK_STACKED_ZFP = "a535b9788f820e37b32710dd84ee97951751ae7e0d5074cb201d7bcaef3802c1"
+# arrangement, the zlib pass and post "zfp": the codec, arrangement and
+# post-family bytes the other digests leave unpinned
+GOLDEN_BLOCK_STACKED_ZFP = "707ce2b4ee321bde92a7fee1a80411f33b21fedb037ec3fed3ffe672c16e4f41"
 
 
 def test_block_stacked_zfp_container_golden_bytes():
@@ -347,9 +342,6 @@ def test_block_stacked_zfp_container_golden_bytes():
     c = container_from_dataset(ds, policy=ErrorBoundPolicy(eb=1e-3), codec="block",
                                arrangement="stacked", lossless="zlib", post_family="zfp",
                                roi_b=cfg.b, roi_x_percent=cfg.x_percent)
-    model = ErrorModel(mu=1e-5, sigma2=3e-7, isovalue=0.5, window=0.05, n_samples=77)
-    c = ContainerFile(levels=(ContainerLevel(archive=c.levels[0].archive, model=model),) + c.levels[1:],
-                      roi_b=c.roi_b, roi_x_percent=c.roi_x_percent, roi_mask=c.roi_mask)
     blobs = [lv.archive.blob for lv in c.levels]
     assert [(b.codec_name, b.lossless) for b in blobs] == [("block", "zlib")] * 2
     assert all(decode_level(lv.archive).arrangement == "stacked" for lv in c.levels)

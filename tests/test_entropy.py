@@ -389,7 +389,9 @@ def _skewed_streams(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     codes = rng.permutation(np.repeat(np.array(symbols, np.int32), counts))
-    lits = rng.normal(size=draw(st.integers(0, 20)))
+    # every literal sits behind one escape code, so there are no more
+    # literals than codes
+    lits = rng.normal(size=draw(st.integers(0, min(20, codes.size))))
     return codes, lits
 
 

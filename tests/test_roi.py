@@ -192,17 +192,17 @@ def test_ingest_rejects_bad_chain():
 def test_coverage_gap_and_overlap_raise():
     v = noisy_field((16, 16, 16), seed=10)
     blocks = _tile(v, 8)
-    with pytest.raises(CoverageError):
-        reconstruct_uniform(
-            MultiResDataset(
-                levels=(Level(dims=v.dims, u=8, blocks=tuple(blocks[:-1])),),
-                roi_mask=np.ones(8, dtype=bool),
+    cases = [
+        (v.dims, blocks[:-1]),  # a gap
+        (v.dims, blocks + [blocks[0]]),  # an overlap
+        (v.dims, blocks[:-1] + [blocks[0]]),  # both, at the domain's volume
+        ((2**40, 16, 16), blocks),  # dims whose lattice would not fit in memory
+    ]
+    for dims, bag in cases:
+        with pytest.raises(CoverageError):
+            reconstruct_uniform(
+                MultiResDataset(
+                    levels=(Level(dims=dims, u=8, blocks=tuple(bag)),),
+                    roi_mask=np.ones(8, dtype=bool),
+                )
             )
-        )
-    with pytest.raises(CoverageError):
-        reconstruct_uniform(
-            MultiResDataset(
-                levels=(Level(dims=v.dims, u=8, blocks=tuple(blocks + [blocks[0]])),),
-                roi_mask=np.ones(8, dtype=bool),
-            )
-        )
