@@ -25,7 +25,7 @@ from .container import (
     encode_container,
     read_container,
 )
-from .errors import DataError, FormatError, MrcError, ShapeError
+from .errors import CoverageError, DataError, FormatError, MrcError, ShapeError
 from .grid import Volume, read_raw_volume, write_raw_volume
 from .layout import LINEAR, STACKED
 from .metrics import psnr, ssim
@@ -80,21 +80,33 @@ def _is_container(path: str) -> bool:
         return fh.read(4) == MAGIC
 
 
+@contextlib.contextmanager
+def _decoded_geometry():
+    """A container whose level geometry does not fit together is a corrupt
+    file, not a usage problem."""
+    try:
+        yield
+    except (ShapeError, CoverageError) as exc:
+        raise FormatError(f"container level geometry: {exc}") from exc
+
+
 def _dataset(c: ContainerFile, decoded=None) -> MultiResDataset:
     """The container's levels as unit blocks. ``decoded`` holds each level's
     decode_level output when the caller already decoded them."""
     decoded = decoded or [None] * c.n_levels
-    levels = tuple(
-        Level(dims=lv.archive.dims, u=lv.archive.u, blocks=tuple(decompress_level(lv.archive, dec)))
-        for lv, dec in zip(c.levels, decoded)
-    )
-    return MultiResDataset(levels=levels, roi_mask=c.roi_mask)
+    with _decoded_geometry():
+        levels = tuple(
+            Level(dims=lv.archive.dims, u=lv.archive.u, blocks=tuple(decompress_level(lv.archive, dec)))
+            for lv, dec in zip(c.levels, decoded)
+        )
+        return MultiResDataset(levels=levels, roi_mask=c.roi_mask)
 
 
 def _reconstruct(c: ContainerFile, decoded=None) -> Volume:
     if c.n_levels == 1 and c.levels[0].archive.u == 0:
         return decompress_volume(c.levels[0].archive, decoded[0] if decoded else None)
-    return reconstruct_uniform(_dataset(c, decoded))
+    with _decoded_geometry():
+        return reconstruct_uniform(_dataset(c, decoded))
 
 
 def cmd_roi(args) -> int:

@@ -19,9 +19,7 @@ CODE_CAP = 2**15
 LITERAL_MARK = CODE_CAP + 1
 
 
-def quantize_array(
-    pred: np.ndarray, actual: np.ndarray, eb: float, cap: int = CODE_CAP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def quantize_array(pred: np.ndarray, actual: np.ndarray, eb: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vector form: returns (codes int32, reconstruction, literal values).
 
     Reconstruction equals ``pred + 2*eb*code`` where a code was emitted and
@@ -34,7 +32,7 @@ def quantize_array(
     mag /= 2.0 * eb
     mag += 0.5
     np.floor(mag, out=mag)
-    ok = mag <= cap  # catches inf/NaN magnitudes as well
+    ok = mag <= CODE_CAP  # catches inf/NaN magnitudes as well
     if not ok.all():
         mag[~ok] = 0.0
     np.copysign(mag, resid, out=mag)

@@ -116,23 +116,18 @@ def block_grid(dims: Dims, b: int) -> Dims:
     return (nx // b, ny // b, nz // b)
 
 
-def block_slices(c: BlockCoord) -> tuple[slice, slice, slice]:
-    """(z, y, x) slices of the block's footprint in a volume array."""
-    return (
-        slice(c.bz * c.b, (c.bz + 1) * c.b),
-        slice(c.by * c.b, (c.by + 1) * c.b),
-        slice(c.bx * c.b, (c.bx + 1) * c.b),
-    )
+def block_view(arr: np.ndarray, b: int) -> np.ndarray:
+    """The (gz, gy, gx, b, b, b) view of a (z, y, x) array's b-cubes; its
+    (gz, gy, gx) C-order ravel is block-index order, bx fastest. Splitting
+    axes never copies, so writes through it land in ``arr``."""
+    gx, gy, gz = block_grid(arr.shape[::-1], b)
+    return arr.reshape(gz, b, gy, b, gx, b).transpose(0, 2, 4, 1, 3, 5)
 
 
 def block_ranges(v: Volume, b: int) -> np.ndarray:
     """Value range of every b-block, flat in block-index order."""
-    gx, gy, gz = block_grid(v.dims, b)
-    cells = v.data.reshape(gz, b, gy, b, gx, b)
-    hi = cells.max(axis=(1, 3, 5))
-    lo = cells.min(axis=(1, 3, 5))
-    # (gz, gy, gx) C-order ravel puts bx fastest: index bx + gx * (by + gy * bz)
-    return (hi - lo).reshape(-1)
+    cells = block_view(v.data, b)
+    return (cells.max(axis=(3, 4, 5)) - cells.min(axis=(3, 4, 5))).reshape(-1)
 
 
 def downsample2x(v: Volume) -> Volume:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeError, StateError
-from .grid import BlockCoord, Dims, _is_pow2
+from .grid import BlockCoord, Dims, _is_pow2, block_view
 
 LINEAR = "linear"
 STACKED = "stacked"
@@ -149,19 +149,11 @@ def stack_merge(blocks: list[UnitBlock]) -> MergedArray:
     """
     u = _check_blocks(blocks)
     ordered = _sorted_blocks(blocks)
-    k = len(ordered)
-    gx, gy, gz = _stack_grid(k)
+    gx, gy, gz = _stack_grid(len(ordered))
+    slots = np.full((gz, gy, gx, u, u, u), float(ordered[-1].data.mean()))
+    np.stack([blk.data for blk in ordered], out=slots.reshape(-1, u, u, u)[: len(ordered)])
     values = np.empty((gz * u, gy * u, gx * u), dtype=np.float64)
-    filler = float(ordered[-1].data.mean())
-    for slot in range(gx * gy * gz):
-        sx = slot % gx
-        sy = (slot // gx) % gy
-        sz = slot // (gx * gy)
-        dest = values[sz * u:(sz + 1) * u, sy * u:(sy + 1) * u, sx * u:(sx + 1) * u]
-        if slot < k:
-            dest[:] = ordered[slot].data
-        else:
-            dest[:] = filler
+    block_view(values, u)[...] = slots
     return MergedArray(
         values=values,
         order=tuple(blk.coord for blk in ordered),
@@ -214,24 +206,10 @@ def unmerge(m: MergedArray) -> list[UnitBlock]:
     """Split a merged array back into its unit blocks, filler slots dropped."""
     if m.padded:
         raise StateError("unpad before unmerging")
-    u = m.u
-    _, dy, dx = m.values.shape
-    blocks = []
-    # MergedArray guarantees the linear dims and the stacked u-grid
-    if m.arrangement == LINEAR:
-        for i, coord in enumerate(m.order):
-            blocks.append(UnitBlock(coord, u, m.values[i * u:(i + 1) * u]))
-    else:
-        gx, gy = dx // u, dy // u
-        for slot, coord in enumerate(m.order):
-            sx = slot % gx
-            sy = (slot // gx) % gy
-            sz = slot // (gx * gy)
-            data = m.values[
-                sz * u:(sz + 1) * u, sy * u:(sy + 1) * u, sx * u:(sx + 1) * u
-            ]
-            blocks.append(UnitBlock(coord, u, data))
-    return blocks
+    # a linear merge is a (k, 1, 1) slot grid, so both split the same way
+    # and the linear one stays a view
+    slots = block_view(m.values, m.u).reshape(-1, m.u, m.u, m.u)
+    return [UnitBlock(coord, m.u, data) for coord, data in zip(m.order, slots)]
 
 
 def padding_overhead(u: int) -> float:

@@ -151,12 +151,10 @@ class SamplingPlan:
     achieved_rate: float
 
 
-def plan_sampling(
-    dims, blocksize: int, max_rate: float = 0.05, j: int = 2, seed: int = 0
-) -> SamplingPlan:
-    """Choose i^3 sample regions of roughly (j*blocksize)^3 cells.
+def plan_sampling(dims, blocksize: int, max_rate: float = 0.05, seed: int = 0) -> SamplingPlan:
+    """Choose i^3 sample regions of roughly (2*blocksize)^3 cells.
 
-    On arrays thinner than j*blocksize along some axis the region shrinks to
+    On arrays thinner than 2*blocksize along some axis the region shrinks to
     the largest block multiple that fits, so merged arrays sample a run of
     consecutive unit blocks instead of a cube.
     """
@@ -166,8 +164,8 @@ def plan_sampling(
         raise ShapeError(f"blocksize must be positive, got {blocksize}")
     if not (0.0 < max_rate <= 1.0):
         raise ShapeError(f"sample rate cap must be in (0, 1], got {max_rate}")
-    for jj in range(j, 0, -1):
-        edges = tuple(blocksize * min(jj, d // blocksize) for d in (nx, ny, nz))
+    for j in (2, 1):  # the region edge in blocks
+        edges = tuple(blocksize * min(j, d // blocksize) for d in (nx, ny, nz))
         if min(edges) == 0:
             continue
         region = edges[0] * edges[1] * edges[2]
@@ -180,17 +178,13 @@ def plan_sampling(
         if i == 0:
             continue
         rng = np.random.default_rng(seed)
-        picks = rng.choice(n_tiles, size=i**3, replace=False)
-        origins = []
-        for t in picks:
-            tx = int(t) % tiles[0]
-            ty = (int(t) // tiles[0]) % tiles[1]
-            tz = int(t) // (tiles[0] * tiles[1])
-            origins.append((tx * edges[0], ty * edges[1], tz * edges[2]))
-        origins.sort(key=lambda o: (o[2], o[1], o[0]))
+        picks = np.sort(rng.choice(n_tiles, size=i**3, replace=False))
+        # a tile number is x-fastest, so sorted picks are (oz, oy, ox) order
+        tz, ty, tx = np.unravel_index(picks, tiles[::-1])
+        origins = zip((tx * edges[0]).tolist(), (ty * edges[1]).tolist(), (tz * edges[2]).tolist())
         return SamplingPlan(
             i=i,
-            j=jj,
+            j=j,
             seed=seed,
             edges=edges,
             origins=tuple(origins),

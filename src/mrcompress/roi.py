@@ -20,11 +20,11 @@ from .grid import (
     _is_pow2,
     block_grid,
     block_ranges,
-    block_slices,
+    block_view,
     downsample2x,
     upsample2x,
 )
-from .layout import UnitBlock
+from .layout import UnitBlock, _sorted_blocks
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,9 @@ class Level:
 @dataclass(frozen=True)
 class MultiResDataset:
     """Levels ordered fine to coarse with refinement ratio 2 between
-    neighbors. ``roi_mask`` flags which finest-grid blocks are stored at
-    full resolution (flat, block-index order)."""
+    neighbors: level li's dims times 2**li are the finest dims. ``roi_mask``
+    flags which finest-grid blocks are stored at full resolution (flat,
+    block-index order)."""
 
     levels: tuple[Level, ...]
     roi_mask: np.ndarray
@@ -73,6 +74,10 @@ class MultiResDataset:
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ShapeError("dataset needs at least one level")
+        fine = tuple(self.fine_dims)
+        for li, lv in enumerate(self.levels):
+            if tuple(d * 2**li for d in lv.dims) != fine:
+                raise ShapeError(f"level {li} dims {tuple(lv.dims)} break the 2x refinement chain from {fine}")
         mask = np.asarray(self.roi_mask, dtype=bool).reshape(-1).copy()
         mask.flags.writeable = False
         object.__setattr__(self, "roi_mask", mask)
@@ -121,30 +126,24 @@ def _mask_grid(mask: np.ndarray, grid: Dims) -> np.ndarray:
     return mask.reshape(gz, gy, gx)
 
 
+def _cut(cubes: np.ndarray, keep: np.ndarray, u: int) -> tuple[UnitBlock, ...]:
+    """The u-blocks of the block view ``cubes`` where the (gz, gy, gx) mask
+    ``keep`` is set, in block-index order."""
+    return tuple(
+        UnitBlock(BlockCoord(bx, by, bz, u), u, cubes[bz, by, bx])
+        for bz, by, bx in np.argwhere(keep).tolist()
+    )
+
+
 def build_adaptive(v: Volume, mask: np.ndarray, cfg: RoiConfig) -> MultiResDataset:
     """Two-level dataset: masked blocks verbatim at u=b, the rest downsampled
     once into u=b/2 blocks on the half-resolution grid."""
-    grid = block_grid(v.dims, cfg.b)
-    m3 = _mask_grid(np.asarray(mask, dtype=bool).reshape(-1), grid)
-    fine_blocks = []
-    coarse_blocks = []
+    m3 = _mask_grid(np.asarray(mask, dtype=bool).reshape(-1), block_grid(v.dims, cfg.b))
     cu = cfg.b // 2
-    gx, gy, gz = grid
-    for bz in range(gz):
-        for by in range(gy):
-            for bx in range(gx):
-                coord = BlockCoord(bx, by, bz, cfg.b)
-                sub = v.data[block_slices(coord)]
-                if m3[bz, by, bx]:
-                    fine_blocks.append(UnitBlock(BlockCoord(bx, by, bz, cfg.b), cfg.b, sub))
-                else:
-                    down = downsample2x(Volume(sub))
-                    coarse_blocks.append(
-                        UnitBlock(BlockCoord(bx, by, bz, cu), cu, down.data)
-                    )
     nx, ny, nz = v.dims
-    fine = Level(dims=v.dims, u=cfg.b, blocks=tuple(fine_blocks))
-    coarse = Level(dims=(nx // 2, ny // 2, nz // 2), u=cu, blocks=tuple(coarse_blocks))
+    fine = Level(dims=v.dims, u=cfg.b, blocks=_cut(block_view(v.data, cfg.b), m3, cfg.b))
+    coarse = Level(dims=(nx // 2, ny // 2, nz // 2), u=cu,
+                   blocks=_cut(block_view(downsample2x(v).data, cu), ~m3, cu))
     return MultiResDataset(levels=(fine, coarse), roi_mask=m3.reshape(-1))
 
 
@@ -162,16 +161,10 @@ def _coverage_check(ds: MultiResDataset) -> None:
         raise CoverageError(f"levels cover {covered} cells of a {nx * ny * nz}-cell domain")
     g = int(np.gcd.reduce(np.array(footprints + [nx, ny, nz], dtype=np.int64)))
     counter = np.zeros((nz // g, ny // g, nx // g), dtype=np.int32)
-    for li, lv in enumerate(ds.levels):
-        fp = footprints[li]
-        step = fp // g
+    for lv, fp in zip(ds.levels, footprints):
+        cells = block_view(counter, fp // g)
         for blk in lv.blocks:
-            c = blk.coord
-            counter[
-                c.bz * step:(c.bz + 1) * step,
-                c.by * step:(c.by + 1) * step,
-                c.bx * step:(c.bx + 1) * step,
-            ] += 1
+            cells[blk.coord.bz, blk.coord.by, blk.coord.bx] += 1
     if (counter != 1).any():
         over = int((counter > 1).sum())
         gaps = int((counter == 0).sum())
@@ -188,21 +181,16 @@ def reconstruct_uniform(ds: MultiResDataset) -> Volume:
     nx, ny, nz = ds.fine_dims
     out = np.empty((nz, ny, nx), dtype=np.float64)
     for li, lv in enumerate(ds.levels):
-        scale = ds.level_scale(li)
-        fp = lv.u * scale
+        cells = block_view(out, lv.u * ds.level_scale(li))
+        # one block at a time: upsampling a whole level at once raises the peak
         for blk in lv.blocks:
             data = blk.data
-            if scale > 1:
+            if li:
                 v = Volume(data)
-                for _ in range(int(np.log2(scale))):
+                for _ in range(li):
                     v = upsample2x(v)
                 data = v.data
-            c = blk.coord
-            out[
-                c.bz * fp:(c.bz + 1) * fp,
-                c.by * fp:(c.by + 1) * fp,
-                c.bx * fp:(c.bx + 1) * fp,
-            ] = data
+            cells[blk.coord.bz, blk.coord.by, blk.coord.bx] = data
     return Volume(out)
 
 
@@ -211,29 +199,18 @@ def ingest_amr(levels: list[tuple[Dims, int, list[UnitBlock]]]) -> MultiResDatas
 
     ``levels`` is ordered fine to coarse as (dims, u, blocks) with dims halving
     between neighbors. Blocks are re-sorted into canonical (bz, by, bx) order
-    and the disjoint-coverage invariant is enforced.
+    and the refinement chain and disjoint-coverage invariants are enforced.
     """
     if not levels:
         raise ShapeError("need at least one level")
-    norm = []
-    prev_dims = None
-    for dims, u, blocks in levels:
-        if prev_dims is not None:
-            want = (prev_dims[0] // 2, prev_dims[1] // 2, prev_dims[2] // 2)
-            if tuple(dims) != want:
-                raise ShapeError(
-                    f"level dims {tuple(dims)} break the 2x refinement chain "
-                    f"(expected {want})"
-                )
-        ordered = sorted(blocks, key=lambda blk: (blk.coord.bz, blk.coord.by, blk.coord.bx))
-        norm.append(Level(dims=tuple(dims), u=u, blocks=tuple(ordered)))
-        prev_dims = tuple(dims)
-    fine = norm[0]
-    grid = block_grid(fine.dims, fine.u)
-    mask = np.zeros(grid[0] * grid[1] * grid[2], dtype=bool)
-    for blk in fine.blocks:
-        c = blk.coord
-        mask[c.bx + grid[0] * (c.by + grid[1] * c.bz)] = True
-    ds = MultiResDataset(levels=tuple(norm), roi_mask=mask)
+    norm = tuple(
+        Level(dims=tuple(dims), u=u, blocks=tuple(_sorted_blocks(blocks)))
+        for dims, u, blocks in levels
+    )
+    gx, gy, gz = block_grid(norm[0].dims, norm[0].u)
+    mask = np.zeros((gz, gy, gx), dtype=bool)
+    for blk in norm[0].blocks:
+        mask[blk.coord.bz, blk.coord.by, blk.coord.bx] = True
+    ds = MultiResDataset(levels=norm, roi_mask=mask)
     _coverage_check(ds)
     return ds

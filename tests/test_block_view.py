@@ -1,0 +1,143 @@
+"""Blocks are cut, merged, split and pasted through ``grid.block_view`` with
+the same bytes as the per-block slicing in ``helpers``."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mrcompress import roi
+from mrcompress.grid import BlockCoord, Volume, downsample2x
+from mrcompress.layout import UnitBlock, linear_merge, pad_linear, stack_merge, unmerge, unpad
+from mrcompress.roi import RoiConfig, build_adaptive, ingest_amr, reconstruct_uniform, select_roi
+
+from helpers import (
+    build_adaptive_per_block,
+    noisy_field,
+    reconstruct_uniform_per_block,
+    smooth_field,
+    stack_merge_per_block,
+    sum_of_gaussians,
+    tile_volume,
+    unmerge_per_block,
+)
+
+
+def _same_blocks(got, want):
+    assert [(b.coord, b.u) for b in got] == [(b.coord, b.u) for b in want]
+    for g, w in zip(got, want):
+        assert g.data.tobytes() == w.data.tobytes()
+
+
+def _same_dataset(got, want):
+    assert got.roi_mask.tobytes() == want.roi_mask.tobytes()
+    assert [(lv.dims, lv.u) for lv in got.levels] == [(lv.dims, lv.u) for lv in want.levels]
+    for g, w in zip(got.levels, want.levels):
+        _same_blocks(g.blocks, w.blocks)
+
+
+FIELDS = {
+    "gaussians": lambda dims: sum_of_gaussians(dims, seed=3),
+    "noise": lambda dims: noisy_field(dims, seed=4),
+    "smooth": lambda dims: smooth_field(dims, seed=5, noise=0.01),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("b", [8, 16, 32])
+@pytest.mark.parametrize("percent", [1.0, 20.0, 100.0])
+def test_build_and_reconstruct_match_per_block(field, b, percent):
+    v = FIELDS[field]((96, 32, 64))
+    cfg = RoiConfig(b=b, x_percent=percent)
+    mask = select_roi(v, cfg)
+    ds = build_adaptive(v, mask, cfg)
+    _same_dataset(ds, build_adaptive_per_block(v, mask, cfg))
+    assert reconstruct_uniform(ds).data.tobytes() == reconstruct_uniform_per_block(ds).data.tobytes()
+
+
+def _blocks(k, u, seed):
+    """k unit blocks at scattered coords, handed over out of order."""
+    rng = np.random.default_rng(seed)
+    cells = rng.permutation(6 * 5 * 4)[:k]
+    return [UnitBlock(BlockCoord(int(c % 6), int(c // 6 % 5), int(c // 30), u), u,
+                      rng.standard_normal((u, u, u))) for c in cells]
+
+
+@pytest.mark.parametrize("k", [1, 5, 9, 28])
+@pytest.mark.parametrize("u", [2, 8])
+def test_merges_and_splits_match_per_block(k, u):
+    blocks = _blocks(k, u, seed=k + u)
+    stacked = stack_merge(blocks)
+    want = stack_merge_per_block(blocks)
+    assert stacked.values.tobytes() == want.values.tobytes()
+    assert (stacked.order, stacked.u, stacked.arrangement) == (want.order, want.u, want.arrangement)
+    _same_blocks(unmerge(stacked), unmerge_per_block(want))
+    linear = linear_merge(blocks)
+    _same_blocks(unmerge(linear), unmerge_per_block(linear))
+    padded = pad_linear(linear)
+    if padded.padded:
+        _same_blocks(unmerge(unpad(padded)), unmerge_per_block(unpad(padded)))
+
+
+def test_unmerge_of_a_linear_merge_is_a_view():
+    m = linear_merge(_blocks(5, 4, seed=1))
+    assert all(np.shares_memory(blk.data, m.values) for blk in unmerge(m))
+
+
+def _three_levels(dims, seed):
+    """Fine, half and quarter grids of one field with u = 8, 4, 2; the fine
+    level keeps the bz = 0 slab, the half level the bz = 1 slab."""
+    f0 = noisy_field(dims, seed=seed)
+    f1 = downsample2x(f0)
+    f2 = downsample2x(f1)
+    l0 = [blk for blk in tile_volume(f0, 8) if blk.coord.bz == 0]
+    l1 = [blk for blk in tile_volume(f1, 4) if blk.coord.bz == 1]
+    l2 = [blk for blk in tile_volume(f2, 2) if blk.coord.bz >= 2]
+    return f0, [(f0.dims, 8, l0[::-1]), (f1.dims, 4, l1[::-1]), (f2.dims, 2, l2[::-1])]
+
+
+@pytest.mark.parametrize("dims", [(32, 16, 48), (16, 32, 64)])
+def test_three_level_ingest_matches_per_block(dims):
+    f0, levels = _three_levels(dims, seed=sum(dims))
+    ds = ingest_amr(levels)
+    for lv, (_, _, blocks) in zip(ds.levels, levels):
+        _same_blocks(lv.blocks, sorted(blocks, key=lambda blk: (blk.coord.bz, blk.coord.by, blk.coord.bx)))
+    gx, gy = dims[0] // 8, dims[1] // 8
+    want = np.zeros(dims[2] // 8 * gy * gx, dtype=bool)
+    want[: gy * gx] = True  # the bz = 0 slab, block-index order
+    assert ds.roi_mask.tobytes() == want.tobytes()
+    rec = reconstruct_uniform(ds)
+    assert rec.data.tobytes() == reconstruct_uniform_per_block(ds).data.tobytes()
+    assert np.array_equal(rec.data[:8], f0.data[:8])
+
+
+@pytest.fixture(scope="module")
+def cli_roi():
+    """The benchmark's cli-roi input: 12 Gaussian bumps on 128^3, read back
+    from f32, ROI blocks of 16 at 20%."""
+    v = Volume(sum_of_gaussians((128, 128, 128), n=12, seed=5).data.astype(np.float32))
+    cfg = RoiConfig(b=16, x_percent=20.0)
+    return v, cfg, select_roi(v, cfg)
+
+
+def test_build_adaptive_downsamples_once(cli_roi, monkeypatch):
+    v, cfg, mask = cli_roi
+    calls = []
+    monkeypatch.setattr(roi, "downsample2x", lambda vol: calls.append(vol.dims) or downsample2x(vol))
+    ds = build_adaptive(v, mask, cfg)
+    assert calls == [v.dims]
+    assert len(ds.levels[1].blocks) == 409
+
+
+def test_reconstruct_uniform_peak_stays_near_the_output(cli_roi):
+    # per-block pasting peaks at about 2.1x the output (the paste target and
+    # the Volume copy); upsampling a whole level at once reaches 2.9x
+    v, cfg, mask = cli_roi
+    ds = build_adaptive(v, mask, cfg)
+    tracemalloc.start()
+    try:
+        out = reconstruct_uniform(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * out.data.nbytes

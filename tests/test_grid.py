@@ -6,7 +6,7 @@ from mrcompress.grid import (
     BlockCoord,
     Volume,
     block_ranges,
-    block_slices,
+    block_view,
     downsample2x,
     read_raw_volume,
     upsample2x,
@@ -64,9 +64,22 @@ def test_block_ranges_matches_bruteforce():
     for bz in range(grid[2]):
         for by in range(grid[1]):
             for bx in range(grid[0]):
-                sub = v.data[block_slices(BlockCoord(bx, by, bz, 4))]
+                sub = v.data[bz * 4 : (bz + 1) * 4, by * 4 : (by + 1) * 4, bx * 4 : (bx + 1) * 4]
                 assert ranges[k] == sub.max() - sub.min()
                 k += 1
+
+
+def test_block_view_is_a_writable_view_in_block_index_order():
+    arr = np.arange(8 * 4 * 12, dtype=np.float64).reshape(8, 4, 12)
+    cells = block_view(arr, 4)
+    assert cells.shape == (2, 1, 3, 4, 4, 4)
+    for k, (bz, by, bx) in enumerate(np.ndindex(2, 1, 3)):
+        sub = arr[bz * 4 : (bz + 1) * 4, by * 4 : (by + 1) * 4, bx * 4 : (bx + 1) * 4]
+        assert np.array_equal(cells.reshape(-1, 4, 4, 4)[k], sub)
+    cells[1, 0, 2] = -1.0
+    assert (arr[4:, :, 8:] == -1.0).all() and (arr[:4] >= 0).all()
+    with pytest.raises(ShapeError):
+        block_view(arr, 8)  # 4 cells along y
 
 
 def test_downsample_constant():

@@ -187,6 +187,17 @@ def test_ingest_rejects_bad_chain():
     v = noisy_field((16, 16, 16), seed=9)
     with pytest.raises(ShapeError):
         ingest_amr([(v.dims, 8, _tile(v, 8)), ((9, 8, 8), 4, [])])
+    # every level is a valid grid, but the third is not the second halved
+    with pytest.raises(ShapeError):
+        ingest_amr([(v.dims, 8, []), ((8, 8, 8), 4, []), ((4, 4, 8), 2, [])])
+
+
+def test_dataset_rejects_a_broken_refinement_chain():
+    blocks = tuple(_tile(noisy_field((16, 16, 16), seed=9), 8))
+    fine = Level(dims=(16, 16, 16), u=8, blocks=blocks[:4])
+    for dims in ((16, 16, 16), (8, 8, 16), (4, 4, 4)):
+        with pytest.raises(ShapeError):
+            MultiResDataset(levels=(fine, Level(dims=dims, u=4)), roi_mask=np.ones(8, dtype=bool))
 
 
 def test_coverage_gap_and_overlap_raise():

@@ -228,9 +228,19 @@ def test_every_structured_byte_flip_decodes_or_raises_format_error(containers, n
 # --------------------------------------------------- malformed files, exit 3
 
 
-def _flip_cases(built):
+_DIMS_FLIPS = [(pos, mask) for pos in range(24) for mask in (0x01, 0x80, 0xFF)]
+
+
+@pytest.fixture(scope="module")
+def flip_cases(built):
     stacked, roi, whole = built["block-stacked-zfp"], built["interp-roi-zlib-sz"], built["whole-volume"]
     cases = {}
+    stored = built["stored-roi"]
+    record = _blob_offsets(stored)[0] - 24 * len(stored.levels[0].archive.coords) - _LEVEL
+    for pos, mask in _DIMS_FLIPS:  # the fine level's dims break the refinement chain
+        raw = bytearray(encode_container(stored))
+        raw[record + pos] ^= mask
+        cases[f"fine-dims-{pos}-{mask:02x}"] = raw
     raw = bytearray(encode_container(roi))
     raw[7] = 0  # the level count
     cases["no-levels"] = raw
@@ -248,9 +258,10 @@ def _flip_cases(built):
     return cases
 
 
-@pytest.mark.parametrize("case", ["no-levels", "arrangement", "padded-linear", "padded-stacked"])
-def test_malformed_layout_bytes_exit_three(tmp_path, built, case):
+@pytest.mark.parametrize("case", ["no-levels", "arrangement", "padded-linear", "padded-stacked"]
+                         + [f"fine-dims-{pos}-{mask:02x}" for pos, mask in _DIMS_FLIPS])
+def test_malformed_layout_bytes_exit_three(tmp_path, flip_cases, case):
     path = tmp_path / "bad.mrc"
-    path.write_bytes(bytes(_flip_cases(built)[case]))
+    path.write_bytes(bytes(flip_cases[case]))
     args = ["decompress", "--input", str(path), "--out", str(tmp_path / "out.raw")]
     assert main(args + ["--uniform"]) == 3
