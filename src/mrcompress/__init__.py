@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .grid import BlockCoord, Volume, downsample2x, read_raw_volume, upsample2x, write_raw_volume
-from .layout import MergedArray, UnitBlock, linear_merge, pad_linear, stack_merge, unmerge, unpad
+from .grid import Volume, downsample2x, read_raw_volume, upsample2x, write_raw_volume
+from .layout import MergedArray, linear_merge, pad_linear, stack_merge, unmerge, unpad
 
 __version__ = "0.1.0"

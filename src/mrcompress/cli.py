@@ -22,10 +22,11 @@ from .container import (
     ContainerFile,
     ContainerLevel,
     container_from_dataset,
+    decoded_geometry,
     encode_container,
     read_container,
 )
-from .errors import CoverageError, DataError, FormatError, MrcError, ShapeError
+from .errors import DataError, FormatError, MrcError, ShapeError
 from .grid import Volume, read_raw_volume, write_raw_volume
 from .layout import LINEAR, STACKED
 from .metrics import psnr, ssim
@@ -37,7 +38,7 @@ from .pipeline import (
     decompress_volume,
     level_sample_pairs,
 )
-from .roi import Level, MultiResDataset, RoiConfig, build_adaptive, reconstruct_uniform, select_roi
+from .roi import MultiResDataset, RoiConfig, build_adaptive, reconstruct_uniform, select_roi
 from .uncertainty import DEFAULT_WINDOW, fit_model, probability_field, sample_errors, sidecar_json
 
 
@@ -76,37 +77,25 @@ def _parse_dims(text: str):
 
 
 def _is_container(path: str) -> bool:
+    """Whether ``path`` starts like a container of any version; the decoder
+    rejects the versions it does not read."""
     with open(path, "rb") as fh:
-        return fh.read(4) == MAGIC
-
-
-@contextlib.contextmanager
-def _decoded_geometry():
-    """A container whose level geometry does not fit together is a corrupt
-    file, not a usage problem."""
-    try:
-        yield
-    except (ShapeError, CoverageError) as exc:
-        raise FormatError(f"container level geometry: {exc}") from exc
+        return fh.read(3) == MAGIC[:3]
 
 
 def _dataset(c: ContainerFile, decoded=None) -> MultiResDataset:
-    """The container's levels as unit blocks. ``decoded`` holds each level's
+    """The container's levels as a dataset. ``decoded`` holds each level's
     decode_level output when the caller already decoded them."""
     decoded = decoded or [None] * c.n_levels
-    with _decoded_geometry():
-        levels = tuple(
-            Level(dims=lv.archive.dims, u=lv.archive.u, blocks=tuple(decompress_level(lv.archive, dec)))
-            for lv, dec in zip(c.levels, decoded)
-        )
-        return MultiResDataset(levels=levels, roi_mask=c.roi_mask)
+    with decoded_geometry():
+        return MultiResDataset(levels=tuple(decompress_level(lv.archive, dec)
+                                            for lv, dec in zip(c.levels, decoded)))
 
 
 def _reconstruct(c: ContainerFile, decoded=None) -> Volume:
     if c.n_levels == 1 and c.levels[0].archive.u == 0:
         return decompress_volume(c.levels[0].archive, decoded[0] if decoded else None)
-    with _decoded_geometry():
-        return reconstruct_uniform(_dataset(c, decoded))
+    return reconstruct_uniform(_dataset(c, decoded))
 
 
 def cmd_roi(args) -> int:
@@ -133,17 +122,14 @@ def cmd_compress(args) -> int:
         ds = _dataset(src)
         levels = tuple(
             ContainerLevel(archive=compress_level(
-                list(lv.blocks), lv.dims, lv.u, policy,
+                lv, policy,
                 codec=args.codec, arrangement=args.arrangement, pad=args.pad,
                 lossless=args.lossless, post_family=post,
                 sample_rate=args.sample_rate, seed=args.seed,
             ))
             for lv in ds.levels
         )
-        c = ContainerFile(
-            levels=levels,
-            roi_b=src.roi_b, roi_x_percent=src.roi_x_percent, roi_mask=ds.roi_mask,
-        )
+        c = ContainerFile(levels=levels, roi_b=src.roi_b, roi_x_percent=src.roi_x_percent)
     else:
         if args.dims is None:
             raise ShapeError("raw input needs --dims")

@@ -13,7 +13,7 @@ Layout, all little-endian:
     arrangement         u8   (the layout's position in ``ARRANGEMENTS``)
     padded              u8   (0 or 1)
     u                   u32  (unit size; 0 when arrangement is none)
-    block-order count   u64, then per block bx, by, bz as u64 triples
+    block count         u64  (k; 0 when arrangement is none)
     stream length       u64  (bytes of the entropy stream that follows)
     entropy stream:
       literal count     u64
@@ -26,7 +26,11 @@ Layout, all little-endian:
                         (the lane count follows from the number of values)
       lanes             each lane's codes MSB-first, zero-padded to a byte
 
-The fixed fields from magic through block-order count are one
+A blob is read only inside an ``MRC2`` container (:mod:`mrcompress.container`).
+There a tiled blob's k blocks are the ones its level's occupancy bitmap
+sets, in block-index order, so the blob holds no block positions; a
+whole-volume blob has u = 0 and k = 0.
+The fixed fields from magic through block count are one
 ``struct.Struct`` (``_HEADER``), which both the writer and the reader use;
 the reader goes through :class:`~mrcompress.wire.Reader`.
 The stream length lets a reader find the end of the blob without parsing
@@ -42,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FormatError, ShapeError
-from ..grid import BlockCoord, Dims, Volume
+from ..grid import Dims, Volume
 from ..layout import LINEAR, STACKED, MergedArray
-from ..wire import U64, Reader, triples
+from ..wire import U64, Reader
 from .entropy import LOSSLESS_NONE, LOSSLESS_ZLIB
 from .policy import ErrorBoundPolicy
 
@@ -55,8 +59,7 @@ CODECS = ("stored", "interp", "block")
 ARRANGEMENTS = (None, LINEAR, STACKED)  # None: a whole volume
 _ZLIB_FLAG = 0x80
 
-# magic through block count; the block table, the stream length and the
-# stream follow
+# magic through block count; the stream length and the stream follow
 _HEADER = struct.Struct("<4sB3QdBddBBIQ")
 
 
@@ -68,7 +71,7 @@ class CompressedBlob:
     arrangement: str | None  # an entry of ARRANGEMENTS
     padded: bool
     u: int
-    order: tuple[BlockCoord, ...]
+    k: int  # block count; 0 for a whole volume
     stream: bytes  # entropy stream: literal count, table, payload
     lossless: str = LOSSLESS_NONE
 
@@ -79,7 +82,6 @@ class CompressedBlob:
             raise ShapeError(f"unknown arrangement {self.arrangement!r}")
         if self.lossless not in (LOSSLESS_NONE, LOSSLESS_ZLIB):
             raise ShapeError(f"unknown lossless pass {self.lossless!r}")
-        object.__setattr__(self, "order", tuple(self.order))
 
     @property
     def codec_name(self) -> str:
@@ -105,19 +107,17 @@ class CompressedBlob:
         codec_byte = self.codec | (_ZLIB_FLAG if self.lossless == LOSSLESS_ZLIB else 0)
         head = _HEADER.pack(
             MAGIC, codec_byte, *self.dims, p.eb, p.adaptive, p.alpha, p.beta,
-            ARRANGEMENTS.index(self.arrangement), self.padded, self.u, len(self.order),
+            ARRANGEMENTS.index(self.arrangement), self.padded, self.u, self.k,
         )
-        table = triples([(c.bx, c.by, c.bz) for c in self.order])
-        return head + table + U64.pack(len(self.stream)) + self.stream
+        return head + U64.pack(len(self.stream)) + self.stream
 
     @classmethod
     def from_bytes(cls, buf: bytes, offset: int = 0) -> tuple["CompressedBlob", int]:
         r = Reader(buf, offset)
         (magic, codec_byte, nx, ny, nz, eb, adaptive, alpha, beta,
-         arrangement, padded, u, n_blocks) = r.take(_HEADER)
+         arrangement, padded, u, k) = r.take(_HEADER)
         if magic != MAGIC:
             raise FormatError("bad blob magic")
-        table = r.triples(n_blocks)
         (stream_len,) = r.take(U64)
         stream = r.bytes(stream_len)
         if min(nx, ny, nz) < 1:
@@ -130,15 +130,14 @@ class CompressedBlob:
             raise FormatError(f"unknown arrangement {arrangement}")
         if adaptive > 1 or padded > 1:
             raise FormatError("a blob flag byte is neither 0 nor 1")
-        if arrangement == 0 and (u or table or padded):
+        if arrangement == 0 and (u or k or padded):
             raise FormatError("a whole-volume blob carries a block layout")
         try:
             policy = ErrorBoundPolicy(eb=eb, adaptive=bool(adaptive), alpha=alpha, beta=beta)
-            order = tuple(BlockCoord(bx, by, bz, max(u, 1)) for bx, by, bz in table)
         except ShapeError as exc:
-            raise FormatError(f"blob carries an invalid policy or block: {exc}") from exc
+            raise FormatError(f"blob carries an invalid policy: {exc}") from exc
         blob = cls(codec=codec, dims=(nx, ny, nz), policy=policy, arrangement=ARRANGEMENTS[arrangement],
-                   padded=bool(padded), u=u, order=order, stream=stream, lossless=lossless)
+                   padded=bool(padded), u=u, k=k, stream=stream, lossless=lossless)
         return blob, r.offset
 
     def size_bytes(self) -> int:
@@ -149,16 +148,16 @@ class CompressedBlob:
         Volume for a whole volume, else a MergedArray with this layout."""
         if self.arrangement is None:
             return Volume(arr)
-        return MergedArray(values=arr, order=self.order, u=self.u, arrangement=self.arrangement, padded=self.padded)
+        return MergedArray(values=arr, k=self.k, u=self.u, arrangement=self.arrangement, padded=self.padded)
 
 
 def unwrap(m: MergedArray | Volume) -> tuple[np.ndarray, dict]:
     """The (z, y, x) array of ``m`` and the blob fields of its shape and
     layout: the inverse of :meth:`CompressedBlob.wrap`."""
     if isinstance(m, Volume):
-        arr, fields = m.data, dict(arrangement=None, padded=False, u=0, order=())
+        arr, fields = m.data, dict(arrangement=None, padded=False, u=0, k=0)
     elif isinstance(m, MergedArray):
-        arr, fields = m.values, dict(arrangement=m.arrangement, padded=m.padded, u=m.u, order=m.order)
+        arr, fields = m.values, dict(arrangement=m.arrangement, padded=m.padded, u=m.u, k=m.k)
     else:
         raise ShapeError(f"cannot compress {type(m).__name__}")
     return arr, dict(fields, dims=arr.shape[::-1])

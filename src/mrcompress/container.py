@@ -1,20 +1,22 @@
 """Multi-level container file tying ROI, layout, codec, and analysis state.
 
-Layout, all integers little-endian:
+Layout (``MRC2``), all integers little-endian:
 
     head (``_HEAD``)
-        magic "MRC1"
-        version         u16  (currently 1)
+        magic "MRC2"
+        version         u16  (currently 2)
         scalar width    u8   (bytes per stored value; 8)
         level count     u8   (at least 1)
         roi block edge  u32  (0 when the file has no ROI semantics)
         roi percent     f64
-        roi mask bits   u64
-    roi mask            ceil(bits/8) bytes, LSB-first, fine-grid block-index order
     per level:
-        record (``_LEVEL``): dims 3x u64 (full grid of the level), u u32,
-                        block count u64
-        coord table     bx, by, bz as u64 triples
+        record (``_LEVEL``): dims 3x u64 (full grid of the level), u u32
+                        (0 for a whole volume)
+        occupancy       when u > 0: one bit per block of the level's u-grid,
+                        LSB-first in block-index order (bx fastest), padded
+                        with zero bits to a byte; the blob holds the set
+                        blocks in that order, and the fine level's bitmap
+                        is the ROI mask
         blob            one self-delimiting compressed-array record
         post (``_POST``): family u8 (position in ``_POST_FAMILIES``; 0 off),
                         intensity 3x f64 (x, y, z; zeros when off), sidecar
@@ -34,24 +36,24 @@ container reproduces the input bytes exactly.
 
 from __future__ import annotations
 
+import contextlib
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .codec import STORED, CompressedBlob, ErrorBoundPolicy, compress
 from .codec.stored import STORED_POLICY
-from .errors import FormatError, MrcError, ShapeError
+from .errors import CoverageError, FormatError, MrcError, ShapeError
 from .layout import LINEAR, linear_merge, stack_merge
 from .pipeline import LevelArchive, SampleSet, compress_level, decompress_level
 from .postprocess import FAMILY_SZ, FAMILY_ZFP, IntensityConfig, SamplingPlan
-from .roi import Level, MultiResDataset
+from .roi import MultiResDataset
 from .wire import U64, Reader, inflate, triples
 
-MAGIC = b"MRC1"
-VERSION = 1
+MAGIC = b"MRC2"
+VERSION = 2
 SCALAR_WIDTH = 8
 
 # the wire byte of a post-filter family is its position here; None is off
@@ -61,8 +63,8 @@ _FLAG_SAMPLES = 1
 
 _ZLIB_LEVEL = 6  # fixed so re-encoding stays byte-identical
 
-_HEAD = struct.Struct("<4sHBBIdQ")
-_LEVEL = struct.Struct("<3QIQ")
+_HEAD = struct.Struct("<4sHBBId")
+_LEVEL = struct.Struct("<3QI")
 _POST = struct.Struct("<B3dQ")
 _SIDECAR = struct.Struct("<BIIQ3QQd")
 
@@ -77,7 +79,6 @@ class ContainerFile:
     levels: tuple
     roi_b: int = 0
     roi_x_percent: float = 0.0
-    roi_mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not self.levels:
@@ -85,10 +86,13 @@ class ContainerFile:
         if len(self.levels) > 255:
             raise ShapeError("level count exceeds the u8 field")
         object.__setattr__(self, "levels", tuple(self.levels))
-        if self.roi_mask is not None:
-            m = np.ascontiguousarray(self.roi_mask, dtype=bool).reshape(-1)
-            m.flags.writeable = False
-            object.__setattr__(self, "roi_mask", m)
+
+    @property
+    def roi_mask(self):
+        """The fine level's occupancy, flat in block-index order; None for
+        a whole volume."""
+        occ = self.levels[0].archive.occupancy
+        return None if occ is None else occ.reshape(-1)
 
     @property
     def n_levels(self) -> int:
@@ -130,15 +134,27 @@ def _unpack_samples(r: Reader, blob: CompressedBlob) -> SampleSet:
     return SampleSet(plan=plan, regions=regions)
 
 
+def _unpack_occupancy(r: Reader, dims, u: int) -> np.ndarray:
+    """The occupancy bitmap at ``r`` of a level of ``dims`` cells on a
+    u-grid, as a (gz, gy, gx) bool array."""
+    if any(d % u for d in dims):
+        raise FormatError(f"level dims {tuple(dims)} not divisible by u={u}")
+    gx, gy, gz = (d // u for d in dims)
+    n = gx * gy * gz
+    bits = np.unpackbits(r.array(np.uint8, (n + 7) // 8), bitorder="little")
+    if bits[n:].any():
+        raise FormatError("occupancy bitmap has padding bits set")
+    return bits[:n].astype(bool).reshape(gz, gy, gx)
+
+
 def encode_container(c: ContainerFile) -> bytes:
-    mask = c.roi_mask if c.roi_mask is not None else np.zeros(0, dtype=bool)
-    out = bytearray(_HEAD.pack(MAGIC, VERSION, SCALAR_WIDTH, c.n_levels, c.roi_b, c.roi_x_percent, mask.size))
-    out += np.packbits(mask, bitorder="little").tobytes()
+    out = bytearray(_HEAD.pack(MAGIC, VERSION, SCALAR_WIDTH, c.n_levels, c.roi_b, c.roi_x_percent))
     patch_at = []
     for lv in c.levels:
         a = lv.archive
-        out += _LEVEL.pack(*a.dims, a.u, len(a.coords))
-        out += triples([(bc.bx, bc.by, bc.bz) for bc in a.coords])
+        out += _LEVEL.pack(*a.dims, a.u)
+        if a.u:
+            out += np.packbits(a.occupancy, bitorder="little").tobytes()
         out += a.blob.to_bytes()
         family, chosen = (a.post.family, a.post.chosen) if a.post else (None, (0.0, 0.0, 0.0))
         out += _POST.pack(_POST_FAMILIES.index(family), *chosen, 0)
@@ -152,28 +168,24 @@ def encode_container(c: ContainerFile) -> bytes:
 
 def decode_container(buf: bytes) -> ContainerFile:
     r = Reader(buf)
-    magic, version, width, n_levels, roi_b, roi_x, mask_bits = r.take(_HEAD)
-    if magic != MAGIC:
+    magic, version, width, n_levels, roi_b, roi_x = r.take(_HEAD)
+    if magic[:3] != MAGIC[:3]:
         raise FormatError("not a container file (bad magic)")
-    if version != VERSION:
-        raise FormatError(f"unsupported container version {version}")
+    if magic != MAGIC or version != VERSION:
+        raise FormatError(f"unsupported container version {version} ({magic!r})")
     if width != SCALAR_WIDTH:
         raise FormatError(f"unsupported scalar width {width}")
     if not n_levels:
         raise FormatError("a container holds at least one level")
-    mask = None
-    if mask_bits:
-        raw = r.array(np.uint8, (mask_bits + 7) // 8)
-        mask = np.unpackbits(raw, bitorder="little")[:mask_bits].astype(bool)
     levels = []
     for _ in range(n_levels):
-        nx, ny, nz, u, n_blocks = r.take(_LEVEL)
-        coords = r.triples(n_blocks)
+        nx, ny, nz, u = r.take(_LEVEL)
+        occupancy = _unpack_occupancy(r, (nx, ny, nz), u) if u else None
         blob, r.offset = CompressedBlob.from_bytes(buf, r.offset)
-        if [(bc.bx, bc.by, bc.bz) for bc in blob.order] != coords:
-            raise FormatError("level coord table disagrees with its blob")
         if u != blob.u:
             raise FormatError(f"level u={u} disagrees with its blob's u={blob.u}")
+        if u and int(occupancy.sum()) != blob.k:
+            raise FormatError(f"level occupancy flags {int(occupancy.sum())} blocks, its blob holds {blob.k}")
         fam_code, ax, ay, az, sc_off = r.take(_POST)
         if fam_code >= len(_POST_FAMILIES):
             raise FormatError(f"unknown post-processing family code {fam_code}")
@@ -188,9 +200,9 @@ def decode_container(buf: bytes) -> ContainerFile:
             except MrcError as exc:
                 raise FormatError(str(exc)) from exc
         samples = _unpack_samples(Reader(buf, sc_off), blob) if sc_off else None
-        arch = LevelArchive(dims=(nx, ny, nz), blob=blob, post=post, samples=samples)
+        arch = LevelArchive(dims=(nx, ny, nz), blob=blob, occupancy=occupancy, post=post, samples=samples)
         levels.append(ContainerLevel(archive=arch))
-    return ContainerFile(levels=tuple(levels), roi_b=roi_b, roi_x_percent=roi_x, roi_mask=mask)
+    return ContainerFile(levels=tuple(levels), roi_b=roi_b, roi_x_percent=roi_x)
 
 
 def read_container(path) -> ContainerFile:
@@ -222,31 +234,34 @@ def container_from_dataset(
     output format)."""
     levels = []
     for lv in ds.levels:
-        if not lv.blocks:  # a fully-fine ROI leaves the coarse level empty
+        if not len(lv.blocks):  # a fully-fine ROI leaves the coarse level empty
             continue
         if policy is None:
-            merged = linear_merge(list(lv.blocks)) if arrangement == LINEAR else stack_merge(list(lv.blocks))
-            arch = LevelArchive(dims=lv.dims, blob=compress(merged, STORED_POLICY, codec=STORED))
+            merged = linear_merge(lv.blocks) if arrangement == LINEAR else stack_merge(lv.blocks)
+            blob = compress(merged, STORED_POLICY, codec=STORED)
+            arch = LevelArchive(dims=lv.dims, blob=blob, occupancy=lv.occupancy)
         else:
             arch = compress_level(
-                list(lv.blocks), lv.dims, lv.u, policy,
+                lv, policy,
                 codec=codec, arrangement=arrangement, pad=pad,
                 lossless=lossless, post_family=post_family,
                 sample_rate=sample_rate, seed=seed,
             )
         levels.append(ContainerLevel(archive=arch))
-    return ContainerFile(
-        levels=tuple(levels),
-        roi_b=roi_b,
-        roi_x_percent=roi_x_percent,
-        roi_mask=ds.roi_mask,
-    )
+    return ContainerFile(levels=tuple(levels), roi_b=roi_b, roi_x_percent=roi_x_percent)
+
+
+@contextlib.contextmanager
+def decoded_geometry():
+    """A decoded container whose levels do not fit together is a corrupt
+    file, not a usage problem."""
+    try:
+        yield
+    except (ShapeError, CoverageError) as exc:
+        raise FormatError(f"container level geometry: {exc}") from exc
 
 
 def dataset_from_container(c: ContainerFile) -> MultiResDataset:
     """Decompress every level back into a dataset."""
-    levels = []
-    for lv in c.levels:
-        blocks = decompress_level(lv.archive)
-        levels.append(Level(dims=lv.archive.dims, u=lv.archive.u, blocks=tuple(blocks)))
-    return MultiResDataset(levels=tuple(levels), roi_mask=c.roi_mask)
+    with decoded_geometry():
+        return MultiResDataset(levels=tuple(decompress_level(lv.archive) for lv in c.levels))

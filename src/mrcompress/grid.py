@@ -11,8 +11,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, ShapeError
@@ -22,28 +20,6 @@ Dims = tuple[int, int, int]
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-@dataclass(frozen=True, order=True)
-class BlockCoord:
-    """Position of one cubic block on the block grid of a volume.
-
-    ``b`` is the block edge length in cells. ROI selection additionally
-    requires b >= 8; that stricter check lives in :mod:`mrcompress.roi`
-    because unit blocks produced by downsampling may legitimately be
-    smaller.
-    """
-
-    bx: int
-    by: int
-    bz: int
-    b: int
-
-    def __post_init__(self):
-        if min(self.bx, self.by, self.bz) < 0:
-            raise ShapeError(f"negative block coordinate: {self}")
-        if not _is_pow2(self.b):
-            raise ShapeError(f"block edge must be a power of two, got {self.b}")
 
 
 class Volume:

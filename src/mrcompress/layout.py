@@ -1,11 +1,11 @@
 """Arranging unit blocks into compressible arrays.
 
-Multi-resolution levels are bags of small cubic blocks. Compressors want one
-dense array, so blocks are either concatenated along z ("linear", the default)
-or packed into a near-cubic grid of slots ("stacked"). Linear arrangements may
-additionally grow a single extrapolated layer on the high-x and high-y faces,
-which removes one-sided interpolation targets at the cost of
-(u+1)^2 / u^2 extra samples.
+A multi-resolution level holds its small cubic blocks as one (k, u, u, u)
+array. Compressors want one dense 3D array, so the blocks are either
+stacked along z ("linear", the default) or packed into a near-cubic grid of
+slots ("stacked"). Linear arrangements may additionally grow a single
+extrapolated layer on the high-x and high-y faces, which removes one-sided
+interpolation targets at the cost of (u+1)^2 / u^2 extra samples.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeError, StateError
-from .grid import BlockCoord, Dims, _is_pow2, block_view
+from .grid import Dims, _is_pow2, block_view
 
 LINEAR = "linear"
 STACKED = "stacked"
@@ -23,32 +23,12 @@ PAD_MIN_U = 4  # padding pays off only above this unit-block edge
 
 
 @dataclass(frozen=True)
-class UnitBlock:
-    """One cubic tile of a level, u cells on a side."""
-
-    coord: BlockCoord
-    u: int
-    data: np.ndarray  # shape (u, u, u), z-major like Volume.data
-
-    def __post_init__(self):
-        if not _is_pow2(self.u):
-            raise ShapeError(f"unit size must be a power of two, got {self.u}")
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.shape != (self.u, self.u, self.u):
-            raise ShapeError(
-                f"block payload shape {arr.shape} does not match u={self.u}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-
-@dataclass(frozen=True)
 class MergedArray:
-    """Dense array produced by merging unit blocks, plus enough bookkeeping
-    to take it apart again."""
+    """Dense array produced by merging k unit blocks, plus enough
+    bookkeeping to take it apart again."""
 
     values: np.ndarray  # shape (dz, dy, dx)
-    order: tuple[BlockCoord, ...]
+    k: int  # block count
     u: int
     arrangement: str
     padded: bool = False
@@ -59,18 +39,18 @@ class MergedArray:
             raise ShapeError("merged payload must be 3D")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "order", tuple(self.order))
         if not _is_pow2(self.u):
             raise ShapeError(f"unit size must be a power of two, got {self.u}")
+        if self.k < 1:
+            raise ShapeError("a merge holds at least one block")
         if self.arrangement not in (LINEAR, STACKED):
             raise ShapeError(f"unknown arrangement {self.arrangement!r}")
         dz, dy, dx = arr.shape
-        k = len(self.order)
         if self.arrangement == LINEAR:
             want_xy = self.u + 1 if self.padded else self.u
-            if (dx, dy, dz) != (want_xy, want_xy, self.u * k):
+            if (dx, dy, dz) != (want_xy, want_xy, self.u * self.k):
                 raise ShapeError(
-                    f"linear merge of {k} u={self.u} blocks cannot have dims "
+                    f"linear merge of {self.k} u={self.u} blocks cannot have dims "
                     f"({dx}, {dy}, {dz})"
                 )
         else:
@@ -78,48 +58,29 @@ class MergedArray:
                 raise ShapeError("stacked arrangements are never padded")
             if dx % self.u or dy % self.u or dz % self.u:
                 raise ShapeError(f"stacked dims ({dx}, {dy}, {dz}) not a u={self.u} grid")
-            if (dx // self.u) * (dy // self.u) * (dz // self.u) < k:
-                raise ShapeError(f"stacked grid too small for {k} blocks")
+            if (dx // self.u) * (dy // self.u) * (dz // self.u) < self.k:
+                raise ShapeError(f"stacked grid too small for {self.k} blocks")
 
     @property
     def dims(self) -> Dims:
         dz, dy, dx = self.values.shape
         return (dx, dy, dz)
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.order)
+
+def _block_array(blocks) -> np.ndarray:
+    """``blocks`` as a contiguous (k, u, u, u) float64 array, k >= 1."""
+    arr = np.ascontiguousarray(blocks, dtype=np.float64)
+    if arr.ndim != 4 or not len(arr) or not arr.shape[1] == arr.shape[2] == arr.shape[3]:
+        raise ShapeError(f"expected a nonempty (k, u, u, u) block array, got shape {arr.shape}")
+    return arr
 
 
-def _check_blocks(blocks) -> int:
-    if not blocks:
-        raise ShapeError("cannot merge an empty block list")
-    u = blocks[0].u
-    for blk in blocks:
-        if blk.u != u:
-            raise ShapeError(f"mixed unit sizes {u} and {blk.u} in one merge")
-    return u
-
-
-def _sorted_blocks(blocks):
-    return sorted(blocks, key=lambda blk: (blk.coord.bz, blk.coord.by, blk.coord.bx))
-
-
-def linear_merge(blocks: list[UnitBlock]) -> MergedArray:
-    """Concatenate k unit blocks along z into a (u, u, u*k) array.
-
-    Blocks are ordered by (bz, by, bx) ascending so the layout is a pure
-    function of the block set.
-    """
-    u = _check_blocks(blocks)
-    ordered = _sorted_blocks(blocks)
-    stacked = np.concatenate([blk.data for blk in ordered], axis=0)
-    return MergedArray(
-        values=stacked,
-        order=tuple(blk.coord for blk in ordered),
-        u=u,
-        arrangement=LINEAR,
-    )
+def linear_merge(blocks: np.ndarray) -> MergedArray:
+    """Stack the (k, u, u, u) block array along z into a (u, u, u*k) array,
+    a reshape of it."""
+    arr = _block_array(blocks)
+    k, u = arr.shape[:2]
+    return MergedArray(values=arr.reshape(k * u, u, u), k=k, u=u, arrangement=LINEAR)
 
 
 def _stack_grid(k: int) -> tuple[int, int, int]:
@@ -141,25 +102,21 @@ def _stack_grid(k: int) -> tuple[int, int, int]:
     return (best[1], best[2], best[3])
 
 
-def stack_merge(blocks: list[UnitBlock]) -> MergedArray:
-    """Pack blocks into a near-cubic grid of u-cube slots.
+def stack_merge(blocks: np.ndarray) -> MergedArray:
+    """Pack the (k, u, u, u) block array into a near-cubic grid of u-cube
+    slots.
 
     Slots are filled row-major (x fastest); leftover slots hold the mean of
-    the last real block so they compress to almost nothing.
+    the last block so they compress to almost nothing.
     """
-    u = _check_blocks(blocks)
-    ordered = _sorted_blocks(blocks)
-    gx, gy, gz = _stack_grid(len(ordered))
-    slots = np.full((gz, gy, gx, u, u, u), float(ordered[-1].data.mean()))
-    np.stack([blk.data for blk in ordered], out=slots.reshape(-1, u, u, u)[: len(ordered)])
+    arr = _block_array(blocks)
+    k, u = arr.shape[:2]
+    gx, gy, gz = _stack_grid(k)
+    slots = np.full((gz * gy * gx, u, u, u), float(arr[-1].mean()))
+    slots[:k] = arr
     values = np.empty((gz * u, gy * u, gx * u), dtype=np.float64)
-    block_view(values, u)[...] = slots
-    return MergedArray(
-        values=values,
-        order=tuple(blk.coord for blk in ordered),
-        u=u,
-        arrangement=STACKED,
-    )
+    block_view(values, u)[...] = slots.reshape(gz, gy, gx, u, u, u)
+    return MergedArray(values=values, k=k, u=u, arrangement=STACKED)
 
 
 def _extrapolate_layer(values: np.ndarray, axis: int) -> np.ndarray:
@@ -202,14 +159,14 @@ def unpad(m: MergedArray) -> MergedArray:
     return replace(m, values=m.values[:, : dy - 1, : dx - 1], padded=False)
 
 
-def unmerge(m: MergedArray) -> list[UnitBlock]:
-    """Split a merged array back into its unit blocks, filler slots dropped."""
+def unmerge(m: MergedArray) -> np.ndarray:
+    """Split a merged array back into its (k, u, u, u) block array, filler
+    slots dropped."""
     if m.padded:
         raise StateError("unpad before unmerging")
     # a linear merge is a (k, 1, 1) slot grid, so both split the same way
     # and the linear one stays a view
-    slots = block_view(m.values, m.u).reshape(-1, m.u, m.u, m.u)
-    return [UnitBlock(coord, m.u, data) for coord, data in zip(m.order, slots)]
+    return block_view(m.values, m.u).reshape(-1, m.u, m.u, m.u)[: m.k]
 
 
 def padding_overhead(u: int) -> float:

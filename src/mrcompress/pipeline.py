@@ -1,6 +1,7 @@
 """Per-level compression pipeline: tile, merge, pad, compress, and back.
 
-A resolution level travels as a list of unit blocks. Compression merges the
+A resolution level travels as a :class:`~mrcompress.roi.Level`: its
+occupancy grid and one (k, u, u, u) block array. Compression merges the
 blocks into one array, optionally pads it, and hands it to a codec. The
 archive produced here also carries everything needed to undo that and to
 re-run post-processing on the decompressed side: the chosen intensity
@@ -33,6 +34,7 @@ from .postprocess import (
     plan_sampling,
     select_intensity,
 )
+from .roi import Level
 
 PAD_AUTO = "auto"
 PAD_OFF = "off"
@@ -69,6 +71,7 @@ class LevelArchive:
 
     dims: Dims  # full grid dims of the level, not of the merged array
     blob: CompressedBlob
+    occupancy: Optional[np.ndarray] = None  # the level's; None for a whole volume
     post: Optional[IntensityConfig] = None
     samples: Optional[SampleSet] = None
 
@@ -76,10 +79,6 @@ class LevelArchive:
     def u(self) -> int:
         """Unit-block edge; 0 when the level is a whole unsplit volume."""
         return self.blob.u
-
-    @property
-    def coords(self):
-        return self.blob.order
 
     @property
     def post_blocksize(self) -> int:
@@ -118,26 +117,26 @@ def _fit_intensity(merged_orig, dec, eb: float, blocksize: int, family: str, see
     return cfg, SampleSet(plan=plan, regions=tuple(orig_regions))
 
 
-def _encode(payload, orig, dims: Dims, policy, codec, lossless, post_family, sample_rate, seed) -> LevelArchive:
+def _encode(payload, orig, dims: Dims, occupancy, policy, codec, lossless, post_family, sample_rate,
+            seed) -> LevelArchive:
     """Compress ``payload`` into a level archive; with ``post_family``, fit
     the post filter on the encoder's reconstruction against ``orig``, the
     unpadded original values."""
     if post_family is None:
-        return LevelArchive(dims=dims, blob=compress(payload, policy, codec=codec, lossless=lossless))
+        blob = compress(payload, policy, codec=codec, lossless=lossless)
+        return LevelArchive(dims=dims, blob=blob, occupancy=occupancy)
     # the encoder hands back the decoder's output, so fitting decodes nothing
     blob, dec = compress(payload, policy, codec=codec, lossless=lossless, recon=True)
     blocksize = post_blocksize(codec, blob.u)
     try:
         post, samples = _fit_intensity(orig, dec, policy.eb, blocksize, post_family, seed, sample_rate)
     except SamplingError:  # no sample region fits the level: store it without post
-        return LevelArchive(dims=dims, blob=blob)
-    return LevelArchive(dims=dims, blob=blob, post=post, samples=samples)
+        return LevelArchive(dims=dims, blob=blob, occupancy=occupancy)
+    return LevelArchive(dims=dims, blob=blob, occupancy=occupancy, post=post, samples=samples)
 
 
 def compress_level(
-    blocks,
-    dims: Dims,
-    u: int,
+    level: Level,
     policy: ErrorBoundPolicy,
     codec: str = "interp",
     arrangement: str = LINEAR,
@@ -148,14 +147,10 @@ def compress_level(
     seed: int = 0,
 ) -> LevelArchive:
     """Merge one level's unit blocks and compress them into an archive."""
-    if not blocks:
-        raise ShapeError("a level needs at least one unit block")
-    merged = linear_merge(blocks) if arrangement == LINEAR else stack_merge(blocks)
-    if merged.u != u:
-        raise ShapeError(f"blocks of u={merged.u} in a level with u={u}")
+    merged = linear_merge(level.blocks) if arrangement == LINEAR else stack_merge(level.blocks)
     payload = pad_linear(merged) if _should_pad(pad, codec, arrangement) else merged
-    dims = tuple(int(d) for d in dims)
-    return _encode(payload, merged.values, dims, policy, codec, lossless, post_family, sample_rate, seed)
+    return _encode(payload, merged.values, level.dims, level.occupancy, policy, codec, lossless,
+                   post_family, sample_rate, seed)
 
 
 def compress_volume(
@@ -168,7 +163,7 @@ def compress_volume(
     seed: int = 0,
 ) -> LevelArchive:
     """Compress a whole volume as a single-level archive with no tiling."""
-    return _encode(vol, vol.data, vol.dims, policy, codec, lossless, post_family, sample_rate, seed)
+    return _encode(vol, vol.data, vol.dims, None, policy, codec, lossless, post_family, sample_rate, seed)
 
 
 def decode_level(archive: LevelArchive):
@@ -191,8 +186,8 @@ def decode_level(archive: LevelArchive):
     return dec
 
 
-def decompress_level(archive: LevelArchive, decoded=None):
-    """Invert compress_level: returns the list of unit blocks.
+def decompress_level(archive: LevelArchive, decoded=None) -> Level:
+    """Invert compress_level: returns the level, its blocks decoded.
 
     Post-processing, when configured, is applied to the unpadded merged
     array before it is split back into blocks. ``decoded`` is the level's
@@ -201,7 +196,7 @@ def decompress_level(archive: LevelArchive, decoded=None):
     dec = decode_level(archive) if decoded is None else decoded
     if isinstance(dec, Volume):
         raise ShapeError("archive holds a whole volume; use decompress_volume")
-    return unmerge(dec)
+    return Level(archive.dims, archive.u, archive.occupancy, unmerge(dec))
 
 
 def decompress_volume(archive: LevelArchive, decoded=None) -> Volume:

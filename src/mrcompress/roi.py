@@ -8,13 +8,12 @@ externally produced AMR level sets can be ingested into the same shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoverageError, ShapeError
 from .grid import (
-    BlockCoord,
     Dims,
     Volume,
     _is_pow2,
@@ -24,7 +23,6 @@ from .grid import (
     downsample2x,
     upsample2x,
 )
-from .layout import UnitBlock, _sorted_blocks
 
 
 @dataclass(frozen=True)
@@ -43,64 +41,70 @@ class RoiConfig:
 
 @dataclass(frozen=True)
 class Level:
-    """One resolution level: a bag of u-blocks on a grid of ``dims`` cells."""
+    """One resolution level: the u-blocks of a ``dims`` grid that
+    ``occupancy``, a (gz, gy, gx) bool array, flags, held as one
+    (k, u, u, u) array in ``np.argwhere(occupancy)`` order."""
 
     dims: Dims
     u: int
-    blocks: tuple[UnitBlock, ...] = field(default_factory=tuple)
+    occupancy: np.ndarray
+    blocks: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        grid = block_grid(self.dims, self.u)
-        for blk in self.blocks:
-            if blk.u != self.u:
-                raise ShapeError(f"block u={blk.u} in level with u={self.u}")
-            c = blk.coord
-            if not (c.bx < grid[0] and c.by < grid[1] and c.bz < grid[2]):
-                raise ShapeError(f"block {c} outside level grid {grid}")
+        if not _is_pow2(self.u):
+            raise ShapeError(f"unit size must be a power of two, got {self.u}")
+        gx, gy, gz = block_grid(self.dims, self.u)
+        occ = np.array(self.occupancy, dtype=bool)
+        if occ.shape != (gz, gy, gx):
+            raise ShapeError(f"occupancy of shape {occ.shape} on a ({gz}, {gy}, {gx}) block grid")
+        blocks = np.ascontiguousarray(self.blocks, dtype=np.float64)
+        want = (int(occ.sum()),) + (self.u,) * 3
+        if blocks.shape != want:
+            raise ShapeError(f"blocks of shape {blocks.shape} for {want[0]} occupied u={self.u} cells")
+        occ.flags.writeable = blocks.flags.writeable = False
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "occupancy", occ)
+        object.__setattr__(self, "blocks", blocks)
 
 
 @dataclass(frozen=True)
 class MultiResDataset:
     """Levels ordered fine to coarse with refinement ratio 2 between
-    neighbors: level li's dims times 2**li are the finest dims. ``roi_mask``
-    flags which finest-grid blocks are stored at full resolution (flat,
-    block-index order)."""
+    neighbors: level li's dims times 2**li are the finest dims. The levels'
+    blocks tile the finest grid exactly once."""
 
     levels: tuple[Level, ...]
-    roi_mask: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ShapeError("dataset needs at least one level")
-        fine = tuple(self.fine_dims)
+        fine = self.fine_dims
         for li, lv in enumerate(self.levels):
             if tuple(d * 2**li for d in lv.dims) != fine:
-                raise ShapeError(f"level {li} dims {tuple(lv.dims)} break the 2x refinement chain from {fine}")
-        mask = np.asarray(self.roi_mask, dtype=bool).reshape(-1).copy()
-        mask.flags.writeable = False
-        object.__setattr__(self, "roi_mask", mask)
+                raise ShapeError(f"level {li} dims {lv.dims} break the 2x refinement chain from {fine}")
+        _coverage_check(self)
 
     @property
     def fine_dims(self) -> Dims:
         return self.levels[0].dims
+
+    @property
+    def roi_mask(self) -> np.ndarray:
+        """Which finest-grid blocks are stored at full resolution (flat,
+        block-index order): the fine level's occupancy."""
+        return self.levels[0].occupancy.reshape(-1)
 
     def level_scale(self, li: int) -> int:
         """Cell edge of level li measured in finest-grid cells."""
         return 2**li
 
     def densities(self) -> list[float]:
-        """Fraction of the domain carried by each level; sums to 1 when the
-        dataset covers the domain exactly once."""
+        """Fraction of the domain carried by each level; they sum to 1."""
         nx, ny, nz = self.fine_dims
         total = nx * ny * nz
-        out = []
-        for li, lv in enumerate(self.levels):
-            scale = self.level_scale(li)
-            covered = len(lv.blocks) * (lv.u * scale) ** 3
-            out.append(covered / total)
-        return out
+        return [len(lv.blocks) * (lv.u * self.level_scale(li)) ** 3 / total
+                for li, lv in enumerate(self.levels)]
 
 
 def select_roi(v: Volume, cfg: RoiConfig) -> np.ndarray:
@@ -119,38 +123,25 @@ def select_roi(v: Volume, cfg: RoiConfig) -> np.ndarray:
     return mask
 
 
-def _mask_grid(mask: np.ndarray, grid: Dims) -> np.ndarray:
-    gx, gy, gz = grid
-    if mask.size != gx * gy * gz:
-        raise ShapeError(f"mask of {mask.size} bits does not match grid {grid}")
-    return mask.reshape(gz, gy, gx)
-
-
-def _cut(cubes: np.ndarray, keep: np.ndarray, u: int) -> tuple[UnitBlock, ...]:
-    """The u-blocks of the block view ``cubes`` where the (gz, gy, gx) mask
-    ``keep`` is set, in block-index order."""
-    return tuple(
-        UnitBlock(BlockCoord(bx, by, bz, u), u, cubes[bz, by, bx])
-        for bz, by, bx in np.argwhere(keep).tolist()
-    )
-
-
 def build_adaptive(v: Volume, mask: np.ndarray, cfg: RoiConfig) -> MultiResDataset:
     """Two-level dataset: masked blocks verbatim at u=b, the rest downsampled
     once into u=b/2 blocks on the half-resolution grid."""
-    m3 = _mask_grid(np.asarray(mask, dtype=bool).reshape(-1), block_grid(v.dims, cfg.b))
+    gx, gy, gz = block_grid(v.dims, cfg.b)
+    mask = np.asarray(mask, dtype=bool).reshape(-1)
+    if mask.size != gx * gy * gz:
+        raise ShapeError(f"mask of {mask.size} bits does not match grid {(gx, gy, gz)}")
+    m3 = mask.reshape(gz, gy, gx)
     cu = cfg.b // 2
     nx, ny, nz = v.dims
-    fine = Level(dims=v.dims, u=cfg.b, blocks=_cut(block_view(v.data, cfg.b), m3, cfg.b))
-    coarse = Level(dims=(nx // 2, ny // 2, nz // 2), u=cu,
-                   blocks=_cut(block_view(downsample2x(v).data, cu), ~m3, cu))
-    return MultiResDataset(levels=(fine, coarse), roi_mask=m3.reshape(-1))
+    fine = Level(v.dims, cfg.b, m3, block_view(v.data, cfg.b)[m3])
+    coarse = Level((nx // 2, ny // 2, nz // 2), cu, ~m3, block_view(downsample2x(v).data, cu)[~m3])
+    return MultiResDataset(levels=(fine, coarse))
 
 
 def _coverage_check(ds: MultiResDataset) -> None:
     """Verify every finest-grid cell is owned by exactly one block.
 
-    Runs on a lattice coarsened to the smallest block footprint, so the
+    Counts on a lattice coarsened to the smallest block footprint, so the
     counter stays tiny even for large domains.
     """
     nx, ny, nz = ds.fine_dims
@@ -159,12 +150,11 @@ def _coverage_check(ds: MultiResDataset) -> None:
     covered = sum(len(lv.blocks) * fp**3 for lv, fp in zip(ds.levels, footprints))
     if covered != nx * ny * nz:
         raise CoverageError(f"levels cover {covered} cells of a {nx * ny * nz}-cell domain")
-    g = int(np.gcd.reduce(np.array(footprints + [nx, ny, nz], dtype=np.int64)))
+    g = min(footprints)
     counter = np.zeros((nz // g, ny // g, nx // g), dtype=np.int32)
     for lv, fp in zip(ds.levels, footprints):
-        cells = block_view(counter, fp // g)
-        for blk in lv.blocks:
-            cells[blk.coord.bz, blk.coord.by, blk.coord.bx] += 1
+        # each occupancy cell spreads over its footprint's lattice cells
+        block_view(counter, fp // g)[...] += lv.occupancy[..., None, None, None]
     if (counter != 1).any():
         over = int((counter > 1).sum())
         gaps = int((counter == 0).sum())
@@ -177,40 +167,46 @@ def _coverage_check(ds: MultiResDataset) -> None:
 def reconstruct_uniform(ds: MultiResDataset) -> Volume:
     """Paste every level back onto the finest grid, upsampling coarse blocks
     by their level's scale."""
-    _coverage_check(ds)
     nx, ny, nz = ds.fine_dims
     out = np.empty((nz, ny, nx), dtype=np.float64)
     for li, lv in enumerate(ds.levels):
         cells = block_view(out, lv.u * ds.level_scale(li))
         # one block at a time: upsampling a whole level at once raises the peak
-        for blk in lv.blocks:
-            data = blk.data
+        for (bz, by, bx), data in zip(np.argwhere(lv.occupancy).tolist(), lv.blocks):
             if li:
                 v = Volume(data)
                 for _ in range(li):
                     v = upsample2x(v)
                 data = v.data
-            cells[blk.coord.bz, blk.coord.by, blk.coord.bx] = data
+            cells[bz, by, bx] = data
     return Volume(out)
 
 
-def ingest_amr(levels: list[tuple[Dims, int, list[UnitBlock]]]) -> MultiResDataset:
+def ingest_amr(levels) -> MultiResDataset:
     """Adopt an externally produced AMR hierarchy.
 
-    ``levels`` is ordered fine to coarse as (dims, u, blocks) with dims halving
-    between neighbors. Blocks are re-sorted into canonical (bz, by, bx) order
-    and the refinement chain and disjoint-coverage invariants are enforced.
+    ``levels`` is ordered fine to coarse as (dims, u, coords, data) with
+    dims halving between neighbors: ``coords`` is a (k, 3) array of block
+    positions (bx, by, bz) on the level's u-grid and ``data`` the (k, u, u, u)
+    block values in the same order (k may be 0). Blocks are re-sorted into
+    block-index order, and the refinement chain and disjoint-coverage
+    invariants are enforced.
     """
     if not levels:
         raise ShapeError("need at least one level")
-    norm = tuple(
-        Level(dims=tuple(dims), u=u, blocks=tuple(_sorted_blocks(blocks)))
-        for dims, u, blocks in levels
-    )
-    gx, gy, gz = block_grid(norm[0].dims, norm[0].u)
-    mask = np.zeros((gz, gy, gx), dtype=bool)
-    for blk in norm[0].blocks:
-        mask[blk.coord.bz, blk.coord.by, blk.coord.bx] = True
-    ds = MultiResDataset(levels=norm, roi_mask=mask)
-    _coverage_check(ds)
-    return ds
+    norm = []
+    for dims, u, coords, data in levels:
+        grid = block_grid(dims, u)
+        xyz = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+        blocks = np.asarray(data, dtype=np.float64)
+        if len(blocks) != len(xyz):
+            raise ShapeError(f"{len(xyz)} block coords for {len(blocks)} blocks")
+        if ((xyz < 0) | (xyz >= grid)).any():
+            raise ShapeError(f"a block coord lies outside the level grid {grid}")
+        flat = np.ravel_multi_index(xyz[:, ::-1].T, grid[::-1])
+        if np.unique(flat).size != flat.size:
+            raise CoverageError("two blocks of one level share a coord")
+        occupancy = np.zeros(grid[::-1], dtype=bool)
+        occupancy.reshape(-1)[flat] = True
+        norm.append(Level(dims, u, occupancy, blocks[np.argsort(flat)]))
+    return MultiResDataset(levels=tuple(norm))

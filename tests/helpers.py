@@ -1,20 +1,14 @@
 """Synthetic fields and small utilities shared across the test suite."""
 
+from collections import namedtuple
+
 import numpy as np
 from scipy.special import ndtr
 
 from mrcompress.errors import ShapeError, StateError
-from mrcompress.grid import BlockCoord, Dims, Volume, block_grid, downsample2x, upsample2x
-from mrcompress.layout import (
-    LINEAR,
-    STACKED,
-    MergedArray,
-    UnitBlock,
-    _check_blocks,
-    _sorted_blocks,
-    _stack_grid,
-)
-from mrcompress.roi import Level, MultiResDataset, RoiConfig, _coverage_check, _mask_grid
+from mrcompress.grid import Volume, block_grid, downsample2x, upsample2x
+from mrcompress.layout import LINEAR, STACKED, MergedArray, _stack_grid
+from mrcompress.roi import Level, RoiConfig
 from mrcompress.uncertainty import ErrorModel
 
 
@@ -86,8 +80,14 @@ def signed_zero_field(dims, seed=0) -> Volume:
     return Volume(data)
 
 
-def tile_volume(vol: Volume, u: int) -> list:
-    """Split a volume into unit blocks covering it exactly."""
+# One unit block of the per-block references below: its position (bx, by, bz)
+# on its level's u-grid, its edge and its (u, u, u) values.
+RefBlock = namedtuple("RefBlock", "coord u data")
+
+
+def tile_blocks(vol: Volume, u: int) -> list:
+    """Split a volume into per-block references covering it exactly, in
+    block-index order."""
     if u < 1:
         raise ShapeError(f"unit-block edge must be >= 1, got {u}")
     nx, ny, nz = vol.dims
@@ -102,33 +102,26 @@ def tile_volume(vol: Volume, u: int) -> list:
                     by * u : (by + 1) * u,
                     bx * u : (bx + 1) * u,
                 ]
-                blocks.append(UnitBlock(coord=BlockCoord(bx, by, bz, u), u=u, data=sub))
+                blocks.append(RefBlock((bx, by, bz), u, sub))
     return blocks
 
 
-def assemble_volume(blocks, dims: Dims) -> Volume:
-    """Place unit blocks back onto a full grid of the given dims."""
-    if not blocks:
-        raise ShapeError("no blocks to assemble")
-    nx, ny, nz = dims
+def tile_volume(vol: Volume, u: int) -> Level:
+    """The level of u-blocks covering a volume exactly."""
+    blocks = tile_blocks(vol, u)
+    gx, gy, gz = block_grid(vol.dims, u)
+    return Level(vol.dims, u, np.ones((gz, gy, gx), dtype=bool), np.stack([b.data for b in blocks]))
+
+
+def assemble_volume(level: Level) -> Volume:
+    """Paste a level's blocks onto its grid, which they must cover."""
+    nx, ny, nz = level.dims
+    u = level.u
+    if not level.occupancy.all():
+        raise ShapeError("blocks do not cover the level's dims")
     out = np.zeros((nz, ny, nx), dtype=np.float64)
-    seen = np.zeros((nz, ny, nx), dtype=bool)
-    for b in blocks:
-        u = b.u
-        c = b.coord
-        if (c.bx + 1) * u > nx or (c.by + 1) * u > ny or (c.bz + 1) * u > nz:
-            raise ShapeError(f"block {c} outside dims {dims}")
-        sl = (
-            slice(c.bz * u, (c.bz + 1) * u),
-            slice(c.by * u, (c.by + 1) * u),
-            slice(c.bx * u, (c.bx + 1) * u),
-        )
-        if seen[sl].any():
-            raise ShapeError(f"block {c} overlaps previously placed data")
-        out[sl] = b.data
-        seen[sl] = True
-    if not seen.all():
-        raise ShapeError("blocks do not cover the requested dims")
+    for (bz, by, bx), data in zip(np.argwhere(level.occupancy), level.blocks):
+        out[bz * u : (bz + 1) * u, by * u : (by + 1) * u, bx * u : (bx + 1) * u] = data
     return Volume(out)
 
 
@@ -153,83 +146,79 @@ def cell_crossing_probability(corners, isovalue: float, model: ErrorModel) -> fl
 
 # ------------------------------------------------------------ per-block references
 # The block cutting, merging, splitting and pasting of mrcompress as it was
-# before blocks went through ``grid.block_view``, kept verbatim (bar the
-# names) so the view-based code can be checked against it byte for byte.
+# before levels became occupancy grids with one block array, one RefBlock per
+# block, so the array-based code can be checked against it byte for byte. A
+# reference level is (dims, u, blocks) with its blocks in block-index order.
 
 
-def _block_slices(c: BlockCoord) -> tuple[slice, slice, slice]:
-    """(z, y, x) slices of the block's footprint in a volume array."""
+def _block_slices(coord, b: int) -> tuple[slice, slice, slice]:
+    """(z, y, x) slices of the footprint of block ``coord`` of edge b."""
+    bx, by, bz = coord
     return (
-        slice(c.bz * c.b, (c.bz + 1) * c.b),
-        slice(c.by * c.b, (c.by + 1) * c.b),
-        slice(c.bx * c.b, (c.bx + 1) * c.b),
+        slice(bz * b, (bz + 1) * b),
+        slice(by * b, (by + 1) * b),
+        slice(bx * b, (bx + 1) * b),
     )
 
 
-def build_adaptive_per_block(v: Volume, mask: np.ndarray, cfg: RoiConfig) -> MultiResDataset:
-    """Two-level dataset: masked blocks verbatim at u=b, the rest downsampled
-    once into u=b/2 blocks on the half-resolution grid."""
-    grid = block_grid(v.dims, cfg.b)
-    m3 = _mask_grid(np.asarray(mask, dtype=bool).reshape(-1), grid)
+def sorted_blocks(blocks) -> list:
+    """Reference blocks in block-index order."""
+    return sorted(blocks, key=lambda blk: blk.coord[::-1])
+
+
+def build_adaptive_per_block(v: Volume, mask: np.ndarray, cfg: RoiConfig):
+    """Two-level reference: masked blocks verbatim at u=b, the rest
+    downsampled once into u=b/2 blocks on the half-resolution grid. Returns
+    the levels and the flat mask."""
+    gx, gy, gz = block_grid(v.dims, cfg.b)
+    m3 = np.asarray(mask, dtype=bool).reshape(gz, gy, gx)
     fine_blocks = []
     coarse_blocks = []
     cu = cfg.b // 2
-    gx, gy, gz = grid
     for bz in range(gz):
         for by in range(gy):
             for bx in range(gx):
-                coord = BlockCoord(bx, by, bz, cfg.b)
-                sub = v.data[_block_slices(coord)]
+                sub = v.data[_block_slices((bx, by, bz), cfg.b)]
                 if m3[bz, by, bx]:
-                    fine_blocks.append(UnitBlock(BlockCoord(bx, by, bz, cfg.b), cfg.b, sub))
+                    fine_blocks.append(RefBlock((bx, by, bz), cfg.b, sub))
                 else:
                     down = downsample2x(Volume(sub))
-                    coarse_blocks.append(
-                        UnitBlock(BlockCoord(bx, by, bz, cu), cu, down.data)
-                    )
+                    coarse_blocks.append(RefBlock((bx, by, bz), cu, down.data))
     nx, ny, nz = v.dims
-    fine = Level(dims=v.dims, u=cfg.b, blocks=tuple(fine_blocks))
-    coarse = Level(dims=(nx // 2, ny // 2, nz // 2), u=cu, blocks=tuple(coarse_blocks))
-    return MultiResDataset(levels=(fine, coarse), roi_mask=m3.reshape(-1))
+    levels = [(v.dims, cfg.b, fine_blocks), ((nx // 2, ny // 2, nz // 2), cu, coarse_blocks)]
+    return levels, m3.reshape(-1)
 
 
-def reconstruct_uniform_per_block(ds: MultiResDataset) -> Volume:
-    """Paste every level back onto the finest grid, upsampling coarse blocks
-    by their level's scale."""
-    _coverage_check(ds)
-    nx, ny, nz = ds.fine_dims
+def reconstruct_uniform_per_block(levels) -> Volume:
+    """Paste every reference level back onto the finest grid, upsampling
+    coarse blocks by their level's scale."""
+    nx, ny, nz = levels[0][0]
     out = np.empty((nz, ny, nx), dtype=np.float64)
-    for li, lv in enumerate(ds.levels):
-        scale = ds.level_scale(li)
-        fp = lv.u * scale
-        for blk in lv.blocks:
+    for li, (_, u, blocks) in enumerate(levels):
+        scale = 2**li
+        for blk in blocks:
             data = blk.data
             if scale > 1:
                 v = Volume(data)
                 for _ in range(int(np.log2(scale))):
                     v = upsample2x(v)
                 data = v.data
-            c = blk.coord
-            out[
-                c.bz * fp:(c.bz + 1) * fp,
-                c.by * fp:(c.by + 1) * fp,
-                c.bx * fp:(c.bx + 1) * fp,
-            ] = data
+            out[_block_slices(blk.coord, u * scale)] = data
     return Volume(out)
 
 
-def stack_merge_per_block(blocks: list[UnitBlock]) -> MergedArray:
-    """Pack blocks into a near-cubic grid of u-cube slots.
+def stack_merge_per_block(blocks) -> MergedArray:
+    """Pack reference blocks into a near-cubic grid of u-cube slots.
 
     Slots are filled row-major (x fastest); leftover slots hold the mean of
     the last real block so they compress to almost nothing.
     """
-    u = _check_blocks(blocks)
-    ordered = _sorted_blocks(blocks)
+    ordered = sorted_blocks(blocks)
+    u = ordered[0].u
     k = len(ordered)
     gx, gy, gz = _stack_grid(k)
     values = np.empty((gz * u, gy * u, gx * u), dtype=np.float64)
-    filler = float(ordered[-1].data.mean())
+    filler = float(np.ascontiguousarray(ordered[-1].data).mean())
     for slot in range(gx * gy * gz):
         sx = slot % gx
         sy = (slot // gx) % gy
@@ -239,16 +228,12 @@ def stack_merge_per_block(blocks: list[UnitBlock]) -> MergedArray:
             dest[:] = ordered[slot].data
         else:
             dest[:] = filler
-    return MergedArray(
-        values=values,
-        order=tuple(blk.coord for blk in ordered),
-        u=u,
-        arrangement=STACKED,
-    )
+    return MergedArray(values=values, k=k, u=u, arrangement=STACKED)
 
 
-def unmerge_per_block(m: MergedArray) -> list[UnitBlock]:
-    """Split a merged array back into its unit blocks, filler slots dropped."""
+def unmerge_per_block(m: MergedArray) -> list:
+    """Split a merged array back into the (u, u, u) values of its blocks,
+    filler slots dropped."""
     if m.padded:
         raise StateError("unpad before unmerging")
     u = m.u
@@ -256,16 +241,21 @@ def unmerge_per_block(m: MergedArray) -> list[UnitBlock]:
     blocks = []
     # MergedArray guarantees the linear dims and the stacked u-grid
     if m.arrangement == LINEAR:
-        for i, coord in enumerate(m.order):
-            blocks.append(UnitBlock(coord, u, m.values[i * u:(i + 1) * u]))
+        for i in range(m.k):
+            blocks.append(m.values[i * u:(i + 1) * u])
     else:
         gx, gy = dx // u, dy // u
-        for slot, coord in enumerate(m.order):
+        for slot in range(m.k):
             sx = slot % gx
             sy = (slot // gx) % gy
             sz = slot // (gx * gy)
-            data = m.values[
-                sz * u:(sz + 1) * u, sy * u:(sy + 1) * u, sx * u:(sx + 1) * u
-            ]
-            blocks.append(UnitBlock(coord, u, data))
+            blocks.append(m.values[sz * u:(sz + 1) * u, sy * u:(sy + 1) * u, sx * u:(sx + 1) * u])
     return blocks
+
+
+def same_level(level: Level, dims, u: int, blocks) -> None:
+    """Assert that ``level`` holds exactly the reference ``blocks``, in
+    block-index order, byte for byte."""
+    assert (level.dims, level.u) == (tuple(dims), u)
+    assert [tuple(c) for c in np.argwhere(level.occupancy)[:, ::-1].tolist()] == [b.coord for b in blocks]
+    assert level.blocks.tobytes() == b"".join(np.ascontiguousarray(b.data).tobytes() for b in blocks)

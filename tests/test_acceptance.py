@@ -22,11 +22,10 @@ from mrcompress.container import (
     decode_container,
     encode_container,
 )
-from mrcompress.grid import BlockCoord, Volume, block_grid, write_raw_volume
+from mrcompress.grid import Volume, block_grid, write_raw_volume
 from mrcompress.layout import (
     LINEAR,
     STACKED,
-    UnitBlock,
     linear_merge,
     pad_linear,
     padding_overhead,
@@ -44,7 +43,7 @@ from mrcompress.pipeline import (
     decompress_volume,
 )
 from mrcompress.postprocess import postprocess_allowance
-from mrcompress.roi import RoiConfig, build_adaptive, reconstruct_uniform, select_roi
+from mrcompress.roi import Level, RoiConfig, build_adaptive, reconstruct_uniform, select_roi
 from mrcompress.uncertainty import ErrorModel
 
 from helpers import (
@@ -148,10 +147,10 @@ def test_04_adaptive_bound_values():
 
 
 def _rd_point(v, blocks, eb, pad, adaptive=False):
-    arch = compress_level(blocks, v.dims, 16, ErrorBoundPolicy(eb, adaptive=adaptive),
+    arch = compress_level(blocks, ErrorBoundPolicy(eb, adaptive=adaptive),
                           codec="interp", arrangement=LINEAR,
                           pad=PAD_AUTO if pad else PAD_OFF, lossless="zlib")
-    rec = assemble_volume(decompress_level(arch), v.dims)
+    rec = assemble_volume(decompress_level(arch))
     return arch.blob.original_bytes / arch.size_bytes(), psnr(v, rec)
 
 
@@ -233,12 +232,12 @@ def test_08_padding_overhead_arithmetic():
     assert padding_overhead(4) == 25.0 / 16.0  # 56.25% growth, exact
     v = sum_of_gaussians((32, 32, 32), seed=2)
     for u in (8, 16):
-        m = linear_merge(tile_volume(v, u))
+        m = linear_merge(tile_volume(v, u).blocks)
         grown = pad_linear(m).values.size / m.values.size
         assert grown == padding_overhead(u), (u, grown)
     pol = ErrorBoundPolicy(1e-3)
-    small = compress_level(tile_volume(v, 4), v.dims, 4, pol, pad=PAD_AUTO)
-    large = compress_level(tile_volume(v, 8), v.dims, 8, pol, pad=PAD_AUTO)
+    small = compress_level(tile_volume(v, 4), pol, pad=PAD_AUTO)
+    large = compress_level(tile_volume(v, 8), pol, pad=PAD_AUTO)
     assert not small.blob.padded
     assert large.blob.padded
     print("criterion 08 padding overhead: growth == (u+1)^2/u^2 exactly "
@@ -312,21 +311,16 @@ def test_11_round_trip_identities():
     for i in range(600):
         u = int(rng.choice((4, 8)))
         k = int(rng.integers(1, 6))
-        flat = rng.choice(64, size=k, replace=False)
-        blocks = []
-        for f in np.sort(flat):
-            bx, by, bz = int(f % 4), int(f // 4 % 4), int(f // 16)
-            blocks.append(UnitBlock(coord=BlockCoord(bx, by, bz, u), u=u,
-                                    data=rng.standard_normal((u, u, u))))
+        occupancy = np.zeros(64, dtype=bool)
+        occupancy[rng.choice(64, size=k, replace=False)] = True
+        blocks = Level((4 * u,) * 3, u, occupancy.reshape(4, 4, 4), rng.standard_normal((k, u, u, u))).blocks
         arrangement = LINEAR if i % 2 == 0 else STACKED
         m = linear_merge(blocks) if arrangement == LINEAR else stack_merge(blocks)
         if arrangement == LINEAR and u > 4 and i % 3 == 0:
             m = unpad(pad_linear(m))
         out = unmerge(m)
-        assert len(out) == len(blocks)
-        for a, b in zip(out, sorted(blocks, key=lambda t: (t.coord.bz, t.coord.by, t.coord.bx))):
-            assert a.coord == b.coord
-            assert np.array_equal(a.data, b.data)
+        assert out.shape == blocks.shape
+        assert np.array_equal(out, blocks)
         cases += 1
 
     for i in range(400):
@@ -340,13 +334,11 @@ def test_11_round_trip_identities():
         c2 = decode_container(buf)
         assert encode_container(c2) == buf
         ds2 = dataset_from_container(c2)
-        kept = [lv for lv in ds.levels if lv.blocks]  # empty levels are not stored
+        kept = [lv for lv in ds.levels if len(lv.blocks)]  # empty levels are not stored
         assert len(ds2.levels) == len(kept)
         for la, lb in zip(kept, ds2.levels):
-            assert la.u == lb.u and len(la.blocks) == len(lb.blocks)
-            for a, b in zip(la.blocks, lb.blocks):
-                assert a.coord == b.coord
-                assert np.array_equal(a.data, b.data)
+            assert la.u == lb.u and np.array_equal(la.occupancy, lb.occupancy)
+            assert np.array_equal(la.blocks, lb.blocks)
         cases += 1
 
     assert cases == 1000

@@ -1,5 +1,5 @@
-"""Blocks are cut, merged, split and pasted through ``grid.block_view`` with
-the same bytes as the per-block slicing in ``helpers``."""
+"""Blocks are cut, merged, split and pasted as one (k, u, u, u) array per
+level, with the same bytes as the per-block slicing in ``helpers``."""
 
 import tracemalloc
 
@@ -7,33 +7,30 @@ import numpy as np
 import pytest
 
 from mrcompress import roi
-from mrcompress.grid import BlockCoord, Volume, downsample2x
-from mrcompress.layout import UnitBlock, linear_merge, pad_linear, stack_merge, unmerge, unpad
+from mrcompress.grid import Volume, downsample2x
+from mrcompress.layout import linear_merge, pad_linear, stack_merge, unmerge, unpad
 from mrcompress.roi import RoiConfig, build_adaptive, ingest_amr, reconstruct_uniform, select_roi
 
 from helpers import (
+    RefBlock,
     build_adaptive_per_block,
     noisy_field,
     reconstruct_uniform_per_block,
+    same_level,
     smooth_field,
+    sorted_blocks,
     stack_merge_per_block,
     sum_of_gaussians,
-    tile_volume,
+    tile_blocks,
     unmerge_per_block,
 )
 
 
-def _same_blocks(got, want):
-    assert [(b.coord, b.u) for b in got] == [(b.coord, b.u) for b in want]
-    for g, w in zip(got, want):
-        assert g.data.tobytes() == w.data.tobytes()
-
-
-def _same_dataset(got, want):
-    assert got.roi_mask.tobytes() == want.roi_mask.tobytes()
-    assert [(lv.dims, lv.u) for lv in got.levels] == [(lv.dims, lv.u) for lv in want.levels]
-    for g, w in zip(got.levels, want.levels):
-        _same_blocks(g.blocks, w.blocks)
+def _same_dataset(got, want_levels, want_mask):
+    assert got.roi_mask.tobytes() == want_mask.tobytes()
+    assert len(got.levels) == len(want_levels)
+    for lv, (dims, u, blocks) in zip(got.levels, want_levels):
+        same_level(lv, dims, u, blocks)
 
 
 FIELDS = {
@@ -51,37 +48,44 @@ def test_build_and_reconstruct_match_per_block(field, b, percent):
     cfg = RoiConfig(b=b, x_percent=percent)
     mask = select_roi(v, cfg)
     ds = build_adaptive(v, mask, cfg)
-    _same_dataset(ds, build_adaptive_per_block(v, mask, cfg))
-    assert reconstruct_uniform(ds).data.tobytes() == reconstruct_uniform_per_block(ds).data.tobytes()
+    levels, ref_mask = build_adaptive_per_block(v, mask, cfg)
+    _same_dataset(ds, levels, ref_mask)
+    assert reconstruct_uniform(ds).data.tobytes() == reconstruct_uniform_per_block(levels).data.tobytes()
 
 
 def _blocks(k, u, seed):
-    """k unit blocks at scattered coords, handed over out of order."""
+    """k reference blocks at scattered coords, handed over out of order."""
     rng = np.random.default_rng(seed)
     cells = rng.permutation(6 * 5 * 4)[:k]
-    return [UnitBlock(BlockCoord(int(c % 6), int(c // 6 % 5), int(c // 30), u), u,
-                      rng.standard_normal((u, u, u))) for c in cells]
+    return [RefBlock((int(c % 6), int(c // 6 % 5), int(c // 30)), u,
+                     rng.standard_normal((u, u, u))) for c in cells]
+
+
+def _same_split(got, want):
+    assert got.shape[0] == len(want)
+    assert got.tobytes() == b"".join(w.tobytes() for w in want)
 
 
 @pytest.mark.parametrize("k", [1, 5, 9, 28])
 @pytest.mark.parametrize("u", [2, 8])
 def test_merges_and_splits_match_per_block(k, u):
-    blocks = _blocks(k, u, seed=k + u)
+    ref = _blocks(k, u, seed=k + u)
+    blocks = np.stack([b.data for b in sorted_blocks(ref)])
     stacked = stack_merge(blocks)
-    want = stack_merge_per_block(blocks)
+    want = stack_merge_per_block(ref)
     assert stacked.values.tobytes() == want.values.tobytes()
-    assert (stacked.order, stacked.u, stacked.arrangement) == (want.order, want.u, want.arrangement)
-    _same_blocks(unmerge(stacked), unmerge_per_block(want))
+    assert (stacked.k, stacked.u, stacked.arrangement) == (want.k, want.u, want.arrangement)
+    _same_split(unmerge(stacked), unmerge_per_block(want))
     linear = linear_merge(blocks)
-    _same_blocks(unmerge(linear), unmerge_per_block(linear))
+    _same_split(unmerge(linear), unmerge_per_block(linear))
     padded = pad_linear(linear)
     if padded.padded:
-        _same_blocks(unmerge(unpad(padded)), unmerge_per_block(unpad(padded)))
+        _same_split(unmerge(unpad(padded)), unmerge_per_block(unpad(padded)))
 
 
 def test_unmerge_of_a_linear_merge_is_a_view():
-    m = linear_merge(_blocks(5, 4, seed=1))
-    assert all(np.shares_memory(blk.data, m.values) for blk in unmerge(m))
+    m = linear_merge(np.random.default_rng(1).standard_normal((5, 4, 4, 4)))
+    assert np.shares_memory(unmerge(m), m.values)
 
 
 def _three_levels(dims, seed):
@@ -90,24 +94,26 @@ def _three_levels(dims, seed):
     f0 = noisy_field(dims, seed=seed)
     f1 = downsample2x(f0)
     f2 = downsample2x(f1)
-    l0 = [blk for blk in tile_volume(f0, 8) if blk.coord.bz == 0]
-    l1 = [blk for blk in tile_volume(f1, 4) if blk.coord.bz == 1]
-    l2 = [blk for blk in tile_volume(f2, 2) if blk.coord.bz >= 2]
+    l0 = [blk for blk in tile_blocks(f0, 8) if blk.coord[2] == 0]
+    l1 = [blk for blk in tile_blocks(f1, 4) if blk.coord[2] == 1]
+    l2 = [blk for blk in tile_blocks(f2, 2) if blk.coord[2] >= 2]
     return f0, [(f0.dims, 8, l0[::-1]), (f1.dims, 4, l1[::-1]), (f2.dims, 2, l2[::-1])]
 
 
 @pytest.mark.parametrize("dims", [(32, 16, 48), (16, 32, 64)])
 def test_three_level_ingest_matches_per_block(dims):
     f0, levels = _three_levels(dims, seed=sum(dims))
-    ds = ingest_amr(levels)
-    for lv, (_, _, blocks) in zip(ds.levels, levels):
-        _same_blocks(lv.blocks, sorted(blocks, key=lambda blk: (blk.coord.bz, blk.coord.by, blk.coord.bx)))
+    ds = ingest_amr([(d, u, [b.coord for b in blocks], np.stack([b.data for b in blocks]))
+                     for d, u, blocks in levels])
+    ref = [(d, u, sorted_blocks(blocks)) for d, u, blocks in levels]
+    for lv, (d, u, blocks) in zip(ds.levels, ref):
+        same_level(lv, d, u, blocks)
     gx, gy = dims[0] // 8, dims[1] // 8
     want = np.zeros(dims[2] // 8 * gy * gx, dtype=bool)
     want[: gy * gx] = True  # the bz = 0 slab, block-index order
     assert ds.roi_mask.tobytes() == want.tobytes()
     rec = reconstruct_uniform(ds)
-    assert rec.data.tobytes() == reconstruct_uniform_per_block(ds).data.tobytes()
+    assert rec.data.tobytes() == reconstruct_uniform_per_block(ref).data.tobytes()
     assert np.array_equal(rec.data[:8], f0.data[:8])
 
 

@@ -239,7 +239,7 @@ def test_level_too_small_to_sample_compresses_without_post(tmp_path, capsys):
 def test_uncertainty_decodes_each_level_once(tmp_path, monkeypatch):
     import mrcompress.pipeline as pipeline
     from mrcompress.pipeline import decompress_level, level_sample_pairs
-    from mrcompress.roi import Level, MultiResDataset
+    from mrcompress.roi import MultiResDataset
     from mrcompress.uncertainty import fit_model, probability_field, sample_errors
 
     v = sum_of_gaussians((64, 64, 64), seed=16)
@@ -262,8 +262,7 @@ def test_uncertainty_decodes_each_level_once(tmp_path, monkeypatch):
 
     # same bytes as the library path that decodes every level per use
     archives = [lv.archive for lv in c.levels]
-    ds = MultiResDataset(levels=tuple(Level(dims=a.dims, u=a.u, blocks=tuple(decompress_level(a)))
-                                      for a in archives), roi_mask=c.roi_mask)
+    ds = MultiResDataset(levels=tuple(decompress_level(a) for a in archives))
     recon = reconstruct_uniform(ds)
     pairs = [level_sample_pairs(a) for a in archives]
     dec_regions = [r for p in pairs for r in p[1]]
@@ -329,7 +328,7 @@ def test_argparse_failures_exit_two(tmp_path):
 
 def test_malformed_container_exits_three(tmp_path):
     bad = tmp_path / "bad.mrc"
-    bad.write_bytes(b"MRC1" + b"\x00" * 3)  # magic but truncated header
+    bad.write_bytes(b"MRC2" + b"\x00" * 3)  # magic but truncated header
     assert main(["decompress", "--input", str(bad), "--out", str(tmp_path / "o.raw")]) == 3
 
     v = sum_of_gaussians((16, 16, 16), seed=13)
@@ -340,6 +339,21 @@ def test_malformed_container_exits_three(tmp_path):
     blob = bytearray(cont.read_bytes())
     cont.write_bytes(bytes(blob[: len(blob) - 40]))
     assert main(["decompress", "--input", str(cont), "--out", str(tmp_path / "o.raw")]) == 3
+
+
+def test_an_old_container_version_given_to_compress_exits_three(tmp_path, capsys):
+    v = sum_of_gaussians((16, 16, 16), seed=13)
+    raw = _write_raw(tmp_path, v)
+    cont = tmp_path / "v.mrc"
+    assert main(["compress", "--input", raw, "--dims", _dims_arg(v), "--dtype", "f64",
+                 "--eb", "1e-3", "--out", str(cont)]) == 0
+    old = bytearray(cont.read_bytes())
+    old[:6] = b"MRC1" + (1).to_bytes(2, "little")  # the first container version
+    cont.write_bytes(bytes(old))
+    capsys.readouterr()
+    # no --dims: an old container is not taken for raw input
+    assert main(["compress", "--input", str(cont), "--eb", "1e-3", "--out", str(tmp_path / "x.mrc")]) == 3
+    assert "unsupported container version 1" in capsys.readouterr().err
 
 
 def _rewrite_blob(c, **changes):
@@ -398,7 +412,7 @@ def test_unexpected_failure_exits_four(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "read_container", boom)
     bad = tmp_path / "c.mrc"
-    bad.write_bytes(b"MRC1")
+    bad.write_bytes(b"MRC2")
     assert main(["decompress", "--input", str(bad), "--out", str(tmp_path / "o.raw")]) == 4
 
 
@@ -473,14 +487,23 @@ def test_levels_run_on_the_calling_thread(tmp_path, monkeypatch):
 
 # sha256 of every output of the CLI chain on a 64^3 f32 field, recorded
 # while the levels still ran on a thread pool; eval.json re-recorded when
-# its cr began to count the whole container file (psnr and ssim unchanged)
+# its cr began to count the whole container file (psnr and ssim unchanged),
+# and with roi.mrc and out.mrc when the coord tables gave way to occupancy
+# bitmaps (out.f32 and the probability field unchanged)
 GOLDEN_CHAIN = {
-    "roi.mrc": "a23891a7de542f793f7d49c28b1b27070bccccb4d33594064028a8d2ce0048c6",
-    "out.mrc": "71336c4f2cdf83891c6c54b7dd4dffac2a40d7ee4325195ed604d309e4145354",
+    "roi.mrc": "38f747990191402fe748b7863197ad57955f46d62f2af09390c233eed6143f2d",
+    "out.mrc": "0c40b17ae20f86d450fab81c7f058d18f58da328cde4a716491e7ec5ee06faf3",
     "out.f32": "448b5cc0106ac8fa25f36af1b0805e0f3304aea2db63af8a8c05a8d8a519b20c",
     "prob.f32": "0863aec7c7d2e24dba126cd6dfc44510bbce67dc3dfcf26e3882a65ca64b46db",
     "prob.f32.json": "3e998b67efea37610d15fee3c2abc4adf995f9a4036fec7c12db0fbd0c688c18",
-    "eval.json": "aaad3ff398dd2dff580cd6afecf7a1d92c609d1c20c3c65a780c2401e305b0c6",
+    "eval.json": "353aa4c1bd9039736ac3628c096c2b89eb24674d881b16aba44ffe24f0e4b299",
+}
+
+# sha256 of the f64 reconstruction of each container of the chain, recorded
+# with the coord-table format the goldens above replaced
+GOLDEN_CHAIN_DECODED = {
+    "roi.mrc": "53d7be9debb45c9588e2322ac041178e596840d65c5e9ac86cbc0dc735f3e02d",
+    "out.mrc": "5f7e873bb57aef54edb655846d4ee72ff6427f0d628e41d68c6a8c440c2c8913",
 }
 
 
@@ -499,6 +522,10 @@ def test_cli_chain_golden_bytes(tmp_path):
                  "--out", out["eval.json"]]) == 0
     digests = {name: hashlib.sha256(open(path, "rb").read()).hexdigest() for name, path in out.items()}
     assert digests == GOLDEN_CHAIN
+    for name, want in GOLDEN_CHAIN_DECODED.items():
+        rec = str(tmp_path / f"{name}.f64")
+        assert main(["decompress", "--input", out[name], "--uniform", "--dtype", "f64", "--out", rec]) == 0
+        assert hashlib.sha256(open(rec, "rb").read()).hexdigest() == want
 
 
 # ------------------------------------------------------------- entry point

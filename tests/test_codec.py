@@ -19,8 +19,8 @@ from mrcompress.codec.quantize import (
 from mrcompress.codec.interp import _axis_passes, _gather, _scatter, _walk
 from mrcompress.codec.stored import STORED_POLICY
 from mrcompress.errors import FormatError, ShapeError
-from mrcompress.grid import BlockCoord, Volume
-from mrcompress.layout import linear_merge, pad_linear, UnitBlock
+from mrcompress.grid import Volume
+from mrcompress.layout import linear_merge, pad_linear
 
 from helpers import max_abs_err, noisy_field, signed_zero_field, smooth_field
 
@@ -390,14 +390,11 @@ def test_interp_single_cell_and_thin_axes():
 
 def test_interp_preserves_merge_metadata():
     rng = np.random.default_rng(8)
-    blocks = [
-        UnitBlock(BlockCoord(i, 0, 0, 8), 8, rng.normal(size=(8, 8, 8)))
-        for i in range(3)
-    ]
+    blocks = rng.normal(size=(3, 8, 8, 8))
     m = pad_linear(linear_merge(blocks))
     blob = compress(m, ErrorBoundPolicy(eb=1e-3))
     out = decompress(blob)
-    assert out.order == m.order
+    assert out.k == m.k
     assert out.u == 8 and out.padded and out.arrangement == m.arrangement
     assert np.abs(out.values - m.values).max() <= 1e-3
 
@@ -445,14 +442,11 @@ def test_block_rejects_adaptive_policy():
 
 def test_block_merge_round_trip():
     rng = np.random.default_rng(13)
-    blocks = [
-        UnitBlock(BlockCoord(i % 2, i // 2, 0, 8), 8, rng.normal(size=(8, 8, 8)))
-        for i in range(4)
-    ]
+    blocks = rng.normal(size=(4, 8, 8, 8))
     m = linear_merge(blocks)
     blob = compress(m, ErrorBoundPolicy(eb=1e-4), codec="block")
     out = decompress(blob)
-    assert out.order == m.order
+    assert out.k == m.k
     assert np.abs(out.values - m.values).max() <= 1e-4
 
 
@@ -476,10 +470,7 @@ def test_encoder_reconstruction_is_the_decoded_output(codec):
     # the encoder's working state is the decoder's output, bit for bit,
     # literals included
     rng = np.random.default_rng(20)
-    blocks = [
-        UnitBlock(BlockCoord(i % 2, i // 2, 0, 8), 8, rng.normal(size=(8, 8, 8)))
-        for i in range(3)
-    ]
+    blocks = rng.normal(size=(3, 8, 8, 8))
     cases = [
         (smooth_field((13, 6, 9), seed=21), 1e-3),
         (noisy_field((5, 7, 3), seed=22, scale=1e4), 1e-9),
@@ -496,7 +487,7 @@ def test_encoder_reconstruction_is_the_decoded_output(codec):
             assert rec.data.tobytes() == dec.data.tobytes()
         else:
             assert rec.values.tobytes() == dec.values.tobytes()
-            assert (rec.order, rec.u, rec.padded) == (dec.order, dec.u, dec.padded)
+            assert (rec.k, rec.u, rec.padded) == (dec.k, dec.u, dec.padded)
 
 
 # ---------------------------------------------------------- blob transport
@@ -602,10 +593,7 @@ def test_stored_codec_keeps_values_verbatim():
 
 def test_blob_original_bytes_ignores_padding():
     rng = np.random.default_rng(18)
-    blocks = [
-        UnitBlock(BlockCoord(i, 0, 0, 8), 8, rng.normal(size=(8, 8, 8)))
-        for i in range(2)
-    ]
+    blocks = rng.normal(size=(2, 8, 8, 8))
     m = pad_linear(linear_merge(blocks))
     blob = compress(m, ErrorBoundPolicy(eb=1e-3))
     assert m.dims == (9, 9, 16)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from mrcompress.codec import ErrorBoundPolicy
 from mrcompress.container import (
@@ -18,7 +20,7 @@ from mrcompress.container import (
 )
 from mrcompress.errors import FormatError, ShapeError
 from mrcompress.pipeline import SampleSet, compress_level, compress_volume, decode_level
-from mrcompress.roi import RoiConfig, build_adaptive, reconstruct_uniform, select_roi
+from mrcompress.roi import Level, MultiResDataset, RoiConfig, build_adaptive, reconstruct_uniform, select_roi
 
 from helpers import max_abs_err, sum_of_gaussians, tile_volume
 
@@ -31,9 +33,7 @@ def _dataset(dims=(32, 32, 32), percent=25.0, seed=0):
 
 def _single_level_container(post_family=None, seed=1):
     v = sum_of_gaussians((32, 32, 32), seed=seed)
-    blocks = tile_volume(v, 8)
-    arch = compress_level(blocks, v.dims, 8, ErrorBoundPolicy(eb=1e-3),
-                          post_family=post_family)
+    arch = compress_level(tile_volume(v, 8), ErrorBoundPolicy(eb=1e-3), post_family=post_family)
     return ContainerFile(levels=(ContainerLevel(archive=arch),)), v
 
 
@@ -59,9 +59,8 @@ def test_stored_dataset_round_trips_bit_exactly():
     assert len(ds2.levels) == len(ds.levels)
     for la, lb in zip(ds.levels, ds2.levels):
         assert la.dims == lb.dims and la.u == lb.u
-        for ba, bb in zip(la.blocks, lb.blocks):
-            assert ba.coord == bb.coord
-            assert np.array_equal(ba.data, bb.data)
+        assert np.array_equal(la.occupancy, lb.occupancy)
+        assert la.blocks.tobytes() == lb.blocks.tobytes()
     assert reconstruct_uniform(ds2) == reconstruct_uniform(ds)
 
 
@@ -71,8 +70,8 @@ def test_compressed_dataset_honors_bound_per_level():
     c = container_from_dataset(ds, policy=ErrorBoundPolicy(eb=eb))
     ds2 = dataset_from_container(decode_container(encode_container(c)))
     for la, lb in zip(ds.levels, ds2.levels):
-        for ba, bb in zip(la.blocks, lb.blocks):
-            assert np.abs(ba.data - bb.data).max() <= eb
+        assert np.array_equal(la.occupancy, lb.occupancy)
+        assert np.abs(la.blocks - lb.blocks).max() <= eb
 
 
 def test_fully_fine_roi_drops_the_empty_coarse_level():
@@ -81,9 +80,8 @@ def test_fully_fine_roi_drops_the_empty_coarse_level():
     c = container_from_dataset(ds, roi_b=cfg.b, roi_x_percent=100.0)
     assert c.n_levels == 1
     ds2 = dataset_from_container(decode_container(encode_container(c)))
-    assert reconstruct_uniform(
-        type(ds)(levels=ds2.levels, roi_mask=c.roi_mask)
-    ) == v
+    assert np.array_equal(ds2.roi_mask, ds.roi_mask) and ds2.roi_mask.all()
+    assert reconstruct_uniform(ds2) == v
 
 
 # "both": a two-level ROI container with a sample sidecar on both levels
@@ -100,6 +98,41 @@ def test_reencode_is_byte_identical(variant):
     raw = encode_container(c)
     again = encode_container(decode_container(raw))
     assert again == raw
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=st.tuples(*[st.integers(1, 3)] * 3), u=st.sampled_from((4, 8)),
+       bits=st.integers(0, 2**27 - 1), seed=st.integers(0, 2**16))
+@example(grid=(3, 2, 1), u=8, bits=2**27 - 1, seed=0)  # a 100% ROI: the coarse level is empty
+@example(grid=(2, 3, 2), u=4, bits=1 << 5, seed=1)  # a single fine block
+def test_random_occupancies_round_trip(grid, u, bits, seed):
+    gx, gy, gz = grid
+    n = gx * gy * gz
+    fine = np.array([bits >> i & 1 for i in range(n)], dtype=bool).reshape(gz, gy, gx)
+    assume(fine.any())  # ROI selection keeps at least one fine block
+    rng = np.random.default_rng(seed)
+    dims = (gx * u, gy * u, gz * u)
+    levels = []
+    for li, occ in enumerate((fine, ~fine)):
+        lu = u >> li
+        levels.append(Level(tuple(d >> li for d in dims), lu, occ,
+                            rng.standard_normal((int(occ.sum()), lu, lu, lu))))
+    ds = MultiResDataset(levels=levels)
+    kept = [lv for lv in ds.levels if len(lv.blocks)]  # empty levels are not stored
+    for policy in (None, ErrorBoundPolicy(eb=1e-2)):
+        raw = encode_container(container_from_dataset(ds, policy, roi_b=u, roi_x_percent=50.0))
+        c = decode_container(raw)
+        assert encode_container(c) == raw
+        assert np.array_equal(c.roi_mask, fine.reshape(-1))
+        back = dataset_from_container(c)
+        assert len(back.levels) == len(kept)
+        for la, lb in zip(kept, back.levels):
+            assert (la.dims, la.u) == (lb.dims, lb.u)
+            assert np.array_equal(la.occupancy, lb.occupancy)
+            if policy is None:
+                assert la.blocks.tobytes() == lb.blocks.tobytes()
+            else:
+                assert np.abs(la.blocks - lb.blocks).max() <= 1e-2
 
 
 def test_file_round_trip(tmp_path):
@@ -162,10 +195,8 @@ def test_sidecar_flags_other_than_samples_rejected(flags):
 def test_corrupt_level_u_is_a_format_error():
     c, _ = _single_level_container()
     raw = bytearray(encode_container(c))
-    # the level's u follows the fixed header, the mask and its dims
-    header = 4 + 4 + struct.calcsize("<IdQ")
-    mask_bytes = (c.roi_mask.size + 7) // 8 if c.roi_mask is not None else 0
-    u_at = header + mask_bytes + struct.calcsize("<3Q")
+    # the level's u follows the fixed header and its dims
+    u_at = 4 + 4 + struct.calcsize("<Id") + struct.calcsize("<3Q")
     assert struct.unpack_from("<I", raw, u_at) == (8,)
     struct.pack_into("<I", raw, u_at, 16)
     with pytest.raises(FormatError):
@@ -202,18 +233,33 @@ def test_truncation_always_raises_format_error():
             decode_container(raw[:cut])
 
 
-def test_coord_table_mismatch_detected():
+def test_occupancy_and_blob_block_count_must_agree():
     c, _ = _single_level_container()
     raw = bytearray(encode_container(c))
-    # first coord entry sits right after the fixed header, mask, dims, u,
-    # and block count
-    header = 4 + 4 + struct.calcsize("<IdQ")
-    mask_bytes = (c.roi_mask.size + 7) // 8 if c.roi_mask is not None else 0
-    coord0 = header + mask_bytes + struct.calcsize("<3QI") + 8
-    (bx,) = struct.unpack_from("<Q", raw, coord0)
-    struct.pack_into("<Q", raw, coord0, bx + 1)
-    with pytest.raises(FormatError):
+    # the bitmap follows the fixed header and the level record; all 64 of
+    # the level's blocks are set
+    at = 4 + 4 + struct.calcsize("<Id") + struct.calcsize("<3QI")
+    assert raw[at : at + 8] == b"\xff" * 8
+    raw[at] = 0x7F
+    with pytest.raises(FormatError, match="blob holds 64"):
         decode_container(bytes(raw))
+
+
+def test_dataset_from_container_maps_broken_geometry_to_format_error():
+    _, cfg, ds = _dataset(seed=16)
+    c = container_from_dataset(ds, roi_b=cfg.b, roi_x_percent=cfg.x_percent)
+    raw = bytearray(encode_container(c))
+    nx_at = 4 + 4 + struct.calcsize("<Id")  # the fine level's dims lead its record
+    assert struct.unpack_from("<3Q", raw, nx_at) == (32, 32, 32)
+    bad = bytearray(raw)
+    bad[nx_at] ^= 0x80  # the library twin of the CLI's fine-dims flips
+    with pytest.raises(FormatError):
+        dataset_from_container(decode_container(bytes(bad)))
+    # dims that keep the bitmap's size decode, and only the refinement
+    # chain can reject them
+    struct.pack_into("<3Q", raw, nx_at, 16, 64, 32)
+    with pytest.raises(FormatError, match="refinement chain"):
+        dataset_from_container(decode_container(bytes(raw)))
 
 
 def test_unknown_post_family_code_rejected():
@@ -296,10 +342,20 @@ def test_two_level_sidecars_keep_their_levels():
                 assert np.array_equal(ra, rb)
 
 
+def _decoded_digest(raw):
+    rec = reconstruct_uniform(dataset_from_container(decode_container(raw)))
+    return hashlib.sha256(rec.data.astype("<f8").tobytes()).hexdigest()
+
+
+# Each container golden below is re-recorded for the occupancy-bitmap
+# format; its _DECODED twin, the sha256 of the f64 reconstruction, was
+# recorded with the coord-table format before it.
+
 # sha256 of encode_container for a 2-level ROI container with post "sz",
-# recorded before the interp traversal, blob header and level encoder were
-# each given a single definition
-GOLDEN_ROI_SZ = "ee70615ea0b6de6e6c7fb0b1906526572b226c005abaf893d4e8dac6ca26777e"
+# first recorded before the interp traversal, blob header and level encoder
+# were each given a single definition
+GOLDEN_ROI_SZ = "6bc363118309adc9ccc0d0afe8dcf06506b5f21196afcda3a5a7675ef297f090"
+GOLDEN_ROI_SZ_DECODED = "bc7144d7e7a0f199dcc66256b3ee71c1315a7b6f12057abe805e104c9fc0b2fa"
 
 
 def test_roi_container_golden_bytes():
@@ -310,12 +366,15 @@ def test_roi_container_golden_bytes():
                                roi_b=cfg.b, roi_x_percent=cfg.x_percent)
     assert [lv.archive.u for lv in c.levels] == [8, 4]
     assert all(lv.archive.post is not None for lv in c.levels)
-    assert hashlib.sha256(encode_container(c)).hexdigest() == GOLDEN_ROI_SZ
+    raw = encode_container(c)
+    assert hashlib.sha256(raw).hexdigest() == GOLDEN_ROI_SZ
+    assert _decoded_digest(raw) == GOLDEN_ROI_SZ_DECODED
 
 
 # sha256 of the `roi` command's output for a 32^3 f64 field: codec 0
 # (stored), linear arrangement, no post, no sidecars
-GOLDEN_ROI_STORED = "65b7958fbf70b170a3714c63b868e77fbfa03846187a91a8bb56d3b21d579f49"
+GOLDEN_ROI_STORED = "223d95eac04b874bc6f1408e3f4b71b3f578d19bf8f472afc4f962ed009f9a27"
+GOLDEN_ROI_STORED_DECODED = "044c4ce1f319c81486f3f0011a5cd95cfe526e8cde56d5ac51060970bce8a7f0"
 
 
 def test_roi_command_golden_bytes(tmp_path):
@@ -329,12 +388,14 @@ def test_roi_command_golden_bytes(tmp_path):
     c = read_container(out)
     assert [lv.archive.blob.codec_name for lv in c.levels] == ["stored", "stored"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ROI_STORED
+    assert _decoded_digest(out.read_bytes()) == GOLDEN_ROI_STORED_DECODED
 
 
 # sha256 of a 2-level container with the block codec, the stacked
 # arrangement, the zlib pass and post "zfp": the codec, arrangement and
 # post-family bytes the other digests leave unpinned
-GOLDEN_BLOCK_STACKED_ZFP = "707ce2b4ee321bde92a7fee1a80411f33b21fedb037ec3fed3ffe672c16e4f41"
+GOLDEN_BLOCK_STACKED_ZFP = "740c8cfd65cec87b219d092bb76d977d6e669f3a45cc00f1c144412fc0ccd76f"
+GOLDEN_BLOCK_STACKED_ZFP_DECODED = "7b899790a51363ed06d6e706c3763b37c2f0e6f6a176a622e2933209164fe714"
 
 
 def test_block_stacked_zfp_container_golden_bytes():
@@ -346,4 +407,6 @@ def test_block_stacked_zfp_container_golden_bytes():
     assert [(b.codec_name, b.lossless) for b in blobs] == [("block", "zlib")] * 2
     assert all(decode_level(lv.archive).arrangement == "stacked" for lv in c.levels)
     assert all(lv.archive.post.family == "zfp" for lv in c.levels)
-    assert hashlib.sha256(encode_container(c)).hexdigest() == GOLDEN_BLOCK_STACKED_ZFP
+    raw = encode_container(c)
+    assert hashlib.sha256(raw).hexdigest() == GOLDEN_BLOCK_STACKED_ZFP
+    assert _decoded_digest(raw) == GOLDEN_BLOCK_STACKED_ZFP_DECODED

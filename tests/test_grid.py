@@ -3,7 +3,6 @@ import pytest
 
 from mrcompress.errors import DataError, ShapeError
 from mrcompress.grid import (
-    BlockCoord,
     Volume,
     block_ranges,
     block_view,
@@ -46,14 +45,6 @@ def test_from_flat_round_trip():
     v = Volume.from_flat(flat, (5, 4, 3))
     assert np.array_equal(v.values, flat)
     assert v.data[1, 2, 3] == flat[3 + 5 * (2 + 4 * 1)]
-
-
-def test_block_coord_validation():
-    BlockCoord(0, 0, 0, 4)
-    with pytest.raises(ShapeError):
-        BlockCoord(0, 0, 0, 3)
-    with pytest.raises(ShapeError):
-        BlockCoord(-1, 0, 0, 4)
 
 
 def test_block_ranges_matches_bruteforce():

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from mrcompress.errors import ShapeError, StateError
-from mrcompress.grid import BlockCoord
 from mrcompress.layout import (
     LINEAR,
     STACKED,
     MergedArray,
-    UnitBlock,
     linear_merge,
     pad_linear,
     padding_overhead,
@@ -18,17 +16,23 @@ from mrcompress.layout import (
 
 
 def _blocks(k, u=8, seed=0):
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(k):
-        coord = BlockCoord(i % 2, (i // 2) % 2, i // 4, u)
-        out.append(UnitBlock(coord, u, rng.standard_normal((u, u, u))))
-    return out
+    return np.random.default_rng(seed).standard_normal((k, u, u, u))
 
 
 def test_unit_block_validates_shape():
-    with pytest.raises(ShapeError):
-        UnitBlock(BlockCoord(0, 0, 0, 8), 8, np.zeros((8, 8, 4)))
+    # an empty block array and one that is not a stack of blocks
+    for bad in (np.zeros((0, 8, 8, 8)), np.zeros((8, 8, 8))):
+        for merge in (linear_merge, stack_merge):
+            with pytest.raises(ShapeError):
+                merge(bad)
+
+
+def test_linear_merge_rejects_mixed_u():
+    # blocks whose edges mix 8 and 4 are not u-cubes
+    for bad in (np.zeros((1, 8, 8, 4)), np.zeros((2, 4, 8, 8))):
+        for merge in (linear_merge, stack_merge):
+            with pytest.raises(ShapeError):
+                merge(bad)
 
 
 def test_linear_merge_dims_and_slabs():
@@ -36,43 +40,29 @@ def test_linear_merge_dims_and_slabs():
     m = linear_merge(blocks)
     assert m.arrangement == LINEAR
     assert m.dims == (8, 8, 24)
-    for i, b in enumerate(m.order):
-        src = next(x for x in blocks if x.coord == b)
-        assert np.array_equal(m.values[i * 8 : (i + 1) * 8], src.data)
+    for i in range(m.k):
+        assert np.array_equal(m.values[i * 8 : (i + 1) * 8], blocks[i])
 
 
 def test_linear_merge_single_block():
     blocks = _blocks(1)
     m = linear_merge(blocks)
     assert m.dims == (8, 8, 8)
-    assert np.array_equal(m.values, blocks[0].data)
+    assert np.array_equal(m.values, blocks[0])
 
 
-def test_linear_merge_sorts_canonically():
+def test_linear_merge_is_a_reshape():
     blocks = _blocks(4)
-    m1 = linear_merge(blocks)
-    m2 = linear_merge(list(reversed(blocks)))
-    assert np.array_equal(m1.values, m2.values)
-    assert m1.order == m2.order
-    keys = [(c.bz, c.by, c.bx) for c in m1.order]
-    assert keys == sorted(keys)
-
-
-def test_linear_merge_rejects_mixed_u():
-    a = UnitBlock(BlockCoord(0, 0, 0, 8), 8, np.zeros((8, 8, 8)))
-    b = UnitBlock(BlockCoord(0, 0, 0, 4), 4, np.zeros((4, 4, 4)))
-    with pytest.raises(ShapeError):
-        linear_merge([a, b])
+    m = linear_merge(blocks)
+    assert np.shares_memory(m.values, blocks)
+    assert m.values.tobytes() == blocks.tobytes()
 
 
 def test_linear_round_trip():
     blocks = _blocks(6, seed=3)
     back = unmerge(linear_merge(blocks))
-    order = sorted(blocks, key=lambda b: (b.coord.bz, b.coord.by, b.coord.bx))
-    assert len(back) == 6
-    for got, want in zip(back, order):
-        assert got.coord == want.coord
-        assert np.array_equal(got.data, want.data)
+    assert back.shape == (6, 8, 8, 8)
+    assert np.array_equal(back, blocks)
 
 
 def test_stack_eight_blocks_makes_a_cube():
@@ -85,15 +75,15 @@ def test_stack_single_block():
     blocks = _blocks(1)
     m = stack_merge(blocks)
     assert m.dims == (8, 8, 8)
-    assert np.array_equal(m.values, blocks[0].data)
+    assert np.array_equal(m.values, blocks[0])
 
 
 def test_stack_five_blocks_fills_with_last_mean():
     blocks = _blocks(5, seed=1)
     m = stack_merge(blocks)
     assert m.dims == (16, 16, 16)
-    assert m.n_blocks == 5
-    filler = blocks[4].data.mean()
+    assert m.k == 5
+    filler = blocks[4].mean()
     # slot 5 (row-major x fastest) sits at grid (1, 0, 1): x in (8,16), z in (8,16)
     assert np.allclose(m.values[8:16, 0:8, 8:16], filler)
 
@@ -102,11 +92,8 @@ def test_stack_round_trip_discards_fillers():
     for k in (1, 2, 5, 7, 8, 9):
         blocks = _blocks(k, seed=k)
         back = unmerge(stack_merge(blocks))
-        order = sorted(blocks, key=lambda b: (b.coord.bz, b.coord.by, b.coord.bx))
-        assert len(back) == k
-        for got, want in zip(back, order):
-            assert got.coord == want.coord
-            assert np.array_equal(got.data, want.data)
+        assert back.shape == (k, 8, 8, 8)
+        assert np.array_equal(back, blocks)
 
 
 def test_pad_extrapolates_last_two_points():
@@ -114,7 +101,7 @@ def test_pad_extrapolates_last_two_points():
     data = np.zeros((u, u, u))
     data[:, :, 6] = 2.0
     data[:, :, 7] = 4.0
-    m = linear_merge([UnitBlock(BlockCoord(0, 0, 0, u), u, data)])
+    m = linear_merge(data[None])
     p = pad_linear(m)
     assert p.padded and p.dims == (9, 9, 8)
     assert np.allclose(p.values[:, :8, 8], 6.0)  # 2*4 - 2
@@ -122,7 +109,7 @@ def test_pad_extrapolates_last_two_points():
 
 def test_pad_constant_stays_constant():
     u = 8
-    m = linear_merge([UnitBlock(BlockCoord(0, 0, 0, u), u, np.full((u, u, u), 1.25))])
+    m = linear_merge(np.full((1, u, u, u), 1.25))
     p = pad_linear(m)
     assert np.all(p.values == 1.25)
 
@@ -140,7 +127,7 @@ def test_pad_unpad_round_trip_and_dims():
     back = unpad(p)
     assert back.dims == (8, 8, 24)
     assert np.array_equal(back.values, m.values)
-    assert back.order == m.order
+    assert back.k == m.k
 
 
 def test_unpad_requires_padded():
@@ -158,10 +145,7 @@ def test_pad_rejects_stacked():
 def test_full_chain_identity():
     blocks = _blocks(5, seed=9)
     back = unmerge(unpad(pad_linear(linear_merge(blocks))))
-    order = sorted(blocks, key=lambda b: (b.coord.bz, b.coord.by, b.coord.bx))
-    for got, want in zip(back, order):
-        assert got.coord == want.coord
-        assert np.array_equal(got.data, want.data)
+    assert np.array_equal(back, blocks)
 
 
 def test_padding_overhead_values():
@@ -176,9 +160,6 @@ def test_padding_overhead_values():
 
 def test_merged_array_validates_geometry():
     with pytest.raises(ShapeError):
-        MergedArray(
-            values=np.zeros((8, 8, 9)),
-            order=(BlockCoord(0, 0, 0, 8),),
-            u=8,
-            arrangement=LINEAR,
-        )
+        MergedArray(values=np.zeros((8, 8, 9)), k=1, u=8, arrangement=LINEAR)
+    with pytest.raises(ShapeError):
+        MergedArray(values=np.zeros((0, 8, 8)), k=0, u=8, arrangement=LINEAR)

@@ -5,10 +5,9 @@ import pytest
 
 from mrcompress.codec import ErrorBoundPolicy
 from mrcompress.errors import FormatError, ShapeError
-from mrcompress.grid import BlockCoord, Volume
-from mrcompress.layout import STACKED, UnitBlock
+from mrcompress.grid import Volume
+from mrcompress.layout import STACKED
 from mrcompress.pipeline import (
-    LevelArchive,
     SampleSet,
     compress_level,
     compress_volume,
@@ -18,8 +17,9 @@ from mrcompress.pipeline import (
     level_sample_pairs,
 )
 from mrcompress.postprocess import plan_sampling, postprocess_allowance
+from mrcompress.roi import Level
 
-from helpers import assemble_volume, max_abs_err, noisy_field, sum_of_gaussians, tile_volume
+from helpers import assemble_volume, max_abs_err, noisy_field, sum_of_gaussians, tile_blocks, tile_volume
 
 
 # ------------------------------------------------------------------ tiling
@@ -27,16 +27,16 @@ from helpers import assemble_volume, max_abs_err, noisy_field, sum_of_gaussians,
 
 def test_tile_volume_counts_and_content():
     v = noisy_field((16, 8, 24), seed=0)
-    blocks = tile_volume(v, 8)
-    assert len(blocks) == 2 * 1 * 3
-    for b in blocks:
-        c = b.coord
+    level = tile_volume(v, 8)
+    assert level.occupancy.shape == (3, 1, 2) and level.occupancy.all()
+    assert len(level.blocks) == 2 * 1 * 3
+    for (bz, by, bx), data in zip(np.argwhere(level.occupancy), level.blocks):
         assert np.array_equal(
-            b.data,
+            data,
             v.data[
-                c.bz * 8 : (c.bz + 1) * 8,
-                c.by * 8 : (c.by + 1) * 8,
-                c.bx * 8 : (c.bx + 1) * 8,
+                bz * 8 : (bz + 1) * 8,
+                by * 8 : (by + 1) * 8,
+                bx * 8 : (bx + 1) * 8,
             ],
         )
 
@@ -51,21 +51,22 @@ def test_tile_volume_validation():
 
 def test_assemble_inverts_tile():
     v = noisy_field((16, 16, 32), seed=2)
-    assert assemble_volume(tile_volume(v, 8), v.dims) == v
+    assert assemble_volume(tile_volume(v, 8)) == v
 
 
 def test_assemble_rejects_gaps_overlaps_and_strays():
     v = noisy_field((16, 16, 16), seed=3)
-    blocks = tile_volume(v, 8)
+    level = tile_volume(v, 8)
+    gap = level.occupancy.copy()
+    gap[-1, -1, -1] = False
     with pytest.raises(ShapeError):
-        assemble_volume(blocks[:-1], v.dims)
-    with pytest.raises(ShapeError):
-        assemble_volume(blocks + [blocks[0]], v.dims)
-    stray = UnitBlock(BlockCoord(9, 0, 0, 8), 8, np.zeros((8, 8, 8)))
-    with pytest.raises(ShapeError):
-        assemble_volume(blocks + [stray], v.dims)
-    with pytest.raises(ShapeError):
-        assemble_volume([], v.dims)
+        assemble_volume(Level(v.dims, 8, gap, level.blocks[:-1]))
+    # an occupancy grid holds each block once and only on the grid, so an
+    # overlapping or stray block leaves more blocks than occupied cells
+    blocks = np.stack([b.data for b in tile_blocks(v, 8)])
+    for extra in (blocks[:1], np.zeros((1, 8, 8, 8))):
+        with pytest.raises(ShapeError):
+            Level(v.dims, 8, level.occupancy, np.concatenate([blocks, extra]))
 
 
 # ------------------------------------------------------------- level round trips
@@ -76,9 +77,8 @@ def test_assemble_rejects_gaps_overlaps_and_strays():
 def test_level_round_trip_within_bound(codec, arrangement):
     v = sum_of_gaussians((16, 16, 16), seed=4)
     blocks = tile_volume(v, 8)
-    arch = compress_level(blocks, v.dims, 8, ErrorBoundPolicy(eb=1e-3),
-                          codec=codec, arrangement=arrangement)
-    out = assemble_volume(decompress_level(arch), v.dims)
+    arch = compress_level(blocks, ErrorBoundPolicy(eb=1e-3), codec=codec, arrangement=arrangement)
+    out = assemble_volume(decompress_level(arch))
     assert max_abs_err(v, out) <= 1e-3
 
 
@@ -87,7 +87,7 @@ def test_nan_in_a_tiled_level_is_a_format_error():
     data = sum_of_gaussians((16, 16, 16), seed=6).data.copy()
     data[3, 4, 5] = 1e6  # forces literals, which the stream stores last
     v = Volume(data)
-    arch = compress_level(tile_volume(v, 8), v.dims, 8, ErrorBoundPolicy(eb=1e-3))
+    arch = compress_level(tile_volume(v, 8), ErrorBoundPolicy(eb=1e-3))
     assert int.from_bytes(arch.blob.stream[:8], "little") > 0  # the literal count
     stream = arch.blob.stream[:-8] + np.array([np.nan], dtype="<f8").tobytes()
     with pytest.raises(FormatError):
@@ -100,7 +100,7 @@ def test_pad_auto_rules():
 
     def padded(u, **kw):
         blocks = tile_volume(v, u)
-        return compress_level(blocks, v.dims, u, p, **kw).blob.padded
+        return compress_level(blocks, p, **kw).blob.padded
 
     assert padded(8)  # interp + linear + u > 4
     assert not padded(4)  # at the threshold, padding never pays
@@ -112,14 +112,15 @@ def test_pad_auto_rules():
 
 
 def test_empty_level_rejected():
+    empty = Level((8, 8, 8), 8, np.zeros((1, 1, 1), dtype=bool), np.zeros((0, 8, 8, 8)))
     with pytest.raises(ShapeError):
-        compress_level([], (8, 8, 8), 8, ErrorBoundPolicy(eb=1e-3))
+        compress_level(empty, ErrorBoundPolicy(eb=1e-3))
 
 
 def test_level_u_must_match_its_blocks():
     v = sum_of_gaussians((32, 32, 32), seed=5)
     with pytest.raises(ShapeError):
-        compress_level(tile_volume(v, 16), v.dims, 8, ErrorBoundPolicy(eb=1e-3), post_family="sz")
+        Level(v.dims, 8, np.ones((4, 4, 4), dtype=bool), tile_volume(v, 16).blocks)
 
 
 def test_volume_round_trip_and_dispatch_guards():
@@ -130,8 +131,7 @@ def test_volume_round_trip_and_dispatch_guards():
     with pytest.raises(ShapeError):
         decompress_level(arch)
 
-    blocks = tile_volume(v, 4)
-    larch = compress_level(blocks, v.dims, 4, ErrorBoundPolicy(eb=1e-4))
+    larch = compress_level(tile_volume(v, 4), ErrorBoundPolicy(eb=1e-4))
     with pytest.raises(ShapeError):
         decompress_volume(larch)
 
@@ -143,16 +143,16 @@ def test_post_fit_populates_archive():
     v = sum_of_gaussians((32, 32, 32), seed=7)
     blocks = tile_volume(v, 8)
     eb = 1e-3
-    arch = compress_level(blocks, v.dims, 8, ErrorBoundPolicy(eb=eb), post_family="sz")
+    arch = compress_level(blocks, ErrorBoundPolicy(eb=eb), post_family="sz")
     assert arch.post is not None and arch.post.family == "sz"
     assert isinstance(arch.samples, SampleSet)
     assert arch.post_blocksize == 8
     assert arch.samples.plan.achieved_rate <= 0.05
 
     # smoothing must stay inside its declared band around the plain decode
-    plain = LevelArchive(dims=arch.dims, blob=arch.blob)
-    base = assemble_volume(decompress_level(plain), v.dims)
-    post = assemble_volume(decompress_level(arch), v.dims)
+    plain = replace(arch, post=None, samples=None)
+    base = assemble_volume(decompress_level(plain))
+    post = assemble_volume(decompress_level(arch))
     merged_dims = arch.blob.dims
     if arch.blob.padded:
         merged_dims = (merged_dims[0] - 1, merged_dims[1] - 1, merged_dims[2])
@@ -172,7 +172,7 @@ def test_post_fit_decodes_nothing(monkeypatch, codec, arrangement):
     decompress = pipeline.decompress
     calls = []
     monkeypatch.setattr(pipeline, "decompress", lambda blob: calls.append(blob) or decompress(blob))
-    arch = compress_level(tile_volume(v, 8), v.dims, 8, p, codec=codec,
+    arch = compress_level(tile_volume(v, 8), p, codec=codec,
                           arrangement=arrangement, post_family="sz")
     varch = compress_volume(v, p, codec=codec, post_family="zfp")
     assert calls == []
@@ -180,14 +180,14 @@ def test_post_fit_decodes_nothing(monkeypatch, codec, arrangement):
     post, samples = pipeline._fit_intensity(v.data, decompress(varch.blob), 1e-3, 4, "zfp", 0, 0.05)
     assert (post, samples.plan) == (varch.post, varch.samples.plan)
     assert arch.blob.padded == (codec == "interp" and arrangement == "linear")
-    level = assemble_volume(decompress_level(arch), v.dims)
+    level = assemble_volume(decompress_level(arch))
     assert max_abs_err(v, level) <= (1.0 + 3 * 0.5) * 1e-3 + 1e-12
 
 
 def test_post_blocksize_fallback_for_block_codec():
     v = sum_of_gaussians((32, 32, 32), seed=8)
     blocks = tile_volume(v, 8)
-    arch = compress_level(blocks, v.dims, 8, ErrorBoundPolicy(eb=1e-3),
+    arch = compress_level(blocks, ErrorBoundPolicy(eb=1e-3),
                           codec="block", post_family="zfp")
     assert arch.post_blocksize == 4
     assert arch.post.family == "zfp"
@@ -199,7 +199,7 @@ def test_post_blocksize_fallback_for_block_codec():
 def test_stored_samples_pair_with_decoded_regions():
     v = sum_of_gaussians((32, 32, 32), seed=9)
     blocks = tile_volume(v, 8)
-    arch = compress_level(blocks, v.dims, 8, ErrorBoundPolicy(eb=1e-2), post_family="sz")
+    arch = compress_level(blocks, ErrorBoundPolicy(eb=1e-2), post_family="sz")
     orig_regions, dec_regions = level_sample_pairs(arch)
     assert len(orig_regions) == len(dec_regions) == len(arch.samples.plan.origins)
     for o, d in zip(orig_regions, dec_regions):
@@ -214,7 +214,7 @@ def test_stored_samples_pair_with_decoded_regions():
 def test_sample_rate_forwarded():
     v = sum_of_gaussians((64, 64, 64), seed=10)
     blocks = tile_volume(v, 8)
-    arch = compress_level(blocks, v.dims, 8, ErrorBoundPolicy(eb=1e-3),
+    arch = compress_level(blocks, ErrorBoundPolicy(eb=1e-3),
                           post_family="sz", sample_rate=0.01)
     assert arch.samples.plan.achieved_rate <= 0.01
 
@@ -223,8 +223,8 @@ def test_compression_is_deterministic():
     v = sum_of_gaussians((32, 32, 32), seed=11)
     blocks = tile_volume(v, 8)
     p = ErrorBoundPolicy(eb=1e-3)
-    a = compress_level(blocks, v.dims, 8, p, post_family="sz", seed=5)
-    b = compress_level(blocks, v.dims, 8, p, post_family="sz", seed=5)
+    a = compress_level(blocks, p, post_family="sz", seed=5)
+    b = compress_level(blocks, p, post_family="sz", seed=5)
     assert a.blob.to_bytes() == b.blob.to_bytes()
     assert a.post == b.post
     assert a.samples.plan == b.samples.plan

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mrcompress.errors import SamplingError, ShapeError
-from mrcompress.grid import BlockCoord, Volume
-from mrcompress.layout import UnitBlock, linear_merge
+from mrcompress.grid import Volume
+from mrcompress.layout import linear_merge
 from mrcompress.postprocess import (
     FAMILY_SZ,
     FAMILY_ZFP,
@@ -131,14 +131,11 @@ def test_allowance_grid_values():
 
 def test_apply_preserves_container_kind():
     rng = np.random.default_rng(3)
-    blocks = [
-        UnitBlock(BlockCoord(i, 0, 0, 8), 8, rng.normal(size=(8, 8, 8)))
-        for i in range(2)
-    ]
+    blocks = rng.normal(size=(2, 8, 8, 8))
     m = linear_merge(blocks)
     cfg = IntensityConfig.uniform(FAMILY_SZ, 0.2)
     out = apply_postprocess(m, 0.1, 8, cfg)
-    assert out.order == m.order and out.u == m.u
+    assert out.k == m.k and out.u == m.u
     arr = apply_postprocess(m.values, 0.1, 8, cfg)
     assert isinstance(arr, np.ndarray)
     assert np.array_equal(arr, out.values)

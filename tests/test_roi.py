@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mrcompress.errors import CoverageError, ShapeError
-from mrcompress.grid import BlockCoord, Volume, downsample2x, upsample2x
-from mrcompress.layout import UnitBlock
+from mrcompress.grid import Volume, block_view, downsample2x, upsample2x
 from mrcompress.roi import (
     Level,
     MultiResDataset,
@@ -87,13 +86,11 @@ def test_build_adaptive_all_zeros_matches_downsample():
     assert len(ds.levels[0].blocks) == 0
     coarse = ds.levels[1]
     assert coarse.u == 4 and coarse.dims == (8, 8, 8)
+    assert coarse.occupancy.all()
     down = downsample2x(v)
-    for blk in coarse.blocks:
-        c = blk.coord
-        sub = down.data[
-            c.bz * 4 : (c.bz + 1) * 4, c.by * 4 : (c.by + 1) * 4, c.bx * 4 : (c.bx + 1) * 4
-        ]
-        assert np.array_equal(blk.data, sub)
+    for (bz, by, bx), data in zip(np.argwhere(coarse.occupancy), coarse.blocks):
+        sub = down.data[bz * 4 : (bz + 1) * 4, by * 4 : (by + 1) * 4, bx * 4 : (bx + 1) * 4]
+        assert np.array_equal(data, sub)
 
 
 def test_reconstruct_mixed_mask_per_block_oracle():
@@ -131,28 +128,31 @@ def test_densities_sum_to_one():
 def test_level_block_sorting_enforced_by_build():
     v = noisy_field((16, 16, 16), seed=4)
     cfg = RoiConfig(b=8, x_percent=50.0)
-    ds = build_adaptive(v, select_roi(v, cfg), cfg)
-    for lv in ds.levels:
-        keys = [(b.coord.bz, b.coord.by, b.coord.bx) for b in lv.blocks]
-        assert keys == sorted(keys)
+    mask = select_roi(v, cfg)
+    ds = build_adaptive(v, mask, cfg)
+    fine, coarse = ds.levels
+    assert np.array_equal(ds.roi_mask, mask) and np.array_equal(coarse.occupancy.reshape(-1), ~mask)
+    # blocks follow their level's occupancy in block-index order
+    assert fine.blocks.tobytes() == block_view(v.data, 8)[fine.occupancy].tobytes()
+    assert coarse.blocks.tobytes() == block_view(downsample2x(v).data, 4)[coarse.occupancy].tobytes()
 
 
 def _tile(v, u, keep=None):
-    gx, gy, gz = v.nx // u, v.ny // u, v.nz // u
-    out = []
-    for bz in range(gz):
-        for by in range(gy):
-            for bx in range(gx):
-                if keep is not None and not keep(bx, by, bz):
-                    continue
-                sub = v.data[bz * u : (bz + 1) * u, by * u : (by + 1) * u, bx * u : (bx + 1) * u]
-                out.append(UnitBlock(BlockCoord(bx, by, bz, u), u, sub))
-    return out
+    """(dims, u, coords, data) of the u-blocks of ``v`` that ``keep`` picks,
+    in block-index order."""
+    coords, data = [], []
+    for bz in range(v.nz // u):
+        for by in range(v.ny // u):
+            for bx in range(v.nx // u):
+                if keep is None or keep(bx, by, bz):
+                    coords.append((bx, by, bz))
+                    data.append(v.data[bz * u : (bz + 1) * u, by * u : (by + 1) * u, bx * u : (bx + 1) * u])
+    return v.dims, u, np.array(coords, dtype=np.int64).reshape(-1, 3), np.array(data).reshape(-1, u, u, u)
 
 
 def test_ingest_single_level():
     v = noisy_field((16, 16, 16), seed=6)
-    ds = ingest_amr([(v.dims, 8, _tile(v, 8))])
+    ds = ingest_amr([_tile(v, 8)])
     assert reconstruct_uniform(ds) == v
 
 
@@ -160,9 +160,9 @@ def test_ingest_two_level_densities():
     # fine level keeps the z < 8 half; coarse covers the rest
     fine_v = noisy_field((32, 32, 32), seed=7)
     coarse_v = downsample2x(fine_v)
-    fine_blocks = _tile(fine_v, 8, keep=lambda bx, by, bz: bz < 2)
-    coarse_blocks = _tile(coarse_v, 4, keep=lambda bx, by, bz: bz >= 2)
-    ds = ingest_amr([(fine_v.dims, 8, fine_blocks), (coarse_v.dims, 4, coarse_blocks)])
+    fine = _tile(fine_v, 8, keep=lambda bx, by, bz: bz < 2)
+    coarse = _tile(coarse_v, 4, keep=lambda bx, by, bz: bz >= 2)
+    ds = ingest_amr([fine, coarse])
     d = ds.densities()
     assert abs(d[0] - 0.5) < 1e-12 and abs(d[1] - 0.5) < 1e-12
     rec = reconstruct_uniform(ds)
@@ -176,44 +176,92 @@ def test_ingest_three_level_chain():
     l0 = _tile(f0, 8, keep=lambda bx, by, bz: bz == 0)
     l1 = _tile(f1, 4, keep=lambda bx, by, bz: bz == 1)
     l2 = _tile(f2, 2, keep=lambda bx, by, bz: bz >= 2)
-    ds = ingest_amr([(f0.dims, 8, l0), (f1.dims, 4, l1), (f2.dims, 2, l2)])
+    ds = ingest_amr([l0, l1, l2])
     d = ds.densities()
     assert abs(sum(d) - 1.0) < 1e-12
     assert d == [0.25, 0.25, 0.5]
     reconstruct_uniform(ds)
 
 
+def test_ingest_reorders_shuffled_blocks():
+    f0 = noisy_field((32, 32, 32), seed=11)
+    f1 = downsample2x(f0)
+    levels = [_tile(f0, 8, keep=lambda bx, by, bz: (bx + by + bz) % 2 == 0),
+              _tile(f1, 4, keep=lambda bx, by, bz: (bx + by + bz) % 2 == 1)]
+    rng = np.random.default_rng(11)
+    shuffled = []
+    for dims, u, coords, data in levels:
+        perm = rng.permutation(len(coords))
+        shuffled.append((dims, u, coords[perm], data[perm]))
+    got, want = ingest_amr(shuffled), ingest_amr(levels)
+    for g, w in zip(got.levels, want.levels):
+        assert np.array_equal(g.occupancy, w.occupancy)
+        assert g.blocks.tobytes() == w.blocks.tobytes()
+    assert reconstruct_uniform(got) == reconstruct_uniform(want)
+
+
+def test_ingest_rejects_duplicate_and_out_of_grid_coords():
+    v = noisy_field((16, 16, 16), seed=12)
+    dims, u, coords, data = _tile(v, 8)
+    dup = coords.copy()
+    dup[1] = dup[0]
+    with pytest.raises(CoverageError):
+        ingest_amr([(dims, u, dup, data)])
+    for bad in ((2, 0, 0), (0, 0, -1)):
+        outside = coords.copy()
+        outside[-1] = bad
+        with pytest.raises(ShapeError):
+            ingest_amr([(dims, u, outside, data)])
+    with pytest.raises(ShapeError):
+        ingest_amr([(dims, u, coords[:-1], data)])
+
+
 def test_ingest_rejects_bad_chain():
     v = noisy_field((16, 16, 16), seed=9)
     with pytest.raises(ShapeError):
-        ingest_amr([(v.dims, 8, _tile(v, 8)), ((9, 8, 8), 4, [])])
+        ingest_amr([_tile(v, 8), ((9, 8, 8), 4, [], np.empty((0, 4, 4, 4)))])
     # every level is a valid grid, but the third is not the second halved
+    with pytest.raises(ShapeError, match="refinement chain"):
+        ingest_amr([_tile(v, 8), ((8, 8, 8), 4, [], np.empty((0, 4, 4, 4))),
+                    ((4, 4, 8), 2, [], np.empty((0, 2, 2, 2)))])
+
+
+def _level(dims, u, occupancy, value=0.0):
+    occupancy = np.asarray(occupancy, dtype=bool)
+    return Level(dims, u, occupancy, np.full((int(occupancy.sum()), u, u, u), value))
+
+
+def test_level_validates_its_grid():
+    occ = np.ones((2, 2, 2), dtype=bool)
+    _level((16, 16, 16), 8, occ)
     with pytest.raises(ShapeError):
-        ingest_amr([(v.dims, 8, []), ((8, 8, 8), 4, []), ((4, 4, 8), 2, [])])
+        _level((16, 16, 16), 8, np.ones((2, 2, 1), dtype=bool))  # the wrong grid
+    with pytest.raises(ShapeError):
+        Level((16, 16, 16), 8, occ, np.zeros((7, 8, 8, 8)))  # a block count off the occupancy
+    with pytest.raises(ShapeError):
+        Level((16, 16, 16), 8, occ, np.zeros((8, 4, 4, 4)))  # blocks of another u
+    with pytest.raises(ShapeError):
+        _level((12, 12, 12), 6, np.ones((2, 2, 2), dtype=bool))  # u not a power of two
 
 
 def test_dataset_rejects_a_broken_refinement_chain():
-    blocks = tuple(_tile(noisy_field((16, 16, 16), seed=9), 8))
-    fine = Level(dims=(16, 16, 16), u=8, blocks=blocks[:4])
+    fine = _level((16, 16, 16), 8, np.arange(8).reshape(2, 2, 2) < 4)
     for dims in ((16, 16, 16), (8, 8, 16), (4, 4, 4)):
+        gx, gy, gz = (d // 4 for d in dims)
         with pytest.raises(ShapeError):
-            MultiResDataset(levels=(fine, Level(dims=dims, u=4)), roi_mask=np.ones(8, dtype=bool))
+            MultiResDataset(levels=(fine, _level(dims, 4, np.zeros((gz, gy, gx), dtype=bool))))
 
 
 def test_coverage_gap_and_overlap_raise():
-    v = noisy_field((16, 16, 16), seed=10)
-    blocks = _tile(v, 8)
+    full = np.ones((2, 2, 2), dtype=bool)
+    half = np.arange(8).reshape(2, 2, 2) < 4
+    swap = np.zeros(8, dtype=bool)
+    swap[[0, 7]] = True  # one fine cell and one coarse cell
     cases = [
-        (v.dims, blocks[:-1]),  # a gap
-        (v.dims, blocks + [blocks[0]]),  # an overlap
-        (v.dims, blocks[:-1] + [blocks[0]]),  # both, at the domain's volume
-        ((2**40, 16, 16), blocks),  # dims whose lattice would not fit in memory
+        (half, np.zeros((2, 2, 2), dtype=bool)),  # a gap
+        (half, full),  # an overlap
+        (half, ~half ^ swap.reshape(2, 2, 2)),  # both, at the domain's volume
     ]
-    for dims, bag in cases:
+    for fine, coarse in cases:
         with pytest.raises(CoverageError):
-            reconstruct_uniform(
-                MultiResDataset(
-                    levels=(Level(dims=dims, u=8, blocks=tuple(bag)),),
-                    roi_mask=np.ones(8, dtype=bool),
-                )
-            )
+            MultiResDataset(levels=(_level((16, 16, 16), 8, fine), _level((8, 8, 8), 4, coarse)))

@@ -1,8 +1,9 @@
 """The bounded reader, and every corrupt container ends in a FormatError.
 
-The flip sweep walks each structured section of four containers with its
+The flip sweep walks each structured section of five containers with its
 own copy of the layout sizes in the module docstrings, so a parser that
-drifts from them shows up here as well.
+drifts from them shows up here as well. Every flip of an occupancy bitmap,
+padding bits included, must end in a FormatError.
 """
 
 import struct
@@ -16,7 +17,14 @@ import pytest
 from mrcompress.cli import main
 from mrcompress.codec import ErrorBoundPolicy
 from mrcompress.codec.entropy import LOSSLESS_ZLIB, HuffmanTable, entropy_decode, entropy_encode
-from mrcompress.container import ContainerFile, ContainerLevel, container_from_dataset, decode_container, encode_container
+from mrcompress.container import (
+    ContainerFile,
+    ContainerLevel,
+    container_from_dataset,
+    dataset_from_container,
+    decode_container,
+    encode_container,
+)
 from mrcompress.errors import FormatError
 from mrcompress.pipeline import compress_volume, decode_level
 from mrcompress.roi import RoiConfig, build_adaptive, select_roi
@@ -24,8 +32,8 @@ from mrcompress.wire import U64, Reader, inflate, triples
 
 from helpers import sum_of_gaussians
 
-_HEAD = struct.calcsize("<4sHBBIdQ")
-_LEVEL = struct.calcsize("<3QIQ")
+_HEAD = struct.calcsize("<4sHBBId")
+_LEVEL = struct.calcsize("<3QI")
 _BLOB_HEADER = struct.calcsize("<4sB3QdBddBBIQ")
 _POST = struct.calcsize("<B3dQ")
 _SIDECAR = struct.calcsize("<BIIQ3QQd")
@@ -125,22 +133,25 @@ def test_sample_payload_bomb_stays_bounded(bomb):
 # -------------------------------------------------------------- flip sweep
 
 
-def _roi_dataset(edge, seed):
-    v = sum_of_gaussians((edge,) * 3, seed=seed)
+def _roi_dataset(dims, seed):
+    v = sum_of_gaussians(dims, seed=seed)
     cfg = RoiConfig(b=8, x_percent=25.0)
     return cfg, build_adaptive(v, select_roi(v, cfg), cfg)
 
 
 @pytest.fixture(scope="module")
 def built():
-    cfg, ds32 = _roi_dataset(32, 15)
+    cfg, ds32 = _roi_dataset((32, 32, 32), 15)
     # 48^3: the smallest edge at which both levels keep a sample sidecar
-    _, ds48 = _roi_dataset(48, 6)
+    _, ds48 = _roi_dataset((48, 48, 48), 6)
+    # 5 x 3 x 4 blocks per level: bitmaps of 60 bits, so 4 padding bits each
+    _, ragged = _roi_dataset((40, 24, 32), 17)
     policy = ErrorBoundPolicy(eb=1e-3)
     roi = dict(roi_b=cfg.b, roi_x_percent=cfg.x_percent)
     whole = compress_volume(sum_of_gaussians((32, 32, 32), seed=2), policy, post_family="sz")
     return {
         "stored-roi": container_from_dataset(ds32, **roi),
+        "stored-roi-ragged": container_from_dataset(ragged, **roi),
         "interp-roi-zlib-sz": container_from_dataset(ds48, policy, lossless="zlib", post_family="sz", **roi),
         "block-stacked-zfp": container_from_dataset(ds32, policy, codec="block", arrangement="stacked",
                                                     lossless="zlib", post_family="zfp", **roi),
@@ -158,13 +169,17 @@ def _table_ends(at, n):
     return [(at, 24), (at + 24 * (n - 1), 24)] if n else []
 
 
+def _occupancy_bytes(a):
+    """Bytes of the occupancy bitmap of the level archive ``a``."""
+    return (a.occupancy.size + 7) // 8 if a.u else 0
+
+
 def _blob_offsets(c):
     """Offset of each level's blob in the encoded container ``c``."""
-    mask = c.roi_mask.size if c.roi_mask is not None else 0
-    off, out = _HEAD + (mask + 7) // 8, []
+    off, out = _HEAD, []
     for lv in c.levels:
         a = lv.archive
-        off += _LEVEL + 24 * len(a.coords)
+        off += _LEVEL + _occupancy_bytes(a)
         out.append(off)
         off += len(a.blob.to_bytes()) + _POST
     return out
@@ -172,18 +187,18 @@ def _blob_offsets(c):
 
 def _structured_spans(raw):
     """(offset, size, level) of every fixed-layout section of the container
-    ``raw``, its Huffman table heads and the ends of its coord tables;
-    ``level`` is the index of the level whose blob or post record the span
-    lies in, else None."""
+    ``raw``, its Huffman table heads and the ends of its sample origin
+    tables; ``level`` is the index of the level whose blob or post record
+    the span lies in, "occupancy" for a level's bitmap, else None."""
     c = decode_container(raw)
     spans = [(0, _HEAD, None)]
     for k, (lv, at) in enumerate(zip(c.levels, _blob_offsets(c))):
-        a, n = lv.archive, len(lv.archive.coords)
-        spans.append((at - 24 * n - _LEVEL, _LEVEL, None))
-        spans += [(o, s, None) for o, s in _table_ends(at - 24 * n, n)]
+        a, n = lv.archive, _occupancy_bytes(lv.archive)
+        spans.append((at - n - _LEVEL, _LEVEL, None))
+        if n:
+            spans.append((at - n, n, "occupancy"))
         spans.append((at, _BLOB_HEADER, k))
-        spans += [(o, s, k) for o, s in _table_ends(at + _BLOB_HEADER, n)]
-        stream_at = at + _BLOB_HEADER + 24 * n + 8
+        stream_at = at + _BLOB_HEADER + 8
         spans.append((stream_at - 8, 8, k))
         if a.blob.codec_name == "stored":
             spans.append((stream_at, _STORED_HEAD, k))
@@ -202,7 +217,10 @@ def _structured_spans(raw):
     return spans
 
 
-@pytest.mark.parametrize("name", ["stored-roi", "interp-roi-zlib-sz", "block-stacked-zfp", "whole-volume"])
+_CONTAINERS = ["stored-roi", "stored-roi-ragged", "interp-roi-zlib-sz", "block-stacked-zfp", "whole-volume"]
+
+
+@pytest.mark.parametrize("name", _CONTAINERS)
 def test_every_structured_byte_flip_decodes_or_raises_format_error(containers, name):
     raw = containers[name]
     rejected = 0
@@ -211,6 +229,13 @@ def test_every_structured_byte_flip_decodes_or_raises_format_error(containers, n
             for mask in (0x01, 0x80, 0xFF):
                 bad = bytearray(raw)
                 bad[pos] ^= mask
+                if level == "occupancy":
+                    # a bitmap flip never yields a valid file: it changes the
+                    # block count, sets a padding bit or breaks the tiling
+                    with pytest.raises(FormatError):
+                        dataset_from_container(decode_container(bytes(bad)))
+                    rejected += 1
+                    continue
                 try:
                     c = decode_container(bytes(bad))
                     # only the level whose blob or post record changed can
@@ -225,6 +250,11 @@ def test_every_structured_byte_flip_decodes_or_raises_format_error(containers, n
     assert rejected
 
 
+def test_the_ragged_bitmaps_carry_padding_bits(built):
+    for lv in built["stored-roi-ragged"].levels:
+        assert lv.archive.occupancy.size == 60
+
+
 # --------------------------------------------------- malformed files, exit 3
 
 
@@ -236,11 +266,15 @@ def flip_cases(built):
     stacked, roi, whole = built["block-stacked-zfp"], built["interp-roi-zlib-sz"], built["whole-volume"]
     cases = {}
     stored = built["stored-roi"]
-    record = _blob_offsets(stored)[0] - 24 * len(stored.levels[0].archive.coords) - _LEVEL
+    occupancy = _blob_offsets(stored)[0] - _occupancy_bytes(stored.levels[0].archive)
+    record = occupancy - _LEVEL
     for pos, mask in _DIMS_FLIPS:  # the fine level's dims break the refinement chain
         raw = bytearray(encode_container(stored))
         raw[record + pos] ^= mask
         cases[f"fine-dims-{pos}-{mask:02x}"] = raw
+    raw = bytearray(encode_container(stored))
+    raw[occupancy] ^= 0x01  # one fine block more or less than the blob holds
+    cases["fine-occupancy"] = raw
     raw = bytearray(encode_container(roi))
     raw[7] = 0  # the level count
     cases["no-levels"] = raw
@@ -258,7 +292,7 @@ def flip_cases(built):
     return cases
 
 
-@pytest.mark.parametrize("case", ["no-levels", "arrangement", "padded-linear", "padded-stacked"]
+@pytest.mark.parametrize("case", ["no-levels", "arrangement", "padded-linear", "padded-stacked", "fine-occupancy"]
                          + [f"fine-dims-{pos}-{mask:02x}" for pos, mask in _DIMS_FLIPS])
 def test_malformed_layout_bytes_exit_three(tmp_path, flip_cases, case):
     path = tmp_path / "bad.mrc"
