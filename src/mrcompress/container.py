@@ -231,11 +231,16 @@ def container_from_dataset(
     """Compress every level of a dataset into one container.
 
     With no policy the levels are stored verbatim (the ROI-selection
-    output format)."""
+    output format). Trailing empty levels, the coarse level a fully-fine
+    ROI leaves, are not stored; any other empty level raises ``ShapeError``,
+    since the decoded refinement chain would lose it."""
+    n = len(ds.levels)
+    while not len(ds.levels[n - 1].blocks):
+        n -= 1
     levels = []
-    for lv in ds.levels:
-        if not len(lv.blocks):  # a fully-fine ROI leaves the coarse level empty
-            continue
+    for li, lv in enumerate(ds.levels[:n]):
+        if not len(lv.blocks):
+            raise ShapeError(f"level {li} is empty but a coarser level is not; a container cannot store it")
         if policy is None:
             merged = linear_merge(lv.blocks) if arrangement == LINEAR else stack_merge(lv.blocks)
             blob = compress(merged, STORED_POLICY, codec=STORED)

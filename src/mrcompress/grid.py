@@ -23,12 +23,25 @@ def _is_pow2(n: int) -> bool:
 
 
 class Volume:
-    """An immutable dense 3D scalar field."""
+    """An immutable dense 3D scalar field.
+
+    ``Volume(data)`` copies ``data``, so the caller's array stays its own
+    and writeable. ``Volume._adopt(arr)`` takes a C-contiguous float64 array
+    the library has just allocated and holds no other reference to: it runs
+    the same checks and freezes ``arr`` in place, without a copy."""
 
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
-        arr = np.array(data, dtype=np.float64, order="C", copy=True)
+        self._own(np.array(data, dtype=np.float64, order="C", copy=True))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Volume":
+        v = cls.__new__(cls)
+        v._own(arr)
+        return v
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 3:
             raise ShapeError(f"expected a 3D array, got ndim={arr.ndim}")
         if min(arr.shape) < 1:
@@ -118,7 +131,7 @@ def downsample2x(v: Volume) -> Volume:
 def upsample2x(v: Volume) -> Volume:
     """Double every axis by nearest-neighbor replication."""
     rep = v.data.repeat(2, axis=0).repeat(2, axis=1).repeat(2, axis=2)
-    return Volume(rep)
+    return Volume._adopt(rep)
 
 
 def _np_dtype(dtype: str) -> np.dtype:
@@ -137,7 +150,7 @@ def read_raw_volume(path, dims: Dims, dtype: str = "f32") -> Volume:
         raise ShapeError(
             f"file holds {flat.size} scalars, dims {dims} require {nx * ny * nz}"
         )
-    return Volume.from_flat(flat.astype(np.float64), dims)
+    return Volume._adopt(flat.astype(np.float64).reshape(nz, ny, nx))
 
 
 def write_raw_volume(v: Volume, path, dtype: str = "f32") -> None:

@@ -164,22 +164,36 @@ def _coverage_check(ds: MultiResDataset) -> None:
         )
 
 
+# upsampled values pasted per chunk of blocks; bounds the scratch next to the output
+_PASTE_CHUNK_BYTES = 2 << 20
+
+
 def reconstruct_uniform(ds: MultiResDataset) -> Volume:
     """Paste every level back onto the finest grid, upsampling coarse blocks
-    by their level's scale."""
+    by their level's scale.
+
+    A level is pasted in chunks of blocks, one fancy-indexed write each. A
+    chunk upsamples as one z-stacked volume of its blocks: a block's edges
+    lie at multiples of u and land on multiples of 2u, so no value crosses
+    into a neighbor, and the scratch stays near the chunk bound where a
+    whole level upsampled at once would need a second output-sized grid."""
     nx, ny, nz = ds.fine_dims
     out = np.empty((nz, ny, nx), dtype=np.float64)
     for li, lv in enumerate(ds.levels):
-        cells = block_view(out, lv.u * ds.level_scale(li))
-        # one block at a time: upsampling a whole level at once raises the peak
-        for (bz, by, bx), data in zip(np.argwhere(lv.occupancy).tolist(), lv.blocks):
+        e = lv.u * ds.level_scale(li)
+        cells = block_view(out, e)
+        bz, by, bx = np.nonzero(lv.occupancy)
+        step = max(1, _PASTE_CHUNK_BYTES // (8 * e**3))
+        for lo in range(0, len(lv.blocks), step):
+            at = slice(lo, lo + step)
+            chunk = lv.blocks[at]
             if li:
-                v = Volume(data)
+                v = Volume(chunk.reshape(-1, lv.u, lv.u))
                 for _ in range(li):
                     v = upsample2x(v)
-                data = v.data
-            cells[bz, by, bx] = data
-    return Volume(out)
+                chunk = v.data.reshape(-1, e, e, e)
+            cells[bz[at], by[at], bx[at]] = chunk
+    return Volume._adopt(out)
 
 
 def ingest_amr(levels) -> MultiResDataset:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mrcompress import roi
-from mrcompress.grid import Volume, downsample2x
+from mrcompress.errors import DataError
+from mrcompress.grid import Volume, downsample2x, upsample2x
 from mrcompress.layout import linear_merge, pad_linear, stack_merge, unmerge, unpad
 from mrcompress.roi import RoiConfig, build_adaptive, ingest_amr, reconstruct_uniform, select_roi
 
@@ -100,8 +101,7 @@ def _three_levels(dims, seed):
     return f0, [(f0.dims, 8, l0[::-1]), (f1.dims, 4, l1[::-1]), (f2.dims, 2, l2[::-1])]
 
 
-@pytest.mark.parametrize("dims", [(32, 16, 48), (16, 32, 64)])
-def test_three_level_ingest_matches_per_block(dims):
+def _check_three_level_ingest(dims):
     f0, levels = _three_levels(dims, seed=sum(dims))
     ds = ingest_amr([(d, u, [b.coord for b in blocks], np.stack([b.data for b in blocks]))
                      for d, u, blocks in levels])
@@ -115,6 +115,19 @@ def test_three_level_ingest_matches_per_block(dims):
     rec = reconstruct_uniform(ds)
     assert rec.data.tobytes() == reconstruct_uniform_per_block(ref).data.tobytes()
     assert np.array_equal(rec.data[:8], f0.data[:8])
+
+
+@pytest.mark.parametrize("dims", [(32, 16, 48), (16, 32, 64)])
+def test_three_level_ingest_matches_per_block(dims):
+    _check_three_level_ingest(dims)
+
+
+@pytest.mark.parametrize("dims", [(32, 16, 48), (16, 32, 64)])
+def test_three_level_ingest_in_partial_chunks_matches_per_block(dims, monkeypatch):
+    # every level pastes 8-cubes, three to a chunk: the scale-2 level's 8
+    # blocks end on a partial chunk, and so do the scale-4 level's 32 on (32, 16, 48)
+    monkeypatch.setattr(roi, "_PASTE_CHUNK_BYTES", 3 * 8 * 8**3)
+    _check_three_level_ingest(dims)
 
 
 @pytest.fixture(scope="module")
@@ -135,9 +148,21 @@ def test_build_adaptive_downsamples_once(cli_roi, monkeypatch):
     assert len(ds.levels[1].blocks) == 409
 
 
+def test_reconstruct_uniform_pastes_chunks_like_per_block(cli_roi, monkeypatch):
+    # 409 coarse blocks upsample to 16-cubes, 64 to a chunk: 6 full chunks and a partial one
+    v, cfg, mask = cli_roi
+    ds = build_adaptive(v, mask, cfg)
+    levels, _ = build_adaptive_per_block(v, mask, cfg)
+    calls = []
+    monkeypatch.setattr(roi, "upsample2x", lambda vol: calls.append(vol.dims) or upsample2x(vol))
+    got = reconstruct_uniform(ds)
+    assert calls == [(8, 8, 64 * 8)] * 6 + [(8, 8, 25 * 8)]
+    assert got.data.tobytes() == reconstruct_uniform_per_block(levels).data.tobytes()
+
+
 def test_reconstruct_uniform_peak_stays_near_the_output(cli_roi):
-    # per-block pasting peaks at about 2.1x the output (the paste target and
-    # the Volume copy); upsampling a whole level at once reaches 2.9x
+    # the output is filled in place and adopted; the rest is one chunk's
+    # upsampling scratch (about 3 MB) and the output's finiteness mask
     v, cfg, mask = cli_roi
     ds = build_adaptive(v, mask, cfg)
     tracemalloc.start()
@@ -146,4 +171,15 @@ def test_reconstruct_uniform_peak_stays_near_the_output(cli_roi):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * out.data.nbytes
+    assert peak < 1.3 * out.data.nbytes
+
+
+@pytest.mark.parametrize("li", [0, 2])
+def test_reconstruct_uniform_refuses_a_nan(li):
+    f0, levels = _three_levels((32, 16, 48), seed=9)
+    blocks = [np.stack([b.data for b in blk]) for _, _, blk in levels]
+    blocks[li][-1, 1, 0, 1] = np.nan
+    ds = ingest_amr([(d, u, [b.coord for b in blk], data)
+                     for (d, u, blk), data in zip(levels, blocks)])
+    with pytest.raises(DataError):
+        reconstruct_uniform(ds)

@@ -20,7 +20,15 @@ from mrcompress.container import (
 )
 from mrcompress.errors import FormatError, ShapeError
 from mrcompress.pipeline import SampleSet, compress_level, compress_volume, decode_level
-from mrcompress.roi import Level, MultiResDataset, RoiConfig, build_adaptive, reconstruct_uniform, select_roi
+from mrcompress.roi import (
+    Level,
+    MultiResDataset,
+    RoiConfig,
+    build_adaptive,
+    ingest_amr,
+    reconstruct_uniform,
+    select_roi,
+)
 
 from helpers import max_abs_err, sum_of_gaussians, tile_volume
 
@@ -82,6 +90,28 @@ def test_fully_fine_roi_drops_the_empty_coarse_level():
     ds2 = dataset_from_container(decode_container(encode_container(c)))
     assert np.array_equal(ds2.roi_mask, ds.roi_mask) and ds2.roi_mask.all()
     assert reconstruct_uniform(ds2) == v
+
+
+@pytest.mark.parametrize("policy", [None, ErrorBoundPolicy(eb=1e-2)])
+def test_an_empty_fine_level_is_refused_not_dropped(policy):
+    # an empty 16^3 fine level over a full 8^3 coarse one once became an
+    # 8^3 file that decoded to the half-resolution grid without an error
+    ds = ingest_amr([((16, 16, 16), 8, np.zeros((0, 3)), np.zeros((0, 8, 8, 8))),
+                     ((8, 8, 8), 8, [(0, 0, 0)], np.ones((1, 8, 8, 8)))])
+    assert reconstruct_uniform(ds).dims == (16, 16, 16)
+    with pytest.raises(ShapeError, match="level 0 is empty"):
+        container_from_dataset(ds, policy)
+
+
+def test_an_empty_middle_level_is_refused():
+    # the fine level fills the first coarse footprint, the coarse level the rest
+    rng = np.random.default_rng(8)
+    octants = [(x, y, z) for z in range(2) for y in range(2) for x in range(2)]
+    ds = ingest_amr([((32, 32, 32), 8, octants, rng.standard_normal((8, 8, 8, 8))),
+                     ((16, 16, 16), 8, np.zeros((0, 3)), np.zeros((0, 8, 8, 8))),
+                     ((8, 8, 8), 4, octants[1:], rng.standard_normal((7, 4, 4, 4)))])
+    with pytest.raises(ShapeError, match="level 1 is empty"):
+        container_from_dataset(ds)
 
 
 # "both": a two-level ROI container with a sample sidecar on both levels

@@ -40,6 +40,27 @@ def test_volume_immutable():
         v.data[0, 0, 0] = 1.0
 
 
+def test_volume_copies_the_callers_array():
+    arr = np.zeros((2, 3, 4))
+    v = Volume(arr)
+    assert arr.flags.writeable and not np.shares_memory(arr, v.data)
+    arr[1, 2, 3] = 5.0
+    assert v.data[1, 2, 3] == 0.0
+
+
+def test_adopt_freezes_without_a_copy(tmp_path):
+    arr = np.zeros((2, 3, 4))
+    assert Volume._adopt(arr).data is arr and not arr.flags.writeable
+    with pytest.raises(DataError):
+        Volume._adopt(np.full((1, 1, 2), np.nan))
+    with pytest.raises(ShapeError):
+        Volume._adopt(np.zeros((2, 2)))
+    up = upsample2x(Volume(np.arange(8.0).reshape(2, 2, 2)))
+    write_raw_volume(up, tmp_path / "up.f64", "f64")
+    for v in (up, read_raw_volume(tmp_path / "up.f64", up.dims, "f64")):
+        assert v.data.flags.c_contiguous and not v.data.flags.writeable
+
+
 def test_from_flat_round_trip():
     flat = np.arange(60, dtype=np.float64)
     v = Volume.from_flat(flat, (5, 4, 3))

@@ -9,6 +9,7 @@ carrying block coordinates; its decoded values did not change.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,3 +156,17 @@ def test_matches_scalar_reference(dims, seed, eb, special):
     assert np.array_equal(codes, ref_codes)
     assert lits.tobytes() == ref_lits.tobytes()
     assert dec.tobytes() == ref_out.tobytes()
+
+
+def test_decode_peak_stays_near_the_output():
+    # the halo array w (about 1.95x the values) and the scattered output;
+    # the int32 codes and their cell-major copy are dropped before the scatter
+    arr = smooth_field((96, 96, 96), seed=5, noise=1e-3).data
+    blob = compress(MergedArray(values=arr, k=1, u=1, arrangement="stacked"), ErrorBoundPolicy(eb=1e-4), codec="block")
+    tracemalloc.start()
+    try:
+        out = decompress(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3 * arr.nbytes
