@@ -15,11 +15,14 @@ count or the machine, so the bytes are the same everywhere.
 Decoding advances all lanes in lockstep, one symbol per lane per step: each
 step peeks a window at every lane's bit position, resolves codes of up to
 ``_LUT_BITS`` bits with one table lookup, and falls back to the canonical
-limits table for longer ones. Encoding places each code into 64-bit words
-from its cumulative bit offset. Lanes are independent, so packing runs in
-groups of ``_GROUP_LANES`` (64) lanes and joins the groups' lane tables,
-then their bodies: its working memory is bounded by the group, and the
-bytes do not depend on the group size.
+limits table for longer ones. Encoding joins adjacent codes into pairs of
+at most 64 bits, left-justified (an odd count ends with a zero-length pad
+code), and places each pair into 64-bit words from its cumulative bit
+offset; lanes hold an even number of codes, so no pair crosses a lane.
+Lanes are independent, so packing runs in groups of ``_GROUP_LANES`` (64)
+lanes and joins the groups' lane tables, then their bodies: its working
+memory is bounded by the group, and the bytes do not depend on the group
+size.
 
 An optional general-purpose lossless pass (zlib) can squeeze the packed
 payload further; it is off by default. Undoing it is capped at the largest
@@ -212,29 +215,41 @@ def _pack_lanes(ln: np.ndarray, lj: np.ndarray):
     """(u16 lane bit lengths, lane bytes) of whole lanes of codes given as
     lengths and left-justified code words."""
     u64 = np.uint64
-    n = ln.size
-    # bit offset of every code as if unframed, then moved to its lane's
+    if ln.size % 2:  # a zero-length pad code completes the last pair
+        ln, lj = np.append(ln, np.uint8(0)), np.append(lj, u64(0))
+    # adjacent codes join into left-justified pairs of at most 64 bits; a
+    # lane's codes are whole pairs, the pad's lane included
+    n_lanes = _lane_count(ln.size)
+    pair_ln = ln[0::2] + ln[1::2]
+    pair = lj[1::2] >> ln[0::2]
+    pair |= lj[0::2]
+    del ln, lj
+    lane_pairs = LANE_CODES // 2
+    n = pair.size
+    # bit offset of every pair as if unframed, then moved to its lane's
     # byte-aligned start
-    pos = np.cumsum(ln, dtype=u64)
-    n_lanes = _lane_count(n)
-    lane_end = pos[np.minimum(np.arange(1, n_lanes + 1) * LANE_CODES, n) - 1]
+    pos = np.cumsum(pair_ln, dtype=u64)
+    lane_end = pos[np.minimum(np.arange(1, n_lanes + 1) * lane_pairs, n) - 1]
     lane_bits = np.diff(lane_end, prepend=u64(0))
     lane_bytes = (lane_bits + u64(7)) >> u64(3)
     lane_shift = u64(8) * (np.cumsum(lane_bytes) - lane_bytes) - (lane_end - lane_bits)
-    pos -= ln
-    pos += np.repeat(lane_shift, LANE_CODES)[:n]
-    # each code lands in the word holding its first bit and spills its
-    # tail, if any, into the next one; bits never overlap, so codes sharing
-    # a word are ORed together
+    pos -= pair_ln
+    whole = n // lane_pairs
+    pos[: whole * lane_pairs].reshape(whole, lane_pairs)[...] += lane_shift[:whole, None]
+    pos[whole * lane_pairs :] += lane_shift[whole:]
+    # each pair lands in the word holding its first bit; bits never
+    # overlap, so pairs sharing a word are ORed together, and only the
+    # last pair starting in a word can spill its tail into the next one
     off = pos & u64(63)
     word = (pos >> u64(6)).view(np.int64)
     del pos
     total_bytes = int(lane_bytes.sum())
     words = np.zeros(total_bytes // 8 + 2, dtype=u64)
     first = np.flatnonzero(np.diff(word, prepend=-1))
-    words[word[first]] = np.bitwise_or.reduceat(lj >> off, first)
-    spill = np.flatnonzero(off + ln > u64(64))
-    words[word[spill] + 1] |= lj[spill] << (u64(64) - off[spill])
+    words[word[first]] = np.bitwise_or.reduceat(pair >> off, first)
+    last = np.append(first[1:] - 1, n - 1)
+    last = last[off[last] + pair_ln[last] > u64(64)]
+    words[word[last] + 1] |= pair[last] << (u64(64) - off[last])
     return lane_bits.astype("<u2").tobytes(), words.astype(">u8").tobytes()[:total_bytes]
 
 

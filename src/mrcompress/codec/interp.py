@@ -28,6 +28,13 @@ each batch raveled in (z, y, x ascending) order. After its stride-S pass an
 axis is active at 0::S below n - 1 and at n - 1, and a pass's two-sided
 targets are S::2S, so a batch is a product of at most two strided runs per
 axis: it is gathered and scattered by basic slicing, in that same order.
+
+The traversal visits each batch in z-slabs of about ``_SLAB_TARGETS``
+targets, so the quantizer's temporaries stay cache-sized rather than
+batch-sized. A slab cuts the z runs of the batch's selector, and of its
+neighbors' selectors, to one range of z indices; since a batch ravels with
+z outermost, its slabs in order emit the codes and literals in the batch's
+ravel order, and the bytes do not depend on the slab size.
 """
 
 from __future__ import annotations
@@ -39,7 +46,9 @@ import numpy as np
 from ..errors import FormatError
 from .entropy import LOSSLESS_NONE, entropy_decode, entropy_encode
 from .policy import ErrorBoundPolicy, level_error_bound
-from .quantize import LITERAL_MARK, dequantize_array, quantize_array
+from .quantize import LITERAL_MARK, quantize_array
+
+_SLAB_TARGETS = 1 << 15  # targets per slab, about; a slab holds at least one z plane
 
 
 def _axis_passes(n: int) -> list:
@@ -89,15 +98,43 @@ def _walk(dims):
             active[ax] = (slice(0, n, step),) if (n - 1) % step == 0 else (slice(0, n - 1, step), slice(n - 1, n, 1))
 
 
+def _run_len(r: slice) -> int:
+    return len(range(r.start, r.stop, r.step))
+
+
 def _blocks(sel):
     """The sub-blocks of a selector's batch, as (array index, batch index)
     pairs in ravel order, and the batch shape."""
     axes = []
     for runs in sel:
-        ends = list(itertools.accumulate((len(range(r.start, r.stop, r.step)) for r in runs), initial=0))
+        ends = list(itertools.accumulate(map(_run_len, runs), initial=0))
         axes.append([(r, slice(lo, hi)) for r, lo, hi in zip(runs, ends, ends[1:])])
     shape = tuple(pairs[-1][1].stop for pairs in axes)
     return [tuple(zip(*combo)) for combo in itertools.product(*axes)], shape
+
+
+def _cut_z(runs, lo: int, hi: int) -> tuple:
+    """The z runs ``runs`` cut to the positions of index ``lo`` to ``hi``."""
+    out = []
+    for r in runs:
+        pos = range(r.start, r.stop, r.step)
+        cut = pos[max(lo, 0) : max(hi, 0)]
+        if cut:
+            out.append(slice(cut.start, cut.stop, cut.step))
+        lo, hi = lo - len(pos), hi - len(pos)
+    return tuple(out)
+
+
+def _slabs(sel, neighbors):
+    """The batch (``sel``, ``neighbors``) as z-slabs of about
+    ``_SLAB_TARGETS`` targets, each a (targets, neighbors) pair cut to
+    the same z indices, in ravel order."""
+    nz = sum(map(_run_len, sel[0]))
+    plane = sum(map(_run_len, sel[1])) * sum(map(_run_len, sel[2]))
+    per = max(1, _SLAB_TARGETS // plane)
+    for lo in range(0, nz, per):
+        hi = min(lo + per, nz)
+        yield [_cut_z(sel[0], lo, hi), *sel[1:]], [[_cut_z(nb[0], lo, hi), *nb[1:]] for nb in neighbors]
 
 
 def _gather(a: np.ndarray, sel, hi=None) -> np.ndarray:
@@ -127,9 +164,9 @@ def _scatter(a: np.ndarray, sel, values: np.ndarray) -> None:
 def _traverse(work: np.ndarray, policy: ErrorBoundPolicy, visit) -> None:
     """Run the seed and every pass of :func:`_walk` over ``work`` (z, y, x).
 
-    For each batch of targets, ``visit(pred, sel, eb)`` returns their
-    reconstruction, which is stored in ``work`` for later passes to predict
-    from. Encoder and decoder differ only in ``visit``.
+    For each z-slab of each batch of targets, ``visit(pred, sel, eb)``
+    returns their reconstruction, which is stored in ``work`` for later
+    passes to predict from. Encoder and decoder differ only in ``visit``.
     """
     nz, ny, nx = work.shape
     dims = (nx, ny, nz)
@@ -138,8 +175,9 @@ def _traverse(work: np.ndarray, policy: ErrorBoundPolicy, visit) -> None:
     _scatter(work, seed, visit(np.zeros((1, 1, 1)), seed, level_error_bound(policy, 0, maxlevel)))
     for g, _, _, batches in _walk(dims):
         eb = level_error_bound(policy, g, maxlevel)
-        for sel, neighbors in batches:
-            _scatter(work, sel, visit(_gather(work, *neighbors), sel, eb))
+        for batch in batches:
+            for sel, neighbors in _slabs(*batch):
+                _scatter(work, sel, visit(_gather(work, *neighbors), sel, eb))
 
 
 def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy, recon: bool = False):
@@ -172,6 +210,8 @@ def interp_decompress(blob) -> np.ndarray:
     codes, lits = entropy_decode(blob.stream, blob.n_values, blob.lossless)
     nx, ny, nz = blob.dims
     work = np.zeros((nz, ny, nx), dtype=np.float64)
+    # one scan finds every literal mark; each slab places the ones in its
+    # code range, in order
     marks = np.flatnonzero(codes == LITERAL_MARK)
     if marks.size != lits.size:
         raise FormatError("literal block does not match the code stream")
@@ -180,8 +220,10 @@ def interp_decompress(blob) -> np.ndarray:
     def dequantize(pred, sel, eb):
         nonlocal cpos
         end = cpos + pred.size
+        rec = np.multiply(codes[cpos:end].reshape(pred.shape), 2.0 * eb)
+        rec += pred
         lo, hi = np.searchsorted(marks, (cpos, end))
-        rec = dequantize_array(pred, codes[cpos:end].reshape(pred.shape), eb, lits[lo:hi])
+        rec.reshape(-1)[marks[lo:hi] - cpos] = lits[lo:hi]
         cpos = end
         return rec
 

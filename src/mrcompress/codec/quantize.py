@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
-
 CODE_CAP = 2**15
 LITERAL_MARK = CODE_CAP + 1
 
@@ -50,19 +48,3 @@ def quantize_array(pred: np.ndarray, actual: np.ndarray, eb: float) -> tuple[np.
     lits = actual[bad]
     recon[bad] = lits
     return codes, recon, lits
-
-
-def dequantize_array(
-    pred: np.ndarray, codes: np.ndarray, eb: float, literal_values: np.ndarray
-) -> np.ndarray:
-    """Inverse of :func:`quantize_array` for one batch; ``literal_values``
-    must be ordered like the marks in ``codes``."""
-    recon = np.multiply(codes, 2.0 * eb)
-    recon += pred
-    marks = codes == LITERAL_MARK
-    n = np.count_nonzero(marks)
-    if n != literal_values.size:
-        raise ShapeError(f"{n} literal marks but {literal_values.size} values")
-    if n:
-        recon[marks] = literal_values
-    return recon

@@ -1,22 +1,18 @@
 import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrcompress.codec import compress, decompress
+from mrcompress.codec import compress, decompress, interp
 from mrcompress.codec.blob import ARRANGEMENTS, CODECS, CompressedBlob
 from mrcompress.codec.entropy import entropy_decode, entropy_encode
 from mrcompress.codec.policy import ErrorBoundPolicy, level_error_bound
-from mrcompress.codec.quantize import (
-    CODE_CAP,
-    LITERAL_MARK,
-    dequantize_array,
-    quantize_array,
-)
-from mrcompress.codec.interp import _axis_passes, _gather, _scatter, _walk
+from mrcompress.codec.quantize import CODE_CAP, LITERAL_MARK, quantize_array
+from mrcompress.codec.interp import _axis_passes, _gather, _scatter, _slabs, _walk, interp_decompress
 from mrcompress.codec.stored import STORED_POLICY
 from mrcompress.errors import FormatError, ShapeError
 from mrcompress.grid import Volume
@@ -207,6 +203,69 @@ def test_slice_selectors_match_index_gathers(dims_list):
                 assert np.array_equal(a, b)
 
 
+# a 6- or 19-point axis is active in two runs after its coarse passes
+_SLAB_AXES = st.one_of(st.sampled_from([1, 2, 3, 5, 6, 17, 19]), st.integers(1, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_SLAB_AXES, _SLAB_AXES, _SLAB_AXES), st.integers(1, 2000))
+@example((6, 19, 19), 1)
+@example((19, 6, 6), 7)
+@example((1, 1, 17), 1)
+def test_slabs_tile_every_batch_in_ravel_order(dims, slab_targets):
+    # concatenated in order, a batch's slabs read every target and every
+    # neighbor of the whole batch once, in its ravel order
+    nx, ny, nz = dims
+    work = np.arange(float(nx * ny * nz)).reshape(nz, ny, nx)
+    with mock.patch.object(interp, "_SLAB_TARGETS", slab_targets):
+        for *_, batches in _walk(dims):
+            for sel, neighbors in batches:
+                slabs = list(_slabs(sel, neighbors))
+                plane = _gather(work, sel)[0].size
+                for cut, cut_neighbors in slabs:
+                    assert _gather(work, cut).size <= max(slab_targets, plane)
+                    assert len(cut_neighbors) == len(neighbors)
+                for k, whole in enumerate([sel, *neighbors]):
+                    parts = [_gather(work, [cut, *nbs][k]).reshape(-1) for cut, nbs in slabs]
+                    assert np.array_equal(np.concatenate(parts), _gather(work, whole).reshape(-1))
+
+
+def _literal_slabs(monkeypatch, slab_targets):
+    """Sets ``_SLAB_TARGETS`` and counts the quantizer calls (slabs) that
+    emit literals; returns the list the calls append their counts to."""
+    monkeypatch.setattr(interp, "_SLAB_TARGETS", slab_targets)
+    counts = []
+    quantize = interp.quantize_array
+
+    def counting(pred, actual, eb):
+        out = quantize(pred, actual, eb)
+        counts.append(out[2].size)
+        return out
+
+    monkeypatch.setattr(interp, "quantize_array", counting)
+    return counts
+
+
+@pytest.mark.parametrize("slab_targets", [1, 7, 1000])
+def test_slab_size_leaves_the_bytes_unchanged(monkeypatch, slab_targets):
+    # literals fall in many slabs; the stream and the decoded arrays are
+    # those of one slab per batch, adaptive bounds and zlib included
+    cases = [
+        (signed_zero_field((23, 17, 29), seed=12), ErrorBoundPolicy(eb=1e-4), "none"),
+        (smooth_field((19, 6, 33), seed=13, noise=0.01), ErrorBoundPolicy(eb=1e-3, adaptive=True), "zlib"),
+    ]
+    whole = []
+    monkeypatch.setattr(interp, "_SLAB_TARGETS", 1 << 62)
+    for v, p, lossless in cases:
+        blob = compress(v, p, lossless=lossless)
+        whole.append((blob, interp_decompress(blob)))
+    counts = _literal_slabs(monkeypatch, slab_targets)
+    for (v, p, lossless), (blob, dec) in zip(cases, whole):
+        assert compress(v, p, lossless=lossless).to_bytes() == blob.to_bytes()
+        assert interp_decompress(blob).tobytes() == dec.tobytes()
+    assert sum(c > 0 for c in counts) > 5
+
+
 # -------------------------------------------------------------- quantize
 
 
@@ -304,23 +363,16 @@ def test_quantize_array_bound_property(eb):
     assert np.array_equal(recon[marks], actual[marks])
 
 
-def test_dequantize_matches_encoder_exactly():
-    rng = np.random.default_rng(12)
-    pred = rng.normal(size=2000)
-    actual = pred + rng.normal(scale=1.0, size=2000)
-    actual[::97] += 1e7  # force some literals
-    eb = 1e-4
-    codes, recon, lits = quantize_array(pred, actual, eb)
-    assert (codes == LITERAL_MARK).any()
-    back = dequantize_array(pred, codes.astype(np.int64), eb, lits)
-    assert np.array_equal(back, recon)
-
-
-def test_dequantize_checks_literal_count():
-    pred = np.zeros(3)
-    codes = np.array([0, LITERAL_MARK, 1], dtype=np.int64)
-    with pytest.raises(ShapeError):
-        dequantize_array(pred, codes, 0.1, np.zeros(2))
+def test_dequantize_matches_encoder_exactly(monkeypatch):
+    # the decoder places each slab's literals from its one scan of the
+    # marks and reproduces the encoder's reconstruction bit for bit
+    v = signed_zero_field((23, 17, 29), seed=12)
+    counts = _literal_slabs(monkeypatch, 1000)
+    blob, rec = compress(v, ErrorBoundPolicy(eb=1e-4), recon=True)
+    assert sum(c > 0 for c in counts) > 5 and max(counts) > 1
+    codes, lits = entropy_decode(blob.stream, blob.n_values)
+    assert (codes == LITERAL_MARK).sum() == lits.size == sum(counts)
+    assert interp_decompress(blob).tobytes() == rec.data.tobytes()
 
 
 def test_decoders_validate_literal_count():

@@ -498,6 +498,7 @@ def _check_against_reference(table, codes):
     assert np.array_equal(unpack_codes(table, packed, codes.size), codes)
 
 
+# odd counts end in a pair with a zero-length pad code
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 65535, 65536, 65537, 3 * 65536 + 5])
 def test_lane_groups_match_whole_stream_packer(n):
     assert entropy._GROUP_LANES * entropy.LANE_CODES == 65536
@@ -562,3 +563,38 @@ def test_pack_memory_is_bounded_by_the_lane_group():
     # a whole-stream pass holds several 8-byte arrays per code (43.5 MB for
     # this stream)
     assert peak < 8e6
+
+
+# ------------------------------------------------------------ code pairs
+
+
+def test_odd_last_lane_in_single_lane_groups(monkeypatch):
+    codes = _laplace_codes(5 * entropy.LANE_CODES + 333, 6.0, 18)
+    table = build_table(codes)
+    want = _reference_pack(table, codes)
+    monkeypatch.setattr(entropy, "_GROUP_LANES", 1)
+    assert pack_codes(table, codes) == want
+
+
+def _staircase_table():
+    """Symbol s has a code of s + 1 bits up to 31, and symbols 31 and 32
+    both have 32-bit codes: a complete table."""
+    return HuffmanTable(np.arange(33, dtype=np.int32), np.append(np.arange(1, 32), [32, 32]).astype(np.uint8))
+
+
+def test_pairs_of_long_codes_match_the_reference():
+    table = _staircase_table()
+    # each repeat is 259 bits, so the pairs' word offsets drift by 3 bits a
+    # repeat: 64-bit pairs land at offset 0 and at offsets that spill, and
+    # shorter pairs end exactly on a word boundary, which must not spill
+    codes = np.array([31, 32, 0, 0, 31, 32, 0, 0, 29, 31, 1, 1, 28, 31] * 200, dtype=np.int32)
+    ln = table.lengths[codes].astype(np.int64)
+    pair_ln = ln[0::2] + ln[1::2]
+    off = (np.cumsum(pair_ln) - pair_ln)[: entropy.LANE_CODES // 2] % 64
+    pair_ln = pair_ln[: off.size]
+    assert ((pair_ln == 64) & (off == 0)).any()
+    assert ((pair_ln == 64) & (off > 0)).any()
+    assert ((off + pair_ln == 64) & (off > 0)).any()
+    for lead in (0, 1, 2 * entropy.LANE_CODES - 3):
+        # behind 0 to 2045 one-bit codes, and across lane boundaries
+        _check_against_reference(table, np.concatenate([np.zeros(lead, dtype=np.int32), codes]))
