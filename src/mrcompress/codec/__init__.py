@@ -4,9 +4,10 @@ Each codec is an array coder: ``<codec>_compress(arr, policy, lossless,
 recon)`` turns a (z, y, x) array into (entropy stream, the decoder's output
 when ``recon`` else None), and ``<codec>_decompress(blob)`` returns the
 array. :func:`compress` and :func:`decompress` are the envelope around them:
-the only place where a Volume or MergedArray becomes a CompressedBlob and
-back. Dispatch names each coder in an ``if``, so it is looked up in this
-module at call time and a wrapper installed here sees every call.
+a Volume or MergedArray becomes a CompressedBlob that records its layout,
+and a blob decodes to the coder's plain (z, y, x) float64 array. Dispatch
+names each coder in an ``if``, so it is looked up in this module at call
+time and a wrapper installed here sees every call.
 """
 
 from ..errors import ShapeError
@@ -22,7 +23,7 @@ STORED, INTERP, BLOCK = CODECS
 
 def compress(m, policy, codec: str = INTERP, lossless: str = LOSSLESS_NONE, recon: bool = False):
     """Compress a Volume or MergedArray with the named codec; with
-    ``recon``, return (blob, decompress(blob)) without decoding."""
+    ``recon``, return (blob, decompress(blob)'s array) without decoding."""
     arr, fields = unwrap(m)
     if codec == INTERP:
         stream, rec = interp_compress(arr, policy, lossless, recon)
@@ -33,15 +34,14 @@ def compress(m, policy, codec: str = INTERP, lossless: str = LOSSLESS_NONE, reco
     else:
         raise ShapeError(f"unknown codec {codec!r}")
     blob = CompressedBlob(codec=CODECS.index(codec), policy=policy, stream=stream, lossless=lossless, **fields)
-    return (blob, blob.wrap(rec)) if recon else blob
+    return (blob, rec) if recon else blob
 
 
 def decompress(blob: CompressedBlob):
-    """Inverse of :func:`compress`, by the blob's codec id."""
+    """The (z, y, x) array the blob holds, by its codec id; the blob's
+    fields say how it was merged and padded."""
     if blob.codec_name == INTERP:
-        arr = interp_decompress(blob)
-    elif blob.codec_name == BLOCK:
-        arr = block_decompress(blob)
-    else:
-        arr = stored_decompress(blob)
-    return blob.wrap(arr)
+        return interp_decompress(blob)
+    if blob.codec_name == BLOCK:
+        return block_decompress(blob)
+    return stored_decompress(blob)

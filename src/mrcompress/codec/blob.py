@@ -47,7 +47,7 @@ import numpy as np
 
 from ..errors import FormatError, ShapeError
 from ..grid import Dims, Volume
-from ..layout import LINEAR, STACKED, MergedArray
+from ..layout import LINEAR, STACKED, MergedArray, check_merge
 from ..wire import U64, Reader
 from .entropy import LOSSLESS_NONE, LOSSLESS_ZLIB
 from .policy import ErrorBoundPolicy
@@ -133,9 +133,11 @@ class CompressedBlob:
         if arrangement == 0 and (u or k or padded):
             raise FormatError("a whole-volume blob carries a block layout")
         try:
+            if arrangement:
+                check_merge((nx, ny, nz), k, u, ARRANGEMENTS[arrangement], bool(padded))
             policy = ErrorBoundPolicy(eb=eb, adaptive=bool(adaptive), alpha=alpha, beta=beta)
         except ShapeError as exc:
-            raise FormatError(f"blob carries an invalid policy: {exc}") from exc
+            raise FormatError(f"blob carries an invalid layout or policy: {exc}") from exc
         blob = cls(codec=codec, dims=(nx, ny, nz), policy=policy, arrangement=ARRANGEMENTS[arrangement],
                    padded=bool(padded), u=u, k=k, stream=stream, lossless=lossless)
         return blob, r.offset
@@ -143,17 +145,10 @@ class CompressedBlob:
     def size_bytes(self) -> int:
         return len(self.to_bytes())
 
-    def wrap(self, arr: np.ndarray) -> MergedArray | Volume:
-        """The codec output for the decoded (z, y, x) array ``arr``: a
-        Volume for a whole volume, else a MergedArray with this layout."""
-        if self.arrangement is None:
-            return Volume(arr)
-        return MergedArray(values=arr, k=self.k, u=self.u, arrangement=self.arrangement, padded=self.padded)
-
 
 def unwrap(m: MergedArray | Volume) -> tuple[np.ndarray, dict]:
     """The (z, y, x) array of ``m`` and the blob fields of its shape and
-    layout: the inverse of :meth:`CompressedBlob.wrap`."""
+    layout."""
     if isinstance(m, Volume):
         arr, fields = m.data, dict(arrangement=None, padded=False, u=0, k=0)
     elif isinstance(m, MergedArray):

@@ -68,8 +68,9 @@ class _Blocks:
         return inside.transpose(0, 2, 4, 1, 3, 5).reshape(self.m, self.cells)
 
     def scatter(self, w: np.ndarray) -> np.ndarray:
-        """The (nz, ny, nx) array in the interior of the halo array ``w``."""
-        return np.ascontiguousarray(self.interior(w)).reshape(self.full)[self.crop]
+        """The (nz, ny, nx) array in the interior of the halo array ``w``,
+        C-contiguous: a crop of ragged x or y dims is copied."""
+        return np.ascontiguousarray(np.ascontiguousarray(self.interior(w)).reshape(self.full)[self.crop])
 
     def to_stream(self, cm: np.ndarray) -> np.ndarray:
         """Cell-major (ez, ey, ex, M) values in stream order."""

@@ -37,6 +37,8 @@ class Volume:
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "Volume":
+        if not arr.flags.c_contiguous:
+            raise ShapeError("a Volume adopts only C-contiguous arrays")
         v = cls.__new__(cls)
         v._own(arr)
         return v

@@ -6,6 +6,10 @@ stacked along z ("linear", the default) or packed into a near-cubic grid of
 slots ("stacked"). Linear arrangements may additionally grow a single
 extrapolated layer on the high-x and high-y faces, which removes one-sided
 interpolation targets at the cost of (u+1)^2 / u^2 extra samples.
+
+The decoder's :func:`unpad` and :func:`unmerge` take a plain array and the
+layout its blob records. :func:`check_merge` states which dims a merge can
+have, for MergedArray and the blob parser alike.
 """
 
 from __future__ import annotations
@@ -20,6 +24,29 @@ from .grid import Dims, _is_pow2, block_view
 LINEAR = "linear"
 STACKED = "stacked"
 PAD_MIN_U = 4  # padding pays off only above this unit-block edge
+
+
+def check_merge(dims: Dims, k: int, u: int, arrangement: str, padded: bool) -> None:
+    """Raise ShapeError unless k u-blocks merged in ``arrangement`` (and
+    padded when ``padded``) can make an array of ``dims`` (x, y, z)."""
+    if not _is_pow2(u):
+        raise ShapeError(f"unit size must be a power of two, got {u}")
+    if k < 1:
+        raise ShapeError("a merge holds at least one block")
+    dx, dy, dz = dims
+    if arrangement == LINEAR:
+        want_xy = u + 1 if padded else u
+        if (dx, dy, dz) != (want_xy, want_xy, u * k):
+            raise ShapeError(f"linear merge of {k} u={u} blocks cannot have dims ({dx}, {dy}, {dz})")
+    elif arrangement == STACKED:
+        if padded:
+            raise ShapeError("stacked arrangements are never padded")
+        if dx % u or dy % u or dz % u:
+            raise ShapeError(f"stacked dims ({dx}, {dy}, {dz}) not a u={u} grid")
+        if (dx // u) * (dy // u) * (dz // u) < k:
+            raise ShapeError(f"stacked grid too small for {k} blocks")
+    else:
+        raise ShapeError(f"unknown arrangement {arrangement!r}")
 
 
 @dataclass(frozen=True)
@@ -39,32 +66,11 @@ class MergedArray:
             raise ShapeError("merged payload must be 3D")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        if not _is_pow2(self.u):
-            raise ShapeError(f"unit size must be a power of two, got {self.u}")
-        if self.k < 1:
-            raise ShapeError("a merge holds at least one block")
-        if self.arrangement not in (LINEAR, STACKED):
-            raise ShapeError(f"unknown arrangement {self.arrangement!r}")
-        dz, dy, dx = arr.shape
-        if self.arrangement == LINEAR:
-            want_xy = self.u + 1 if self.padded else self.u
-            if (dx, dy, dz) != (want_xy, want_xy, self.u * self.k):
-                raise ShapeError(
-                    f"linear merge of {self.k} u={self.u} blocks cannot have dims "
-                    f"({dx}, {dy}, {dz})"
-                )
-        else:
-            if self.padded:
-                raise ShapeError("stacked arrangements are never padded")
-            if dx % self.u or dy % self.u or dz % self.u:
-                raise ShapeError(f"stacked dims ({dx}, {dy}, {dz}) not a u={self.u} grid")
-            if (dx // self.u) * (dy // self.u) * (dz // self.u) < self.k:
-                raise ShapeError(f"stacked grid too small for {self.k} blocks")
+        check_merge(arr.shape[::-1], self.k, self.u, self.arrangement, self.padded)
 
     @property
     def dims(self) -> Dims:
-        dz, dy, dx = self.values.shape
-        return (dx, dy, dz)
+        return self.values.shape[::-1]
 
 
 def _block_array(blocks) -> np.ndarray:
@@ -151,22 +157,18 @@ def pad_linear(m: MergedArray) -> MergedArray:
     return replace(m, values=values, padded=True)
 
 
-def unpad(m: MergedArray) -> MergedArray:
-    """Drop the extrapolated x and y layers again."""
-    if not m.padded:
-        raise StateError("array is not padded")
-    dz, dy, dx = m.values.shape
-    return replace(m, values=m.values[:, : dy - 1, : dx - 1], padded=False)
+def unpad(values: np.ndarray) -> np.ndarray:
+    """The padded linear merge ``values`` without its extrapolated x and y
+    layers: a view."""
+    return values[:, :-1, :-1]
 
 
-def unmerge(m: MergedArray) -> np.ndarray:
-    """Split a merged array back into its (k, u, u, u) block array, filler
-    slots dropped."""
-    if m.padded:
-        raise StateError("unpad before unmerging")
+def unmerge(values: np.ndarray, u: int, k: int) -> np.ndarray:
+    """Split the unpadded merged array ``values`` of k u-blocks back into
+    its (k, u, u, u) block array, filler slots dropped."""
     # a linear merge is a (k, 1, 1) slot grid, so both split the same way
     # and the linear one stays a view
-    return block_view(m.values, m.u).reshape(-1, m.u, m.u, m.u)[: m.k]
+    return block_view(values, u).reshape(-1, u, u, u)[:k]
 
 
 def padding_overhead(u: int) -> float:

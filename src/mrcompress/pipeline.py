@@ -6,6 +6,10 @@ blocks into one array, optionally pads it, and hands it to a codec. The
 archive produced here also carries everything needed to undo that and to
 re-run post-processing on the decompressed side: the chosen intensity
 configuration and, when sampling ran, the original sample regions.
+
+Decoding works on plain arrays: :func:`decode_level` returns one (z, y, x)
+array, and only decompress_level and decompress_volume build a Level or a
+Volume from it, with the layout the blob records.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from .codec import (
     decompress,
 )
 from .codec.lorenzo import BLOCK_EDGE
-from .errors import DataError, FormatError, SamplingError, ShapeError
+from .errors import FormatError, SamplingError, ShapeError
 from .grid import Dims, Volume
-from .layout import LINEAR, MergedArray, linear_merge, pad_linear, stack_merge, unmerge, unpad
+from .layout import LINEAR, linear_merge, pad_linear, stack_merge, unmerge, unpad
 from .postprocess import (
     IntensityConfig,
     SamplingPlan,
@@ -97,23 +101,12 @@ def _should_pad(pad: str, codec: str, arrangement: str) -> bool:
     return codec == "interp" and arrangement == LINEAR
 
 
-def _unpadded(dec):
-    """Codec output with any layout padding removed."""
-    if isinstance(dec, MergedArray) and dec.padded:
-        dec = unpad(dec)
-    return dec
-
-
-def _fit_intensity(merged_orig, dec, eb: float, blocksize: int, family: str, seed: int, sample_rate: float):
-    """Plan a sample on ``dec``, the codec's output for ``merged_orig`` at
-    bound ``eb``, and pick per-axis intensities."""
-    dec = _unpadded(dec)
-    dec_values = dec.values if isinstance(dec, MergedArray) else dec.data
-    dims = (dec_values.shape[2], dec_values.shape[1], dec_values.shape[0])
-    plan = plan_sampling(dims, blocksize, max_rate=sample_rate, seed=seed)
-    orig_regions = extract_regions(merged_orig, plan)
-    dec_regions = extract_regions(dec_values, plan)
-    cfg = select_intensity(orig_regions, dec_regions, eb, blocksize, family)
+def _fit_intensity(orig, dec, eb: float, blocksize: int, family: str, seed: int, sample_rate: float):
+    """Plan a sample on ``dec``, the unpadded codec output for the array
+    ``orig`` at bound ``eb``, and pick per-axis intensities."""
+    plan = plan_sampling(dec.shape[::-1], blocksize, max_rate=sample_rate, seed=seed)
+    orig_regions = extract_regions(orig, plan)
+    cfg = select_intensity(orig_regions, extract_regions(dec, plan), eb, blocksize, family)
     return cfg, SampleSet(plan=plan, regions=tuple(orig_regions))
 
 
@@ -129,7 +122,8 @@ def _encode(payload, orig, dims: Dims, occupancy, policy, codec, lossless, post_
     blob, dec = compress(payload, policy, codec=codec, lossless=lossless, recon=True)
     blocksize = post_blocksize(codec, blob.u)
     try:
-        post, samples = _fit_intensity(orig, dec, policy.eb, blocksize, post_family, seed, sample_rate)
+        post, samples = _fit_intensity(orig, unpad(dec) if blob.padded else dec, policy.eb, blocksize,
+                                       post_family, seed, sample_rate)
     except SamplingError:  # no sample region fits the level: store it without post
         return LevelArchive(dims=dims, blob=blob, occupancy=occupancy)
     return LevelArchive(dims=dims, blob=blob, occupancy=occupancy, post=post, samples=samples)
@@ -166,23 +160,18 @@ def compress_volume(
     return _encode(vol, vol.data, vol.dims, None, policy, codec, lossless, post_family, sample_rate, seed)
 
 
-def decode_level(archive: LevelArchive):
-    """Decode a level's payload once: the codec's output, unpadded and
-    post-processed. A MergedArray for a tiled level, a Volume for a whole
-    one; decompress_level, decompress_volume and level_sample_pairs all
-    start from it."""
-    # every level is coded from finite data, so a non-finite value means a
-    # corrupt stream (a whole volume is checked inside Volume), and a blob
-    # whose layout cannot be rebuilt from its dims is corrupt too
-    try:
-        dec = decompress(archive.blob)
-    except (DataError, ShapeError) as exc:
-        raise FormatError(f"decoded level: {exc}") from exc
-    if isinstance(dec, MergedArray) and not np.isfinite(dec.values).all():
+def decode_level(archive: LevelArchive) -> np.ndarray:
+    """Decode a level's payload once: the codec's (z, y, x) array, unpadded
+    (a view) and post-processed. decompress_level, decompress_volume and
+    level_sample_pairs all start from it."""
+    blob = archive.blob
+    dec = decompress(blob)
+    # levels are coded from finite data: a non-finite value means a corrupt stream
+    if not np.isfinite(dec).all():
         raise FormatError("decoded level contains non-finite values")
-    dec = _unpadded(dec)
+    dec = unpad(dec) if blob.padded else dec
     if archive.post is not None:
-        dec = apply_postprocess(dec, archive.blob.policy.eb, archive.post_blocksize, archive.post)
+        dec = apply_postprocess(dec, blob.policy.eb, archive.post_blocksize, archive.post)
     return dec
 
 
@@ -193,18 +182,18 @@ def decompress_level(archive: LevelArchive, decoded=None) -> Level:
     array before it is split back into blocks. ``decoded`` is the level's
     decode_level output when the caller already holds it.
     """
-    dec = decode_level(archive) if decoded is None else decoded
-    if isinstance(dec, Volume):
+    if archive.u == 0:
         raise ShapeError("archive holds a whole volume; use decompress_volume")
-    return Level(archive.dims, archive.u, archive.occupancy, unmerge(dec))
+    dec = decode_level(archive) if decoded is None else decoded
+    return Level(archive.dims, archive.u, archive.occupancy, unmerge(dec, archive.u, archive.blob.k))
 
 
 def decompress_volume(archive: LevelArchive, decoded=None) -> Volume:
-    """Invert compress_volume; ``decoded`` as for decompress_level."""
-    dec = decode_level(archive) if decoded is None else decoded
-    if not isinstance(dec, Volume):
+    """Invert compress_volume; ``decoded`` as for decompress_level, and
+    adopted by the Volume without a copy."""
+    if archive.u != 0:
         raise ShapeError("archive holds merged blocks; use decompress_level")
-    return dec
+    return Volume._adopt(decode_level(archive) if decoded is None else decoded)
 
 
 def level_sample_pairs(archive: LevelArchive, decoded=None):
@@ -214,6 +203,4 @@ def level_sample_pairs(archive: LevelArchive, decoded=None):
     if archive.samples is None:
         raise ShapeError("archive stores no sample regions")
     dec = decode_level(archive) if decoded is None else decoded
-    values = dec.values if isinstance(dec, MergedArray) else dec.data
-    dec_regions = tuple(extract_regions(values, archive.samples.plan))
-    return archive.samples.regions, dec_regions
+    return archive.samples.regions, tuple(extract_regions(dec, archive.samples.plan))

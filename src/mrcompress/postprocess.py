@@ -10,17 +10,16 @@ x, y, z in turn, each reading the previous axis's output.
 The intensity is picked per axis by coordinate descent over a small
 family-specific candidate set, scored by L2 error against original values on
 a few sampled block-aligned regions (at most 5 percent of the data).
+Every function here takes and returns plain (z, y, x) arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SamplingError, ShapeError
-from .grid import Volume
-from .layout import MergedArray
 
 FAMILY_SZ = "sz"
 FAMILY_ZFP = "zfp"
@@ -103,23 +102,14 @@ def _axis_pass(arr: np.ndarray, axis: int, blocksize: int, a: float, eb: float) 
 _AXIS_ORDER = (2, 1, 0)
 
 
-def apply_postprocess(decomp, eb: float, blocksize: int, cfg: IntensityConfig):
-    """Run the three axis passes; accepts a Volume, MergedArray, or bare
-    array and returns the same kind."""
-    if isinstance(decomp, Volume):
-        arr = decomp.data.copy()
-    elif isinstance(decomp, MergedArray):
-        arr = decomp.values.copy()
-    else:
-        arr = np.array(decomp, dtype=np.float64)
+def apply_postprocess(decomp: np.ndarray, eb: float, blocksize: int, cfg: IntensityConfig) -> np.ndarray:
+    """Run the three axis passes on a copy of the (z, y, x) array
+    ``decomp`` and return it."""
     if blocksize < 1:
         raise ShapeError(f"blocksize must be positive, got {blocksize}")
+    arr = np.array(decomp, dtype=np.float64)
     for a, axis in zip(cfg.chosen, _AXIS_ORDER):
         _axis_pass(arr, axis, blocksize, a, eb)
-    if isinstance(decomp, Volume):
-        return Volume(arr)
-    if isinstance(decomp, MergedArray):
-        return replace(decomp, values=arr)
     return arr
 
 
@@ -196,15 +186,10 @@ def plan_sampling(dims, blocksize: int, max_rate: float = 0.05, seed: int = 0) -
     )
 
 
-def extract_regions(data, plan: SamplingPlan) -> list[np.ndarray]:
-    arr = data.data if isinstance(data, Volume) else (
-        data.values if isinstance(data, MergedArray) else np.asarray(data)
-    )
+def extract_regions(arr: np.ndarray, plan: SamplingPlan) -> list[np.ndarray]:
+    """Copies of the plan's regions of the (z, y, x) array ``arr``."""
     ex, ey, ez = plan.edges
-    out = []
-    for ox, oy, oz in plan.origins:
-        out.append(np.array(arr[oz : oz + ez, oy : oy + ey, ox : ox + ex]))
-    return out
+    return [np.array(arr[oz : oz + ez, oy : oy + ey, ox : ox + ex]) for ox, oy, oz in plan.origins]
 
 
 def select_intensity(

@@ -59,22 +59,18 @@ class ErrorModel:
 def sample_errors(orig_sample, decomp_sample) -> np.ndarray:
     """Pointwise original-minus-decompressed over one region or a list of
     matched regions."""
-    if isinstance(orig_sample, (list, tuple)):
-        if len(orig_sample) != len(decomp_sample):
-            raise ShapeError("sample region lists differ in length")
-        parts = []
-        for o, d in zip(orig_sample, decomp_sample):
-            o = np.asarray(o, dtype=np.float64)
-            d = np.asarray(d, dtype=np.float64)
-            if o.shape != d.shape:
-                raise ShapeError(f"region shapes differ: {o.shape} vs {d.shape}")
-            parts.append((o - d).reshape(-1))
-        return np.concatenate(parts) if parts else np.zeros(0)
-    o = np.asarray(orig_sample, dtype=np.float64)
-    d = np.asarray(decomp_sample, dtype=np.float64)
-    if o.shape != d.shape:
-        raise ShapeError(f"sample shapes differ: {o.shape} vs {d.shape}")
-    return (o - d).reshape(-1)
+    if not isinstance(orig_sample, (list, tuple)):
+        orig_sample, decomp_sample = [orig_sample], [decomp_sample]
+    if len(orig_sample) != len(decomp_sample):
+        raise ShapeError("sample region lists differ in length")
+    parts = []
+    for o, d in zip(orig_sample, decomp_sample):
+        o, d = np.asarray(o, dtype=np.float64), np.asarray(d, dtype=np.float64)
+        if o.shape != d.shape:
+            raise ShapeError(f"region shapes differ: {o.shape} vs {d.shape}")
+        parts.append((o - d).reshape(-1))
+    # one region needs no concatenating copy
+    return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0)])
 
 
 def fit_model(

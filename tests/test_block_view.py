@@ -76,17 +76,17 @@ def test_merges_and_splits_match_per_block(k, u):
     want = stack_merge_per_block(ref)
     assert stacked.values.tobytes() == want.values.tobytes()
     assert (stacked.k, stacked.u, stacked.arrangement) == (want.k, want.u, want.arrangement)
-    _same_split(unmerge(stacked), unmerge_per_block(want))
+    _same_split(unmerge(stacked.values, u, k), unmerge_per_block(want))
     linear = linear_merge(blocks)
-    _same_split(unmerge(linear), unmerge_per_block(linear))
+    _same_split(unmerge(linear.values, u, k), unmerge_per_block(linear))
     padded = pad_linear(linear)
     if padded.padded:
-        _same_split(unmerge(unpad(padded)), unmerge_per_block(unpad(padded)))
+        _same_split(unmerge(unpad(padded.values), u, k), unmerge_per_block(linear))
 
 
 def test_unmerge_of_a_linear_merge_is_a_view():
     m = linear_merge(np.random.default_rng(1).standard_normal((5, 4, 4, 4)))
-    assert np.shares_memory(unmerge(m), m.values)
+    assert np.shares_memory(unmerge(m.values, 4, 5), m.values)
 
 
 def _three_levels(dims, seed):

@@ -55,6 +55,10 @@ def test_adopt_freezes_without_a_copy(tmp_path):
         Volume._adopt(np.full((1, 1, 2), np.nan))
     with pytest.raises(ShapeError):
         Volume._adopt(np.zeros((2, 2)))
+    crop = np.zeros((3, 3, 3))[:, :2, :2]
+    with pytest.raises(ShapeError):  # not C-contiguous
+        Volume._adopt(crop)
+    assert crop.flags.writeable
     up = upsample2x(Volume(np.arange(8.0).reshape(2, 2, 2)))
     write_raw_volume(up, tmp_path / "up.f64", "f64")
     for v in (up, read_raw_volume(tmp_path / "up.f64", up.dims, "f64")):

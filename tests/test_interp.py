@@ -108,14 +108,10 @@ GOLDEN = {
 }
 
 
-def _values(out):
-    return out.data if isinstance(out, Volume) else out.values
-
-
 def _digests(name):
     make, policy, lossless = GOLDEN_INPUTS[name]
     blob = compress(make(), policy, "interp", lossless)
-    dec = _values(decompress(blob))
+    dec = decompress(blob)
     return (
         hashlib.sha256(blob.to_bytes()).hexdigest(),
         hashlib.sha256(dec.astype("<f8").tobytes()).hexdigest(),

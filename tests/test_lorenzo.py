@@ -83,14 +83,10 @@ GOLDEN = {
 }
 
 
-def _values(out):
-    return out.data if isinstance(out, Volume) else out.values
-
-
 def _digests(name):
     make, eb = GOLDEN_INPUTS[name]
     blob = compress(make(), ErrorBoundPolicy(eb=eb), "block")
-    dec = _values(decompress(blob))
+    dec = decompress(blob)
     return (
         hashlib.sha256(blob.to_bytes()).hexdigest(),
         hashlib.sha256(dec.astype("<f8").tobytes()).hexdigest(),
@@ -151,7 +147,7 @@ def test_matches_scalar_reference(dims, seed, eb, special):
     m = MergedArray(values=arr, k=1, u=1, arrangement="stacked")
     blob = compress(m, ErrorBoundPolicy(eb=eb), "block")
     codes, lits = entropy_decode(blob.stream, blob.n_values)
-    dec = decompress(blob).values
+    dec = decompress(blob)
     ref_codes, ref_lits, ref_out = _reference(arr, eb)
     assert np.array_equal(codes, ref_codes)
     assert lits.tobytes() == ref_lits.tobytes()

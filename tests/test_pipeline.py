@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -148,7 +149,9 @@ def test_volume_round_trip_and_dispatch_guards():
 def test_interp_volume_peaks_stay_near_the_volume():
     # the traversal quantizes z-slabs of about 32k targets, not whole
     # batches of up to 1M: compress reads 2.0x its input (3.1x with
-    # batch-sized temporaries), decompress 2.2x its output (2.6x)
+    # batch-sized temporaries). Decompress reads 1.66x its output: the
+    # coder's peak, since the Volume adopts the decoded array (2.17x when
+    # it was copied)
     v = smooth_field((128, 128, 128), seed=5, noise=1e-3)
     p = ErrorBoundPolicy(eb=1e-3)
     tracemalloc.start()
@@ -162,7 +165,27 @@ def test_interp_volume_peaks_stay_near_the_volume():
         tracemalloc.stop()
     assert max_abs_err(v, out) <= 1e-3
     assert compress_peak < 2.4 * v.data.nbytes
-    assert decompress_peak < 2.4 * out.data.nbytes
+    assert decompress_peak < 1.8 * out.data.nbytes
+
+
+# sha256 of the decompressed volume's bytes for ragged dims, where the block
+# decoder crops its whole-block output
+RAGGED_VOLUME_DIGESTS = {
+    ((37, 18, 23), "interp"): "f755a1e0a04c8617cddd312d145d8b0cad36775a3cf77403b7ba478e15a959c9",
+    ((37, 18, 23), "block"): "f4af898f39df049fc6cbe20aa81213ea389f9b92ed1a913446e313153006d865",
+    ((130, 70, 9), "interp"): "0cc434cd4f26b27d4acdafb9a04f9670b130a5cf7f9d5882a2e1370dcabcf730",
+    ((130, 70, 9), "block"): "8aaab077174479e8f0e30ae1b7914741b61654e2fe004b3a8d6df7af44f3c593",
+}
+
+
+@pytest.mark.parametrize("dims, codec", sorted(RAGGED_VOLUME_DIGESTS))
+def test_decompressed_volume_is_contiguous_and_frozen(dims, codec):
+    # the Volume adopts the decoded array, so the decoder must hand back
+    # a C-contiguous one of its own
+    v = smooth_field(dims, seed=sum(dims), noise=1e-3)
+    out = decompress_volume(compress_volume(v, ErrorBoundPolicy(eb=1e-4), codec=codec))
+    assert out.data.flags.c_contiguous and not out.data.flags.writeable
+    assert hashlib.sha256(out.data.tobytes()).hexdigest() == RAGGED_VOLUME_DIGESTS[dims, codec]
 
 
 # ---------------------------------------------------------- post-processing

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from mrcompress.errors import SamplingError, ShapeError
-from mrcompress.grid import Volume
-from mrcompress.layout import linear_merge
 from mrcompress.postprocess import (
     FAMILY_SZ,
     FAMILY_ZFP,
@@ -21,10 +19,9 @@ from mrcompress.postprocess import (
 from helpers import noisy_field
 
 
-def _line_volume(values):
-    """A (1, 1, n) volume so axis passes act on a single x line."""
-    arr = np.asarray(values, dtype=np.float64).reshape(1, 1, -1)
-    return Volume(arr)
+def _line(values):
+    """A (1, 1, n) array so axis passes act on a single x line."""
+    return np.asarray(values, dtype=np.float64).reshape(1, 1, -1)
 
 
 # ------------------------------------------------------------- arithmetic
@@ -75,7 +72,7 @@ def test_line_update_by_hand():
     line = np.zeros(12)
     line[3] = 1.0
     line[7] = 0.1
-    v = _line_volume(line)
+    v = _line(line)
     cfg = IntensityConfig.uniform(FAMILY_SZ, 0.5)
     out = apply_postprocess(v, eb=0.2, blocksize=4, cfg=cfg)
     want = line.copy()
@@ -83,39 +80,39 @@ def test_line_update_by_hand():
     want[3] = 0.9
     # pos 7: mid 0.05 lies inside the band 0.1 +- 0.1
     want[7] = 0.05
-    assert np.allclose(out.data.reshape(-1), want, atol=1e-15)
+    assert np.allclose(out.reshape(-1), want, atol=1e-15)
 
 
 def test_blocksize_one_is_a_no_op():
-    v = noisy_field((8, 8, 8), seed=0)
+    v = noisy_field((8, 8, 8), seed=0).data
     out = apply_postprocess(v, eb=0.1, blocksize=1, cfg=IntensityConfig.uniform(FAMILY_SZ, 0.5))
-    assert out == v
+    assert np.array_equal(out, v) and not np.shares_memory(out, v)
 
 
 def test_blocksize_validation():
-    v = noisy_field((4, 4, 4), seed=0)
+    v = noisy_field((4, 4, 4), seed=0).data
     with pytest.raises(ShapeError):
         apply_postprocess(v, 0.1, 0, IntensityConfig.uniform(FAMILY_SZ))
 
 
 def test_changes_confined_to_boundary_planes():
-    v = noisy_field((16, 16, 16), seed=1)
+    v = noisy_field((16, 16, 16), seed=1).data
     cfg = IntensityConfig(FAMILY_SZ, (0.5, 0.25, 0.1))
     out = apply_postprocess(v, eb=0.3, blocksize=4, cfg=cfg)
-    allow = postprocess_allowance(v.data.shape, 4, cfg)
-    changed = out.data != v.data
+    allow = postprocess_allowance(v.shape, 4, cfg)
+    changed = out != v
     assert changed.any()
     assert not changed[allow == 0].any()
 
 
 def test_band_containment_property():
-    v = noisy_field((20, 12, 16), seed=2)
+    v = noisy_field((20, 12, 16), seed=2).data
     eb = 0.07
     cfg = IntensityConfig(FAMILY_SZ, (0.5, 0.3, 0.45))
     out = apply_postprocess(v, eb=eb, blocksize=4, cfg=cfg)
-    allow = postprocess_allowance(v.data.shape, 4, cfg)
+    allow = postprocess_allowance(v.shape, 4, cfg)
     slack = 1e-12
-    assert (np.abs(out.data - v.data) <= allow * eb + slack).all()
+    assert (np.abs(out - v) <= allow * eb + slack).all()
 
 
 def test_allowance_grid_values():
@@ -127,18 +124,6 @@ def test_allowance_grid_values():
     want[3, :, :] += 0.1  # z pass
     assert np.array_equal(allow, want)
     assert allow[3, 3, 3] == pytest.approx(0.85)
-
-
-def test_apply_preserves_container_kind():
-    rng = np.random.default_rng(3)
-    blocks = rng.normal(size=(2, 8, 8, 8))
-    m = linear_merge(blocks)
-    cfg = IntensityConfig.uniform(FAMILY_SZ, 0.2)
-    out = apply_postprocess(m, 0.1, 8, cfg)
-    assert out.k == m.k and out.u == m.u
-    arr = apply_postprocess(m.values, 0.1, 8, cfg)
-    assert isinstance(arr, np.ndarray)
-    assert np.array_equal(arr, out.values)
 
 
 # -------------------------------------------------------- intensity search
@@ -243,7 +228,7 @@ def test_plan_sampling_validation():
 def test_extract_regions_match_manual_slices():
     v = noisy_field((32, 32, 32), seed=4)
     plan = plan_sampling((32, 32, 32), 4, seed=3)
-    regions = extract_regions(v, plan)
+    regions = extract_regions(v.data, plan)
     ex, ey, ez = plan.edges
     assert len(regions) == len(plan.origins)
     for r, (ox, oy, oz) in zip(regions, plan.origins):
