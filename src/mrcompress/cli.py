@@ -181,7 +181,7 @@ def cmd_uncertainty(args) -> int:
         values = np.concatenate([r.reshape(-1) for r in dec_regions])
     model = fit_model(errors, values, args.isovalue, args.window)
     field = probability_field(recon, args.isovalue, model)
-    _atomic_write(args.out, field.p.astype("<f4").tobytes())
+    _atomic(args.out, field.p.astype("<f4").tofile)
     _atomic_write(args.out + ".json", sidecar_json(field))
     flag = " (fallback: window never caught 2 samples)" if model.fallback else ""
     print(f"model: mu={model.mu:.6g} sigma2={model.sigma2:.6g} n={model.n_samples} window={model.window:g}{flag}")

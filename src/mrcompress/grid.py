@@ -28,7 +28,9 @@ class Volume:
     ``Volume(data)`` copies ``data``, so the caller's array stays its own
     and writeable. ``Volume._adopt(arr)`` takes a C-contiguous float64 array
     the library has just allocated and holds no other reference to: it runs
-    the same checks and freezes ``arr`` in place, without a copy."""
+    the same checks and freezes ``arr`` in place, without a copy.
+    ``finite=True`` skips the finiteness pass for a caller that has just
+    made it."""
 
     __slots__ = ("data",)
 
@@ -36,19 +38,19 @@ class Volume:
         self._own(np.array(data, dtype=np.float64, order="C", copy=True))
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "Volume":
+    def _adopt(cls, arr: np.ndarray, finite: bool = False) -> "Volume":
         if not arr.flags.c_contiguous:
             raise ShapeError("a Volume adopts only C-contiguous arrays")
         v = cls.__new__(cls)
-        v._own(arr)
+        v._own(arr, finite)
         return v
 
-    def _own(self, arr: np.ndarray) -> None:
+    def _own(self, arr: np.ndarray, finite: bool = False) -> None:
         if arr.ndim != 3:
             raise ShapeError(f"expected a 3D array, got ndim={arr.ndim}")
         if min(arr.shape) < 1:
             raise ShapeError(f"all dims must be positive, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not (finite or np.isfinite(arr).all()):
             raise DataError("volume contains non-finite values")
         arr.flags.writeable = False
         self.data = arr

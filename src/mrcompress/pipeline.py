@@ -193,7 +193,9 @@ def decompress_volume(archive: LevelArchive, decoded=None) -> Volume:
     adopted by the Volume without a copy."""
     if archive.u != 0:
         raise ShapeError("archive holds merged blocks; use decompress_level")
-    return Volume._adopt(decode_level(archive) if decoded is None else decoded)
+    # decode_level has checked the values finite; the post filter's clamped
+    # convex combinations keep them so
+    return Volume._adopt(decode_level(archive) if decoded is None else decoded, finite=True)
 
 
 def level_sample_pairs(archive: LevelArchive, decoded=None):

@@ -13,16 +13,21 @@ z = (iso - (v + mu)) / sigma is at least ``_Z_ONE`` or at most ``_Z_ZERO``,
 ``ndtr`` is exactly 1.0 or 0.0 (with sigma = 0, every corner is), so a cell
 whose eight corners all saturate on one side has p = 1 - 1 - 0 or 1 - 0 - 1,
 exactly +0.0: it keeps the zeroed output's value without a ``ndtr`` call.
-``ndtr`` runs on the unsaturated points of a slab, or on all its points when
-they are more than ``_DENSE_BAND`` of it. A slab with more than
-``_DENSE_LIVE`` (a fifth) of its cells live runs the products over the whole
-slab; a sparser one gathers the live cells' corners and runs them alone, in
-the same order.
+Saturation is read from the decoded values themselves: every rounded step of
+z is monotone in v, so z >= ``_Z_ONE`` holds exactly for v up to one double
+and z <= ``_Z_ZERO`` exactly from another on, and a bisection over the
+doubles, evaluating the same arithmetic, finds both once per field (likewise
+v + mu < iso for sigma = 0). z and ``ndtr`` are then formed at the
+unsaturated points of a slab only, or over the whole slab when those are more
+than ``_DENSE_BAND`` of it. A slab with more than ``_DENSE_LIVE`` (a fifth)
+of its cells live runs the products over the whole slab; a sparser one
+gathers the live cells' corners and runs them alone, in the same order.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +38,13 @@ from .grid import Dims, Volume
 
 DEFAULT_WINDOW = 0.05
 _MAX_WIDENINGS = 4
+_CHUNK = 1 << 15  # values per chunk of fit_model's window selection
 _SLAB_CELLS = 16  # cell planes per slab of probability_field
 _Z_ONE = 9.0  # ndtr(z) == 1.0 exactly for every z >= _Z_ONE
 _Z_ZERO = -40.0  # ndtr(z) == 0.0 exactly for every z <= _Z_ZERO
 _DENSE_LIVE = 0.2  # live-cell share of a slab above which it is evaluated whole
 _DENSE_BAND = 0.65  # band-point share of a slab above which ndtr runs on all of it
+_GATHER_CELLS = 1 << 12  # live cells per gathered batch of a sparse slab
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,20 @@ def sample_errors(orig_sample, decomp_sample) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0)])
 
 
+def _window_picks(errors: np.ndarray, values: np.ndarray, isovalue: float, half: float) -> np.ndarray:
+    """``errors[np.abs(values - isovalue) <= half]``, the same floats in the
+    same order, formed ``_CHUNK`` values at a time in reused buffers."""
+    dist = np.empty(min(_CHUNK, values.size))
+    sel = np.empty(dist.size, dtype=bool)
+    picks = []
+    for i in range(0, values.size, _CHUNK):
+        chunk = values[i : i + _CHUNK]
+        d = np.subtract(chunk, isovalue, out=dist[: chunk.size])
+        s = np.less_equal(np.abs(d, out=d), half, out=sel[: chunk.size])
+        picks.append(errors[i : i + _CHUNK][s])
+    return np.concatenate(picks)
+
+
 def fit_model(
     errors: np.ndarray,
     values: np.ndarray,
@@ -96,10 +117,8 @@ def fit_model(
     vrange = float(values.max() - values.min())
     w = window
     for _ in range(_MAX_WIDENINGS + 1):
-        half = w * vrange
-        sel = np.abs(values - isovalue) <= half
-        if int(sel.sum()) >= 2:
-            picked = errors[sel]
+        picked = _window_picks(errors, values, isovalue, w * vrange)
+        if picked.size >= 2:
             return ErrorModel(
                 mu=float(picked.mean()),
                 sigma2=float(picked.var(ddof=1)),
@@ -159,54 +178,125 @@ def _crossing(q: np.ndarray, out=None) -> np.ndarray:
     return np.clip(p, 0.0, 1.0, out=p)
 
 
+def _cross_cells(q: np.ndarray, cells: np.ndarray, out: np.ndarray) -> None:
+    """Write the crossing probability of the cells at flat indices ``cells``
+    of the slab's cell grid into the flat ``out``, gathering their corners
+    from the slab's corner probabilities ``q`` ``_GATHER_CELLS`` cells at a
+    time."""
+    _, ny, nx = q.shape
+    # flat offset of each of a cell's eight corners, in (z, y, x) C order
+    offsets = np.add.outer(np.add.outer([0, ny * nx], [0, nx]), [0, 1]).reshape(-1)
+    for c in range(0, cells.size, _GATHER_CELLS):
+        chunk = cells[c : c + _GATHER_CELLS]
+        rows = chunk // (nx - 1)  # z * (ny - 1) + y of each cell
+        first = chunk + rows + rows // (ny - 1) * nx  # its (0, 0, 0) corner
+        corners = np.empty((2, 2, 2, chunk.size))
+        for offset, dst in zip(offsets, corners.reshape(8, -1)):
+            np.take(q.reshape(-1)[offset:], first, out=dst)
+        out[chunk] = _crossing(corners)[0, 0, 0]
+
+
+_MAX_KEY = struct.unpack("<q", struct.pack("<d", np.finfo(np.float64).max))[0]
+
+
+def _double(key: int) -> float:
+    """The finite double at ``key`` in the order of the doubles: 0 is +0.0,
+    1 the smallest positive double, -1 the negative one of the same size."""
+    bits = key if key >= 0 else -key | 1 << 63
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _last_true(pred) -> float:
+    """The largest finite double v with ``pred(v)``, for a ``pred`` that
+    holds on a down-set of the doubles (every v below one where it holds):
+    -inf when it holds nowhere, +inf when it holds at the largest double."""
+    lo, hi = -_MAX_KEY, _MAX_KEY
+    if pred(_double(hi)):
+        return np.inf
+    if not pred(_double(lo)):
+        return -np.inf
+    while hi - lo > 1:  # pred(lo) holds, pred(hi) does not
+        mid = (lo + hi) // 2
+        if pred(_double(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return _double(lo)
+
+
+def _saturation_thresholds(isovalue: float, model: ErrorModel) -> tuple[float, float]:
+    """(v1, v0): a finite decoded value v saturates at one (z >= ``_Z_ONE``;
+    with sigma 0, v + mu < iso) exactly when v <= v1, and at zero
+    (z <= ``_Z_ZERO``; with sigma 0, the rest) exactly when v >= v0.
+
+    Each rounded step of z = (iso - (v + mu)) / sigma is monotone, so z never
+    increases with v and both sets are runs of the doubles; the bisection
+    evaluates the same double arithmetic as the field would at each v."""
+    iso, mu = float(isovalue), float(model.mu)
+    if model.sigma2 > 0.0:
+        sigma = model.sigma
+        v1 = _last_true(lambda v: (iso - (v + mu)) / sigma >= _Z_ONE)
+        last_unsaturated = _last_true(lambda v: not ((iso - (v + mu)) / sigma <= _Z_ZERO))
+    else:
+        v1 = last_unsaturated = _last_true(lambda v: v + mu < iso)
+    return v1, float(np.nextafter(last_unsaturated, np.inf))
+
+
 def probability_field(decomp: Volume, isovalue: float, model: ErrorModel) -> ProbabilityField:
     """Crossing probability for every cell of the volume.
 
     The field is built in z-slabs of ``_SLAB_CELLS`` cell planes, each
     reading one more point plane than it has cell planes, into one zeroed
-    output, so the temporaries are slab-sized. A slab marks its points
-    saturated at one (z >= ``_Z_ONE``; with sigma 0, v + mu < iso) or at
-    zero (z <= ``_Z_ZERO``; with sigma 0, the rest) and skips the cells whose
-    corners all saturate on one side: their p is exactly +0.0, the zeroed
-    output's value. ``ndtr`` runs on the other points, or on the whole slab
-    when they are more than ``_DENSE_BAND`` of it. A slab with more than
-    ``_DENSE_LIVE`` of its cells live multiplies over the whole slab;
+    output, so the temporaries are slab-sized and the slab buffers are
+    reused. A slab marks its points saturated at one (z >= ``_Z_ONE``; with
+    sigma 0, v + mu < iso) or at zero (z <= ``_Z_ZERO``; with sigma 0, the
+    rest) by comparing the decoded values with two thresholds that
+    ``_saturation_thresholds`` finds once, and skips the cells whose corners
+    all saturate on one side: their p is exactly +0.0, the zeroed output's
+    value. z and ``ndtr`` are formed at the other points, or over the whole
+    slab when they are more than ``_DENSE_BAND`` of it. A slab with more
+    than ``_DENSE_LIVE`` of its cells live multiplies over the whole slab;
     otherwise the live cells' corners are gathered and multiplied alone.
     Both keep a whole-volume pass's order (x pairs, then y, then z), so
     every value is the same."""
     if min(decomp.dims) < 2:
         raise ShapeError(f"need at least 2 points per axis, got dims {decomp.dims}")
     nz, ny, nx = decomp.data.shape
-    corner_offsets = np.add.outer(np.add.outer([0, ny * nx], [0, nx]), [0, 1])[..., None]
+    v1, v0 = _saturation_thresholds(isovalue, model)
     p = np.zeros((nz - 1, ny - 1, nx - 1))
+    slab_shape = (min(_SLAB_CELLS + 1, nz), ny, nx)
+    q_buf = np.empty(slab_shape)
+    one_buf, zero_buf = np.empty(slab_shape, dtype=bool), np.empty(slab_shape, dtype=bool)
     for z in range(0, nz - 1, _SLAB_CELLS):
-        t = decomp.data[z : z + _SLAB_CELLS + 1] + model.mu
-        if model.sigma2 > 0.0:
-            np.subtract(isovalue, t, out=t)
-            t /= model.sigma
-            one, zero = t >= _Z_ONE, t <= _Z_ZERO
-        else:
-            one = t < isovalue
-            zero = ~one
-        all_one, all_zero = _corner_product(one), _corner_product(zero)
-        n_live = all_one.size - np.count_nonzero(all_one) - np.count_nonzero(all_zero)
+        v = decomp.data[z : z + _SLAB_CELLS + 1]
+        k = v.shape[0]
+        one = np.less_equal(v, v1, out=one_buf[:k])
+        zero = np.greater_equal(v, v0, out=zero_buf[:k])
+        saturated = _corner_product(one)  # cells whose corners all saturate at one
+        saturated |= _corner_product(zero)  # or all at zero
+        n_live = saturated.size - np.count_nonzero(saturated)
         if not n_live:
             continue
-        n_band = t.size - np.count_nonzero(one) - np.count_nonzero(zero)
-        if n_band > _DENSE_BAND * t.size:
-            q = ndtr(t)  # the same values: saturation is exact
+        q = q_buf[:k]
+        n_band = v.size - np.count_nonzero(one) - np.count_nonzero(zero)
+        if n_band > _DENSE_BAND * v.size:
+            np.add(v, model.mu, out=q)
+            np.subtract(isovalue, q, out=q)
+            q /= model.sigma
+            ndtr(q, out=q)  # the same values: saturation is exact
         else:
-            q = one.astype(np.float64)
-            band = np.flatnonzero(~(one | zero))
-            q.reshape(-1)[band] = ndtr(t.reshape(-1)[band])
+            np.copyto(q, one)
+            if n_band:
+                band = np.flatnonzero(~(one | zero))
+                t = v.reshape(-1)[band] + model.mu
+                np.subtract(isovalue, t, out=t)
+                t /= model.sigma
+                q.reshape(-1)[band] = ndtr(t)
         out = p[z : z + _SLAB_CELLS]
-        if n_live > _DENSE_LIVE * all_one.size:
+        if n_live > _DENSE_LIVE * saturated.size:
             _crossing(q, out=out)
         else:
-            cells = np.flatnonzero(~(all_one | all_zero))
-            rows = cells // (nx - 1)  # z * (ny - 1) + y of each live cell
-            corners = q.reshape(-1)[cells + rows + rows // (ny - 1) * nx + corner_offsets]
-            out.reshape(-1)[cells] = _crossing(corners)[0, 0, 0]
+            _cross_cells(q, np.flatnonzero(~saturated), out.reshape(-1))
     return ProbabilityField(p=p, isovalue=float(isovalue), model=model)
 
 

@@ -62,8 +62,11 @@ def sum_of_gaussians(dims, n=6, seed=0) -> Volume:
     return gaussian_bumps(dims, centers, widths, amps)
 
 
-def max_abs_err(a: Volume, b: Volume) -> float:
-    return float(np.abs(a.data - b.data).max())
+def max_abs_err(a, b) -> float:
+    """Largest |a - b| over two Volumes or (z, y, x) arrays of one shape."""
+    a, b = (np.asarray(x.data if isinstance(x, Volume) else x, dtype=np.float64) for x in (a, b))
+    assert a.shape == b.shape, f"shapes differ: {a.shape} vs {b.shape}"
+    return float(np.abs(a - b).max())
 
 
 def signed_zero_field(dims, seed=0) -> Volume:

@@ -684,3 +684,12 @@ def test_blob_unpadded_original_bytes():
     blob, v = _sample_blob()
     assert blob.arrangement is None
     assert blob.original_bytes == v.size * 8
+
+
+def test_max_abs_err_takes_volumes_or_arrays_of_one_shape():
+    v = Volume(np.arange(120.0).reshape(4, 5, 6))
+    shifted = v.data + 0.25
+    assert max_abs_err(v, shifted) == max_abs_err(shifted, v) == max_abs_err(v.data, Volume(shifted)) == 0.25
+    # a (1, 5, 6) plane would broadcast against the (4, 5, 6) volume
+    with pytest.raises(AssertionError, match="shapes differ"):
+        max_abs_err(v, v.data[:1])

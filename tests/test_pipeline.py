@@ -104,6 +104,25 @@ def test_nan_in_a_tiled_level_is_a_format_error():
         decode_level(replace(arch, blob=replace(arch.blob, stream=stream)))
 
 
+def test_whole_volume_decode_checks_finiteness_once(monkeypatch):
+    data = sum_of_gaussians((16, 12, 10), seed=6).data.copy()
+    data[3, 4, 5] = 1e6  # forces a literal, which the stream stores last
+    arch = compress_volume(Volume(data), ErrorBoundPolicy(eb=1e-3))
+    stream = arch.blob.stream[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+    with pytest.raises(FormatError):
+        decompress_volume(replace(arch, blob=replace(arch.blob, stream=stream)))
+    checked, isfinite = [], np.isfinite
+
+    def counting_isfinite(x, *args, **kwargs):
+        checked.append(np.size(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    v = decompress_volume(arch)
+    assert [n for n in checked if n == data.size] == [data.size]
+    assert max_abs_err(data, v) <= 1e-3
+
+
 def test_pad_auto_rules():
     v = sum_of_gaussians((16, 16, 16), seed=5)
     p = ErrorBoundPolicy(eb=1e-3)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import mrcompress.uncertainty as uncertainty
@@ -10,6 +12,7 @@ from mrcompress.errors import ShapeError
 from mrcompress.grid import Volume
 from mrcompress.uncertainty import (
     DEFAULT_WINDOW,
+    _CHUNK,
     _DENSE_BAND,
     _DENSE_LIVE,
     _SLAB_CELLS,
@@ -18,6 +21,7 @@ from mrcompress.uncertainty import (
     ErrorModel,
     ProbabilityField,
     _corner_product,
+    _saturation_thresholds,
     fit_model,
     probability_field,
     sample_errors,
@@ -109,6 +113,72 @@ def test_fit_model_validation():
         fit_model(np.zeros(1), np.zeros(1), 0.0)
     with pytest.raises(ShapeError):
         fit_model(np.zeros(4), np.zeros(4), 0.0, window=0.0)
+
+
+def _reference_fit_model(errors, values, isovalue, window=DEFAULT_WINDOW):
+    """fit_model with one whole-array window selection per try, as it was
+    before the selection ran in chunks."""
+    errors = np.asarray(errors, dtype=np.float64).reshape(-1)
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    vrange = float(values.max() - values.min())
+    w = window
+    for _ in range(5):
+        half = w * vrange
+        sel = np.abs(values - isovalue) <= half
+        if int(sel.sum()) >= 2:
+            picked = errors[sel]
+            return ErrorModel(
+                mu=float(picked.mean()),
+                sigma2=float(picked.var(ddof=1)),
+                isovalue=float(isovalue),
+                window=w,
+                n_samples=int(picked.size),
+            )
+        w *= 2.0
+    return ErrorModel(
+        mu=float(errors.mean()),
+        sigma2=float(errors.var(ddof=1)),
+        isovalue=float(isovalue),
+        window=w / 2.0,
+        n_samples=int(errors.size),
+        fallback=True,
+    )
+
+
+@pytest.mark.parametrize("case", ["direct", "widened", "fallback"])
+def test_chunked_fit_matches_the_whole_array_selection(case):
+    # 3.5 chunks of values over a range of 10; around isovalue 3, the window
+    # catches one value of the first chunk after two doublings and two of
+    # the last after three
+    rng = np.random.default_rng(11)
+    n = 3 * _CHUNK + _CHUNK // 2
+    errors = rng.normal(1e-3, 2e-3, n)
+    if case == "direct":
+        values, iso = rng.uniform(-1.0, 1.0, n), 0.25
+    else:
+        values = np.concatenate([rng.uniform(8.0, 10.0, n - 2), [0.0, 10.0]])
+        values[[17, n - 5]] = 4.5, 6.5
+        iso = 3.0 if case == "widened" else -1e6
+    got, want = fit_model(errors, values, iso), _reference_fit_model(errors, values, iso)
+    assert repr(got) == repr(want)
+    assert got.fallback == (case == "fallback")
+    if case == "widened":
+        assert got.window == 8 * DEFAULT_WINDOW and got.n_samples == 3
+
+
+def test_fit_model_memory_stays_below_the_values():
+    values = smooth_field((128, 128, 64), seed=3).data.reshape(-1)
+    errors = np.random.default_rng(0).normal(0.0, 1e-3, values.size)
+    tracemalloc.start()
+    try:
+        m = fit_model(errors, values, 0.1, window=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the window holds 3.6% of the values; one whole-array distance costs
+    # as much as the values themselves
+    assert 0.02 < m.n_samples / values.size < 0.05
+    assert peak < 0.2 * values.nbytes
 
 
 # ------------------------------------------------------- cell probabilities
@@ -231,18 +301,60 @@ def _reference_probability_field(decomp, isovalue, model):
     return p
 
 
-def _live_cells(data, isovalue, model):
-    """Cells whose eight corners are not all saturated on one side (standard
-    score at least _Z_ONE, or at most _Z_ZERO; for sigma 0, below the
-    isovalue, or not)."""
-    centered = data + model.mu
+def _saturation_masks(values, isovalue, model):
+    """Points saturated at one and at zero, from the standard score (at least
+    _Z_ONE, at most _Z_ZERO) or, for sigma 0, from v + mu below the isovalue
+    (or not)."""
+    centered = values + model.mu
     if model.sigma2 > 0.0:
         t = (isovalue - centered) / model.sigma
-        one, zero = t >= _Z_ONE, t <= _Z_ZERO
-    else:
-        one = centered < isovalue
-        zero = ~one
+        return t >= _Z_ONE, t <= _Z_ZERO
+    one = centered < isovalue
+    return one, ~one
+
+
+def _live_cells(data, isovalue, model):
+    """Cells whose eight corners are not all saturated on one side."""
+    one, zero = _saturation_masks(data, isovalue, model)
     return ~(_corner_product(one) | _corner_product(zero))
+
+
+def _ulps_around(xs):
+    """Each finite x of ``xs`` and its neighbouring doubles on both sides."""
+    near = [y for x in xs for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+    return np.array([y for y in near if np.isfinite(y)], dtype=np.float64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(-20.0, 2.0).map(lambda e: 10.0**e)),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e6, 1e6),
+    st.lists(st.floats(-80.0, 30.0), max_size=12),
+)
+@example(0.5, 0.0, 0.0, [])  # z = 9.0 and -40.0 exactly at v = -4.5 and 20.0
+@example(1e-20, 1e6, -1e6, [9.0, -40.0])
+@example(0.0, 0.0, -0.0, [])
+def test_raw_thresholds_give_the_standard_score_masks(sigma, isovalue, mu, scores):
+    m = _model(mu=mu, sigma2=sigma * sigma, iso=isovalue)
+    v1, v0 = _saturation_thresholds(isovalue, m)
+    center = isovalue - mu
+    values = _ulps_around([v1, v0, center] + [center - s * sigma for s in scores])
+    one, zero = _saturation_masks(values, isovalue, m)
+    assert np.array_equal(values <= v1, one)
+    assert np.array_equal(values >= v0, zero)
+
+
+def test_raw_thresholds_of_exact_scores():
+    assert _saturation_thresholds(0.0, _model(sigma2=0.25)) == (-4.5, 20.0)
+    # sigma 0: v + 0.5 < 1.0 holds up to two doubles below 0.5, as the
+    # double just below rounds up to 1.0 when added
+    v1, v0 = _saturation_thresholds(1.0, _model(mu=0.5, sigma2=0.0))
+    assert v0 == np.nextafter(0.5, 0.0) and v1 == np.nextafter(v0, 0.0)
+    assert v1 + 0.5 < 1.0 == v0 + 0.5
+    # a score that never saturates, and one that always does
+    assert _saturation_thresholds(0.0, _model(sigma2=np.inf)) == (-np.inf, np.inf)
+    assert _saturation_thresholds(np.inf, _model(sigma2=1.0)) == (np.inf, np.inf)
 
 
 def _slab_live_shares(data, isovalue, model):
@@ -358,6 +470,22 @@ def test_field_memory_is_bounded_by_the_slab():
     # the output plus slab-sized temporaries; a whole-volume pass peaks at
     # about 4.1 times the output
     assert peak < 2.5 * f.p.nbytes
+
+
+@pytest.mark.parametrize("sigma2", [3.3e-7, 0.0])
+def test_sparse_field_memory_is_the_output_plus_two_slabs(sigma2):
+    # a fitted model's field: 3% of the cells live, every slab gathered
+    v = smooth_field((128, 128, 49), seed=1, noise=1e-3)
+    m = _model(sigma2=sigma2)
+    assert max(_slab_live_shares(v.data, 0.5, m)) < _DENSE_LIVE
+    tracemalloc.start()
+    try:
+        f = probability_field(v, 0.5, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slab = (_SLAB_CELLS + 1) * 128 * 128 * 8  # the f64 points one slab reads
+    assert peak < f.p.nbytes + 2 * slab
 
 
 def test_field_needs_two_points_per_axis():
