@@ -15,6 +15,7 @@ from mrcompress.uncertainty import (
     _CHUNK,
     _DENSE_BAND,
     _DENSE_LIVE,
+    _GATHER_CELLS,
     _SLAB_CELLS,
     _Z_ONE,
     _Z_ZERO,
@@ -474,10 +475,13 @@ def test_field_memory_is_bounded_by_the_slab():
 
 @pytest.mark.parametrize("sigma2", [3.3e-7, 0.0])
 def test_sparse_field_memory_is_the_output_plus_two_slabs(sigma2):
-    # a fitted model's field: 3% of the cells live, every slab gathered
+    # a fitted model's field: 3% of the cells live, every slab gathered in
+    # more than one batch
     v = smooth_field((128, 128, 49), seed=1, noise=1e-3)
     m = _model(sigma2=sigma2)
     assert max(_slab_live_shares(v.data, 0.5, m)) < _DENSE_LIVE
+    live = _live_cells(v.data, 0.5, m)
+    assert min(live[z : z + _SLAB_CELLS].sum() for z in range(0, 48, _SLAB_CELLS)) > _GATHER_CELLS
     tracemalloc.start()
     try:
         f = probability_field(v, 0.5, m)
@@ -486,6 +490,7 @@ def test_sparse_field_memory_is_the_output_plus_two_slabs(sigma2):
         tracemalloc.stop()
     slab = (_SLAB_CELLS + 1) * 128 * 128 * 8  # the f64 points one slab reads
     assert peak < f.p.nbytes + 2 * slab
+    assert f.p.tobytes() == _reference_probability_field(v, 0.5, m).tobytes()
 
 
 def test_field_needs_two_points_per_axis():
