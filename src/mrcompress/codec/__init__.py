@@ -18,7 +18,7 @@ from .lorenzo import block_compress, block_decompress
 from .policy import DEFAULT_ALPHA, DEFAULT_BETA, ErrorBoundPolicy, level_error_bound
 from .stored import stored_compress, stored_decompress
 
-STORED, INTERP, BLOCK = CODECS
+STORED, INTERP, _, BLOCK = CODECS
 
 
 def compress(m, policy, codec: str = INTERP, lossless: str = LOSSLESS_NONE, recon: bool = False):

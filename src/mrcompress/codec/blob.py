@@ -4,7 +4,8 @@ Layout, all little-endian:
 
     magic "MRB2"
     codec id            u8   (the codec's position in ``CODECS``; high bit
-                              set when the zlib pass ran)
+                              set when the zlib pass ran; id 2, the
+                              closed-loop block codec, is retired)
     dims                3x u64 (nx, ny, nz of the encoded array)
     eb                  f64
     adaptive            u8   (0 or 1)
@@ -54,8 +55,9 @@ from .policy import ErrorBoundPolicy
 
 MAGIC = b"MRB2"
 
-# the wire byte of a codec or an arrangement is its position here
-CODECS = ("stored", "interp", "block")
+# the wire byte of a codec or an arrangement is its position here; None
+# marks a retired id, which no blob carries
+CODECS = ("stored", "interp", None, "block")
 ARRANGEMENTS = (None, LINEAR, STACKED)  # None: a whole volume
 _ZLIB_FLAG = 0x80
 
@@ -76,7 +78,7 @@ class CompressedBlob:
     lossless: str = LOSSLESS_NONE
 
     def __post_init__(self):
-        if self.codec not in range(len(CODECS)):
+        if self.codec not in range(len(CODECS)) or CODECS[self.codec] is None:
             raise ShapeError(f"unknown codec id {self.codec}")
         if self.arrangement not in ARRANGEMENTS:
             raise ShapeError(f"unknown arrangement {self.arrangement!r}")
@@ -124,7 +126,7 @@ class CompressedBlob:
             raise FormatError(f"blob dims must be positive, got ({nx}, {ny}, {nz})")
         lossless = LOSSLESS_ZLIB if codec_byte & _ZLIB_FLAG else LOSSLESS_NONE
         codec = codec_byte & ~_ZLIB_FLAG
-        if codec >= len(CODECS):
+        if codec >= len(CODECS) or CODECS[codec] is None:
             raise FormatError(f"unknown codec id {codec}")
         if arrangement >= len(ARRANGEMENTS):
             raise FormatError(f"unknown arrangement {arrangement}")

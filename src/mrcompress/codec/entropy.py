@@ -47,7 +47,7 @@ _LEN_BITS = 6  # lookup entries hold (rank << _LEN_BITS) | code length
 _OUT_BLOCK = 128  # lanes transposed at a time into the decoded output
 _GROUP_LANES = 64  # lanes packed at a time
 # symbol spans up to this size pack through dense per-symbol tables; every
-# codec stream fits (its symbols lie in [-CODE_CAP, CODE_CAP + 1])
+# codec stream fits (its symbols lie in [-CODE_CAP - 1, CODE_CAP + 1])
 _DENSE_SPAN = 1 << 17
 
 LOSSLESS_NONE = "none"

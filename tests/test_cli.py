@@ -9,8 +9,10 @@ import pytest
 
 from mrcompress.cli import main
 from mrcompress.codec import ErrorBoundPolicy
+from mrcompress.codec.blob import CODECS, CompressedBlob
 from mrcompress.codec.entropy import LOSSLESS_NONE, entropy_encode
 from mrcompress.container import ContainerFile, ContainerLevel, encode_container, read_container
+from mrcompress.errors import FormatError
 from mrcompress.grid import Volume, read_raw_volume, write_raw_volume
 from mrcompress.pipeline import compress_volume
 from mrcompress.roi import RoiConfig, build_adaptive, reconstruct_uniform, select_roi
@@ -354,6 +356,24 @@ def test_an_old_container_version_given_to_compress_exits_three(tmp_path, capsys
     # no --dims: an old container is not taken for raw input
     assert main(["compress", "--input", str(cont), "--eb", "1e-3", "--out", str(tmp_path / "x.mrc")]) == 3
     assert "unsupported container version 1" in capsys.readouterr().err
+
+
+def test_retired_block_codec_id_exits_three(tmp_path):
+    # id 2 was the closed-loop block codec, whose streams the block decoder
+    # reads differently; its blobs are refused where they are parsed
+    v = sum_of_gaussians((16, 16, 16), seed=13)
+    raw = _write_raw(tmp_path, v)
+    cont = tmp_path / "v.mrc"
+    assert main(["compress", "--input", raw, "--dims", _dims_arg(v), "--dtype", "f64", "--codec", "block",
+                 "--eb", "1e-3", "--out", str(cont)]) == 0
+    buf = bytearray(cont.read_bytes())
+    at = buf.index(b"MRB2")
+    assert buf[at + 4] == CODECS.index("block") == 3
+    buf[at + 4] = 2
+    with pytest.raises(FormatError):
+        CompressedBlob.from_bytes(bytes(buf), at)
+    cont.write_bytes(bytes(buf))
+    assert main(["decompress", "--input", str(cont), "--out", str(tmp_path / "o.raw")]) == 3
 
 
 def _rewrite_blob(c, **changes):

@@ -424,8 +424,8 @@ def test_roi_command_golden_bytes(tmp_path):
 # sha256 of a 2-level container with the block codec, the stacked
 # arrangement, the zlib pass and post "zfp": the codec, arrangement and
 # post-family bytes the other digests leave unpinned
-GOLDEN_BLOCK_STACKED_ZFP = "740c8cfd65cec87b219d092bb76d977d6e669f3a45cc00f1c144412fc0ccd76f"
-GOLDEN_BLOCK_STACKED_ZFP_DECODED = "7b899790a51363ed06d6e706c3763b37c2f0e6f6a176a622e2933209164fe714"
+GOLDEN_BLOCK_STACKED_ZFP = "0491d2567df97ccb4a81acc37547daaa87fc9a61b2144f7eeb3a458bc6256cab"
+GOLDEN_BLOCK_STACKED_ZFP_DECODED = "aba2f13c4b95a8d73828c1c0db0569516b75e9c6770d084ad9b0a25a58d78ed7"
 
 
 def test_block_stacked_zfp_container_golden_bytes():
