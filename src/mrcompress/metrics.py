@@ -1,4 +1,5 @@
-"""Reconstruction quality metrics and a rate-distortion sweep harness."""
+"""Reconstruction quality metrics, streamed in z-slabs, and a
+rate-distortion sweep harness."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ SSIM_K2 = 0.03
 # ssim() relies on SSIM_WINDOW == 2 * SSIM_STRIDE: a window is 2x2x2 blocks
 _BLOCK_CELLS = SSIM_STRIDE**3
 _SLAB_BLOCKS = 4  # block rows in z per slab of ssim's block moments
+_PSNR_SLAB = 1 << 13  # values per psnr slab; BLAS runs a dot of <= 10,000 on one thread
 
 
 def _paired(orig, recon):
@@ -35,9 +37,19 @@ def _paired(orig, recon):
 def psnr(orig, recon) -> float:
     """Peak signal-to-noise ratio in dB with the original's value range as
     the peak. Identical inputs give +inf; a constant original that was
-    reconstructed imperfectly gives -inf."""
+    reconstructed imperfectly gives -inf. Squared differences are summed by
+    ``np.dot`` over x-rows of a z-plane, ``_PSNR_SLAB`` values (or one row) at
+    a time in one reused buffer: no volume-sized temporary, no thread-count
+    dependence."""
     o, r = _paired(orig, recon)
-    mse = float(np.mean((o - r) ** 2))
+    step = max(1, _PSNR_SLAB // o.shape[2])
+    buf = np.empty((min(step, o.shape[1]), o.shape[2]))
+    sse = 0.0
+    for oz, rz in zip(o, r):
+        for y in range(0, len(oz), step):
+            d = np.subtract(oz[y : y + step], rz[y : y + step], out=buf[: min(step, len(oz) - y)]).ravel()
+            sse += float(np.dot(d, d))
+    mse = sse / o.size
     if mse == 0.0:
         return math.inf
     vrange = float(o.max() - o.min())
@@ -46,19 +58,31 @@ def psnr(orig, recon) -> float:
     return float(20.0 * np.log10(vrange / np.sqrt(mse)))
 
 
-def _block_sum(a, b=None):
-    """Per-block sum of ``a`` (or of ``a * b``) over a (bz, 4, by, 4, bx, 4)
-    view; no temporary of the input's size."""
-    if b is None:
-        return np.einsum("aibjck->abc", a)
-    return np.einsum("aibjck,aibjck->abc", a, b)
+def _block_sum(a, b=None, out=None):
+    """Per-block sums of a C-contiguous (4bz, 4by, 4bx) array ``a`` (or of
+    ``a * b``, formed in ``out``): each x-run of 4 is a contiguous row summed
+    by a matrix-vector product, then y and z sum on the quarter-size rest."""
+    if b is not None:
+        a = np.multiply(a, b, out=out)
+    blocks = (-1, SSIM_STRIDE, a.shape[1] // SSIM_STRIDE, SSIM_STRIDE, a.shape[2] // SSIM_STRIDE)
+    t = (a.reshape(-1, SSIM_STRIDE, copy=False) @ np.ones(SSIM_STRIDE)).reshape(blocks)
+    t = t[:, :, :, 0] + t[:, :, :, 1] + t[:, :, :, 2] + t[:, :, :, 3]
+    return t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
 
 
-def _block_moments(x6):
-    """Block means, centered values and residual sums of a block view."""
-    m = _block_sum(x6) / _BLOCK_CELLS
-    d = x6 - m[:, None, :, None, :, None]
-    return m, d, _block_sum(d)
+def _block_moments(x, d, buf):
+    """Block means of a (4bz, 4by, 4bx) array ``x`` (copied into ``buf`` when
+    not C-contiguous), its values centered on them over whole x-rows into
+    ``d``, and the residual sums of ``d``."""
+    if not x.flags.c_contiguous:
+        np.copyto(buf, x)
+        x = buf
+    m = _block_sum(x) / _BLOCK_CELLS
+    bz, by, bx = m.shape
+    rows = (bz, SSIM_STRIDE, by, SSIM_STRIDE, SSIM_STRIDE * bx)
+    np.subtract(x.reshape(rows, copy=False), np.repeat(m, SSIM_STRIDE, axis=2)[:, None, :, None],
+                out=d.reshape(rows, copy=False))
+    return m, _block_sum(d)
 
 
 def _corners(a):
@@ -95,8 +119,8 @@ def ssim(orig, recon) -> float:
     materialized; the moments stay centered (no E[x^2] - E[x]^2), so
     identical inputs give exactly 1.0 and large offsets lose no precision.
     The block moments are computed over z-slabs of ``_SLAB_BLOCKS`` block
-    rows into preallocated arrays, so the centered temporaries are
-    slab-sized. Cells past the last whole window do not count."""
+    rows into preallocated arrays, through three reused slab buffers. Cells
+    past the last whole window do not count."""
     o, r = _paired(orig, recon)
     if min(o.shape) < SSIM_WINDOW:
         raise ShapeError(f"volume {o.shape} smaller than the {SSIM_WINDOW}^3 ssim window")
@@ -107,16 +131,17 @@ def ssim(orig, recon) -> float:
     c2 = (SSIM_K2 * L) ** 2
     bz, by, bx = blocks = [(n - SSIM_WINDOW) // SSIM_STRIDE + 2 for n in o.shape]
     mo, so, vo, mr, sr, vr, cor = (np.empty(blocks) for _ in range(7))
+    slab = (SSIM_STRIDE * min(_SLAB_BLOCKS, bz), SSIM_STRIDE * by, SSIM_STRIDE * bx)
+    bufs = [np.empty(slab) for _ in range(3)]
     for z in range(0, bz, _SLAB_BLOCKS):
         rows = slice(z, min(z + _SLAB_BLOCKS, bz))
-        crop = (slice(SSIM_STRIDE * rows.start, SSIM_STRIDE * rows.stop),
-                slice(0, SSIM_STRIDE * by), slice(0, SSIM_STRIDE * bx))
-        shape6 = (rows.stop - rows.start, SSIM_STRIDE, by, SSIM_STRIDE, bx, SSIM_STRIDE)
-        mo[rows], do, so[rows] = _block_moments(o[crop].reshape(shape6))
-        mr[rows], dr, sr[rows] = _block_moments(r[crop].reshape(shape6))
-        vo[rows] = _block_sum(do, do)
-        vr[rows] = _block_sum(dr, dr)
-        cor[rows] = _block_sum(do, dr)
+        cells = slice(SSIM_STRIDE * rows.start, SSIM_STRIDE * rows.stop)
+        do, dr, p = (buf[: cells.stop - cells.start] for buf in bufs)
+        mo[rows], so[rows] = _block_moments(o[cells, : slab[1], : slab[2]], do, p)
+        mr[rows], sr[rows] = _block_moments(r[cells, : slab[1], : slab[2]], dr, p)
+        vo[rows] = _block_sum(do, do, p)
+        vr[rows] = _block_sum(dr, dr, p)
+        cor[rows] = _block_sum(do, dr, p)
     mu_o = sum(_corners(mo)) / 8.0
     mu_r = sum(_corners(mr)) / 8.0
     n = float(SSIM_WINDOW**3)

@@ -62,6 +62,19 @@ def test_psnr_against_two_pass_oracle():
     assert psnr(o, r) == pytest.approx(want, rel=1e-12)
 
 
+def test_psnr_allocates_a_fraction_of_one_input():
+    o = smooth_field((64, 64, 64)).data
+    r = o + 1e-3 * np.random.default_rng(22).standard_normal(o.shape)
+    tracemalloc.start()
+    try:
+        psnr(o, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-volume difference peaks at one input
+    assert peak < 0.25 * o.nbytes
+
+
 def test_psnr_shape_mismatch():
     with pytest.raises(ShapeError):
         psnr(np.zeros((4, 4, 4)), np.zeros((4, 4, 5)))
@@ -180,9 +193,10 @@ def _reference_ssim(orig, recon):
     c2 = (SSIM_K2 * L) ** 2
     blocks = [(n - SSIM_WINDOW) // SSIM_STRIDE + 2 for n in o.shape]
     crop = tuple(slice(0, SSIM_STRIDE * b) for b in blocks)
-    shape6 = (blocks[0], SSIM_STRIDE, blocks[1], SSIM_STRIDE, blocks[2], SSIM_STRIDE)
-    mo, do, so = _block_moments(o[crop].reshape(shape6))
-    mr, dr, sr = _block_moments(r[crop].reshape(shape6))
+    xo, xr = np.ascontiguousarray(o[crop]), np.ascontiguousarray(r[crop])
+    do, dr = np.empty_like(xo), np.empty_like(xr)
+    mo, so = _block_moments(xo, do, None)
+    mr, sr = _block_moments(xr, dr, None)
     vo = _block_sum(do, do)
     vr = _block_sum(dr, dr)
     cor = _block_sum(do, dr)
@@ -219,6 +233,55 @@ def test_ssim_memory_is_bounded_by_the_slab():
         tracemalloc.stop()
     # whole-volume block moments peak at about 2.25 times the input
     assert peak < o.nbytes
+
+
+
+def _einsum_block_sum(a, b=None):
+    """Oracle: the per-block sum as one 6-D einsum over a
+    (bz, 4, by, 4, bx, 4) view, as ssim computed it before x-row sums."""
+    if b is None:
+        return np.einsum("aibjck->abc", a)
+    return np.einsum("aibjck,aibjck->abc", a, b)
+
+
+def _einsum_block_moments(x6):
+    m = _einsum_block_sum(x6) / SSIM_STRIDE**3
+    d = x6 - m[:, None, :, None, :, None]
+    return m, d, _einsum_block_sum(d)
+
+
+# x extents 33 and 9 are not multiples of 4: the slab is cropped and copied
+@pytest.mark.parametrize("shape", [(33, 20, 12), (9, 13, 17)])
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_block_moments_match_einsum_oracle(shape, offset):
+    rng = np.random.default_rng(21)
+    o = sum_of_gaussians(shape, seed=20).data + 0.1 * rng.standard_normal(shape[::-1]) + offset
+    r = o + 1e-3 * rng.standard_normal(o.shape)
+    blocks = [n // SSIM_STRIDE for n in o.shape]
+    crop = tuple(slice(0, SSIM_STRIDE * b) for b in blocks)
+    shape6 = (blocks[0], SSIM_STRIDE, blocks[1], SSIM_STRIDE, blocks[2], SSIM_STRIDE)
+    assert not o[crop].flags.c_contiguous
+    p, do, dr = (np.empty(o[crop].shape) for _ in range(3))
+    mo, so = _block_moments(o[crop], do, p)
+    mr, sr = _block_moments(r[crop], dr, p)
+    vo, vr, cor = _block_sum(do, do, p), _block_sum(dr, dr, p), _block_sum(do, dr, p)
+    want_mo, want_do, want_so = _einsum_block_moments(o[crop].reshape(shape6))
+    want_mr, want_dr, want_sr = _einsum_block_moments(r[crop].reshape(shape6))
+    want_vo = _einsum_block_sum(want_do, want_do)
+    want_vr = _einsum_block_sum(want_dr, want_dr)
+
+    def close(got, want, scale):
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    # a residual sum is rounding noise: it is held to the size of its terms
+    for x, m, s, want_m, want_s in ((o, mo, so, want_mo, want_so), (r, mr, sr, want_mr, want_sr)):
+        abs_sum = _einsum_block_sum(np.abs(x[crop]).reshape(shape6))
+        close(m, want_m, abs_sum / SSIM_STRIDE**3)
+        close(s, want_s, abs_sum)
+    close(vo, want_vo, want_vo)
+    close(vr, want_vr, want_vr)
+    close(cor, _einsum_block_sum(want_do, want_dr), np.sqrt(want_vo * want_vr))
+    assert ssim(o, o) == 1.0
 
 
 # ---------------------------------------------------------------- rd sweep
