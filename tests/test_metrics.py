@@ -247,10 +247,9 @@ def test_ssim_memory_is_bounded_by_the_slab():
     assert peak < o.nbytes
 
 
-
 def _einsum_block_sum(a, b=None):
     """Oracle: the per-block sum as one 6-D einsum over a
-    (bz, 4, by, 4, bx, 4) view, as ssim computed it before x-row sums."""
+    (bz, 4, by, 4, bx, 4) view."""
     if b is None:
         return np.einsum("aibjck->abc", a)
     return np.einsum("aibjck,aibjck->abc", a, b)
