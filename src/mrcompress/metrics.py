@@ -23,7 +23,7 @@ SSIM_K2 = 0.03
 # ssim() relies on SSIM_WINDOW == 2 * SSIM_STRIDE: a window is 2x2x2 blocks
 _BLOCK_CELLS = SSIM_STRIDE**3
 _SLAB_BLOCKS = 4  # block rows in z per slab of ssim's block moments
-_PSNR_SLAB = 1 << 13  # values per psnr slab; BLAS runs a dot of <= 10,000 on one thread
+_PSNR_SLAB = 1 << 15  # values per slab of psnr's squared differences
 
 
 def _paired(orig, recon):
@@ -37,18 +37,18 @@ def _paired(orig, recon):
 def psnr(orig, recon) -> float:
     """Peak signal-to-noise ratio in dB with the original's value range as
     the peak. Identical inputs give +inf; a constant original that was
-    reconstructed imperfectly gives -inf. Squared differences are summed by
-    ``np.dot`` over x-rows of a z-plane, ``_PSNR_SLAB`` values (or one row) at
-    a time in one reused buffer: no volume-sized temporary, no thread-count
-    dependence."""
+    reconstructed imperfectly gives -inf. The squared differences are formed
+    in slabs of x-rows, ``_PSNR_SLAB`` values (or one row) at a time in one
+    reused buffer, and each slab is summed by numpy's pairwise sum: no
+    volume-sized temporary."""
     o, r = _paired(orig, recon)
-    step = max(1, _PSNR_SLAB // o.shape[2])
-    buf = np.empty((min(step, o.shape[1]), o.shape[2]))
+    o, r = o.reshape(-1, o.shape[-1]), r.reshape(-1, r.shape[-1])
+    step = max(1, _PSNR_SLAB // o.shape[1])
+    buf = np.empty((min(step, len(o)), o.shape[1]))
     sse = 0.0
-    for oz, rz in zip(o, r):
-        for y in range(0, len(oz), step):
-            d = np.subtract(oz[y : y + step], rz[y : y + step], out=buf[: min(step, len(oz) - y)]).ravel()
-            sse += float(np.dot(d, d))
+    for y in range(0, len(o), step):
+        d = np.subtract(o[y : y + step], r[y : y + step], out=buf[: min(step, len(o) - y)])
+        sse += float(np.square(d, out=d).sum())
     mse = sse / o.size
     if mse == 0.0:
         return math.inf
@@ -60,14 +60,14 @@ def psnr(orig, recon) -> float:
 
 def _block_sum(a, b=None, out=None):
     """Per-block sums of a C-contiguous (4bz, 4by, 4bx) array ``a`` (or of
-    ``a * b``, formed in ``out``): each x-run of 4 is a contiguous row summed
-    by a matrix-vector product, then y and z sum on the quarter-size rest."""
+    ``a * b``, formed in ``out``): whole x-rows are added in z, then in y,
+    and each x-run of 4 is summed last, on the sixteenth-size rest."""
     if b is not None:
         a = np.multiply(a, b, out=out)
-    blocks = (-1, SSIM_STRIDE, a.shape[1] // SSIM_STRIDE, SSIM_STRIDE, a.shape[2] // SSIM_STRIDE)
-    t = (a.reshape(-1, SSIM_STRIDE, copy=False) @ np.ones(SSIM_STRIDE)).reshape(blocks)
-    t = t[:, :, :, 0] + t[:, :, :, 1] + t[:, :, :, 2] + t[:, :, :, 3]
-    return t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
+    t = a.reshape(-1, SSIM_STRIDE, a.shape[1] // SSIM_STRIDE, SSIM_STRIDE, a.shape[2])
+    t = t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
+    t = (t[:, :, 0] + t[:, :, 1] + t[:, :, 2] + t[:, :, 3]).reshape(*t.shape[:2], -1, SSIM_STRIDE)
+    return t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3]
 
 
 def _block_moments(x, d, buf):
@@ -80,8 +80,7 @@ def _block_moments(x, d, buf):
     m = _block_sum(x) / _BLOCK_CELLS
     bz, by, bx = m.shape
     rows = (bz, SSIM_STRIDE, by, SSIM_STRIDE, SSIM_STRIDE * bx)
-    np.subtract(x.reshape(rows, copy=False), np.repeat(m, SSIM_STRIDE, axis=2)[:, None, :, None],
-                out=d.reshape(rows, copy=False))
+    np.subtract(x.reshape(rows), np.repeat(m, SSIM_STRIDE, axis=2)[:, None, :, None], out=d.reshape(rows))
     return m, _block_sum(d)
 
 

@@ -75,18 +75,6 @@ def test_psnr_allocates_a_fraction_of_one_input():
     assert peak < 0.25 * o.nbytes
 
 
-def test_psnr_dots_stay_below_the_blas_threading_cutoff(monkeypatch):
-    # BLAS splits a dot of more than 10,000 values across its threads, so a
-    # longer dot would make psnr depend on the thread count (the benchmark
-    # pins BLAS to one thread, the tests do not)
-    sizes = []
-    dot = np.dot
-    monkeypatch.setattr(np, "dot", lambda a, b: sizes.append(a.size) or dot(a, b))
-    o = smooth_field((128, 128, 5)).data
-    psnr(o, o + 1e-3)
-    assert sum(sizes) == o.size and max(sizes) <= 10_000
-
-
 def test_psnr_shape_mismatch():
     with pytest.raises(ShapeError):
         psnr(np.zeros((4, 4, 4)), np.zeros((4, 4, 5)))
