@@ -62,6 +62,16 @@ def test_psnr_against_two_pass_oracle():
     assert psnr(o, r) == pytest.approx(want, rel=1e-12)
 
 
+# several chunks of x-rows with a short last one; rows longer than a chunk
+@pytest.mark.parametrize("shape", [(40, 30, 50), (3, 2, 40_000)])
+def test_psnr_chunks_cover_every_row(shape):
+    rng = np.random.default_rng(22)
+    o = rng.standard_normal(shape)
+    r = o + 1e-3 * rng.standard_normal(shape)
+    want = 20.0 * np.log10((o.max() - o.min()) / np.sqrt(np.mean((o - r) ** 2)))
+    assert psnr(o, r) == pytest.approx(want, rel=1e-12)
+
+
 def test_psnr_allocates_a_fraction_of_one_input():
     o = smooth_field((64, 64, 64)).data
     r = o + 1e-3 * np.random.default_rng(22).standard_normal(o.shape)
