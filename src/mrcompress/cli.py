@@ -22,7 +22,6 @@ from .container import (
     ContainerFile,
     ContainerLevel,
     container_from_dataset,
-    decoded_geometry,
     encode_container,
     read_container,
 )
@@ -87,9 +86,7 @@ def _dataset(c: ContainerFile, decoded=None) -> MultiResDataset:
     """The container's levels as a dataset. ``decoded`` holds each level's
     decode_level output when the caller already decoded them."""
     decoded = decoded or [None] * c.n_levels
-    with decoded_geometry():
-        return MultiResDataset(levels=tuple(decompress_level(lv.archive, dec)
-                                            for lv, dec in zip(c.levels, decoded)))
+    return MultiResDataset(levels=tuple(decompress_level(lv.archive, dec) for lv, dec in zip(c.levels, decoded)))
 
 
 def _reconstruct(c: ContainerFile, decoded=None) -> Volume:
@@ -119,6 +116,9 @@ def cmd_compress(args) -> int:
         raise ShapeError(f"sample rate must lie in (0, 0.05], got {args.sample_rate}")
     if _is_container(args.input):
         src = read_container(args.input)
+        if src.roi_mask is None:
+            raise ShapeError("compress takes a raw volume or an ROI container; "
+                             "this container holds a whole volume")
         ds = _dataset(src)
         levels = tuple(
             ContainerLevel(archive=compress_level(

@@ -96,13 +96,9 @@ class CompressedBlob:
 
     @property
     def original_bytes(self) -> int:
-        """Logical float64 size of the data the blob stands for; the
-        extrapolated padding layers do not count."""
-        nx, ny, nz = self.dims
-        if self.padded:
-            nx -= 1
-            ny -= 1
-        return nx * ny * nz * 8
+        """Float64 size of the data the blob stands for: its k u-blocks, or
+        the whole volume. Padding layers and filler slots do not count."""
+        return 8 * (self.k * self.u**3 if self.u else self.n_values)
 
     def to_bytes(self) -> bytes:
         p = self.policy

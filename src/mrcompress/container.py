@@ -32,11 +32,17 @@ Each fixed section is one ``struct.Struct`` that the writer and the reader
 share, and the reader goes through :class:`~mrcompress.wire.Reader`, so no
 count is trusted beyond the bytes that hold it. Re-encoding a decoded
 container reproduces the input bytes exactly.
+
+Unless the file is one whole-volume level, the reader checks its level
+records with :func:`~mrcompress.roi.check_tiling` once they are all parsed,
+before any payload is decoded: every level is tiled, the dims halve from
+level to level, and the occupancy bitmaps tile the finest grid exactly
+once. So every file the reader returns decodes into a valid dataset, and a
+file whose levels do not fit together is a ``FormatError`` at read time.
 """
 
 from __future__ import annotations
 
-import contextlib
 import struct
 import zlib
 from dataclasses import dataclass
@@ -49,7 +55,7 @@ from .errors import CoverageError, FormatError, MrcError, ShapeError
 from .layout import LINEAR, linear_merge, stack_merge
 from .pipeline import LevelArchive, SampleSet, compress_level, decompress_level
 from .postprocess import FAMILY_SZ, FAMILY_ZFP, IntensityConfig, SamplingPlan
-from .roi import MultiResDataset
+from .roi import MultiResDataset, check_tiling
 from .wire import U64, Reader, inflate, triples
 
 MAGIC = b"MRC2"
@@ -202,6 +208,11 @@ def decode_container(buf: bytes) -> ContainerFile:
         samples = _unpack_samples(Reader(buf, sc_off), blob) if sc_off else None
         arch = LevelArchive(dims=(nx, ny, nz), blob=blob, occupancy=occupancy, post=post, samples=samples)
         levels.append(ContainerLevel(archive=arch))
+    if n_levels > 1 or levels[0].archive.u:
+        try:
+            check_tiling([lv.archive for lv in levels])
+        except (ShapeError, CoverageError) as exc:
+            raise FormatError(f"container level geometry: {exc}") from exc
     return ContainerFile(levels=tuple(levels), roi_b=roi_b, roi_x_percent=roi_x)
 
 
@@ -256,17 +267,6 @@ def container_from_dataset(
     return ContainerFile(levels=tuple(levels), roi_b=roi_b, roi_x_percent=roi_x_percent)
 
 
-@contextlib.contextmanager
-def decoded_geometry():
-    """A decoded container whose levels do not fit together is a corrupt
-    file, not a usage problem."""
-    try:
-        yield
-    except (ShapeError, CoverageError) as exc:
-        raise FormatError(f"container level geometry: {exc}") from exc
-
-
 def dataset_from_container(c: ContainerFile) -> MultiResDataset:
     """Decompress every level back into a dataset."""
-    with decoded_geometry():
-        return MultiResDataset(levels=tuple(decompress_level(lv.archive) for lv in c.levels))
+    return MultiResDataset(levels=tuple(decompress_level(lv.archive) for lv in c.levels))

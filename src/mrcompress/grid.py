@@ -55,16 +55,6 @@ class Volume:
         arr.flags.writeable = False
         self.data = arr
 
-    @classmethod
-    def from_flat(cls, values, dims: Dims) -> "Volume":
-        nx, ny, nz = dims
-        flat = np.asarray(values, dtype=np.float64)
-        if flat.ndim != 1 or flat.size != nx * ny * nz:
-            raise ShapeError(
-                f"flat payload of length {flat.size} does not match dims {dims}"
-            )
-        return cls(flat.reshape(nz, ny, nx))
-
     @property
     def nx(self) -> int:
         return self.data.shape[2]

@@ -169,8 +169,3 @@ def unmerge(values: np.ndarray, u: int, k: int) -> np.ndarray:
     # a linear merge is a (k, 1, 1) slot grid, so both split the same way
     # and the linear one stays a view
     return block_view(values, u).reshape(-1, u, u, u)[:k]
-
-
-def padding_overhead(u: int) -> float:
-    """Size ratio padded/unpadded for a linear merge of u-blocks."""
-    return (u + 1) ** 2 / u**2

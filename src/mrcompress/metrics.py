@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .codec import ErrorBoundPolicy
-from .container import container_from_dataset, dataset_from_container, encode_container
+from .container import ContainerFile, ContainerLevel, container_from_dataset, dataset_from_container, encode_container
 from .errors import ShapeError
 from .grid import Volume
 from .pipeline import compress_volume, decompress_volume
@@ -162,17 +162,6 @@ class RateDistortionPoint:
     ssim: float
 
 
-def _point(eb, compressed_bytes, original_bytes, orig, recon) -> RateDistortionPoint:
-    return RateDistortionPoint(
-        eb=float(eb),
-        compressed_bytes=int(compressed_bytes),
-        original_bytes=int(original_bytes),
-        cr=original_bytes / compressed_bytes,
-        psnr_db=psnr(orig, recon),
-        ssim=ssim(orig, recon),
-    )
-
-
 def rd_sweep(
     source,
     ebs,
@@ -186,26 +175,29 @@ def rd_sweep(
     """Compress at each error bound and record size and quality.
 
     ``source`` is a Volume, or a MultiResDataset (then ``reference`` must
-    give the uniform original the reconstruction is scored against)."""
-    points = []
+    give the uniform original the reconstruction is scored against). The
+    compressed size is that of the whole container file either way."""
     if isinstance(source, Volume):
-        for eb in ebs:
-            policy = ErrorBoundPolicy(eb=float(eb), adaptive=adaptive)
-            arch = compress_volume(source, policy, codec=codec, lossless=lossless, post_family=post_family, seed=seed)
+        reference = source
+    elif not isinstance(source, MultiResDataset):
+        raise ShapeError(f"cannot sweep a {type(source).__name__}")
+    elif reference is None:
+        raise ShapeError("dataset sweeps need the uniform reference volume")
+    opts = dict(codec=codec, lossless=lossless, post_family=post_family, seed=seed)
+    points = []
+    for eb in ebs:
+        policy = ErrorBoundPolicy(eb=float(eb), adaptive=adaptive)
+        if isinstance(source, Volume):
+            arch = compress_volume(source, policy, **opts)
+            c = ContainerFile(levels=(ContainerLevel(archive=arch),))
             recon = decompress_volume(arch)
-            points.append(_point(eb, arch.size_bytes(), arch.blob.original_bytes, source, recon))
-        return points
-    if isinstance(source, MultiResDataset):
-        if reference is None:
-            raise ShapeError("dataset sweeps need the uniform reference volume")
-        for eb in ebs:
-            policy = ErrorBoundPolicy(eb=float(eb), adaptive=adaptive)
-            c = container_from_dataset(source, policy, codec=codec, lossless=lossless,
-                                       post_family=post_family, seed=seed)
+        else:
+            c = container_from_dataset(source, policy, **opts)
             recon = reconstruct_uniform(dataset_from_container(c))
-            points.append(_point(eb, len(encode_container(c)), reference.size * 8, reference, recon))
-        return points
-    raise ShapeError(f"cannot sweep a {type(source).__name__}")
+        size, orig = len(encode_container(c)), reference.size * 8
+        points.append(RateDistortionPoint(eb=float(eb), compressed_bytes=size, original_bytes=orig, cr=orig / size,
+                                          psnr_db=psnr(reference, recon), ssim=ssim(reference, recon)))
+    return points
 
 
 def write_jsonl(points, path) -> None:

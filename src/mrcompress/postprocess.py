@@ -55,12 +55,6 @@ class IntensityConfig:
     def candidates(self) -> tuple[float, ...]:
         return family_candidates(self.family)
 
-    @classmethod
-    def uniform(cls, family: str, a: float | None = None) -> "IntensityConfig":
-        if a is None:
-            a = family_candidates(family)[0]
-        return cls(family=family, chosen=(a, a, a))
-
 
 def bezier_mid(d3, d4, d5):
     """Midpoint of the quadratic Bezier curve with control points d3, d4, d5."""
@@ -111,21 +105,6 @@ def apply_postprocess(decomp: np.ndarray, eb: float, blocksize: int, cfg: Intens
     for a, axis in zip(cfg.chosen, _AXIS_ORDER):
         _axis_pass(arr, axis, blocksize, a, eb)
     return arr
-
-
-def postprocess_allowance(shape, blocksize: int, cfg: IntensityConfig) -> np.ndarray:
-    """Per-point worst-case total adjustment in units of eb: the sum of the
-    axis intensities whose passes may touch the point. Zero away from
-    boundaries."""
-    allow = np.zeros(shape, dtype=np.float64)
-    for a, axis in zip(cfg.chosen, _AXIS_ORDER):
-        pos = _boundary_positions(shape[axis], blocksize)
-        if pos.size == 0:
-            continue
-        sl = [slice(None)] * 3
-        sl[axis] = pos
-        allow[tuple(sl)] += a
-    return allow
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ The selector ranks b-cube blocks by their value range and keeps the top
 x percent at full resolution; everything else is downsampled once. The result
 is a block-structured dataset that can be reassembled into a uniform grid, and
 externally produced AMR level sets can be ingested into the same shape.
+:func:`check_tiling` states how levels fit together; a dataset checks its
+levels with it, and the container reader checks a file's level records with
+it before it decodes any payload.
 """
 
 from __future__ import annotations
@@ -79,11 +82,7 @@ class MultiResDataset:
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ShapeError("dataset needs at least one level")
-        fine = self.fine_dims
-        for li, lv in enumerate(self.levels):
-            if tuple(d * 2**li for d in lv.dims) != fine:
-                raise ShapeError(f"level {li} dims {lv.dims} break the 2x refinement chain from {fine}")
-        _coverage_check(self)
+        check_tiling(self.levels)
 
     @property
     def fine_dims(self) -> Dims:
@@ -95,15 +94,11 @@ class MultiResDataset:
         block-index order): the fine level's occupancy."""
         return self.levels[0].occupancy.reshape(-1)
 
-    def level_scale(self, li: int) -> int:
-        """Cell edge of level li measured in finest-grid cells."""
-        return 2**li
-
     def densities(self) -> list[float]:
         """Fraction of the domain carried by each level; they sum to 1."""
         nx, ny, nz = self.fine_dims
         total = nx * ny * nz
-        return [len(lv.blocks) * (lv.u * self.level_scale(li)) ** 3 / total
+        return [len(lv.blocks) * (lv.u * 2**li) ** 3 / total
                 for li, lv in enumerate(self.levels)]
 
 
@@ -138,21 +133,32 @@ def build_adaptive(v: Volume, mask: np.ndarray, cfg: RoiConfig) -> MultiResDatas
     return MultiResDataset(levels=(fine, coarse))
 
 
-def _coverage_check(ds: MultiResDataset) -> None:
-    """Verify every finest-grid cell is owned by exactly one block.
+def check_tiling(levels) -> None:
+    """Check that ``levels``, ordered fine to coarse, fit together: each
+    is tiled (u > 0), level li's dims times 2**li are the finest dims
+    (else ShapeError), and the occupied blocks own every finest-grid cell
+    exactly once (else CoverageError).
 
-    Counts on a lattice coarsened to the smallest block footprint, so the
-    counter stays tiny even for large domains.
+    A level needs only ``dims``, ``u`` and ``occupancy``, so the container
+    reader checks its level records with this before it decodes a payload.
+    Cells are counted on a lattice coarsened to the smallest block
+    footprint: the occupancy grid of the level with that footprint, so the
+    counter is no larger than an array the caller already holds.
     """
-    nx, ny, nz = ds.fine_dims
-    footprints = [lv.u * ds.level_scale(li) for li, lv in enumerate(ds.levels)]
-    # checked before the lattice is allocated, for dims read from a corrupt file
-    covered = sum(len(lv.blocks) * fp**3 for lv, fp in zip(ds.levels, footprints))
+    fine = tuple(levels[0].dims)
+    for li, lv in enumerate(levels):
+        if not lv.u:
+            raise ShapeError(f"level {li} is a whole volume, not a tiled level")
+        if tuple(d * 2**li for d in lv.dims) != fine:
+            raise ShapeError(f"level {li} dims {tuple(lv.dims)} break the 2x refinement chain from {fine}")
+    nx, ny, nz = fine
+    footprints = [lv.u * 2**li for li, lv in enumerate(levels)]
+    covered = sum(int(lv.occupancy.sum()) * fp**3 for lv, fp in zip(levels, footprints))
     if covered != nx * ny * nz:
         raise CoverageError(f"levels cover {covered} cells of a {nx * ny * nz}-cell domain")
     g = min(footprints)
     counter = np.zeros((nz // g, ny // g, nx // g), dtype=np.int32)
-    for lv, fp in zip(ds.levels, footprints):
+    for lv, fp in zip(levels, footprints):
         # each occupancy cell spreads over its footprint's lattice cells
         block_view(counter, fp // g)[...] += lv.occupancy[..., None, None, None]
     if (counter != 1).any():
@@ -180,7 +186,7 @@ def reconstruct_uniform(ds: MultiResDataset) -> Volume:
     nx, ny, nz = ds.fine_dims
     out = np.empty((nz, ny, nx), dtype=np.float64)
     for li, lv in enumerate(ds.levels):
-        e = lv.u * ds.level_scale(li)
+        e = lv.u * 2**li
         cells = block_view(out, e)
         bz, by, bx = np.nonzero(lv.occupancy)
         step = max(1, _PASTE_CHUNK_BYTES // (8 * e**3))

@@ -8,6 +8,7 @@ from scipy.special import ndtr
 from mrcompress.errors import ShapeError, StateError
 from mrcompress.grid import Volume, block_grid, downsample2x, upsample2x
 from mrcompress.layout import LINEAR, STACKED, MergedArray, _stack_grid
+from mrcompress.postprocess import _AXIS_ORDER, IntensityConfig, _boundary_positions
 from mrcompress.roi import Level, RoiConfig
 from mrcompress.uncertainty import ErrorModel
 
@@ -60,6 +61,26 @@ def sum_of_gaussians(dims, n=6, seed=0) -> Volume:
     widths = rng.uniform(min(dims) / 12, min(dims) / 5, n)
     amps = rng.uniform(0.5, 1.5, n)
     return gaussian_bumps(dims, centers, widths, amps)
+
+
+def padding_overhead(u: int) -> float:
+    """Size ratio padded/unpadded for a linear merge of u-blocks."""
+    return (u + 1) ** 2 / u**2
+
+
+def postprocess_allowance(shape, blocksize: int, cfg: IntensityConfig) -> np.ndarray:
+    """Per-point worst-case total adjustment of the post filter in units of
+    eb: the sum of the axis intensities whose passes may touch the point.
+    Zero away from boundaries."""
+    allow = np.zeros(shape, dtype=np.float64)
+    for a, axis in zip(cfg.chosen, _AXIS_ORDER):
+        pos = _boundary_positions(shape[axis], blocksize)
+        if pos.size == 0:
+            continue
+        sl = [slice(None)] * 3
+        sl[axis] = pos
+        allow[tuple(sl)] += a
+    return allow
 
 
 def max_abs_err(a, b) -> float:

@@ -28,7 +28,6 @@ from mrcompress.layout import (
     STACKED,
     linear_merge,
     pad_linear,
-    padding_overhead,
     stack_merge,
     unmerge,
     unpad,
@@ -42,7 +41,6 @@ from mrcompress.pipeline import (
     decompress_level,
     decompress_volume,
 )
-from mrcompress.postprocess import postprocess_allowance
 from mrcompress.roi import Level, RoiConfig, build_adaptive, reconstruct_uniform, select_roi
 from mrcompress.uncertainty import ErrorModel
 
@@ -51,6 +49,8 @@ from helpers import (
     cell_crossing_probability,
     gaussian_bumps,
     noisy_field,
+    padding_overhead,
+    postprocess_allowance,
     smooth_field,
     sum_of_gaussians,
     tile_volume,

@@ -358,6 +358,19 @@ def test_an_old_container_version_given_to_compress_exits_three(tmp_path, capsys
     assert "unsupported container version 1" in capsys.readouterr().err
 
 
+def test_a_whole_volume_container_given_to_compress_exits_two(tmp_path, capsys):
+    # the file is valid; compress only recompresses the levels of an ROI container
+    v = sum_of_gaussians((16, 16, 16), seed=13)
+    raw = _write_raw(tmp_path, v)
+    cont = tmp_path / "v.mrc"
+    assert main(["compress", "--input", raw, "--dims", _dims_arg(v), "--dtype", "f64",
+                 "--eb", "1e-3", "--out", str(cont)]) == 0
+    capsys.readouterr()
+    assert main(["compress", "--input", str(cont), "--eb", "1e-3", "--out", str(tmp_path / "x.mrc")]) == 2
+    assert "compress takes a raw volume or an ROI container" in capsys.readouterr().err
+    assert not (tmp_path / "x.mrc").exists()
+
+
 def test_retired_block_codec_id_exits_three(tmp_path):
     # id 2 was the closed-loop block codec, whose streams the block decoder
     # reads differently; its blobs are refused where they are parsed

@@ -185,6 +185,16 @@ def test_original_and_compressed_byte_counts():
     assert 0 < level_bytes < c.original_bytes()
 
 
+def test_original_bytes_count_the_blocks_in_either_arrangement():
+    # 13 fine blocks fill 13 of 18 stacked slots; the linear fine level is padded
+    _, _, ds = _dataset(percent=20.0, seed=5)
+    policy = ErrorBoundPolicy(eb=1e-2)
+    linear, stacked = (container_from_dataset(ds, policy, arrangement=a) for a in ("linear", "stacked"))
+    assert linear.levels[0].archive.blob.padded and stacked.levels[0].archive.blob.dims == (16, 24, 24)
+    want = sum(len(lv.blocks) * lv.u**3 for lv in ds.levels) * 8
+    assert linear.original_bytes() == stacked.original_bytes() == want
+
+
 # ----------------------------------------------------------------- sidecars
 
 

@@ -65,13 +65,6 @@ def test_adopt_freezes_without_a_copy(tmp_path):
         assert v.data.flags.c_contiguous and not v.data.flags.writeable
 
 
-def test_from_flat_round_trip():
-    flat = np.arange(60, dtype=np.float64)
-    v = Volume.from_flat(flat, (5, 4, 3))
-    assert np.array_equal(v.values, flat)
-    assert v.data[1, 2, 3] == flat[3 + 5 * (2 + 4 * 1)]
-
-
 def test_block_ranges_matches_bruteforce():
     v = noisy_field((16, 8, 8), seed=11)
     ranges = block_ranges(v, 4)
@@ -106,7 +99,7 @@ def test_downsample_constant():
 
 
 def test_downsample_mean_of_octant():
-    v = Volume.from_flat(np.arange(8, dtype=np.float64), (2, 2, 2))
+    v = Volume(np.arange(8, dtype=np.float64).reshape(2, 2, 2))
     d = downsample2x(v)
     assert d.dims == (1, 1, 1)
     assert d.data[0, 0, 0] == 3.5
@@ -132,7 +125,7 @@ def test_upsample_replicates():
 
 
 def test_upsample_octants():
-    v = Volume.from_flat(np.arange(8, dtype=np.float64), (2, 2, 2))
+    v = Volume(np.arange(8, dtype=np.float64).reshape(2, 2, 2))
     u = upsample2x(v)
     assert u.dims == (4, 4, 4)
     for z in range(2):

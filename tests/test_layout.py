@@ -8,11 +8,12 @@ from mrcompress.layout import (
     MergedArray,
     linear_merge,
     pad_linear,
-    padding_overhead,
     stack_merge,
     unmerge,
     unpad,
 )
+
+from helpers import padding_overhead
 
 
 def _blocks(k, u=8, seed=0):

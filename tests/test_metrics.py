@@ -7,7 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mrcompress.codec import ErrorBoundPolicy
-from mrcompress.container import container_from_dataset, encode_container
+from mrcompress.container import ContainerFile, ContainerLevel, container_from_dataset, encode_container
 from mrcompress.errors import ShapeError
 from mrcompress.grid import Volume
 from mrcompress.metrics import (
@@ -27,6 +27,7 @@ from mrcompress.metrics import (
     ssim,
     write_jsonl,
 )
+from mrcompress.pipeline import compress_volume
 from mrcompress.roi import RoiConfig, build_adaptive, select_roi
 
 from helpers import noisy_field, smooth_field, sum_of_gaussians
@@ -339,11 +340,14 @@ def test_rd_sweep_over_dataset_counts_the_whole_file():
     v = sum_of_gaussians((32, 32, 32), seed=10)
     cfg = RoiConfig(b=8, x_percent=25.0)
     ds = build_adaptive(v, select_roi(v, cfg), cfg)
-    (pt,) = rd_sweep(ds, [1e-3], post_family="sz", reference=v)
-    c = container_from_dataset(ds, ErrorBoundPolicy(eb=1e-3), post_family="sz")
-    assert any(lv.archive.samples is not None for lv in c.levels)
-    assert pt.compressed_bytes == len(encode_container(c))
-    assert pt.compressed_bytes > sum(lv.archive.size_bytes() for lv in c.levels)
+    policy = ErrorBoundPolicy(eb=1e-3)
+    whole = ContainerFile(levels=(ContainerLevel(archive=compress_volume(v, policy, post_family="sz")),))
+    for source, c in ((ds, container_from_dataset(ds, policy, post_family="sz")), (v, whole)):
+        (pt,) = rd_sweep(source, [1e-3], post_family="sz", reference=v)
+        assert any(lv.archive.samples is not None for lv in c.levels)
+        assert pt.compressed_bytes == len(encode_container(c))
+        assert pt.compressed_bytes > sum(lv.archive.size_bytes() for lv in c.levels)
+        assert pt.original_bytes == v.size * 8
 
 
 def test_rd_sweep_over_fully_fine_dataset():

@@ -18,13 +18,14 @@ from mrcompress.pipeline import (
     decompress_volume,
     level_sample_pairs,
 )
-from mrcompress.postprocess import plan_sampling, postprocess_allowance
+from mrcompress.postprocess import plan_sampling
 from mrcompress.roi import Level
 
 from helpers import (
     assemble_volume,
     max_abs_err,
     noisy_field,
+    postprocess_allowance,
     smooth_field,
     sum_of_gaussians,
     tile_blocks,

@@ -12,11 +12,10 @@ from mrcompress.postprocess import (
     extract_regions,
     family_candidates,
     plan_sampling,
-    postprocess_allowance,
     select_intensity,
 )
 
-from helpers import noisy_field
+from helpers import noisy_field, postprocess_allowance
 
 
 def _line(values):
@@ -54,9 +53,9 @@ def test_family_candidate_sets():
 
 
 def test_intensity_config_validation():
-    cfg = IntensityConfig.uniform(FAMILY_SZ, 0.2)
+    cfg = IntensityConfig(FAMILY_SZ, [0.2, 0.2, 0.2])
     assert cfg.chosen == (0.2, 0.2, 0.2)
-    assert IntensityConfig.uniform(FAMILY_ZFP).chosen == (0.005,) * 3
+    assert IntensityConfig(FAMILY_ZFP, (0.005,) * 3).chosen == (0.005,) * 3
     with pytest.raises(ShapeError):
         IntensityConfig(FAMILY_SZ, (0.2, 0.2))
     with pytest.raises(ShapeError):
@@ -73,7 +72,7 @@ def test_line_update_by_hand():
     line[3] = 1.0
     line[7] = 0.1
     v = _line(line)
-    cfg = IntensityConfig.uniform(FAMILY_SZ, 0.5)
+    cfg = IntensityConfig(FAMILY_SZ, (0.5, 0.5, 0.5))
     out = apply_postprocess(v, eb=0.2, blocksize=4, cfg=cfg)
     want = line.copy()
     # pos 3: bezier mid 0.5 is below the band floor 1.0 - 0.5*0.2 = 0.9
@@ -85,14 +84,14 @@ def test_line_update_by_hand():
 
 def test_blocksize_one_is_a_no_op():
     v = noisy_field((8, 8, 8), seed=0).data
-    out = apply_postprocess(v, eb=0.1, blocksize=1, cfg=IntensityConfig.uniform(FAMILY_SZ, 0.5))
+    out = apply_postprocess(v, eb=0.1, blocksize=1, cfg=IntensityConfig(FAMILY_SZ, (0.5, 0.5, 0.5)))
     assert np.array_equal(out, v) and not np.shares_memory(out, v)
 
 
 def test_blocksize_validation():
     v = noisy_field((4, 4, 4), seed=0).data
     with pytest.raises(ShapeError):
-        apply_postprocess(v, 0.1, 0, IntensityConfig.uniform(FAMILY_SZ))
+        apply_postprocess(v, 0.1, 0, IntensityConfig(FAMILY_SZ, (0.05, 0.05, 0.05)))
 
 
 def test_changes_confined_to_boundary_planes():

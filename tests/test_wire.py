@@ -1,9 +1,10 @@
 """The bounded reader, and every corrupt container ends in a FormatError.
 
-The flip sweep walks each structured section of five containers with its
+The flip sweep walks each structured section of six containers with its
 own copy of the layout sizes in the module docstrings, so a parser that
 drifts from them shows up here as well. Every flip of an occupancy bitmap,
-padding bits included, must end in a FormatError.
+padding bits included, must end in a FormatError from the reader alone, as
+must a multi-level file with a whole-volume level.
 """
 
 import struct
@@ -21,7 +22,6 @@ from mrcompress.container import (
     ContainerFile,
     ContainerLevel,
     container_from_dataset,
-    dataset_from_container,
     decode_container,
     encode_container,
 )
@@ -149,13 +149,17 @@ def built():
     policy = ErrorBoundPolicy(eb=1e-3)
     roi = dict(roi_b=cfg.b, roi_x_percent=cfg.x_percent)
     whole = compress_volume(sum_of_gaussians((32, 32, 32), seed=2), policy, post_family="sz")
+    stored = container_from_dataset(ds32, **roi)
+    # on the coarse level's dims, but a whole volume (u = 0) where a tiled level belongs
+    whole16 = ContainerLevel(archive=compress_volume(sum_of_gaussians((16, 16, 16), seed=3), policy))
     return {
-        "stored-roi": container_from_dataset(ds32, **roi),
+        "stored-roi": stored,
         "stored-roi-ragged": container_from_dataset(ragged, **roi),
         "interp-roi-zlib-sz": container_from_dataset(ds48, policy, lossless="zlib", post_family="sz", **roi),
         "block-stacked-zfp": container_from_dataset(ds32, policy, codec="block", arrangement="stacked",
                                                     lossless="zlib", post_family="zfp", **roi),
         "whole-volume": ContainerFile(levels=(ContainerLevel(archive=whole),)),
+        "whole-second-level": ContainerFile(levels=(stored.levels[0], whole16), **roi),
     }
 
 
@@ -185,12 +189,12 @@ def _blob_offsets(c):
     return out
 
 
-def _structured_spans(raw):
-    """(offset, size, level) of every fixed-layout section of the container
-    ``raw``, its Huffman table heads and the ends of its sample origin
-    tables; ``level`` is the index of the level whose blob or post record
-    the span lies in, "occupancy" for a level's bitmap, else None."""
-    c = decode_container(raw)
+def _structured_spans(c, raw):
+    """(offset, size, level) of every fixed-layout section of ``raw``, the
+    encoded container ``c``, of its Huffman table heads and of the ends of
+    its sample origin tables; ``level`` is the index of the level whose blob
+    or post record the span lies in, "occupancy" for a level's bitmap, else
+    None."""
     spans = [(0, _HEAD, None)]
     for k, (lv, at) in enumerate(zip(c.levels, _blob_offsets(c))):
         a, n = lv.archive, _occupancy_bytes(lv.archive)
@@ -217,23 +221,29 @@ def _structured_spans(raw):
     return spans
 
 
-_CONTAINERS = ["stored-roi", "stored-roi-ragged", "interp-roi-zlib-sz", "block-stacked-zfp", "whole-volume"]
+_CONTAINERS = ["stored-roi", "stored-roi-ragged", "interp-roi-zlib-sz", "block-stacked-zfp", "whole-volume",
+               "whole-second-level"]
 
 
 @pytest.mark.parametrize("name", _CONTAINERS)
-def test_every_structured_byte_flip_decodes_or_raises_format_error(containers, name):
+def test_every_structured_byte_flip_decodes_or_raises_format_error(built, containers, name):
     raw = containers[name]
+    if name == "whole-second-level":
+        # every level of a multi-level file is tiled
+        with pytest.raises(FormatError, match="level 1 is a whole volume"):
+            decode_container(raw)
     rejected = 0
-    for at, size, level in _structured_spans(raw):
+    for at, size, level in _structured_spans(built[name], raw):
         for pos in range(at, at + size):
             for mask in (0x01, 0x80, 0xFF):
                 bad = bytearray(raw)
                 bad[pos] ^= mask
                 if level == "occupancy":
                     # a bitmap flip never yields a valid file: it changes the
-                    # block count, sets a padding bit or breaks the tiling
+                    # block count, sets a padding bit or breaks the tiling,
+                    # and the reader sees each before it decodes a payload
                     with pytest.raises(FormatError):
-                        dataset_from_container(decode_container(bytes(bad)))
+                        decode_container(bytes(bad))
                     rejected += 1
                     continue
                 try:
@@ -275,6 +285,12 @@ def flip_cases(built):
     raw = bytearray(encode_container(stored))
     raw[occupancy] ^= 0x01  # one fine block more or less than the blob holds
     cases["fine-occupancy"] = raw
+    # one fine block moved: the block count holds, the tiling breaks
+    fine = stored.levels[0].archive.occupancy.reshape(-1)
+    raw = bytearray(encode_container(stored))
+    for bit in (np.argmax(fine), np.argmin(fine)):
+        raw[occupancy + bit // 8] ^= 1 << (bit % 8)
+    cases["fine-occupancy-moved"] = raw
     raw = bytearray(encode_container(roi))
     raw[7] = 0  # the level count
     cases["no-levels"] = raw
@@ -292,10 +308,18 @@ def flip_cases(built):
     return cases
 
 
-@pytest.mark.parametrize("case", ["no-levels", "arrangement", "padded-linear", "padded-stacked", "fine-occupancy"]
+@pytest.mark.parametrize("case", ["no-levels", "arrangement", "padded-linear", "padded-stacked", "fine-occupancy",
+                                  "fine-occupancy-moved"]
                          + [f"fine-dims-{pos}-{mask:02x}" for pos, mask in _DIMS_FLIPS])
-def test_malformed_layout_bytes_exit_three(tmp_path, flip_cases, case):
+def test_malformed_layout_bytes_exit_three(tmp_path, monkeypatch, flip_cases, case):
+    import mrcompress.pipeline as pipeline
+
     path = tmp_path / "bad.mrc"
     path.write_bytes(bytes(flip_cases[case]))
     args = ["decompress", "--input", str(path), "--out", str(tmp_path / "out.raw")]
+    # the reader rejects the file before any level's payload is decoded
+    calls = []
+    decompress = pipeline.decompress
+    monkeypatch.setattr(pipeline, "decompress", lambda blob: calls.append(blob) or decompress(blob))
     assert main(args + ["--uniform"]) == 3
+    assert calls == []
