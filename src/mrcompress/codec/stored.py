@@ -28,7 +28,7 @@ def stored_compress(arr: np.ndarray, policy: ErrorBoundPolicy, lossless: str = L
     when ``recon`` else None). ``policy`` bounds nothing here."""
     if lossless != LOSSLESS_NONE:
         raise ShapeError("stored blobs take no lossless pass")
-    payload = arr.astype("<f8").tobytes()
+    payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
     return _HEAD.pack(0, 0, len(payload)) + payload, arr if recon else None
 
 

@@ -108,18 +108,48 @@ def block_view(arr: np.ndarray, b: int) -> np.ndarray:
 
 
 def block_ranges(v: Volume, b: int) -> np.ndarray:
-    """Value range of every b-block, flat in block-index order."""
-    cells = block_view(v.data, b)
-    return (cells.max(axis=(3, 4, 5)) - cells.min(axis=(3, 4, 5))).reshape(-1)
+    """Value range of every b-block, flat in block-index order.
+
+    Each extreme is folded over contiguous memory, largest stride first:
+    the b z-planes of a block row elementwise over whole (ny, nx) planes,
+    then the b y-rows of each block over whole x-rows, and the x-runs of b
+    last, on the 1/b^2 of the values that remain. Max and min do not depend
+    on order, so the ranges equal those of the 6-D ``block_view``."""
+    gx, gy, gz = block_grid(v.dims, b)
+    planes = v.data.reshape(gz, b, gy * b, gx * b)
+
+    def fold(reduce):
+        rows = reduce(planes, axis=1).reshape(gz, gy, b, gx * b)
+        return reduce(reduce(rows, axis=2).reshape(gz, gy, gx, b), axis=3)
+
+    return (fold(np.maximum.reduce) - fold(np.minimum.reduce)).reshape(-1)
 
 
 def downsample2x(v: Volume) -> Volume:
-    """Halve every axis by averaging disjoint 2x2x2 cells."""
+    """Halve every axis by averaging disjoint 2x2x2 cells.
+
+    Each cell is ((((0 + s00) + s01) + s10) + s11) / 8, where sij is the
+    x-pair a[2z+i, 2y+j, 2x] + a[2z+i, 2y+j, 2x+1]. That is the order of
+    numpy's ``mean`` over the (1, 3, 5) axes of the (nz/2, 2, ny/2, 2,
+    nx/2, 2) reshape, whose inner loop sums each contiguous x-pair into the
+    zeroed output, cell pairs in (z, y) index order; writing it out pins the
+    bytes against a change in numpy. Each sij is formed in one reused
+    output-sized scratch, so the peak is about twice the output. For
+    nx = 2 the y- and x-pairs are one contiguous run, which numpy sums in
+    another order, so that volume keeps ``mean`` itself. Sums of huge finite
+    values may overflow, and the adopted output is checked for finiteness."""
     nx, ny, nz = v.dims
     if nx % 2 or ny % 2 or nz % 2:
         raise ShapeError(f"dims {v.dims} not divisible by 2")
-    pooled = v.data.reshape(nz // 2, 2, ny // 2, 2, nx // 2, 2).mean(axis=(1, 3, 5))
-    return Volume(pooled)
+    a = v.data
+    if nx == 2:
+        return Volume._adopt(a.reshape(nz // 2, 2, ny // 2, 2, 1, 2).mean(axis=(1, 3, 5)))
+    out = np.zeros((nz // 2, ny // 2, nx // 2))
+    pair = np.empty_like(out)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        out += np.add(a[i::2, j::2, 0::2], a[i::2, j::2, 1::2], out=pair)
+    out /= 8.0
+    return Volume._adopt(out)
 
 
 def upsample2x(v: Volume) -> Volume:
@@ -144,7 +174,10 @@ def read_raw_volume(path, dims: Dims, dtype: str = "f32") -> Volume:
         raise ShapeError(
             f"file holds {flat.size} scalars, dims {dims} require {nx * ny * nz}"
         )
-    return Volume._adopt(flat.astype(np.float64).reshape(nz, ny, nx))
+    # widening f32 to f64 is exact, so the narrow array shows every NaN or inf
+    if not np.isfinite(flat).all():
+        raise DataError("volume contains non-finite values")
+    return Volume._adopt(flat.astype(np.float64, copy=False).reshape(nz, ny, nx), finite=True)
 
 
 def write_raw_volume(v: Volume, path, dtype: str = "f32") -> None:

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from mrcompress.errors import ShapeError, StateError
-from mrcompress.grid import Volume, block_grid, downsample2x, upsample2x
+from mrcompress.grid import Volume, block_grid, block_view, downsample2x, upsample2x
 from mrcompress.layout import LINEAR, STACKED, MergedArray, _stack_grid
 from mrcompress.postprocess import _AXIS_ORDER, IntensityConfig, _boundary_positions
 from mrcompress.roi import Level, RoiConfig
@@ -81,6 +81,20 @@ def postprocess_allowance(shape, blocksize: int, cfg: IntensityConfig) -> np.nda
         sl[axis] = pos
         allow[tuple(sl)] += a
     return allow
+
+
+def downsample2x_mean(v: Volume) -> np.ndarray:
+    """2x pooling as numpy's mean over the cell axes of the 6-D reshape:
+    the formula ``grid.downsample2x`` must match bit for bit."""
+    nx, ny, nz = v.dims
+    return v.data.reshape(nz // 2, 2, ny // 2, 2, nx // 2, 2).mean(axis=(1, 3, 5))
+
+
+def block_ranges_6d(v: Volume, b: int) -> np.ndarray:
+    """Per-block max - min over the 6-D ``block_view``, flat in block-index
+    order: the formula ``grid.block_ranges`` must match bit for bit."""
+    cells = block_view(v.data, b)
+    return (cells.max(axis=(3, 4, 5)) - cells.min(axis=(3, 4, 5))).reshape(-1)
 
 
 def max_abs_err(a, b) -> float:

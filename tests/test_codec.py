@@ -13,7 +13,7 @@ from mrcompress.codec.entropy import entropy_decode, entropy_encode
 from mrcompress.codec.policy import ErrorBoundPolicy, level_error_bound
 from mrcompress.codec.quantize import CODE_CAP, LITERAL_MARK, quantize_array
 from mrcompress.codec.interp import _axis_passes, _gather, _scatter, _slabs, _walk, interp_decompress
-from mrcompress.codec.stored import STORED_POLICY
+from mrcompress.codec.stored import STORED_POLICY, stored_compress
 from mrcompress.errors import FormatError, ShapeError
 from mrcompress.grid import Volume
 from mrcompress.layout import MergedArray, linear_merge, pad_linear
@@ -673,6 +673,16 @@ def test_stored_codec_keeps_values_verbatim():
     assert decompress(CompressedBlob.from_bytes(blob.to_bytes())[0]).tobytes() == v.data.tobytes()
     with pytest.raises(ShapeError):
         compress(v, STORED_POLICY, codec="stored", lossless="zlib")
+
+
+def test_stored_payload_is_the_little_endian_f64_array():
+    # one serializing copy whatever the input's dtype and strides
+    v = noisy_field((6, 4, 5), seed=19)
+    want, _ = stored_compress(v.data, STORED_POLICY)
+    assert want.endswith(v.data.astype("<f8").tobytes())
+    for arr in (v.data.astype(np.float32), v.data[:, ::2, :], v.data.astype(">f8")):
+        got, _ = stored_compress(arr, STORED_POLICY)
+        assert got == stored_compress(np.array(arr, dtype=np.float64), STORED_POLICY)[0]
 
 
 def test_blob_original_bytes_ignores_padding():

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrcompress.errors import DataError, ShapeError
 from mrcompress.grid import (
@@ -12,7 +16,7 @@ from mrcompress.grid import (
     write_raw_volume,
 )
 
-from helpers import noisy_field
+from helpers import block_ranges_6d, downsample2x_mean, noisy_field
 
 
 def test_volume_basic_properties():
@@ -152,3 +156,93 @@ def test_raw_file_round_trip(tmp_path):
     assert np.allclose(back.data, v.data, atol=1e-6)
     with pytest.raises(ShapeError):
         read_raw_volume(p64, (6, 5, 5), "f64")
+
+
+def _wide_field(shape, seed) -> Volume:
+    """Mixed signs over magnitudes e^-30 to e^30, with whole 2x2x2 cells of
+    -0.0 and scattered +0.0 and -0.0 values."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+    nz, ny, nx = shape
+    cells = block_view(data[: nz // 2 * 2, : ny // 2 * 2, : nx // 2 * 2], 2)
+    cells[rng.random(cells.shape[:3]) < 0.1] = -0.0
+    data[rng.random(shape) < 0.05] = 0.0
+    data[rng.random(shape) < 0.05] = -0.0
+    return Volume(data)
+
+
+_HALF_EDGES = st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_HALF_EDGES, st.integers(0, 2**32 - 1))
+@example((1, 1, 1), 0)
+@example((3, 1, 4), 0)
+@example((1, 5, 2), 0)
+def test_downsample_is_numpys_mean_bit_for_bit(half, seed):
+    v = _wide_field(tuple(2 * n for n in half), seed)
+    assert downsample2x(v).data.tobytes() == downsample2x_mean(v).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_HALF_EDGES, st.sampled_from([1, 2, 4, 8]), st.integers(0, 2**32 - 1))
+def test_block_ranges_equal_the_6d_formula(grid, b, seed):
+    # grid counts blocks per axis; halved so that b = 8 stays small
+    v = _wide_field(tuple(b * max(1, n // 2) for n in grid), seed)
+    assert block_ranges(v, b).tobytes() == block_ranges_6d(v, b).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(6, 40, 1026), (32, 32, 32)])
+def test_kernels_match_their_formulas_on_wide_fields(shape):
+    v = _wide_field(shape, seed=sum(shape))
+    assert downsample2x(v).data.tobytes() == downsample2x_mean(v).tobytes()
+    assert block_ranges(v, 2).tobytes() == block_ranges_6d(v, 2).tobytes()
+
+
+@pytest.mark.parametrize("nx", [2, 4])
+def test_downsample_refuses_a_cell_sum_that_overflows(nx):
+    data = np.full((4, 4, nx), 1.0)
+    data[2:, 2:, :2] = np.finfo(np.float64).max / 4  # finite, but eight of them are not
+    with pytest.raises(DataError), np.errstate(over="ignore"):
+        downsample2x(Volume(data))
+
+
+def _peak(f, *args):
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_downsample_peak_is_its_output_and_one_scratch():
+    # plus the output's finiteness mask (an eighth) and numpy's fixed-size buffers
+    out, peak = _peak(downsample2x, noisy_field((128, 128, 64), seed=12))
+    assert peak <= 2.5 * out.data.nbytes
+
+
+def test_block_ranges_peak_is_far_below_an_input_copy():
+    v = noisy_field((64, 64, 64), seed=13)
+    _, peak = _peak(block_ranges, v, 16)
+    assert peak <= v.data.nbytes / 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_read_raw_refuses_nonfinite_values(tmp_path, bad, dtype):
+    arr = np.zeros((2, 3, 4), dtype="<f4" if dtype == "f32" else "<f8")
+    arr[1, 2, 3] = bad
+    arr.tofile(tmp_path / "v.raw")
+    with pytest.raises(DataError):
+        read_raw_volume(tmp_path / "v.raw", (4, 3, 2), dtype)
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+def test_read_raw_widens_the_file_exactly(tmp_path, dtype):
+    p = tmp_path / "v.raw"
+    noisy_field((6, 5, 4), seed=3).data.astype(dtype).tofile(p)
+    got = read_raw_volume(p, (6, 5, 4), "f32" if dtype == "<f4" else "f64")
+    want = np.fromfile(p, dtype=dtype).astype(np.float64).reshape(4, 5, 6)
+    assert got.data.dtype == np.float64 and got.data.tobytes() == want.tobytes()
+    assert got.data.flags.c_contiguous and not got.data.flags.writeable
