@@ -134,16 +134,13 @@ def downsample2x(v: Volume) -> Volume:
     nx/2, 2) reshape, whose inner loop sums each contiguous x-pair into the
     zeroed output, cell pairs in (z, y) index order; writing it out pins the
     bytes against a change in numpy. Each sij is formed in one reused
-    output-sized scratch, so the peak is about twice the output. For
-    nx = 2 the y- and x-pairs are one contiguous run, which numpy sums in
-    another order, so that volume keeps ``mean`` itself. Sums of huge finite
-    values may overflow, and the adopted output is checked for finiteness."""
+    output-sized scratch, so the peak is about twice the output. Sums of
+    huge finite values may overflow, and the adopted output is checked for
+    finiteness."""
     nx, ny, nz = v.dims
     if nx % 2 or ny % 2 or nz % 2:
         raise ShapeError(f"dims {v.dims} not divisible by 2")
     a = v.data
-    if nx == 2:
-        return Volume._adopt(a.reshape(nz // 2, 2, ny // 2, 2, 1, 2).mean(axis=(1, 3, 5)))
     out = np.zeros((nz // 2, ny // 2, nx // 2))
     pair = np.empty_like(out)
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):

@@ -97,19 +97,12 @@ def _window_comoment(ma, sa, mua, mb, sb, mub, cab):
     block means to the window means (Chan, Golub and LeVeque's pairwise
     update). The residual sums ``sa``/``sb`` (sum of x minus the rounded
     block mean, zero in exact arithmetic) cancel the first-order effect of
-    rounding the block means, which matters under a large offset.
-
-    Each corner's term is ``cc + da * csb + db * csa + 64 * da * db``, formed
-    left to right in four reused window-sized buffers."""
+    rounding the block means, which matters under a large offset."""
     total = np.zeros(mua.shape)
-    da, db, term, prod = (np.empty(mua.shape) for _ in range(4))
     for ca, csa, cb, csb, cc in zip(*map(_corners, (ma, sa, mb, sb, cab))):
-        np.subtract(ca, mua, out=da)
-        np.subtract(cb, mub, out=db)
-        np.add(cc, np.multiply(da, csb, out=term), out=term)
-        term += np.multiply(db, csa, out=prod)
-        term += np.multiply(np.multiply(da, _BLOCK_CELLS, out=prod), db, out=prod)
-        total += term
+        da = ca - mua
+        db = cb - mub
+        total += cc + da * csb + db * csa + _BLOCK_CELLS * da * db
     return total
 
 

@@ -222,28 +222,6 @@ def _reference_ssim(orig, recon):
     return float(np.mean(num / den))
 
 
-def _expression_comoment(ma, sa, mua, mb, sb, mub, cab):
-    """The window co-moment with each corner's term as one expression, a
-    temporary per operation: the buffered kernel must match it bit for bit."""
-    total = np.zeros(mua.shape)
-    for ca, csa, cb, csb, cc in zip(*map(_corners, (ma, sa, mb, sb, cab))):
-        da = ca - mua
-        db = cb - mub
-        total += cc + da * csb + db * csa + SSIM_STRIDE**3 * da * db
-    return total
-
-
-@pytest.mark.parametrize("shape", [(2, 2, 2), (5, 9, 17), (32, 32, 32)])
-@pytest.mark.parametrize("offset", [0.0, 1e8])
-def test_window_comoment_buffers_keep_the_expression_order(shape, offset):
-    rng = np.random.default_rng(sum(shape))
-    ma, sa, mb, sb, cab = (offset + rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
-                           for _ in range(5))
-    mua, mub = (sum(_corners(m)) / 8.0 for m in (ma, mb))
-    for args in ((ma, sa, mua, mb, sb, mub, cab), (ma, sa, mua, ma, sa, mua, cab)):
-        assert _window_comoment(*args).tobytes() == _expression_comoment(*args).tobytes()
-
-
 # z block counts below, at and around one and two slabs
 @pytest.mark.parametrize("blocks_z", [3, 4, 5, 8, 9])
 @pytest.mark.parametrize("offset", [0.0, 1e8])
