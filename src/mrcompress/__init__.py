@@ -17,7 +17,6 @@ from .errors import (
     MrcError,
     SamplingError,
     ShapeError,
-    StateError,
 )
 from .grid import Volume, downsample2x, read_raw_volume, upsample2x, write_raw_volume
 from .layout import MergedArray, linear_merge, pad_linear, stack_merge, unmerge, unpad

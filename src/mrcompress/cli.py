@@ -8,7 +8,6 @@ unexpected. Output files are written atomically (temp file, then rename).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -24,6 +23,7 @@ from .container import (
     container_from_dataset,
     encode_container,
     read_container,
+    write_container,
 )
 from .errors import DataError, FormatError, MrcError, ShapeError
 from .grid import Volume, read_raw_volume, write_raw_volume
@@ -38,28 +38,8 @@ from .pipeline import (
     level_sample_pairs,
 )
 from .roi import MultiResDataset, RoiConfig, build_adaptive, reconstruct_uniform, select_roi
-from .uncertainty import DEFAULT_WINDOW, fit_model, probability_field, sample_errors, sidecar_json
-
-
-def _atomic(path: str, write) -> None:
-    """Run ``write`` on a temp file next to ``path``, then rename it over
-    ``path``. The temp file is removed if either step fails."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    def write(tmp):
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-
-    _atomic(path, write)
+from .uncertainty import DEFAULT_WINDOW, fit_model, probability_field, sample_errors, write_probability_field
+from .wire import atomic, atomic_write
 
 
 def _parse_dims(text: str):
@@ -100,8 +80,7 @@ def cmd_roi(args) -> int:
     cfg = RoiConfig(b=args.block, x_percent=args.percent)
     mask = select_roi(vol, cfg)
     ds = build_adaptive(vol, mask, cfg)
-    c = container_from_dataset(ds, policy=None, roi_b=cfg.b, roi_x_percent=cfg.x_percent)
-    _atomic_write(args.out, encode_container(c))
+    write_container(container_from_dataset(ds, policy=None, roi_b=cfg.b, roi_x_percent=cfg.x_percent), args.out)
     picked = int(mask.sum())
     print(f"selected {picked} of {mask.size} blocks ({100.0 * picked / mask.size:.1f}%)")
     for li, (lv, dens) in enumerate(zip(ds.levels, ds.densities())):
@@ -138,7 +117,7 @@ def cmd_compress(args) -> int:
                                post_family=post, sample_rate=args.sample_rate, seed=args.seed)
         c = ContainerFile(levels=(ContainerLevel(archive=arch),))
     data = encode_container(c)
-    _atomic_write(args.out, data)
+    atomic_write(args.out, data)
     for li, lv in enumerate(c.levels):
         a = lv.archive
         pad_note = "on" if a.blob.padded else "off"
@@ -155,7 +134,7 @@ def cmd_decompress(args) -> int:
     if c.n_levels > 1 and not args.uniform:
         raise ShapeError("multi-level container: pass --uniform to reconstruct one grid")
     vol = _reconstruct(c)
-    _atomic(args.out, lambda tmp: write_raw_volume(vol, tmp, args.dtype))
+    atomic(args.out, lambda tmp: write_raw_volume(vol, tmp, args.dtype))
     nx, ny, nz = vol.dims
     print(f"wrote {args.out} dims {nx},{ny},{nz} {args.dtype}")
     return 0
@@ -181,8 +160,7 @@ def cmd_uncertainty(args) -> int:
         values = np.concatenate([r.reshape(-1) for r in dec_regions])
     model = fit_model(errors, values, args.isovalue, args.window)
     field = probability_field(recon, args.isovalue, model)
-    _atomic(args.out, field.p.astype("<f4").tofile)
-    _atomic_write(args.out + ".json", sidecar_json(field))
+    write_probability_field(field, args.out)
     flag = " (fallback: window never caught 2 samples)" if model.fallback else ""
     print(f"model: mu={model.mu:.6g} sigma2={model.sigma2:.6g} n={model.n_samples} window={model.window:g}{flag}")
     nx, ny, nz = field.dims
@@ -208,7 +186,7 @@ def cmd_eval(args) -> int:
     }
     payload = (json.dumps(result, indent=2) + "\n").encode()
     if args.out is not None:
-        _atomic_write(args.out, payload)
+        atomic_write(args.out, payload)
     else:
         sys.stdout.write(payload.decode())
     print(f"psnr: {result['psnr_db']} dB, ssim: {s:.6f}" + (f", cr: {cr:.2f}" if cr else ""))

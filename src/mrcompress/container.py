@@ -56,7 +56,7 @@ from .layout import LINEAR, linear_merge, stack_merge
 from .pipeline import LevelArchive, SampleSet, compress_level, decompress_level
 from .postprocess import FAMILY_SZ, FAMILY_ZFP, IntensityConfig, SamplingPlan
 from .roi import MultiResDataset, check_tiling
-from .wire import U64, Reader, inflate, triples
+from .wire import U64, Reader, atomic_write, inflate, triples
 
 MAGIC = b"MRC2"
 VERSION = 2
@@ -95,10 +95,9 @@ class ContainerFile:
 
     @property
     def roi_mask(self):
-        """The fine level's occupancy, flat in block-index order; None for
-        a whole volume."""
-        occ = self.levels[0].archive.occupancy
-        return None if occ is None else occ.reshape(-1)
+        """The fine level's (gz, gy, gx) occupancy; None for a whole
+        volume."""
+        return self.levels[0].archive.occupancy
 
     @property
     def n_levels(self) -> int:
@@ -222,8 +221,7 @@ def read_container(path) -> ContainerFile:
 
 
 def write_container(c: ContainerFile, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_container(c))
+    atomic_write(path, encode_container(c))
 
 
 def container_from_dataset(

@@ -17,10 +17,6 @@ class DataError(MrcError):
     """Payload values rejected (non-finite, wrong element count)."""
 
 
-class StateError(MrcError):
-    """Operation applied to an object in the wrong state."""
-
-
 class CoverageError(MrcError):
     """Multi-resolution levels overlap or leave gaps in the domain."""
 

@@ -1,10 +1,13 @@
-"""Dense scalar volumes and the block partition used by the ROI selector.
+"""Dense scalar volumes, the block partition used by the ROI selector, and
+the grid kernels.
 
 Conventions used throughout the package:
 
 * A volume with dims (nx, ny, nz) is stored as a C-contiguous float64 array
   of shape (nz, ny, nx), so the flattened order is x-fastest:
   flat index = x + nx * (y + ny * z).
+* :class:`Volume` wraps such an array only where a field enters or leaves
+  the library; the grid kernels take and return plain arrays.
 * Raw volume files are headerless little-endian arrays in that same order;
   dims and scalar width travel out of band.
 """
@@ -23,7 +26,8 @@ def _is_pow2(n: int) -> bool:
 
 
 class Volume:
-    """An immutable dense 3D scalar field.
+    """An immutable dense 3D scalar field, the type a field enters and
+    leaves the library as; inside, the library works on ``data``.
 
     ``Volume(data)`` copies ``data``, so the caller's array stays its own
     and writeable. ``Volume._adopt(arr)`` takes a C-contiguous float64 array
@@ -56,29 +60,8 @@ class Volume:
         self.data = arr
 
     @property
-    def nx(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def ny(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def nz(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def dims(self) -> Dims:
-        return (self.nx, self.ny, self.nz)
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def values(self) -> np.ndarray:
-        """Flat x-fastest view of the payload."""
-        return self.data.reshape(-1)
+        return self.data.shape[::-1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Volume):
@@ -107,16 +90,17 @@ def block_view(arr: np.ndarray, b: int) -> np.ndarray:
     return arr.reshape(gz, b, gy, b, gx, b).transpose(0, 2, 4, 1, 3, 5)
 
 
-def block_ranges(v: Volume, b: int) -> np.ndarray:
-    """Value range of every b-block, flat in block-index order.
+def block_ranges(arr: np.ndarray, b: int) -> np.ndarray:
+    """Value range of every b-block of the (z, y, x) array ``arr``, flat in
+    block-index order.
 
     Each extreme is folded over contiguous memory, largest stride first:
     the b z-planes of a block row elementwise over whole (ny, nx) planes,
     then the b y-rows of each block over whole x-rows, and the x-runs of b
     last, on the 1/b^2 of the values that remain. Max and min do not depend
     on order, so the ranges equal those of the 6-D ``block_view``."""
-    gx, gy, gz = block_grid(v.dims, b)
-    planes = v.data.reshape(gz, b, gy * b, gx * b)
+    gx, gy, gz = block_grid(arr.shape[::-1], b)
+    planes = arr.reshape(gz, b, gy * b, gx * b)
 
     def fold(reduce):
         rows = reduce(planes, axis=1).reshape(gz, gy, b, gx * b)
@@ -125,8 +109,9 @@ def block_ranges(v: Volume, b: int) -> np.ndarray:
     return (fold(np.maximum.reduce) - fold(np.minimum.reduce)).reshape(-1)
 
 
-def downsample2x(v: Volume) -> Volume:
-    """Halve every axis by averaging disjoint 2x2x2 cells.
+def downsample2x(a: np.ndarray) -> np.ndarray:
+    """Halve every axis of the (z, y, x) array ``a`` by averaging disjoint
+    2x2x2 cells.
 
     Each cell is ((((0 + s00) + s01) + s10) + s11) / 8, where sij is the
     x-pair a[2z+i, 2y+j, 2x] + a[2z+i, 2y+j, 2x+1]. That is the order of
@@ -135,24 +120,25 @@ def downsample2x(v: Volume) -> Volume:
     zeroed output, cell pairs in (z, y) index order; writing it out pins the
     bytes against a change in numpy. Each sij is formed in one reused
     output-sized scratch, so the peak is about twice the output. Sums of
-    huge finite values may overflow, and the adopted output is checked for
-    finiteness."""
-    nx, ny, nz = v.dims
+    huge finite values may overflow: a non-finite cell is a DataError."""
+    nz, ny, nx = a.shape
     if nx % 2 or ny % 2 or nz % 2:
-        raise ShapeError(f"dims {v.dims} not divisible by 2")
-    a = v.data
+        raise ShapeError(f"dims {(nx, ny, nz)} not divisible by 2")
     out = np.zeros((nz // 2, ny // 2, nx // 2))
     pair = np.empty_like(out)
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        out += np.add(a[i::2, j::2, 0::2], a[i::2, j::2, 1::2], out=pair)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            out += np.add(a[i::2, j::2, 0::2], a[i::2, j::2, 1::2], out=pair)
     out /= 8.0
-    return Volume._adopt(out)
+    if not np.isfinite(out).all():
+        raise DataError("the coarse level overflows: a 2x2x2 cell sum exceeds the float64 range")
+    return out
 
 
-def upsample2x(v: Volume) -> Volume:
-    """Double every axis by nearest-neighbor replication."""
-    rep = v.data.repeat(2, axis=0).repeat(2, axis=1).repeat(2, axis=2)
-    return Volume._adopt(rep)
+def upsample2x(a: np.ndarray) -> np.ndarray:
+    """Double every axis of the (z, y, x) array ``a`` by nearest-neighbor
+    replication."""
+    return a.repeat(2, axis=0).repeat(2, axis=1).repeat(2, axis=2)
 
 
 def _np_dtype(dtype: str) -> np.dtype:
@@ -180,4 +166,4 @@ def read_raw_volume(path, dims: Dims, dtype: str = "f32") -> Volume:
 def write_raw_volume(v: Volume, path, dtype: str = "f32") -> None:
     """Write the volume as a headerless little-endian raw file."""
     dt = _np_dtype(dtype)
-    v.values.astype(dt).tofile(path)
+    v.data.astype(dt).tofile(path)

@@ -5,7 +5,8 @@ array. Compressors want one dense 3D array, so the blocks are either
 stacked along z ("linear", the default) or packed into a near-cubic grid of
 slots ("stacked"). Linear arrangements may additionally grow a single
 extrapolated layer on the high-x and high-y faces, which removes one-sided
-interpolation targets at the cost of (u+1)^2 / u^2 extra samples.
+interpolation targets at the cost of (u+1)^2 / u^2 extra samples; the
+pipeline decides when that pays off.
 
 The decoder's :func:`unpad` and :func:`unmerge` take a plain array and the
 layout its blob records. :func:`check_merge` states which dims a merge can
@@ -18,12 +19,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError, StateError
+from .errors import ShapeError
 from .grid import Dims, _is_pow2, block_view
 
 LINEAR = "linear"
 STACKED = "stacked"
-PAD_MIN_U = 4  # padding pays off only above this unit-block edge
 
 
 def check_merge(dims: Dims, k: int, u: int, arrangement: str, padded: bool) -> None:
@@ -139,19 +139,16 @@ def _extrapolate_layer(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def pad_linear(m: MergedArray) -> MergedArray:
-    """Grow one extrapolated layer on the high-x and high-y faces.
+    """Grow one extrapolated layer on the high-x and high-y faces of a
+    linear merge.
 
-    Padding pays off only for unit sizes above ``PAD_MIN_U``; at or below
-    that the array is returned unchanged with ``padded`` still False.
     The x face is extended first, then the y face including the fresh x
     layer, so the corner line extrapolates from already-padded values.
     """
     if m.arrangement != LINEAR:
-        raise StateError("padding applies to linear arrangements only")
+        raise ShapeError("padding applies to linear arrangements only")
     if m.padded:
-        raise StateError("array is already padded")
-    if m.u <= PAD_MIN_U:
-        return m
+        raise ShapeError("array is already padded")
     values = _extrapolate_layer(m.values, axis=2)
     values = _extrapolate_layer(values, axis=1)
     return replace(m, values=values, padded=True)

@@ -194,7 +194,7 @@ def rd_sweep(
         else:
             c = container_from_dataset(source, policy, **opts)
             recon = reconstruct_uniform(dataset_from_container(c))
-        size, orig = len(encode_container(c)), reference.size * 8
+        size, orig = len(encode_container(c)), reference.data.size * 8
         points.append(RateDistortionPoint(eb=float(eb), compressed_bytes=size, original_bytes=orig, cr=orig / size,
                                           psnr_db=psnr(reference, recon), ssim=ssim(reference, recon)))
     return points

@@ -42,6 +42,7 @@ from .roi import Level
 
 PAD_AUTO = "auto"
 PAD_OFF = "off"
+PAD_MIN_U = 4  # padding pays off only above this unit-block edge
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,14 @@ class LevelArchive:
         return self.blob.size_bytes()
 
 
-def _should_pad(pad: str, codec: str, arrangement: str) -> bool:
+def _should_pad(pad: str, codec: str, arrangement: str, u: int) -> bool:
+    """Whether a level of u-blocks is padded: ``auto`` pads the interp
+    codec's linear merges of blocks above ``PAD_MIN_U``."""
     if pad == PAD_OFF:
         return False
     if pad != PAD_AUTO:
         raise ShapeError(f"unknown pad mode {pad!r}")
-    return codec == "interp" and arrangement == LINEAR
+    return codec == "interp" and arrangement == LINEAR and u > PAD_MIN_U
 
 
 def _fit_intensity(orig, dec, eb: float, blocksize: int, family: str, seed: int, sample_rate: float):
@@ -142,7 +145,7 @@ def compress_level(
 ) -> LevelArchive:
     """Merge one level's unit blocks and compress them into an archive."""
     merged = linear_merge(level.blocks) if arrangement == LINEAR else stack_merge(level.blocks)
-    payload = pad_linear(merged) if _should_pad(pad, codec, arrangement) else merged
+    payload = pad_linear(merged) if _should_pad(pad, codec, arrangement, level.u) else merged
     return _encode(payload, merged.values, level.dims, level.occupancy, policy, codec, lossless,
                    post_family, sample_rate, seed)
 

@@ -67,29 +67,16 @@ def clamp_to_band(value, center, a: float, eb: float):
     return np.minimum(np.maximum(value, center - band), center + band)
 
 
-def _boundary_positions(n: int, blocksize: int) -> np.ndarray:
-    """Last-point-of-block positions that have both curve neighbors."""
-    if blocksize < 2:
-        return np.zeros(0, dtype=np.intp)
-    pos = np.arange(blocksize - 1, n, blocksize, dtype=np.intp)
-    return pos[(pos >= 1) & (pos + 1 < n)]
-
-
 def _axis_pass(arr: np.ndarray, axis: int, blocksize: int, a: float, eb: float) -> None:
-    """Adjust boundary points along one array axis, in place."""
-    pos = _boundary_positions(arr.shape[axis], blocksize)
-    if pos.size == 0:
+    """Adjust boundary points along one array axis, in place. With b the
+    blocksize, d4 is every b-th point from b - 1 on that has a next point;
+    d3, d4 and d5 are strided basic slices of the axis moved to the front."""
+    b = blocksize
+    if b < 2:
         return
-    sl = [slice(None)] * 3
-    sl[axis] = pos
-    d4 = arr[tuple(sl)]
-    sl[axis] = pos - 1
-    d3 = arr[tuple(sl)]
-    sl[axis] = pos + 1
-    d5 = arr[tuple(sl)]
-    mid = bezier_mid(d3, d4, d5)
-    sl[axis] = pos
-    arr[tuple(sl)] = clamp_to_band(mid, d4, a, eb)
+    v = np.moveaxis(arr, axis, 0)
+    d4 = v[b - 1 : -1 : b]
+    v[b - 1 : -1 : b] = clamp_to_band(bezier_mid(v[b - 2 : -2 : b], d4, v[b::b]), d4, a, eb)
 
 
 # array axes in x, y, z processing order for (z, y, x)-shaped storage

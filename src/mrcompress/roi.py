@@ -1,9 +1,11 @@
 """Region-of-interest selection and two-level adaptive datasets.
 
 The selector ranks b-cube blocks by their value range and keeps the top
-x percent at full resolution; everything else is downsampled once. The result
-is a block-structured dataset that can be reassembled into a uniform grid, and
-externally produced AMR level sets can be ingested into the same shape.
+x percent at full resolution, as the fine level's (gz, gy, gx) occupancy
+grid; everything else is downsampled once. The result is a block-structured
+dataset that can be reassembled into a uniform grid, and externally produced
+AMR level sets can be ingested into the same shape. Volumes enter through
+the selector and leave through the reassembly; levels hold plain arrays.
 :func:`check_tiling` states how levels fit together; a dataset checks its
 levels with it, and the container reader checks a file's level records with
 it before it decodes any payload.
@@ -88,12 +90,6 @@ class MultiResDataset:
     def fine_dims(self) -> Dims:
         return self.levels[0].dims
 
-    @property
-    def roi_mask(self) -> np.ndarray:
-        """Which finest-grid blocks are stored at full resolution (flat,
-        block-index order): the fine level's occupancy."""
-        return self.levels[0].occupancy.reshape(-1)
-
     def densities(self) -> list[float]:
         """Fraction of the domain carried by each level; they sum to 1."""
         nx, ny, nz = self.fine_dims
@@ -103,33 +99,31 @@ class MultiResDataset:
 
 
 def select_roi(v: Volume, cfg: RoiConfig) -> np.ndarray:
-    """Boolean mask (flat, block-index order) of the top x percent of blocks
-    by value range. Ties go to the lower block index, and the quota is
+    """The (gz, gy, gx) occupancy grid of the top x percent of blocks by
+    value range. Ties go to the lower block index, and the quota is
     ceil(x/100 * block count), so at least one block is always chosen."""
-    grid = block_grid(v.dims, cfg.b)
-    ranges = block_ranges(v, cfg.b)
-    n_blocks = ranges.size
-    quota = int(np.ceil(cfg.x_percent / 100.0 * n_blocks))
-    quota = max(1, min(quota, n_blocks))
+    gx, gy, gz = block_grid(v.dims, cfg.b)
+    ranges = block_ranges(v.data, cfg.b)
+    quota = max(1, min(int(np.ceil(cfg.x_percent / 100.0 * ranges.size)), ranges.size))
     # stable sort on descending range keeps equal-range blocks in index order
     order = np.argsort(-ranges, kind="stable")
-    mask = np.zeros(n_blocks, dtype=bool)
-    mask[order[:quota]] = True
-    return mask
+    occupancy = np.zeros((gz, gy, gx), dtype=bool)
+    occupancy.reshape(-1)[order[:quota]] = True
+    return occupancy
 
 
-def build_adaptive(v: Volume, mask: np.ndarray, cfg: RoiConfig) -> MultiResDataset:
-    """Two-level dataset: masked blocks verbatim at u=b, the rest downsampled
-    once into u=b/2 blocks on the half-resolution grid."""
+def build_adaptive(v: Volume, occupancy: np.ndarray, cfg: RoiConfig) -> MultiResDataset:
+    """Two-level dataset from the (gz, gy, gx) ROI ``occupancy``: occupied
+    blocks verbatim at u=b, the rest downsampled once into u=b/2 blocks on
+    the half-resolution grid."""
     gx, gy, gz = block_grid(v.dims, cfg.b)
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    if mask.size != gx * gy * gz:
-        raise ShapeError(f"mask of {mask.size} bits does not match grid {(gx, gy, gz)}")
-    m3 = mask.reshape(gz, gy, gx)
+    occ = np.asarray(occupancy, dtype=bool)
+    if occ.shape != (gz, gy, gx):
+        raise ShapeError(f"ROI occupancy of shape {occ.shape} on a ({gz}, {gy}, {gx}) block grid")
     cu = cfg.b // 2
     nx, ny, nz = v.dims
-    fine = Level(v.dims, cfg.b, m3, block_view(v.data, cfg.b)[m3])
-    coarse = Level((nx // 2, ny // 2, nz // 2), cu, ~m3, block_view(downsample2x(v).data, cu)[~m3])
+    fine = Level(v.dims, cfg.b, occ, block_view(v.data, cfg.b)[occ])
+    coarse = Level((nx // 2, ny // 2, nz // 2), cu, ~occ, block_view(downsample2x(v.data), cu)[~occ])
     return MultiResDataset(levels=(fine, coarse))
 
 
@@ -179,10 +173,11 @@ def reconstruct_uniform(ds: MultiResDataset) -> Volume:
     by their level's scale.
 
     A level is pasted in chunks of blocks, one fancy-indexed write each. A
-    chunk upsamples as one z-stacked volume of its blocks: a block's edges
+    chunk upsamples as one z-stacked view of its blocks: a block's edges
     lie at multiples of u and land on multiples of 2u, so no value crosses
     into a neighbor, and the scratch stays near the chunk bound where a
-    whole level upsampled at once would need a second output-sized grid."""
+    whole level upsampled at once would need a second output-sized grid.
+    The result is checked for finiteness once, as the Volume adopts it."""
     nx, ny, nz = ds.fine_dims
     out = np.empty((nz, ny, nx), dtype=np.float64)
     for li, lv in enumerate(ds.levels):
@@ -192,13 +187,10 @@ def reconstruct_uniform(ds: MultiResDataset) -> Volume:
         step = max(1, _PASTE_CHUNK_BYTES // (8 * e**3))
         for lo in range(0, len(lv.blocks), step):
             at = slice(lo, lo + step)
-            chunk = lv.blocks[at]
-            if li:
-                v = Volume(chunk.reshape(-1, lv.u, lv.u))
-                for _ in range(li):
-                    v = upsample2x(v)
-                chunk = v.data.reshape(-1, e, e, e)
-            cells[bz[at], by[at], bx[at]] = chunk
+            chunk = lv.blocks[at].reshape(-1, lv.u, lv.u)
+            for _ in range(li):
+                chunk = upsample2x(chunk)
+            cells[bz[at], by[at], bx[at]] = chunk.reshape(-1, e, e, e)
     return Volume._adopt(out)
 
 

@@ -35,6 +35,7 @@ from scipy.special import ndtr
 
 from .errors import ShapeError
 from .grid import Dims, Volume
+from .wire import atomic, atomic_write
 
 DEFAULT_WINDOW = 0.05
 _MAX_WIDENINGS = 4
@@ -300,7 +301,7 @@ def probability_field(decomp: Volume, isovalue: float, model: ErrorModel) -> Pro
     return ProbabilityField(p=p, isovalue=float(isovalue), model=model)
 
 
-def sidecar_json(field: ProbabilityField) -> bytes:
+def _sidecar_json(field: ProbabilityField) -> bytes:
     """The JSON sidecar of a probability field: dims and the fitted model."""
     sidecar = {
         "dims": list(field.dims),
@@ -313,7 +314,7 @@ def sidecar_json(field: ProbabilityField) -> bytes:
 
 def write_probability_field(field: ProbabilityField, path) -> None:
     """Write the field as raw little-endian f32 (x fastest) plus a JSON
-    sidecar at ``path + ".json"`` describing dims and the fitted model."""
-    field.p.astype("<f4").tofile(path)
-    with open(str(path) + ".json", "wb") as fh:
-        fh.write(sidecar_json(field))
+    sidecar at ``path + ".json"`` describing dims and the fitted model,
+    each through a temp file and a rename."""
+    atomic(path, field.p.astype("<f4").tofile)
+    atomic_write(f"{path}.json", _sidecar_json(field))

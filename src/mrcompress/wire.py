@@ -1,14 +1,18 @@
-"""Bounded reads of the wire formats.
+"""Bounded reads and atomic writes of the wire formats.
 
 Every parser reads through a :class:`Reader`: each read checks its length
 against the bytes left before anything is allocated, and a short read
 raises :class:`FormatError`. :func:`inflate` undoes a zlib pass with a cap
 on its output. Writers share their sections' ``struct.Struct`` layouts with
-the readers; the u64 fields and the u64-triple table live here.
+the readers; the u64 fields and the u64-triple table live here. The CLI's
+outputs, containers and probability fields are written through
+:func:`atomic`, so a failed write leaves neither a partial file nor a temp.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 import sys
 import zlib
@@ -69,3 +73,24 @@ def inflate(data: bytes, limit: int) -> bytes:
     if not d.eof or d.unused_data:
         raise FormatError("zlib stream does not end with its data")
     return out
+
+
+def atomic(path, write) -> None:
+    """Run ``write`` on a temp file next to ``path``, then rename it over
+    ``path``. The temp file is removed if either step fails."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def atomic_write(path, data: bytes) -> None:
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+
+    atomic(path, write)

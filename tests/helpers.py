@@ -5,10 +5,10 @@ from collections import namedtuple
 import numpy as np
 from scipy.special import ndtr
 
-from mrcompress.errors import ShapeError, StateError
+from mrcompress.errors import ShapeError
 from mrcompress.grid import Volume, block_grid, block_view, downsample2x, upsample2x
 from mrcompress.layout import LINEAR, STACKED, MergedArray, _stack_grid
-from mrcompress.postprocess import _AXIS_ORDER, IntensityConfig, _boundary_positions
+from mrcompress.postprocess import _AXIS_ORDER, IntensityConfig
 from mrcompress.roi import Level, RoiConfig
 from mrcompress.uncertainty import ErrorModel
 
@@ -74,26 +74,27 @@ def postprocess_allowance(shape, blocksize: int, cfg: IntensityConfig) -> np.nda
     Zero away from boundaries."""
     allow = np.zeros(shape, dtype=np.float64)
     for a, axis in zip(cfg.chosen, _AXIS_ORDER):
-        pos = _boundary_positions(shape[axis], blocksize)
-        if pos.size == 0:
-            continue
+        # the last point of every block that has a next-block neighbor
+        pos = np.arange(blocksize - 1, shape[axis] - 1, blocksize) if blocksize > 1 else []
         sl = [slice(None)] * 3
         sl[axis] = pos
         allow[tuple(sl)] += a
     return allow
 
 
-def downsample2x_mean(v: Volume) -> np.ndarray:
-    """2x pooling as numpy's mean over the cell axes of the 6-D reshape:
-    the formula ``grid.downsample2x`` must match bit for bit."""
-    nx, ny, nz = v.dims
-    return v.data.reshape(nz // 2, 2, ny // 2, 2, nx // 2, 2).mean(axis=(1, 3, 5))
+def downsample2x_mean(a: np.ndarray) -> np.ndarray:
+    """2x pooling of a (z, y, x) array as numpy's mean over the cell axes
+    of the 6-D reshape: the formula ``grid.downsample2x`` must match bit
+    for bit."""
+    nz, ny, nx = a.shape
+    return a.reshape(nz // 2, 2, ny // 2, 2, nx // 2, 2).mean(axis=(1, 3, 5))
 
 
-def block_ranges_6d(v: Volume, b: int) -> np.ndarray:
-    """Per-block max - min over the 6-D ``block_view``, flat in block-index
-    order: the formula ``grid.block_ranges`` must match bit for bit."""
-    cells = block_view(v.data, b)
+def block_ranges_6d(a: np.ndarray, b: int) -> np.ndarray:
+    """Per-block max - min of a (z, y, x) array over the 6-D
+    ``block_view``, flat in block-index order: the formula
+    ``grid.block_ranges`` must match bit for bit."""
+    cells = block_view(a, b)
     return (cells.max(axis=(3, 4, 5)) - cells.min(axis=(3, 4, 5))).reshape(-1)
 
 
@@ -207,7 +208,7 @@ def sorted_blocks(blocks) -> list:
 def build_adaptive_per_block(v: Volume, mask: np.ndarray, cfg: RoiConfig):
     """Two-level reference: masked blocks verbatim at u=b, the rest
     downsampled once into u=b/2 blocks on the half-resolution grid. Returns
-    the levels and the flat mask."""
+    the levels and the (gz, gy, gx) mask."""
     gx, gy, gz = block_grid(v.dims, cfg.b)
     m3 = np.asarray(mask, dtype=bool).reshape(gz, gy, gx)
     fine_blocks = []
@@ -220,11 +221,10 @@ def build_adaptive_per_block(v: Volume, mask: np.ndarray, cfg: RoiConfig):
                 if m3[bz, by, bx]:
                     fine_blocks.append(RefBlock((bx, by, bz), cfg.b, sub))
                 else:
-                    down = downsample2x(Volume(sub))
-                    coarse_blocks.append(RefBlock((bx, by, bz), cu, down.data))
+                    coarse_blocks.append(RefBlock((bx, by, bz), cu, downsample2x(sub)))
     nx, ny, nz = v.dims
     levels = [(v.dims, cfg.b, fine_blocks), ((nx // 2, ny // 2, nz // 2), cu, coarse_blocks)]
-    return levels, m3.reshape(-1)
+    return levels, m3
 
 
 def reconstruct_uniform_per_block(levels) -> Volume:
@@ -236,11 +236,8 @@ def reconstruct_uniform_per_block(levels) -> Volume:
         scale = 2**li
         for blk in blocks:
             data = blk.data
-            if scale > 1:
-                v = Volume(data)
-                for _ in range(int(np.log2(scale))):
-                    v = upsample2x(v)
-                data = v.data
+            for _ in range(int(np.log2(scale))):
+                data = upsample2x(data)
             out[_block_slices(blk.coord, u * scale)] = data
     return Volume(out)
 
@@ -273,7 +270,7 @@ def unmerge_per_block(m: MergedArray) -> list:
     """Split a merged array back into the (u, u, u) values of its blocks,
     filler slots dropped."""
     if m.padded:
-        raise StateError("unpad before unmerging")
+        raise ShapeError("unpad before unmerging")
     u = m.u
     _, dy, dx = m.values.shape
     blocks = []

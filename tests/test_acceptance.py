@@ -293,7 +293,7 @@ def test_10_roi_selection_and_fidelity():
                     py = min(max(cy, by * 8), by * 8 + 7)
                     pz = min(max(cz, bz * 8), bz * 8 + 7)
                     if (px - cx) ** 2 + (py - cy) ** 2 + (pz - cz) ** 2 <= r * r:
-                        bump_blocks.add(bx + gx * (by + gy * bz))
+                        bump_blocks.add((bz, by, bx))
     missed = [i for i in bump_blocks if not mask[i]]
     assert not missed, missed
 

@@ -28,7 +28,8 @@ from helpers import (
 
 
 def _same_dataset(got, want_levels, want_mask):
-    assert got.roi_mask.tobytes() == want_mask.tobytes()
+    assert got.levels[0].occupancy.shape == want_mask.shape
+    assert got.levels[0].occupancy.tobytes() == want_mask.tobytes()
     assert len(got.levels) == len(want_levels)
     for lv, (dims, u, blocks) in zip(got.levels, want_levels):
         same_level(lv, dims, u, blocks)
@@ -80,8 +81,7 @@ def test_merges_and_splits_match_per_block(k, u):
     linear = linear_merge(blocks)
     _same_split(unmerge(linear.values, u, k), unmerge_per_block(linear))
     padded = pad_linear(linear)
-    if padded.padded:
-        _same_split(unmerge(unpad(padded.values), u, k), unmerge_per_block(linear))
+    _same_split(unmerge(unpad(padded.values), u, k), unmerge_per_block(linear))
 
 
 def test_unmerge_of_a_linear_merge_is_a_view():
@@ -93,8 +93,8 @@ def _three_levels(dims, seed):
     """Fine, half and quarter grids of one field with u = 8, 4, 2; the fine
     level keeps the bz = 0 slab, the half level the bz = 1 slab."""
     f0 = noisy_field(dims, seed=seed)
-    f1 = downsample2x(f0)
-    f2 = downsample2x(f1)
+    f1 = Volume(downsample2x(f0.data))
+    f2 = Volume(downsample2x(f1.data))
     l0 = [blk for blk in tile_blocks(f0, 8) if blk.coord[2] == 0]
     l1 = [blk for blk in tile_blocks(f1, 4) if blk.coord[2] == 1]
     l2 = [blk for blk in tile_blocks(f2, 2) if blk.coord[2] >= 2]
@@ -108,10 +108,9 @@ def _check_three_level_ingest(dims):
     ref = [(d, u, sorted_blocks(blocks)) for d, u, blocks in levels]
     for lv, (d, u, blocks) in zip(ds.levels, ref):
         same_level(lv, d, u, blocks)
-    gx, gy = dims[0] // 8, dims[1] // 8
-    want = np.zeros(dims[2] // 8 * gy * gx, dtype=bool)
-    want[: gy * gx] = True  # the bz = 0 slab, block-index order
-    assert ds.roi_mask.tobytes() == want.tobytes()
+    want = np.zeros((dims[2] // 8, dims[1] // 8, dims[0] // 8), dtype=bool)
+    want[0] = True  # the bz = 0 slab
+    assert np.array_equal(ds.levels[0].occupancy, want)
     rec = reconstruct_uniform(ds)
     assert rec.data.tobytes() == reconstruct_uniform_per_block(ref).data.tobytes()
     assert np.array_equal(rec.data[:8], f0.data[:8])
@@ -142,9 +141,9 @@ def cli_roi():
 def test_build_adaptive_downsamples_once(cli_roi, monkeypatch):
     v, cfg, mask = cli_roi
     calls = []
-    monkeypatch.setattr(roi, "downsample2x", lambda vol: calls.append(vol.dims) or downsample2x(vol))
+    monkeypatch.setattr(roi, "downsample2x", lambda a: calls.append(a.shape) or downsample2x(a))
     ds = build_adaptive(v, mask, cfg)
-    assert calls == [v.dims]
+    assert calls == [v.data.shape]
     assert len(ds.levels[1].blocks) == 409
 
 
@@ -153,10 +152,17 @@ def test_reconstruct_uniform_pastes_chunks_like_per_block(cli_roi, monkeypatch):
     v, cfg, mask = cli_roi
     ds = build_adaptive(v, mask, cfg)
     levels, _ = build_adaptive_per_block(v, mask, cfg)
-    calls = []
-    monkeypatch.setattr(roi, "upsample2x", lambda vol: calls.append(vol.dims) or upsample2x(vol))
+    calls, views = [], []
+
+    def upsample(a):
+        calls.append(a.shape[::-1])
+        views.append(np.shares_memory(a, ds.levels[1].blocks))
+        return upsample2x(a)
+
+    monkeypatch.setattr(roi, "upsample2x", upsample)
     got = reconstruct_uniform(ds)
     assert calls == [(8, 8, 64 * 8)] * 6 + [(8, 8, 25 * 8)]
+    assert all(views)  # each chunk is upsampled from a view of the level's blocks, not a copy
     assert got.data.tobytes() == reconstruct_uniform_per_block(levels).data.tobytes()
 
 

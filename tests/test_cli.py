@@ -343,6 +343,22 @@ def test_malformed_container_exits_three(tmp_path):
     assert main(["decompress", "--input", str(cont), "--out", str(tmp_path / "o.raw")]) == 3
 
 
+def test_roi_whose_pooling_overflows_names_the_coarse_level(tmp_path):
+    data = np.zeros((16, 16, 16))
+    data[:2, :2, :2] = 1.7e308  # finite, but their 2x2x2 cell sum is not
+    data.tofile(tmp_path / "big.f64")
+    # a fresh process, so stderr is what a user sees, warnings included
+    proc = subprocess.run(
+        [sys.executable, "-m", "mrcompress.cli", "roi", "--input", str(tmp_path / "big.f64"),
+         "--dims", "16,16,16", "--dtype", "f64", "--block", "8", "--percent", "20",
+         "--out", str(tmp_path / "roi.mrc")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "coarse level" in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert not (tmp_path / "roi.mrc").exists()
+
+
 def test_an_old_container_version_given_to_compress_exits_three(tmp_path, capsys):
     v = sum_of_gaussians((16, 16, 16), seed=13)
     raw = _write_raw(tmp_path, v)

@@ -697,7 +697,7 @@ def test_blob_original_bytes_ignores_padding():
 def test_blob_unpadded_original_bytes():
     blob, v = _sample_blob()
     assert blob.arrangement is None
-    assert blob.original_bytes == v.size * 8
+    assert blob.original_bytes == v.data.size * 8
 
 
 def test_max_abs_err_takes_volumes_or_arrays_of_one_shape():

@@ -62,7 +62,7 @@ def test_stored_dataset_round_trips_bit_exactly():
     c = container_from_dataset(ds, roi_b=cfg.b, roi_x_percent=cfg.x_percent)
     back = decode_container(encode_container(c))
     assert back.roi_b == 8 and back.roi_x_percent == 25.0
-    assert np.array_equal(back.roi_mask, ds.roi_mask)
+    assert np.array_equal(back.roi_mask, ds.levels[0].occupancy)
     ds2 = dataset_from_container(back)
     assert len(ds2.levels) == len(ds.levels)
     for la, lb in zip(ds.levels, ds2.levels):
@@ -88,7 +88,8 @@ def test_fully_fine_roi_drops_the_empty_coarse_level():
     c = container_from_dataset(ds, roi_b=cfg.b, roi_x_percent=100.0)
     assert c.n_levels == 1
     ds2 = dataset_from_container(decode_container(encode_container(c)))
-    assert np.array_equal(ds2.roi_mask, ds.roi_mask) and ds2.roi_mask.all()
+    fine_occupancy = ds2.levels[0].occupancy
+    assert np.array_equal(fine_occupancy, ds.levels[0].occupancy) and fine_occupancy.all()
     assert reconstruct_uniform(ds2) == v
 
 
@@ -153,7 +154,7 @@ def test_random_occupancies_round_trip(grid, u, bits, seed):
         raw = encode_container(container_from_dataset(ds, policy, roi_b=u, roi_x_percent=50.0))
         c = decode_container(raw)
         assert encode_container(c) == raw
-        assert np.array_equal(c.roi_mask, fine.reshape(-1))
+        assert np.array_equal(c.roi_mask, fine)
         back = dataset_from_container(c)
         assert len(back.levels) == len(kept)
         for la, lb in zip(kept, back.levels):
@@ -178,8 +179,8 @@ def test_file_round_trip(tmp_path):
 def test_original_and_compressed_byte_counts():
     v, cfg, ds = _dataset(seed=5)
     c = container_from_dataset(ds, policy=ErrorBoundPolicy(eb=1e-2))
-    fine_cells = int(ds.roi_mask.sum()) * 8**3
-    coarse_cells = int((~ds.roi_mask).sum()) * 4**3
+    fine_cells = int(ds.levels[0].occupancy.sum()) * 8**3
+    coarse_cells = int((~ds.levels[0].occupancy).sum()) * 4**3
     assert c.original_bytes() == (fine_cells + coarse_cells) * 8
     level_bytes = sum(lv.archive.size_bytes() for lv in c.levels)
     assert 0 < level_bytes < c.original_bytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrcompress.errors import ShapeError, StateError
+from mrcompress.errors import ShapeError
 from mrcompress.layout import (
     LINEAR,
     STACKED,
@@ -115,10 +115,14 @@ def test_pad_constant_stays_constant():
     assert np.all(p.values == 1.25)
 
 
-def test_pad_is_identity_at_u4():
+def test_pad_linear_pads_every_linear_merge_once():
+    # the u <= 4 rule is the pipeline's (test_pipeline::test_pad_auto_rules)
     m = linear_merge(_blocks(2, u=4))
     p = pad_linear(m)
-    assert p is m or (not p.padded and np.array_equal(p.values, m.values))
+    assert p.padded and p.dims == (5, 5, 8)
+    assert np.array_equal(unpad(p.values), m.values)
+    with pytest.raises(ShapeError, match="already padded"):
+        pad_linear(p)
 
 
 def test_pad_unpad_round_trip_and_dims():
@@ -133,7 +137,7 @@ def test_pad_unpad_round_trip_and_dims():
 
 def test_pad_rejects_stacked():
     m = stack_merge(_blocks(8))
-    with pytest.raises(StateError):
+    with pytest.raises(ShapeError):
         pad_linear(m)
 
 

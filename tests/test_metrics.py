@@ -347,7 +347,7 @@ def test_rd_sweep_over_dataset_counts_the_whole_file():
         assert any(lv.archive.samples is not None for lv in c.levels)
         assert pt.compressed_bytes == len(encode_container(c))
         assert pt.compressed_bytes > sum(lv.archive.size_bytes() for lv in c.levels)
-        assert pt.original_bytes == v.size * 8
+        assert pt.original_bytes == v.data.size * 8
 
 
 def test_rd_sweep_over_fully_fine_dataset():

@@ -40,7 +40,7 @@ def test_config_validation():
 def test_select_top_quarter():
     v = _ranged_volume([5.0, 1.0, 3.0, 2.0])
     mask = select_roi(v, RoiConfig(b=8, x_percent=25.0))
-    assert mask.tolist() == [True, False, False, False]
+    assert mask.tolist() == [[[True, False, False, False]]]
 
 
 def test_select_all():
@@ -52,14 +52,14 @@ def test_select_all():
 def test_tie_break_prefers_low_index():
     v = _ranged_volume([1.0] * 8)
     mask = select_roi(v, RoiConfig(b=8, x_percent=50.0))
-    assert mask.tolist() == [True] * 4 + [False] * 4
+    assert mask.tolist() == [[[True] * 4 + [False] * 4]]
 
 
 def test_quota_ceil_keeps_at_least_one():
     v = _ranged_volume([1.0, 2.0, 3.0, 4.0])
     mask = select_roi(v, RoiConfig(b=8, x_percent=1.0))
     assert int(mask.sum()) == 1
-    assert mask.tolist() == [False, False, False, True]
+    assert mask.tolist() == [[[False, False, False, True]]]
 
 
 def test_mask_scale_equivariant():
@@ -82,14 +82,14 @@ def test_build_adaptive_all_ones():
 def test_build_adaptive_all_zeros_matches_downsample():
     v = noisy_field((16, 16, 16), seed=2)
     cfg = RoiConfig(b=8, x_percent=50.0)
-    ds = build_adaptive(v, np.zeros(8, dtype=bool), cfg)
+    ds = build_adaptive(v, np.zeros((2, 2, 2), dtype=bool), cfg)
     assert len(ds.levels[0].blocks) == 0
     coarse = ds.levels[1]
     assert coarse.u == 4 and coarse.dims == (8, 8, 8)
     assert coarse.occupancy.all()
-    down = downsample2x(v)
+    down = downsample2x(v.data)
     for (bz, by, bx), data in zip(np.argwhere(coarse.occupancy), coarse.blocks):
-        sub = down.data[bz * 4 : (bz + 1) * 4, by * 4 : (by + 1) * 4, bx * 4 : (bx + 1) * 4]
+        sub = down[bz * 4 : (bz + 1) * 4, by * 4 : (by + 1) * 4, bx * 4 : (bx + 1) * 4]
         assert np.array_equal(data, sub)
 
 
@@ -99,7 +99,8 @@ def test_reconstruct_mixed_mask_per_block_oracle():
     mask = select_roi(v, cfg)
     ds = build_adaptive(v, mask, cfg)
     rec = reconstruct_uniform(ds)
-    m3 = mask.reshape(4, 2, 2)  # (gz, gy, gx)
+    m3 = mask
+    assert m3.shape == (4, 2, 2)  # (gz, gy, gx)
     for bz in range(4):
         for by in range(2):
             for bx in range(2):
@@ -108,12 +109,11 @@ def test_reconstruct_mixed_mask_per_block_oracle():
                     slice(by * 8, by * 8 + 8),
                     slice(bx * 8, bx * 8 + 8),
                 )
-                block = Volume(v.data[sl])
                 if m3[bz, by, bx]:
                     assert np.array_equal(rec.data[sl], v.data[sl])
                 else:
-                    expect = upsample2x(downsample2x(block))
-                    assert np.array_equal(rec.data[sl], expect.data)
+                    expect = upsample2x(downsample2x(v.data[sl]))
+                    assert np.array_equal(rec.data[sl], expect)
 
 
 def test_densities_sum_to_one():
@@ -131,19 +131,38 @@ def test_level_block_sorting_enforced_by_build():
     mask = select_roi(v, cfg)
     ds = build_adaptive(v, mask, cfg)
     fine, coarse = ds.levels
-    assert np.array_equal(ds.roi_mask, mask) and np.array_equal(coarse.occupancy.reshape(-1), ~mask)
+    assert np.array_equal(fine.occupancy, mask) and np.array_equal(coarse.occupancy, ~mask)
     # blocks follow their level's occupancy in block-index order
     assert fine.blocks.tobytes() == block_view(v.data, 8)[fine.occupancy].tobytes()
-    assert coarse.blocks.tobytes() == block_view(downsample2x(v).data, 4)[coarse.occupancy].tobytes()
+    assert coarse.blocks.tobytes() == block_view(downsample2x(v.data), 4)[coarse.occupancy].tobytes()
+
+
+def test_select_roi_returns_the_fine_occupancy():
+    v = noisy_field((32, 16, 24), seed=13)
+    cfg = RoiConfig(b=8, x_percent=30.0)
+    mask = select_roi(v, cfg)
+    fine = build_adaptive(v, mask, cfg).levels[0]
+    assert mask.dtype == bool and mask.shape == fine.occupancy.shape == (3, 2, 4)
+    assert mask.tobytes() == fine.occupancy.tobytes()
+
+
+def test_build_adaptive_takes_only_the_occupancy_grid():
+    v = noisy_field((32, 16, 24), seed=14)
+    cfg = RoiConfig(b=8, x_percent=30.0)
+    mask = select_roi(v, cfg)
+    for bad in (mask.reshape(-1), mask.reshape(2, 3, 4), mask[:, :, :3]):
+        with pytest.raises(ShapeError, match="occupancy"):
+            build_adaptive(v, bad, cfg)
 
 
 def _tile(v, u, keep=None):
     """(dims, u, coords, data) of the u-blocks of ``v`` that ``keep`` picks,
     in block-index order."""
     coords, data = [], []
-    for bz in range(v.nz // u):
-        for by in range(v.ny // u):
-            for bx in range(v.nx // u):
+    nx, ny, nz = v.dims
+    for bz in range(nz // u):
+        for by in range(ny // u):
+            for bx in range(nx // u):
                 if keep is None or keep(bx, by, bz):
                     coords.append((bx, by, bz))
                     data.append(v.data[bz * u : (bz + 1) * u, by * u : (by + 1) * u, bx * u : (bx + 1) * u])
@@ -159,7 +178,7 @@ def test_ingest_single_level():
 def test_ingest_two_level_densities():
     # fine level keeps the z < 8 half; coarse covers the rest
     fine_v = noisy_field((32, 32, 32), seed=7)
-    coarse_v = downsample2x(fine_v)
+    coarse_v = Volume(downsample2x(fine_v.data))
     fine = _tile(fine_v, 8, keep=lambda bx, by, bz: bz < 2)
     coarse = _tile(coarse_v, 4, keep=lambda bx, by, bz: bz >= 2)
     ds = ingest_amr([fine, coarse])
@@ -171,8 +190,8 @@ def test_ingest_two_level_densities():
 
 def test_ingest_three_level_chain():
     f0 = noisy_field((32, 32, 32), seed=8)
-    f1 = downsample2x(f0)
-    f2 = downsample2x(f1)
+    f1 = Volume(downsample2x(f0.data))
+    f2 = Volume(downsample2x(f1.data))
     l0 = _tile(f0, 8, keep=lambda bx, by, bz: bz == 0)
     l1 = _tile(f1, 4, keep=lambda bx, by, bz: bz == 1)
     l2 = _tile(f2, 2, keep=lambda bx, by, bz: bz >= 2)
@@ -185,7 +204,7 @@ def test_ingest_three_level_chain():
 
 def test_ingest_reorders_shuffled_blocks():
     f0 = noisy_field((32, 32, 32), seed=11)
-    f1 = downsample2x(f0)
+    f1 = Volume(downsample2x(f0.data))
     levels = [_tile(f0, 8, keep=lambda bx, by, bz: (bx + by + bz) % 2 == 0),
               _tile(f1, 4, keep=lambda bx, by, bz: (bx + by + bz) % 2 == 1)]
     rng = np.random.default_rng(11)

@@ -271,9 +271,10 @@ def test_field_matches_per_cell_evaluation():
     v = smooth_field((5, 4, 3), seed=3)
     m = _model(mu=0.01, sigma2=0.02)
     f = probability_field(v, 0.1, m)
-    for z in range(v.nz - 1):
-        for y in range(v.ny - 1):
-            for x in range(v.nx - 1):
+    nx, ny, nz = v.dims
+    for z in range(nz - 1):
+        for y in range(ny - 1):
+            for x in range(nx - 1):
                 corners = v.data[z : z + 2, y : y + 2, x : x + 2].reshape(-1)
                 want = cell_crossing_probability(corners, 0.1, m)
                 assert f.p[z, y, x] == pytest.approx(want, abs=1e-14)
