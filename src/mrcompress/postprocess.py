@@ -70,11 +70,11 @@ def clamp_to_band(value, center, a: float, eb: float):
 def _axis_pass(arr: np.ndarray, axis: int, blocksize: int, a: float, eb: float) -> None:
     """Adjust boundary points along one array axis, in place. With b the
     blocksize, d4 is every b-th point from b - 1 on that has a next point;
-    d3, d4 and d5 are strided basic slices of the axis moved to the front."""
+    d3, d4 and d5 are strided basic slices of the axis swapped to the front."""
     b = blocksize
     if b < 2:
         return
-    v = np.moveaxis(arr, axis, 0)
+    v = arr.swapaxes(0, axis)
     d4 = v[b - 1 : -1 : b]
     v[b - 1 : -1 : b] = clamp_to_band(bezier_mid(v[b - 2 : -2 : b], d4, v[b::b]), d4, a, eb)
 
