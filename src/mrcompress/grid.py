@@ -137,8 +137,14 @@ def downsample2x(a: np.ndarray) -> np.ndarray:
 
 def upsample2x(a: np.ndarray) -> np.ndarray:
     """Double every axis of the (z, y, x) array ``a`` by nearest-neighbor
-    replication."""
-    return a.repeat(2, axis=0).repeat(2, axis=1).repeat(2, axis=2)
+    replication, out[2z+i, 2y+j, 2x+k] = a[z, y, x]. The output is filled
+    one input z-plane at a time, repeated along x and broadcast over its
+    output rows and planes, so the scratch is one x-doubled plane."""
+    nz, ny, nx = a.shape
+    out = np.empty((nz, 2, ny, 2, 2 * nx), dtype=a.dtype)
+    for z in range(nz):
+        out[z] = a[z].repeat(2, axis=1)[:, None, :]
+    return out.reshape(2 * nz, 2 * ny, 2 * nx)
 
 
 def _np_dtype(dtype: str) -> np.dtype:

@@ -15,6 +15,7 @@ from .errors import ShapeError
 from .grid import Volume
 from .pipeline import compress_volume, decompress_volume
 from .roi import MultiResDataset, reconstruct_uniform
+from .wire import atomic_write
 
 SSIM_WINDOW = 8
 SSIM_STRIDE = 4
@@ -201,9 +202,12 @@ def rd_sweep(
 
 
 def write_jsonl(points, path) -> None:
-    with open(path, "w") as fh:
-        for p in points:
-            row = asdict(p)
-            if math.isinf(row["psnr_db"]):
-                row["psnr_db"] = "inf" if row["psnr_db"] > 0 else "-inf"
-            fh.write(json.dumps(row) + "\n")
+    """Write one JSON object per point, an infinite PSNR as "inf" or
+    "-inf", through a temp file, so the file appears whole or not at all."""
+    lines = []
+    for p in points:
+        row = asdict(p)
+        if math.isinf(row["psnr_db"]):
+            row["psnr_db"] = "inf" if row["psnr_db"] > 0 else "-inf"
+        lines.append(json.dumps(row) + "\n")
+    atomic_write(path, "".join(lines).encode())

@@ -3,9 +3,10 @@
 The selector ranks b-cube blocks by their value range and keeps the top
 x percent at full resolution, as the fine level's (gz, gy, gx) occupancy
 grid; everything else is downsampled once. The result is a block-structured
-dataset that can be reassembled into a uniform grid, and externally produced
-AMR level sets can be ingested into the same shape. Volumes enter through
-the selector and leave through the reassembly; levels hold plain arrays.
+dataset that is reassembled into a uniform grid coarsest level first, and
+externally produced AMR level sets can be ingested into the same shape.
+Volumes enter through the selector and leave through the reassembly;
+levels hold plain arrays.
 :func:`check_tiling` states how levels fit together; a dataset checks its
 levels with it, and the container reader checks a file's level records with
 it before it decodes any payload.
@@ -86,13 +87,9 @@ class MultiResDataset:
             raise ShapeError("dataset needs at least one level")
         check_tiling(self.levels)
 
-    @property
-    def fine_dims(self) -> Dims:
-        return self.levels[0].dims
-
     def densities(self) -> list[float]:
         """Fraction of the domain carried by each level; they sum to 1."""
-        nx, ny, nz = self.fine_dims
+        nx, ny, nz = self.levels[0].dims
         total = nx * ny * nz
         return [len(lv.blocks) * (lv.u * 2**li) ** 3 / total
                 for li, lv in enumerate(self.levels)]
@@ -164,34 +161,18 @@ def check_tiling(levels) -> None:
         )
 
 
-# upsampled values pasted per chunk of blocks; bounds the scratch next to the output
-_PASTE_CHUNK_BYTES = 2 << 20
-
-
 def reconstruct_uniform(ds: MultiResDataset) -> Volume:
-    """Paste every level back onto the finest grid, upsampling coarse blocks
-    by their level's scale.
-
-    A level is pasted in chunks of blocks, one fancy-indexed write each. A
-    chunk upsamples as one z-stacked view of its blocks: a block's edges
-    lie at multiples of u and land on multiples of 2u, so no value crosses
-    into a neighbor, and the scratch stays near the chunk bound where a
-    whole level upsampled at once would need a second output-sized grid.
-    The result is checked for finiteness once, as the Volume adopts it."""
-    nx, ny, nz = ds.fine_dims
-    out = np.empty((nz, ny, nx), dtype=np.float64)
-    for li, lv in enumerate(ds.levels):
-        e = lv.u * 2**li
-        cells = block_view(out, e)
-        bz, by, bx = np.nonzero(lv.occupancy)
-        step = max(1, _PASTE_CHUNK_BYTES // (8 * e**3))
-        for lo in range(0, len(lv.blocks), step):
-            at = slice(lo, lo + step)
-            chunk = lv.blocks[at].reshape(-1, lv.u, lv.u)
-            for _ in range(li):
-                chunk = upsample2x(chunk)
-            cells[bz[at], by[at], bx[at]] = chunk.reshape(-1, e, e, e)
-    return Volume._adopt(out)
+    """Expand the levels onto the finest grid, coarsest first: the coarsest
+    level pastes its blocks into a zeroed grid of its dims, and each finer
+    one doubles the grid with ``upsample2x`` and pastes its blocks with one
+    masked write. The levels tile the grid, so every cell ends up with the
+    value of the level that owns it, replicated exactly. The result is
+    checked for finiteness once, as the Volume adopts it."""
+    grid = None
+    for lv in reversed(ds.levels):
+        grid = np.zeros(lv.dims[::-1]) if grid is None else upsample2x(grid)
+        block_view(grid, lv.u)[lv.occupancy] = lv.blocks
+    return Volume._adopt(grid)
 
 
 def ingest_amr(levels) -> MultiResDataset:

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from mrcompress.errors import ShapeError
-from mrcompress.grid import Volume, block_grid, block_view, downsample2x, upsample2x
+from mrcompress.grid import Volume, block_grid, block_view, downsample2x
 from mrcompress.layout import LINEAR, STACKED, MergedArray, _stack_grid
 from mrcompress.postprocess import _AXIS_ORDER, IntensityConfig
 from mrcompress.roi import Level, RoiConfig
@@ -228,16 +228,15 @@ def build_adaptive_per_block(v: Volume, mask: np.ndarray, cfg: RoiConfig):
 
 
 def reconstruct_uniform_per_block(levels) -> Volume:
-    """Paste every reference level back onto the finest grid, upsampling
-    coarse blocks by their level's scale."""
+    """Paste every reference level back onto the finest grid, replicating
+    each coarse block's values by its level's scale with ``np.repeat``
+    (not ``grid.upsample2x``, the kernel under test)."""
     nx, ny, nz = levels[0][0]
     out = np.empty((nz, ny, nx), dtype=np.float64)
     for li, (_, u, blocks) in enumerate(levels):
         scale = 2**li
         for blk in blocks:
-            data = blk.data
-            for _ in range(int(np.log2(scale))):
-                data = upsample2x(data)
+            data = blk.data.repeat(scale, axis=0).repeat(scale, axis=1).repeat(scale, axis=2)
             out[_block_slices(blk.coord, u * scale)] = data
     return Volume(out)
 

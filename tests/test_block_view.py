@@ -101,10 +101,15 @@ def _three_levels(dims, seed):
     return f0, [(f0.dims, 8, l0[::-1]), (f1.dims, 4, l1[::-1]), (f2.dims, 2, l2[::-1])]
 
 
-def _check_three_level_ingest(dims):
+def _ingest(levels):
+    return ingest_amr([(d, u, [b.coord for b in blocks], np.stack([b.data for b in blocks]))
+                       for d, u, blocks in levels])
+
+
+@pytest.mark.parametrize("dims", [(32, 16, 48), (16, 32, 64)])
+def test_three_level_ingest_matches_per_block(dims):
     f0, levels = _three_levels(dims, seed=sum(dims))
-    ds = ingest_amr([(d, u, [b.coord for b in blocks], np.stack([b.data for b in blocks]))
-                     for d, u, blocks in levels])
+    ds = _ingest(levels)
     ref = [(d, u, sorted_blocks(blocks)) for d, u, blocks in levels]
     for lv, (d, u, blocks) in zip(ds.levels, ref):
         same_level(lv, d, u, blocks)
@@ -114,19 +119,6 @@ def _check_three_level_ingest(dims):
     rec = reconstruct_uniform(ds)
     assert rec.data.tobytes() == reconstruct_uniform_per_block(ref).data.tobytes()
     assert np.array_equal(rec.data[:8], f0.data[:8])
-
-
-@pytest.mark.parametrize("dims", [(32, 16, 48), (16, 32, 64)])
-def test_three_level_ingest_matches_per_block(dims):
-    _check_three_level_ingest(dims)
-
-
-@pytest.mark.parametrize("dims", [(32, 16, 48), (16, 32, 64)])
-def test_three_level_ingest_in_partial_chunks_matches_per_block(dims, monkeypatch):
-    # every level pastes 8-cubes, three to a chunk: the scale-2 level's 8
-    # blocks end on a partial chunk, and so do the scale-4 level's 32 on (32, 16, 48)
-    monkeypatch.setattr(roi, "_PASTE_CHUNK_BYTES", 3 * 8 * 8**3)
-    _check_three_level_ingest(dims)
 
 
 @pytest.fixture(scope="module")
@@ -147,28 +139,34 @@ def test_build_adaptive_downsamples_once(cli_roi, monkeypatch):
     assert len(ds.levels[1].blocks) == 409
 
 
-def test_reconstruct_uniform_pastes_chunks_like_per_block(cli_roi, monkeypatch):
-    # 409 coarse blocks upsample to 16-cubes, 64 to a chunk: 6 full chunks and a partial one
-    v, cfg, mask = cli_roi
-    ds = build_adaptive(v, mask, cfg)
-    levels, _ = build_adaptive_per_block(v, mask, cfg)
-    calls, views = [], []
+def test_reconstruct_uniform_expands_each_coarser_grid_once(cli_roi, monkeypatch):
+    # coarsest first: every level but the finest is upsampled once, as a
+    # whole grid, and the bytes equal the per-block paste
+    calls = []
 
     def upsample(a):
         calls.append(a.shape[::-1])
-        views.append(np.shares_memory(a, ds.levels[1].blocks))
         return upsample2x(a)
 
     monkeypatch.setattr(roi, "upsample2x", upsample)
-    got = reconstruct_uniform(ds)
-    assert calls == [(8, 8, 64 * 8)] * 6 + [(8, 8, 25 * 8)]
-    assert all(views)  # each chunk is upsampled from a view of the level's blocks, not a copy
+    v, cfg, mask = cli_roi
+    levels, _ = build_adaptive_per_block(v, mask, cfg)
+    got = reconstruct_uniform(build_adaptive(v, mask, cfg))
+    assert calls == [(64, 64, 64)]
     assert got.data.tobytes() == reconstruct_uniform_per_block(levels).data.tobytes()
+
+    calls.clear()
+    _, levels = _three_levels((32, 16, 48), seed=3)
+    got = reconstruct_uniform(_ingest(levels))
+    assert calls == [(8, 4, 12), (16, 8, 24)]  # the scale-4 grid, then the scale-2 grid
+    ref = [(d, u, sorted_blocks(blocks)) for d, u, blocks in levels]
+    assert got.data.tobytes() == reconstruct_uniform_per_block(ref).data.tobytes()
 
 
 def test_reconstruct_uniform_peak_stays_near_the_output(cli_roi):
-    # the output is filled in place and adopted; the rest is one chunk's
-    # upsampling scratch (about 3 MB) and the output's finiteness mask
+    # the finest grid is adopted as the output; the rest is the coarse grid
+    # it was upsampled from (1/8), one x-doubled plane of scratch and the
+    # output's finiteness mask (1/8 each, not alive at once)
     v, cfg, mask = cli_roi
     ds = build_adaptive(v, mask, cfg)
     tracemalloc.start()
@@ -177,7 +175,7 @@ def test_reconstruct_uniform_peak_stays_near_the_output(cli_roi):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * out.data.nbytes
+    assert peak < 1.2 * out.data.nbytes
 
 
 @pytest.mark.parametrize("li", [0, 2])

@@ -135,6 +135,15 @@ def test_upsample_octants():
                 assert np.all(oct_ == a[z, y, x])
 
 
+@pytest.mark.parametrize("shape", [(3, 5, 7), (2, 1, 6), (1, 4, 3), (1, 1, 9), (5, 2, 1)])
+def test_upsample_equals_repeat_along_every_axis(shape):
+    a = noisy_field(shape[::-1], seed=sum(shape)).data
+    u = upsample2x(a)
+    assert u.flags.c_contiguous
+    assert u.shape == tuple(2 * n for n in shape)
+    assert u.tobytes() == a.repeat(2, axis=0).repeat(2, axis=1).repeat(2, axis=2).tobytes()
+
+
 def test_down_up_round_trip_identity():
     for seed in range(5):
         a = noisy_field((8, 6, 4), seed=seed).data

@@ -387,3 +387,19 @@ def test_write_jsonl_encodes_infinities_as_strings(tmp_path):
     assert rows[2]["psnr_db"] == "-inf"
     assert rows[0]["cr"] == 8.0
     assert rows[0]["compressed_bytes"] == 100
+
+
+def test_write_jsonl_leaves_nothing_when_a_row_fails(tmp_path, monkeypatch):
+    dumps, rows = json.dumps, []
+
+    def failing_dumps(row):
+        rows.append(row)
+        if len(rows) == 2:
+            raise ValueError("row 2 does not encode")
+        return dumps(row)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(ValueError):
+        write_jsonl(_points(), tmp_path / "sweep.jsonl")
+    assert len(rows) == 2
+    assert not list(tmp_path.iterdir())  # neither the file nor its temp file
