@@ -135,16 +135,19 @@ def downsample2x(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def upsample2x(a: np.ndarray) -> np.ndarray:
+def upsample2x(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Double every axis of the (z, y, x) array ``a`` by nearest-neighbor
-    replication, out[2z+i, 2y+j, 2x+k] = a[z, y, x]. The output is filled
-    one input z-plane at a time, repeated along x and broadcast over its
-    output rows and planes, so the scratch is one x-doubled plane."""
+    replication, out[2z+i, 2y+j, 2x+k] = a[z, y, x], into ``out`` if given
+    (of the doubled shape) or a new array, and return it. The output is
+    filled one input z-plane at a time, repeated along x and broadcast over
+    its output rows and planes, so the scratch is one x-doubled plane."""
     nz, ny, nx = a.shape
-    out = np.empty((nz, 2, ny, 2, 2 * nx), dtype=a.dtype)
+    if out is None:
+        out = np.empty((2 * nz, 2 * ny, 2 * nx), dtype=a.dtype)
+    pairs = out.reshape(nz, 2, ny, 2, 2 * nx)  # splits axes only: always a view
     for z in range(nz):
-        out[z] = a[z].repeat(2, axis=1)[:, None, :]
-    return out.reshape(2 * nz, 2 * ny, 2 * nx)
+        pairs[z] = a[z].repeat(2, axis=1)[:, None, :]
+    return out
 
 
 def _np_dtype(dtype: str) -> np.dtype:

@@ -163,16 +163,20 @@ def check_tiling(levels) -> None:
 
 def reconstruct_uniform(ds: MultiResDataset) -> Volume:
     """Expand the levels onto the finest grid, coarsest first: the coarsest
-    level pastes its blocks into a zeroed grid of its dims, and each finer
-    one doubles the grid with ``upsample2x`` and pastes its blocks with one
-    masked write. The levels tile the grid, so every cell ends up with the
-    value of the level that owns it, replicated exactly. The result is
-    checked for finiteness once, as the Volume adopts it."""
+    level pastes its blocks into a grid of its dims, zeroed unless it is the
+    finest, and each finer one doubles the grid with ``upsample2x`` and
+    pastes its blocks with one masked write. The levels tile the grid, so
+    every cell ends up with the value of the level that owns it, replicated
+    exactly. The finest grid is allocated before the coarser ones: allocated
+    after them, it took fresh pages and raised the cli-roi chain's peak RSS
+    by 2 MB. The result is checked for finiteness once, as it is adopted."""
+    out = np.empty(ds.levels[0].dims[::-1])
     grid = None
     for lv in reversed(ds.levels):
-        grid = np.zeros(lv.dims[::-1]) if grid is None else upsample2x(grid)
+        dest = out if lv is ds.levels[0] else np.zeros(lv.dims[::-1])
+        grid = dest if grid is None else upsample2x(grid, dest)
         block_view(grid, lv.u)[lv.occupancy] = lv.blocks
-    return Volume._adopt(grid)
+    return Volume._adopt(out)
 
 
 def ingest_amr(levels) -> MultiResDataset:

@@ -144,9 +144,9 @@ def test_reconstruct_uniform_expands_each_coarser_grid_once(cli_roi, monkeypatch
     # whole grid, and the bytes equal the per-block paste
     calls = []
 
-    def upsample(a):
+    def upsample(a, out=None):
         calls.append(a.shape[::-1])
-        return upsample2x(a)
+        return upsample2x(a, out)
 
     monkeypatch.setattr(roi, "upsample2x", upsample)
     v, cfg, mask = cli_roi
@@ -164,9 +164,9 @@ def test_reconstruct_uniform_expands_each_coarser_grid_once(cli_roi, monkeypatch
 
 
 def test_reconstruct_uniform_peak_stays_near_the_output(cli_roi):
-    # the finest grid is adopted as the output; the rest is the coarse grid
-    # it was upsampled from (1/8), one x-doubled plane of scratch and the
-    # output's finiteness mask (1/8 each, not alive at once)
+    # the finest grid is filled in place and adopted as the output; the rest
+    # is the coarse grid it is upsampled from (1/8), one x-doubled plane of
+    # scratch and the output's finiteness mask (1/8 each, not alive at once)
     v, cfg, mask = cli_roi
     ds = build_adaptive(v, mask, cfg)
     tracemalloc.start()

@@ -142,6 +142,18 @@ def test_upsample_equals_repeat_along_every_axis(shape):
     assert u.flags.c_contiguous
     assert u.shape == tuple(2 * n for n in shape)
     assert u.tobytes() == a.repeat(2, axis=0).repeat(2, axis=1).repeat(2, axis=2).tobytes()
+    dest = np.full(u.shape, np.nan)
+    assert upsample2x(a, dest) is dest
+    assert dest.tobytes() == u.tobytes()
+
+
+def test_upsample_fills_a_strided_output_in_place():
+    # splitting axes never needs a copy, so any output layout is written through
+    a = noisy_field((2, 3, 2), seed=1).data
+    dest = np.full((4, 6, 8), np.nan)
+    upsample2x(a, dest[:, :, ::2])
+    assert np.array_equal(dest[:, :, ::2], upsample2x(a))
+    assert np.isnan(dest[:, :, 1::2]).all()
 
 
 def test_down_up_round_trip_identity():
