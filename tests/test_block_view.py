@@ -139,9 +139,8 @@ def test_build_adaptive_downsamples_once(cli_roi, monkeypatch):
     assert len(ds.levels[1].blocks) == 409
 
 
-def test_reconstruct_uniform_expands_each_coarser_grid_once(cli_roi, monkeypatch):
-    # coarsest first: every level but the finest is upsampled once, as a
-    # whole grid, and the bytes equal the per-block paste
+def _record_upsamples(monkeypatch):
+    """Replace roi.upsample2x by a wrapper that records each input's (x, y, z) dims."""
     calls = []
 
     def upsample(a, out=None):
@@ -149,16 +148,28 @@ def test_reconstruct_uniform_expands_each_coarser_grid_once(cli_roi, monkeypatch
         return upsample2x(a, out)
 
     monkeypatch.setattr(roi, "upsample2x", upsample)
+    return calls
+
+
+def test_reconstruct_uniform_pastes_chunks_like_per_block(cli_roi, monkeypatch):
+    # coarsest first: the coarse level is pasted as one whole-grid chunk,
+    # upsampled once into the fine grid, and the bytes equal the per-block paste
+    calls = _record_upsamples(monkeypatch)
     v, cfg, mask = cli_roi
     levels, _ = build_adaptive_per_block(v, mask, cfg)
     got = reconstruct_uniform(build_adaptive(v, mask, cfg))
     assert calls == [(64, 64, 64)]
     assert got.data.tobytes() == reconstruct_uniform_per_block(levels).data.tobytes()
 
-    calls.clear()
-    _, levels = _three_levels((32, 16, 48), seed=3)
+
+@pytest.mark.parametrize("dims", [(32, 16, 48), (16, 32, 64)])
+def test_three_level_ingest_in_partial_chunks_matches_per_block(dims, monkeypatch):
+    # each level covers only a slab of the grid; every level but the finest
+    # is upsampled once, as a whole grid: the scale-4 grid, then the scale-2 grid
+    calls = _record_upsamples(monkeypatch)
+    _, levels = _three_levels(dims, seed=3)
     got = reconstruct_uniform(_ingest(levels))
-    assert calls == [(8, 4, 12), (16, 8, 24)]  # the scale-4 grid, then the scale-2 grid
+    assert calls == [tuple(n // 4 for n in dims), tuple(n // 2 for n in dims)]
     ref = [(d, u, sorted_blocks(blocks)) for d, u, blocks in levels]
     assert got.data.tobytes() == reconstruct_uniform_per_block(ref).data.tobytes()
 
