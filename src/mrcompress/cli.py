@@ -91,8 +91,6 @@ def cmd_roi(args) -> int:
 def cmd_compress(args) -> int:
     policy = ErrorBoundPolicy(eb=args.eb, adaptive=args.adaptive_eb, alpha=args.alpha, beta=args.beta)
     post = None if args.post == "off" else args.post
-    if not (0.0 < args.sample_rate <= 0.05):
-        raise ShapeError(f"sample rate must lie in (0, 0.05], got {args.sample_rate}")
     if _is_container(args.input):
         src = read_container(args.input)
         if src.roi_mask is None:
@@ -100,12 +98,8 @@ def cmd_compress(args) -> int:
                              "this container holds a whole volume")
         ds = _dataset(src)
         levels = tuple(
-            ContainerLevel(archive=compress_level(
-                lv, policy,
-                codec=args.codec, arrangement=args.arrangement, pad=args.pad,
-                lossless=args.lossless, post_family=post,
-                sample_rate=args.sample_rate, seed=args.seed,
-            ))
+            ContainerLevel(archive=compress_level(lv, policy, codec=args.codec, arrangement=args.arrangement,
+                                                  lossless=args.lossless, post_family=post, seed=args.seed))
             for lv in ds.levels
         )
         c = ContainerFile(levels=levels, roi_b=src.roi_b, roi_x_percent=src.roi_x_percent)
@@ -113,8 +107,8 @@ def cmd_compress(args) -> int:
         if args.dims is None:
             raise ShapeError("raw input needs --dims")
         vol = read_raw_volume(args.input, args.dims, args.dtype)
-        arch = compress_volume(vol, policy, codec=args.codec, lossless=args.lossless,
-                               post_family=post, sample_rate=args.sample_rate, seed=args.seed)
+        arch = compress_volume(vol, policy, codec=args.codec, lossless=args.lossless, post_family=post,
+                               seed=args.seed)
         c = ContainerFile(levels=(ContainerLevel(archive=arch),))
     data = encode_container(c)
     atomic_write(args.out, data)
@@ -220,12 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptive-eb", action="store_true", help="tighten bounds on coarse levels")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p.add_argument("--pad", choices=("auto", "off"), default="auto")
     p.add_argument("--arrangement", choices=(LINEAR, STACKED), default=LINEAR)
     p.add_argument("--lossless", choices=("none", "zlib"), default="none")
     p.add_argument("--post", choices=("sz", "zfp", "off"), default="off")
-    p.add_argument("--sample-rate", type=float, default=0.05,
-                   help="sampling budget for post-processing (max 0.05)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compress)

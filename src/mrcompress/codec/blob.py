@@ -21,7 +21,7 @@ Layout, all little-endian:
       Huffman table     u32 symbol count, i32 symbols, u8 code lengths
       payload length    u64
       payload           bitstream, then the literal f64 values; optionally
-                        zlib-compressed as a whole
+                        deflated by zlib as a whole
     bitstream:
       lane table        u16 bit length per lane of ``LANE_CODES`` codes
                         (the lane count follows from the number of values)

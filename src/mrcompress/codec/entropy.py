@@ -31,13 +31,12 @@ payload the code and literal counts allow.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import FormatError, ShapeError
-from ..wire import U32, U64, Reader, inflate
+from ..wire import U32, U64, Reader, deflate, inflate
 
 MAX_CODE_LEN = 32
 # codes per lane; a lane of MAX_CODE_LEN-bit codes must fit a u16 bit length
@@ -395,7 +394,7 @@ def entropy_encode(
     table = build_table(codes)
     payload = pack_codes(table, codes) + literals.astype("<f8").tobytes()
     if lossless == LOSSLESS_ZLIB:
-        payload = zlib.compress(payload, 6)
+        payload = deflate(payload)
     elif lossless != LOSSLESS_NONE:
         raise ShapeError(f"unknown lossless pass {lossless!r}")
     return U64.pack(literals.size) + table.to_bytes() + U64.pack(len(payload)) + payload

@@ -26,7 +26,7 @@ Layout (``MRC2``), all integers little-endian:
                         plan: i u32, j u32, seed u64, edges 3x u64, region
                         count u64, achieved rate f64
         origins         ox, oy, oz as u64 triples
-        payload         u64 length, then the region values as zlib-compressed f64
+        payload         u64 length, then the region values as f64, deflated by zlib
 
 Each fixed section is one ``struct.Struct`` that the writer and the reader
 share, and the reader goes through :class:`~mrcompress.wire.Reader`, so no
@@ -39,12 +39,13 @@ before any payload is decoded: every level is tiled, the dims halve from
 level to level, and the occupancy bitmaps tile the finest grid exactly
 once. So every file the reader returns decodes into a valid dataset, and a
 file whose levels do not fit together is a ``FormatError`` at read time.
+A whole-volume level's dims must equal its blob's, so a corrupt blob
+dims field cannot size a decode.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ from .layout import LINEAR, linear_merge, stack_merge
 from .pipeline import LevelArchive, SampleSet, compress_level, decompress_level
 from .postprocess import FAMILY_SZ, FAMILY_ZFP, IntensityConfig, SamplingPlan
 from .roi import MultiResDataset, check_tiling
-from .wire import U64, Reader, atomic_write, inflate, triples
+from .wire import U64, Reader, atomic_write, deflate, inflate, triples
 
 MAGIC = b"MRC2"
 VERSION = 2
@@ -66,8 +67,6 @@ SCALAR_WIDTH = 8
 _POST_FAMILIES = (None, FAMILY_SZ, FAMILY_ZFP)
 
 _FLAG_SAMPLES = 1
-
-_ZLIB_LEVEL = 6  # fixed so re-encoding stays byte-identical
 
 _HEAD = struct.Struct("<4sHBBId")
 _LEVEL = struct.Struct("<3QI")
@@ -111,7 +110,7 @@ def _pack_samples(s: SampleSet) -> bytes:
     p = s.plan
     head = _SIDECAR.pack(_FLAG_SAMPLES, p.i, p.j, p.seed, *p.edges, len(p.origins), p.achieved_rate)
     raw = np.concatenate([r.reshape(-1) for r in s.regions]).astype("<f8").tobytes() if s.regions else b""
-    packed = zlib.compress(raw, _ZLIB_LEVEL)
+    packed = deflate(raw)
     return head + triples(p.origins) + U64.pack(len(packed)) + packed
 
 
@@ -189,6 +188,8 @@ def decode_container(buf: bytes) -> ContainerFile:
         blob, r.offset = CompressedBlob.from_bytes(buf, r.offset)
         if u != blob.u:
             raise FormatError(f"level u={u} disagrees with its blob's u={blob.u}")
+        if not u and blob.dims != (nx, ny, nz):
+            raise FormatError(f"whole-volume level dims {(nx, ny, nz)} disagree with its blob's {blob.dims}")
         if u and int(occupancy.sum()) != blob.k:
             raise FormatError(f"level occupancy flags {int(occupancy.sum())} blocks, its blob holds {blob.k}")
         fam_code, ax, ay, az, sc_off = r.take(_POST)
@@ -229,10 +230,8 @@ def container_from_dataset(
     policy: ErrorBoundPolicy = None,
     codec: str = "interp",
     arrangement: str = LINEAR,
-    pad: str = "auto",
     lossless: str = "none",
     post_family=None,
-    sample_rate: float = 0.05,
     seed: int = 0,
     roi_b: int = 0,
     roi_x_percent: float = 0.0,
@@ -255,12 +254,8 @@ def container_from_dataset(
             blob = compress(merged, STORED_POLICY, codec=STORED)
             arch = LevelArchive(dims=lv.dims, blob=blob, occupancy=lv.occupancy)
         else:
-            arch = compress_level(
-                lv, policy,
-                codec=codec, arrangement=arrangement, pad=pad,
-                lossless=lossless, post_family=post_family,
-                sample_rate=sample_rate, seed=seed,
-            )
+            arch = compress_level(lv, policy, codec=codec, arrangement=arrangement, lossless=lossless,
+                                  post_family=post_family, seed=seed)
         levels.append(ContainerLevel(archive=arch))
     return ContainerFile(levels=tuple(levels), roi_b=roi_b, roi_x_percent=roi_x_percent)
 

@@ -2,10 +2,12 @@
 
 A resolution level travels as a :class:`~mrcompress.roi.Level`: its
 occupancy grid and one (k, u, u, u) block array. Compression merges the
-blocks into one array, optionally pads it, and hands it to a codec. The
-archive produced here also carries everything needed to undo that and to
-re-run post-processing on the decompressed side: the chosen intensity
-configuration and, when sampling ran, the original sample regions.
+blocks into one array, pads it by rule (the interp codec's linear merges
+of blocks above ``PAD_MIN_U``, where padding pays), and hands it to a
+codec. The archive produced here also carries everything needed to undo
+that and to re-run post-processing on the decompressed side: the chosen
+intensity configuration and, when sampling ran, the original sample
+regions, at most ``postprocess.SAMPLE_RATE`` of the level.
 
 Decoding works on plain arrays: :func:`decode_level` returns one (z, y, x)
 array, and only decompress_level and decompress_volume build a Level or a
@@ -40,8 +42,6 @@ from .postprocess import (
 )
 from .roi import Level
 
-PAD_AUTO = "auto"
-PAD_OFF = "off"
 PAD_MIN_U = 4  # padding pays off only above this unit-block edge
 
 
@@ -94,27 +94,16 @@ class LevelArchive:
         return self.blob.size_bytes()
 
 
-def _should_pad(pad: str, codec: str, arrangement: str, u: int) -> bool:
-    """Whether a level of u-blocks is padded: ``auto`` pads the interp
-    codec's linear merges of blocks above ``PAD_MIN_U``."""
-    if pad == PAD_OFF:
-        return False
-    if pad != PAD_AUTO:
-        raise ShapeError(f"unknown pad mode {pad!r}")
-    return codec == "interp" and arrangement == LINEAR and u > PAD_MIN_U
-
-
-def _fit_intensity(orig, dec, eb: float, blocksize: int, family: str, seed: int, sample_rate: float):
+def _fit_intensity(orig, dec, eb: float, blocksize: int, family: str, seed: int):
     """Plan a sample on ``dec``, the unpadded codec output for the array
     ``orig`` at bound ``eb``, and pick per-axis intensities."""
-    plan = plan_sampling(dec.shape[::-1], blocksize, max_rate=sample_rate, seed=seed)
+    plan = plan_sampling(dec.shape[::-1], blocksize, seed=seed)
     orig_regions = extract_regions(orig, plan)
     cfg = select_intensity(orig_regions, extract_regions(dec, plan), eb, blocksize, family)
     return cfg, SampleSet(plan=plan, regions=tuple(orig_regions))
 
 
-def _encode(payload, orig, dims: Dims, occupancy, policy, codec, lossless, post_family, sample_rate,
-            seed) -> LevelArchive:
+def _encode(payload, orig, dims: Dims, occupancy, policy, codec, lossless, post_family, seed) -> LevelArchive:
     """Compress ``payload`` into a level archive; with ``post_family``, fit
     the post filter on the encoder's reconstruction against ``orig``, the
     unpadded original values."""
@@ -126,7 +115,7 @@ def _encode(payload, orig, dims: Dims, occupancy, policy, codec, lossless, post_
     blocksize = post_blocksize(codec, blob.u)
     try:
         post, samples = _fit_intensity(orig, unpad(dec) if blob.padded else dec, policy.eb, blocksize,
-                                       post_family, seed, sample_rate)
+                                       post_family, seed)
     except SamplingError:  # no sample region fits the level: store it without post
         return LevelArchive(dims=dims, blob=blob, occupancy=occupancy)
     return LevelArchive(dims=dims, blob=blob, occupancy=occupancy, post=post, samples=samples)
@@ -137,17 +126,17 @@ def compress_level(
     policy: ErrorBoundPolicy,
     codec: str = "interp",
     arrangement: str = LINEAR,
-    pad: str = PAD_AUTO,
     lossless: str = LOSSLESS_NONE,
     post_family=None,
-    sample_rate: float = 0.05,
     seed: int = 0,
 ) -> LevelArchive:
-    """Merge one level's unit blocks and compress them into an archive."""
+    """Merge one level's unit blocks and compress them into an archive.
+    The merge is padded exactly when the codec is interp, the merge is
+    linear and u > ``PAD_MIN_U``."""
     merged = linear_merge(level.blocks) if arrangement == LINEAR else stack_merge(level.blocks)
-    payload = pad_linear(merged) if _should_pad(pad, codec, arrangement, level.u) else merged
-    return _encode(payload, merged.values, level.dims, level.occupancy, policy, codec, lossless,
-                   post_family, sample_rate, seed)
+    pad = codec == "interp" and arrangement == LINEAR and level.u > PAD_MIN_U
+    payload = pad_linear(merged) if pad else merged
+    return _encode(payload, merged.values, level.dims, level.occupancy, policy, codec, lossless, post_family, seed)
 
 
 def compress_volume(
@@ -156,11 +145,10 @@ def compress_volume(
     codec: str = "interp",
     lossless: str = LOSSLESS_NONE,
     post_family=None,
-    sample_rate: float = 0.05,
     seed: int = 0,
 ) -> LevelArchive:
     """Compress a whole volume as a single-level archive with no tiling."""
-    return _encode(vol, vol.data, vol.dims, None, policy, codec, lossless, post_family, sample_rate, seed)
+    return _encode(vol, vol.data, vol.dims, None, policy, codec, lossless, post_family, seed)
 
 
 def decode_level(archive: LevelArchive) -> np.ndarray:

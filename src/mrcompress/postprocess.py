@@ -9,7 +9,8 @@ x, y, z in turn, each reading the previous axis's output.
 
 The intensity is picked per axis by coordinate descent over a small
 family-specific candidate set, scored by L2 error against original values on
-a few sampled block-aligned regions (at most 5 percent of the data).
+a few sampled block-aligned regions (at most ``SAMPLE_RATE``, 5 percent, of
+the data).
 Every function here takes and returns plain (z, y, x) arrays.
 """
 
@@ -23,6 +24,8 @@ from .errors import SamplingError, ShapeError
 
 FAMILY_SZ = "sz"
 FAMILY_ZFP = "zfp"
+
+SAMPLE_RATE = 0.05  # the largest share of a level's cells a sampling plan takes
 
 _CANDIDATES = {
     FAMILY_SZ: tuple(i / 20.0 for i in range(1, 11)),  # 0.05 .. 0.50
@@ -97,7 +100,7 @@ def apply_postprocess(decomp: np.ndarray, eb: float, blocksize: int, cfg: Intens
 @dataclass(frozen=True)
 class SamplingPlan:
     """Block-aligned sample regions drawn without replacement from a
-    disjoint tiling; total volume stays at or below the rate cap."""
+    disjoint tiling; total volume stays at or below ``SAMPLE_RATE``."""
 
     i: int
     j: int
@@ -107,8 +110,9 @@ class SamplingPlan:
     achieved_rate: float
 
 
-def plan_sampling(dims, blocksize: int, max_rate: float = 0.05, seed: int = 0) -> SamplingPlan:
-    """Choose i^3 sample regions of roughly (2*blocksize)^3 cells.
+def plan_sampling(dims, blocksize: int, seed: int = 0) -> SamplingPlan:
+    """Choose i^3 sample regions of roughly (2*blocksize)^3 cells, as many
+    as fit in ``SAMPLE_RATE`` of the ``dims`` cells.
 
     On arrays thinner than 2*blocksize along some axis the region shrinks to
     the largest block multiple that fits, so merged arrays sample a run of
@@ -118,8 +122,6 @@ def plan_sampling(dims, blocksize: int, max_rate: float = 0.05, seed: int = 0) -
     ncells = nx * ny * nz
     if blocksize < 1:
         raise ShapeError(f"blocksize must be positive, got {blocksize}")
-    if not (0.0 < max_rate <= 1.0):
-        raise ShapeError(f"sample rate cap must be in (0, 1], got {max_rate}")
     for j in (2, 1):  # the region edge in blocks
         edges = tuple(blocksize * min(j, d // blocksize) for d in (nx, ny, nz))
         if min(edges) == 0:
@@ -127,7 +129,7 @@ def plan_sampling(dims, blocksize: int, max_rate: float = 0.05, seed: int = 0) -
         region = edges[0] * edges[1] * edges[2]
         tiles = (nx // edges[0], ny // edges[1], nz // edges[2])
         n_tiles = tiles[0] * tiles[1] * tiles[2]
-        budget = int(max_rate * ncells / region)
+        budget = int(SAMPLE_RATE * ncells / region)
         i = 0
         while (i + 1) ** 3 <= min(budget, n_tiles):
             i += 1
@@ -148,7 +150,7 @@ def plan_sampling(dims, blocksize: int, max_rate: float = 0.05, seed: int = 0) -
         )
     raise SamplingError(
         f"no block-aligned region of blocksize {blocksize} fits dims {tuple(dims)} "
-        f"under a {max_rate:.0%} sampling cap"
+        f"under a {SAMPLE_RATE:.0%} sampling cap"
     )
 
 

@@ -2,8 +2,8 @@
 
 Every parser reads through a :class:`Reader`: each read checks its length
 against the bytes left before anything is allocated, and a short read
-raises :class:`FormatError`. :func:`inflate` undoes a zlib pass with a cap
-on its output. Writers share their sections' ``struct.Struct`` layouts with
+raises :class:`FormatError`. :func:`deflate` is the one zlib writer, and
+:func:`inflate` undoes its pass with a cap on the output. Writers share their sections' ``struct.Struct`` layouts with
 the readers; the u64 fields and the u64-triple table live here. The CLI's
 outputs, containers and probability fields are written through
 :func:`atomic`, so a failed write leaves neither a partial file nor a temp.
@@ -56,6 +56,12 @@ class Reader:
 
     def triples(self, n: int) -> list:
         return [tuple(t) for t in self.array("<u8", 3 * n).reshape(-1, 3).tolist()]
+
+
+def deflate(data: bytes) -> bytes:
+    """The zlib pass of every writer, at a fixed level so re-encoding a
+    decoded file stays byte-identical."""
+    return zlib.compress(data, 6)
 
 
 def inflate(data: bytes, limit: int) -> bytes:

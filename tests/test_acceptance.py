@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mrcompress.cli import main as cli_main
-from mrcompress.codec import ErrorBoundPolicy, level_error_bound
+from mrcompress.codec import ErrorBoundPolicy, compress, decompress, level_error_bound
 from mrcompress.codec.interp import _axis_passes
 from mrcompress.container import (
     container_from_dataset,
@@ -34,11 +34,8 @@ from mrcompress.layout import (
 )
 from mrcompress.metrics import psnr, ssim
 from mrcompress.pipeline import (
-    PAD_AUTO,
-    PAD_OFF,
     compress_level,
     compress_volume,
-    decompress_level,
     decompress_volume,
 )
 from mrcompress.roi import Level, RoiConfig, build_adaptive, reconstruct_uniform, select_roi
@@ -147,11 +144,14 @@ def test_04_adaptive_bound_values():
 
 
 def _rd_point(v, blocks, eb, pad, adaptive=False):
-    arch = compress_level(blocks, ErrorBoundPolicy(eb, adaptive=adaptive),
-                          codec="interp", arrangement=LINEAR,
-                          pad=PAD_AUTO if pad else PAD_OFF, lossless="zlib")
-    rec = assemble_volume(decompress_level(arch))
-    return arch.blob.original_bytes / arch.size_bytes(), psnr(v, rec)
+    """CR and PSNR of the linear merge of ``blocks``, padded or not, as
+    compress_level and decompress_level code it."""
+    merged = linear_merge(blocks.blocks)
+    blob = compress(pad_linear(merged) if pad else merged, ErrorBoundPolicy(eb, adaptive=adaptive),
+                    codec="interp", lossless="zlib")
+    dec = unpad(decompress(blob)) if pad else decompress(blob)
+    rec = assemble_volume(Level(blocks.dims, blocks.u, blocks.occupancy, unmerge(dec, blob.u, blob.k)))
+    return blob.original_bytes / blob.size_bytes(), psnr(v, rec)
 
 
 def _matched_psnr(v, blocks, eb0, base_kw, probe_kw):
@@ -236,8 +236,8 @@ def test_08_padding_overhead_arithmetic():
         grown = pad_linear(m).values.size / m.values.size
         assert grown == padding_overhead(u), (u, grown)
     pol = ErrorBoundPolicy(1e-3)
-    small = compress_level(tile_volume(v, 4), pol, pad=PAD_AUTO)
-    large = compress_level(tile_volume(v, 8), pol, pad=PAD_AUTO)
+    small = compress_level(tile_volume(v, 4), pol)
+    large = compress_level(tile_volume(v, 8), pol)
     assert not small.blob.padded
     assert large.blob.padded
     print("criterion 08 padding overhead: growth == (u+1)^2/u^2 exactly "

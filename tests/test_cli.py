@@ -305,8 +305,12 @@ def test_bad_usage_exit_codes(tmp_path):
     # shape problems from the library surface as exit 2
     assert main(["compress", "--input", raw, "--dims", dims, "--dtype", "f64",
                  "--eb", "-1", "--out", out]) == 2
-    assert main(["compress", "--input", raw, "--dims", dims, "--dtype", "f64",
-                 "--eb", "1e-3", "--sample-rate", "0.2", "--out", out]) == 2
+    # the sample budget and the padding are rules, not options
+    for gone in (["--sample-rate", "0.2"], ["--pad", "off"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", "--input", raw, "--dims", dims, "--dtype", "f64",
+                  "--eb", "1e-3", *gone, "--out", out])
+        assert exc.value.code == 2
     assert main(["roi", "--input", raw, "--dims", dims, "--dtype", "f64",
                  "--block", "12", "--percent", "10", "--out", out]) == 2
     # wrong payload size for the declared dims

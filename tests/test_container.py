@@ -244,6 +244,20 @@ def test_corrupt_level_u_is_a_format_error():
         decode_container(bytes(raw))
 
 
+def test_whole_volume_dims_must_match_its_blob():
+    v = sum_of_gaussians((32, 32, 32), seed=3)
+    arch = compress_volume(v, ErrorBoundPolicy(eb=1e-3), lossless="zlib")
+    raw = bytearray(encode_container(ContainerFile(levels=(ContainerLevel(archive=arch),))))
+    # a whole volume has no bitmap: the blob's magic and codec byte, then
+    # its dims, follow the level record
+    dims_at = 4 + 4 + struct.calcsize("<Id") + struct.calcsize("<3QI") + 4 + 1
+    assert struct.unpack_from("<3Q", raw, dims_at) == (32, 32, 32)
+    # a corrupt nz would size the inflate cap of the decode
+    struct.pack_into("<Q", raw, dims_at + 16, 32 * 65536)
+    with pytest.raises(FormatError, match="whole-volume level dims"):
+        decode_container(bytes(raw))
+
+
 def test_bad_magic_rejected():
     c, _ = _single_level_container()
     raw = bytearray(encode_container(c))

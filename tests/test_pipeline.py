@@ -18,8 +18,8 @@ from mrcompress.pipeline import (
     decompress_volume,
     level_sample_pairs,
 )
-from mrcompress.postprocess import plan_sampling
-from mrcompress.roi import Level
+from mrcompress.postprocess import SAMPLE_RATE, plan_sampling
+from mrcompress.roi import Level, RoiConfig, build_adaptive, select_roi
 
 from helpers import (
     assemble_volume,
@@ -136,9 +136,6 @@ def test_pad_auto_rules():
     assert not padded(4)  # at the threshold, padding never pays
     assert not padded(8, codec="block")
     assert not padded(8, arrangement=STACKED)
-    assert not padded(8, pad="off")
-    with pytest.raises(ShapeError):
-        padded(8, pad="maybe")
 
 
 def test_empty_level_rejected():
@@ -249,7 +246,7 @@ def test_post_fit_decodes_nothing(monkeypatch, codec, arrangement):
     varch = compress_volume(v, p, codec=codec, post_family="zfp")
     assert calls == []
     # the same choice as a fit on the decoded blob
-    post, samples = pipeline._fit_intensity(v.data, decompress(varch.blob), 1e-3, 4, "zfp", 0, 0.05)
+    post, samples = pipeline._fit_intensity(v.data, decompress(varch.blob), 1e-3, 4, "zfp", 0)
     assert (post, samples.plan) == (varch.post, varch.samples.plan)
     assert arch.blob.padded == (codec == "interp" and arrangement == "linear")
     level = assemble_volume(decompress_level(arch))
@@ -284,11 +281,14 @@ def test_stored_samples_pair_with_decoded_regions():
 
 
 def test_sample_rate_forwarded():
+    # every level's sample stays within the fixed budget
     v = sum_of_gaussians((64, 64, 64), seed=10)
-    blocks = tile_volume(v, 8)
-    arch = compress_level(blocks, ErrorBoundPolicy(eb=1e-3),
-                          post_family="sz", sample_rate=0.01)
-    assert arch.samples.plan.achieved_rate <= 0.01
+    cfg = RoiConfig(b=8, x_percent=25.0)
+    ds = build_adaptive(v, select_roi(v, cfg), cfg)
+    assert len(ds.levels) == 2
+    for lv in ds.levels:
+        arch = compress_level(lv, ErrorBoundPolicy(eb=1e-3), post_family="sz")
+        assert 0.0 < arch.samples.plan.achieved_rate <= SAMPLE_RATE
 
 
 def test_compression_is_deterministic():

@@ -218,10 +218,6 @@ def test_plan_sampling_too_small_to_sample():
 def test_plan_sampling_validation():
     with pytest.raises(ShapeError):
         plan_sampling((64, 64, 64), 0)
-    with pytest.raises(ShapeError):
-        plan_sampling((64, 64, 64), 4, max_rate=0.0)
-    with pytest.raises(ShapeError):
-        plan_sampling((64, 64, 64), 4, max_rate=1.5)
 
 
 def test_extract_regions_match_manual_slices():
