@@ -28,7 +28,7 @@ from .container import (
 from .errors import DataError, FormatError, MrcError, ShapeError
 from .grid import Volume, read_raw_volume, write_raw_volume
 from .layout import LINEAR, STACKED
-from .metrics import psnr, ssim
+from .metrics import psnr, ssim, value_range
 from .pipeline import (
     compress_level,
     compress_volume,
@@ -171,8 +171,9 @@ def cmd_eval(args) -> int:
         cr = c.original_bytes() / os.path.getsize(args.recon)
     else:
         recon = read_raw_volume(args.recon, args.dims, args.dtype)
-    p = psnr(orig, recon)
-    s = ssim(orig, recon)
+    vrange = value_range(orig)  # the peak of both scores, read once
+    p = psnr(orig, recon, vrange=vrange)
+    s = ssim(orig, recon, vrange=vrange)
     result = {
         "psnr_db": ("inf" if p > 0 else "-inf") if math.isinf(p) else p,
         "ssim": s,

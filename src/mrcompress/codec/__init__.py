@@ -4,8 +4,9 @@ Each codec is an array coder: ``<codec>_compress(arr, policy, lossless,
 recon)`` turns a (z, y, x) array into (entropy stream, the decoder's output
 when ``recon`` else None), and ``<codec>_decompress(blob)`` returns the
 array. :func:`compress` and :func:`decompress` are the envelope around them:
-a Volume or MergedArray becomes a CompressedBlob that records its layout,
-and a blob decodes to the coder's plain (z, y, x) float64 array. Dispatch
+a Volume or MergedArray becomes a CompressedBlob that records its layout
+and scalar type, and a blob decodes to the coder's plain (z, y, x) array of
+that type, float32 or float64. Dispatch
 names each coder in an ``if``, so it is looked up in this module at call
 time and a wrapper installed here sees every call.
 """

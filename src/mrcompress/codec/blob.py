@@ -20,12 +20,18 @@ Layout, all little-endian:
       literal count     u64
       Huffman table     u32 symbol count, i32 symbols, u8 code lengths
       payload length    u64
-      payload           bitstream, then the literal f64 values; optionally
+      payload           bitstream, then the literal values; optionally
                         deflated by zlib as a whole
     bitstream:
       lane table        u16 bit length per lane of ``LANE_CODES`` codes
                         (the lane count follows from the number of values)
       lanes             each lane's codes MSB-first, zero-padded to a byte
+
+The blob does not record its scalar type. It is the container head's
+scalar width, 4 (f32) or 8 (f64), held as ``CompressedBlob.dtype``: the
+width of a stored blob's values and of the interp codec's literals. The
+block codec's literals are f64 at either width (see
+:mod:`~mrcompress.codec.lorenzo`).
 
 A blob is read only inside an ``MRC2`` container (:mod:`mrcompress.container`).
 There a tiled blob's k blocks are the ones its level's occupancy bitmap
@@ -35,7 +41,7 @@ The fixed fields from magic through block count are one
 ``struct.Struct`` (``_HEADER``), which both the writer and the reader use;
 the reader goes through :class:`~mrcompress.wire.Reader`.
 The stream length lets a reader find the end of the blob without parsing
-the entropy stream. Stored blobs put the raw f64 values in the
+the entropy stream. Stored blobs put the raw values in the
 payload slot behind an empty table, so they have no bitstream.
 """
 
@@ -60,6 +66,7 @@ MAGIC = b"MRB2"
 CODECS = ("stored", "interp", None, "block")
 ARRANGEMENTS = (None, LINEAR, STACKED)  # None: a whole volume
 _ZLIB_FLAG = 0x80
+SCALAR_TYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # magic through block count; the stream length and the stream follow
 _HEADER = struct.Struct("<4sB3QdBddBBIQ")
@@ -76,8 +83,12 @@ class CompressedBlob:
     k: int  # block count; 0 for a whole volume
     stream: bytes  # entropy stream: literal count, table, payload
     lossless: str = LOSSLESS_NONE
+    dtype: np.dtype = np.dtype(np.float64)  # of the encoded array; the container records it
 
     def __post_init__(self):
+        object.__setattr__(self, "dtype", np.dtype(self.dtype))
+        if self.dtype not in SCALAR_TYPES:
+            raise ShapeError(f"unsupported scalar type {self.dtype}")
         if self.codec not in range(len(CODECS)) or CODECS[self.codec] is None:
             raise ShapeError(f"unknown codec id {self.codec}")
         if self.arrangement not in ARRANGEMENTS:
@@ -110,7 +121,9 @@ class CompressedBlob:
         return head + U64.pack(len(self.stream)) + self.stream
 
     @classmethod
-    def from_bytes(cls, buf: bytes, offset: int = 0) -> tuple["CompressedBlob", int]:
+    def from_bytes(cls, buf: bytes, offset: int = 0, dtype=np.float64) -> tuple["CompressedBlob", int]:
+        """The blob at ``offset`` of ``buf``, of the scalar type ``dtype``
+        its container records, and the offset after it."""
         r = Reader(buf, offset)
         (magic, codec_byte, nx, ny, nz, eb, adaptive, alpha, beta,
          arrangement, padded, u, k) = r.take(_HEADER)
@@ -137,7 +150,7 @@ class CompressedBlob:
         except ShapeError as exc:
             raise FormatError(f"blob carries an invalid layout or policy: {exc}") from exc
         blob = cls(codec=codec, dims=(nx, ny, nz), policy=policy, arrangement=ARRANGEMENTS[arrangement],
-                   padded=bool(padded), u=u, k=k, stream=stream, lossless=lossless)
+                   padded=bool(padded), u=u, k=k, stream=stream, lossless=lossless, dtype=dtype)
         return blob, r.offset
 
     def size_bytes(self) -> int:
@@ -145,12 +158,12 @@ class CompressedBlob:
 
 
 def unwrap(m: MergedArray | Volume) -> tuple[np.ndarray, dict]:
-    """The (z, y, x) array of ``m`` and the blob fields of its shape and
-    layout."""
+    """The (z, y, x) array of ``m`` and the blob fields of its shape,
+    layout and scalar type."""
     if isinstance(m, Volume):
         arr, fields = m.data, dict(arrangement=None, padded=False, u=0, k=0)
     elif isinstance(m, MergedArray):
         arr, fields = m.values, dict(arrangement=m.arrangement, padded=m.padded, u=m.u, k=m.k)
     else:
         raise ShapeError(f"cannot compress {type(m).__name__}")
-    return arr, dict(fields, dims=arr.shape[::-1])
+    return arr, dict(fields, dims=arr.shape[::-1], dtype=arr.dtype)

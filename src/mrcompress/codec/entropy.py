@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FormatError, ShapeError
+from ..grid import scalar_array
 from ..wire import U32, U64, Reader, deflate, inflate
 
 MAX_CODE_LEN = 32
@@ -388,11 +389,12 @@ def entropy_encode(
 ) -> bytes:
     """Serialize one quantized stream as
     [literal count u64][table][payload length u64][payload], where the payload
-    is the packed bitstream followed by the literal values."""
+    is the packed bitstream followed by the literal values, little-endian
+    f32 when ``literals`` is float32 and f64 otherwise."""
     codes = np.asarray(codes, dtype=np.int32).reshape(-1)
-    literals = np.asarray(literals, dtype=np.float64).reshape(-1)
+    literals = scalar_array(literals).reshape(-1)
     table = build_table(codes)
-    payload = pack_codes(table, codes) + literals.astype("<f8").tobytes()
+    payload = pack_codes(table, codes) + literals.astype(literals.dtype.newbyteorder("<")).tobytes()
     if lossless == LOSSLESS_ZLIB:
         payload = deflate(payload)
     elif lossless != LOSSLESS_NONE:
@@ -401,10 +403,11 @@ def entropy_encode(
 
 
 def entropy_decode(
-    buf: bytes, n_codes: int, lossless: str = LOSSLESS_NONE
+    buf: bytes, n_codes: int, lossless: str = LOSSLESS_NONE, literal_dtype=np.float64
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`entropy_encode`; returns (codes, literals). The
-    stream must end exactly where its payload ends."""
+    """Inverse of :func:`entropy_encode`, whose literals were of
+    ``literal_dtype``; returns (codes, literals). The stream must end
+    exactly where its payload ends."""
     r = Reader(buf)
     (n_lit,) = r.take(U64)
     # every literal sits behind one escape code
@@ -415,13 +418,14 @@ def entropy_decode(
     if len(buf) - r.offset != plen:
         raise FormatError("entropy payload length disagrees with the stream's end")
     payload = r.bytes(plen)
+    lit = np.dtype(literal_dtype).newbyteorder("<")
     if lossless == LOSSLESS_ZLIB:
         # the lane table, codes of at most MAX_CODE_LEN bits, the literals
-        payload = inflate(payload, 2 * _lane_count(n_codes) + MAX_CODE_LEN // 8 * n_codes + 8 * n_lit)
-    lit_bytes = n_lit * 8
+        payload = inflate(payload, 2 * _lane_count(n_codes) + MAX_CODE_LEN // 8 * n_codes + lit.itemsize * n_lit)
+    lit_bytes = n_lit * lit.itemsize
     if len(payload) < lit_bytes:
         raise FormatError("payload shorter than its literal block")
-    literals = np.frombuffer(payload, dtype="<f8", count=n_lit,
-                             offset=len(payload) - lit_bytes).astype(np.float64)
+    literals = np.frombuffer(payload, dtype=lit, count=n_lit,
+                             offset=len(payload) - lit_bytes).astype(literal_dtype)
     codes = unpack_codes(table, payload[: len(payload) - lit_bytes], n_codes)
     return codes, literals

@@ -35,6 +35,11 @@ batch-sized. A slab cuts the z runs of the batch's selector, and of its
 neighbors' selectors, to one range of z indices; since a batch ravels with
 z outermost, its slabs in order emit the codes and literals in the batch's
 ravel order, and the bytes do not depend on the slab size.
+
+The working state, the predictions, the reconstruction and the literals
+are in the scalar type of the coded array, float32 or float64; the decoder
+takes it from the blob, and both sides dequantize as code * 2*eb, with 2*eb
+rounded to that type, plus the prediction.
 """
 
 from __future__ import annotations
@@ -172,7 +177,7 @@ def _traverse(work: np.ndarray, policy: ErrorBoundPolicy, visit) -> None:
     dims = (nx, ny, nz)
     maxlevel = max(len(_axis_passes(n)) for n in dims)
     seed = [(slice(0, 1, 1),)] * 3
-    _scatter(work, seed, visit(np.zeros((1, 1, 1)), seed, level_error_bound(policy, 0, maxlevel)))
+    _scatter(work, seed, visit(np.zeros((1, 1, 1), dtype=work.dtype), seed, level_error_bound(policy, 0, maxlevel)))
     for g, _, _, batches in _walk(dims):
         eb = level_error_bound(policy, g, maxlevel)
         for batch in batches:
@@ -207,9 +212,9 @@ def interp_compress(arr: np.ndarray, policy: ErrorBoundPolicy, lossless: str = L
 
 def interp_decompress(blob) -> np.ndarray:
     """The (z, y, x) array a blob of this codec holds."""
-    codes, lits = entropy_decode(blob.stream, blob.n_values, blob.lossless)
+    codes, lits = entropy_decode(blob.stream, blob.n_values, blob.lossless, blob.dtype)
     nx, ny, nz = blob.dims
-    work = np.zeros((nz, ny, nx), dtype=np.float64)
+    work = np.zeros((nz, ny, nx), dtype=blob.dtype)
     # one scan finds every literal mark; each slab places the ones in its
     # code range, in order
     marks = np.flatnonzero(codes == LITERAL_MARK)
@@ -220,7 +225,7 @@ def interp_decompress(blob) -> np.ndarray:
     def dequantize(pred, sel, eb):
         nonlocal cpos
         end = cpos + pred.size
-        rec = np.multiply(codes[cpos:end].reshape(pred.shape), 2.0 * eb)
+        rec = np.multiply(codes[cpos:end].reshape(pred.shape), 2.0 * eb, dtype=work.dtype)
         rec += pred
         lo, hi = np.searchsorted(marks, (cpos, end))
         rec.reshape(-1)[marks[lo:hi] - cpos] = lits[lo:hi]

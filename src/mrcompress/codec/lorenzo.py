@@ -18,6 +18,12 @@ on VALUE_MARK: the block's q are 0, so its residuals are 0, and each of its
 cells' literal is the exact value. Literals follow their marks in code
 order. With |q| <= 2^49 every residual and partial sum is an integer below
 2^53, so both directions are exact.
+
+A float32 array is coded the same way: q and the residuals are float64
+integers whatever the array's type, and a cell reconstructs to 2eb*q rounded
+to float32, which is the value the bound is checked on. The literals are
+float64 at either type, since a residual literal can need 52 bits; a value
+literal of a float32 array is its exact widening.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ def _value_blocks(q: np.ndarray, x: np.ndarray, eb: float):
     does not carry, or None when there is none."""
     ok = np.abs(q) <= _Q_MAX
     err = q * (2.0 * eb)
+    if x.dtype != err.dtype:  # the decoder's value is 2eb*q rounded to the array's type
+        err[...] = err.astype(x.dtype)
     err -= x
     np.abs(err, out=err)
     ok &= err <= eb  # NaN fails both tests
@@ -67,14 +75,14 @@ def _encode_array(arr: np.ndarray, policy: ErrorBoundPolicy, recon: bool = False
     """Returns (codes, literals, the reconstruction when ``recon``)."""
     step = 2.0 * policy.eb
     codes = np.empty(arr.shape, dtype=np.int32)
-    out = np.empty(arr.shape) if recon else None
+    out = np.empty(arr.shape, dtype=arr.dtype) if recon else None
     lits = []
     ez = min(BLOCK_EDGE, arr.shape[0])
     # non-finite inputs and huge quotients are expected and caught
     with np.errstate(invalid="ignore", over="ignore"):
         for z0 in range(0, arr.shape[0], ez):
             x = arr[z0 : z0 + ez]
-            q = np.divide(x, step)
+            q = np.divide(x, step, dtype=np.float64)
             np.rint(q, out=q)
             q += 0.0  # a zero is +0.0, never -0.0
             value = _value_blocks(q, x, policy.eb)
@@ -121,8 +129,7 @@ def block_decompress(blob) -> np.ndarray:
         raise FormatError("a residual literal is not an integer beyond the code range")
     nx, ny, nz = blob.dims
     out = codes.astype(np.float64).reshape(nz, ny, nx)
-    flat = out.reshape(-1)
-    flat[marks] = np.where(value, 0.0, lits)
+    out.reshape(-1)[marks] = np.where(value, 0.0, lits)
     step = 2.0 * blob.policy.eb
     ez = min(BLOCK_EDGE, nz)
     for z0 in range(0, nz, ez):
@@ -130,5 +137,7 @@ def block_decompress(blob) -> np.ndarray:
         for axis in range(3):
             _per_block(layer, axis, np.add)
         layer *= step
-    flat[marks[value]] = lits[value]
+    with np.errstate(over="ignore"):  # a corrupt value beyond float32 is refused as non-finite
+        out = out.astype(blob.dtype, copy=False)
+    out.reshape(-1)[marks[value]] = lits[value]
     return out

@@ -2,7 +2,8 @@
 
 ROI selection runs before compression, so its output container needs a way
 to hold raw arrays in the same blob envelope. The stored codec puts the
-float64 values directly in the payload slot with an empty entropy table.
+values, little-endian in the array's scalar type (f32 or f64), directly in
+the payload slot with an empty entropy table.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import struct
 import numpy as np
 
 from ..errors import FormatError, ShapeError
+from ..grid import scalar_array
 from ..wire import Reader
 from .entropy import LOSSLESS_NONE
 from .policy import ErrorBoundPolicy
@@ -28,17 +30,19 @@ def stored_compress(arr: np.ndarray, policy: ErrorBoundPolicy, lossless: str = L
     when ``recon`` else None). ``policy`` bounds nothing here."""
     if lossless != LOSSLESS_NONE:
         raise ShapeError("stored blobs take no lossless pass")
-    payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    arr = scalar_array(arr)
+    payload = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
     return _HEAD.pack(0, 0, len(payload)) + payload, arr if recon else None
 
 
 def stored_decompress(blob) -> np.ndarray:
-    """The (z, y, x) array a stored blob holds."""
+    """The (z, y, x) array a stored blob holds, of the blob's type."""
     r = Reader(blob.stream)
     n_lit, n_sym, plen = r.take(_HEAD)
     nx, ny, nz = blob.dims
     if n_lit or n_sym:
         raise FormatError("stored blobs carry no entropy data")
-    if plen != nx * ny * nz * 8 or r.offset + plen != len(blob.stream):
+    wire = blob.dtype.newbyteorder("<")
+    if plen != nx * ny * nz * wire.itemsize or r.offset + plen != len(blob.stream):
         raise FormatError("stored payload does not match the blob dims")
-    return r.array("<f8", nx * ny * nz).reshape(nz, ny, nx).astype(np.float64)
+    return r.array(wire, nx * ny * nz).reshape(nz, ny, nx).astype(blob.dtype)

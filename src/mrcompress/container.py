@@ -5,7 +5,9 @@ Layout (``MRC2``), all integers little-endian:
     head (``_HEAD``)
         magic "MRC2"
         version         u16  (currently 2)
-        scalar width    u8   (bytes per stored value; 8)
+        scalar width    u8   (4: f32, 8: f64; the file's one record of the
+                        scalar type: the width of its stored values,
+                        interp literals and sidecar samples)
         level count     u8   (at least 1)
         roi block edge  u32  (0 when the file has no ROI semantics)
         roi percent     f64
@@ -26,7 +28,8 @@ Layout (``MRC2``), all integers little-endian:
                         plan: i u32, j u32, seed u64, edges 3x u64, region
                         count u64, achieved rate f64
         origins         ox, oy, oz as u64 triples
-        payload         u64 length, then the region values as f64, deflated by zlib
+        payload         u64 length, then the region values at the scalar
+                        width, deflated by zlib
 
 Each fixed section is one ``struct.Struct`` that the writer and the reader
 share, and the reader goes through :class:`~mrcompress.wire.Reader`, so no
@@ -40,7 +43,8 @@ level to level, and the occupancy bitmaps tile the finest grid exactly
 once. So every file the reader returns decodes into a valid dataset, and a
 file whose levels do not fit together is a ``FormatError`` at read time.
 A whole-volume level's dims must equal its blob's, so a corrupt blob
-dims field cannot size a decode.
+dims field cannot size a decode. Every level of a file has the one scalar
+type its head records.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import STORED, CompressedBlob, ErrorBoundPolicy, compress
+from .codec.blob import SCALAR_TYPES
 from .codec.stored import STORED_POLICY
 from .errors import CoverageError, FormatError, MrcError, ShapeError
 from .layout import LINEAR, linear_merge, stack_merge
@@ -61,7 +66,6 @@ from .wire import U64, Reader, atomic_write, deflate, inflate, triples
 
 MAGIC = b"MRC2"
 VERSION = 2
-SCALAR_WIDTH = 8
 
 # the wire byte of a post-filter family is its position here; None is off
 _POST_FAMILIES = (None, FAMILY_SZ, FAMILY_ZFP)
@@ -91,6 +95,13 @@ class ContainerFile:
         if len(self.levels) > 255:
             raise ShapeError("level count exceeds the u8 field")
         object.__setattr__(self, "levels", tuple(self.levels))
+        if len({lv.archive.blob.dtype for lv in self.levels}) > 1:
+            raise ShapeError("the levels of a container share one scalar type")
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The scalar type of every level, which the head's width records."""
+        return self.levels[0].archive.blob.dtype
 
     @property
     def roi_mask(self):
@@ -106,10 +117,11 @@ class ContainerFile:
         return sum(lv.archive.blob.original_bytes for lv in self.levels)
 
 
-def _pack_samples(s: SampleSet) -> bytes:
+def _pack_samples(s: SampleSet, dtype: np.dtype) -> bytes:
     p = s.plan
     head = _SIDECAR.pack(_FLAG_SAMPLES, p.i, p.j, p.seed, *p.edges, len(p.origins), p.achieved_rate)
-    raw = np.concatenate([r.reshape(-1) for r in s.regions]).astype("<f8").tobytes() if s.regions else b""
+    wire = dtype.newbyteorder("<")
+    raw = np.concatenate([r.reshape(-1) for r in s.regions]).astype(wire).tobytes() if s.regions else b""
     packed = deflate(raw)
     return head + triples(p.origins) + U64.pack(len(packed)) + packed
 
@@ -117,7 +129,7 @@ def _pack_samples(s: SampleSet) -> bytes:
 def _unpack_samples(r: Reader, blob: CompressedBlob) -> SampleSet:
     """The sample sidecar at ``r``; each region must be nonempty and lie
     inside the level's decoded array, which is ``blob`` less its x and y
-    pad layers."""
+    pad layers, and its values are of the blob's scalar type."""
     flags, i, j, seed, ex, ey, ez, n, rate = r.take(_SIDECAR)
     if flags != _FLAG_SAMPLES:
         raise FormatError(f"unknown sidecar flags {flags}")
@@ -130,7 +142,8 @@ def _unpack_samples(r: Reader, blob: CompressedBlob) -> SampleSet:
     if min(ex, ey, ez) < 1 or any(ox + ex > nx or oy + ey > ny or oz + ez > nz for ox, oy, oz in origins):
         raise FormatError("a sample region lies outside its level's array")
     per = ex * ey * ez
-    vals = np.frombuffer(inflate(packed, 8 * per * n), dtype="<f8")
+    wire = blob.dtype.newbyteorder("<")
+    vals = np.frombuffer(inflate(packed, wire.itemsize * per * n), dtype=wire).astype(blob.dtype)
     if vals.size != per * n:
         raise FormatError("sample payload does not match the plan geometry")
     regions = tuple(vals[k * per : (k + 1) * per].reshape(ez, ey, ex) for k in range(n))
@@ -152,7 +165,7 @@ def _unpack_occupancy(r: Reader, dims, u: int) -> np.ndarray:
 
 
 def encode_container(c: ContainerFile) -> bytes:
-    out = bytearray(_HEAD.pack(MAGIC, VERSION, SCALAR_WIDTH, c.n_levels, c.roi_b, c.roi_x_percent))
+    out = bytearray(_HEAD.pack(MAGIC, VERSION, c.dtype.itemsize, c.n_levels, c.roi_b, c.roi_x_percent))
     patch_at = []
     for lv in c.levels:
         a = lv.archive
@@ -166,7 +179,7 @@ def encode_container(c: ContainerFile) -> bytes:
     for at, lv in zip(patch_at, c.levels):
         if lv.archive.samples is not None:
             U64.pack_into(out, at, len(out))
-            out += _pack_samples(lv.archive.samples)
+            out += _pack_samples(lv.archive.samples, c.dtype)
     return bytes(out)
 
 
@@ -177,7 +190,8 @@ def decode_container(buf: bytes) -> ContainerFile:
         raise FormatError("not a container file (bad magic)")
     if magic != MAGIC or version != VERSION:
         raise FormatError(f"unsupported container version {version} ({magic!r})")
-    if width != SCALAR_WIDTH:
+    dtype = next((t for t in SCALAR_TYPES if t.itemsize == width), None)
+    if dtype is None:
         raise FormatError(f"unsupported scalar width {width}")
     if not n_levels:
         raise FormatError("a container holds at least one level")
@@ -185,7 +199,7 @@ def decode_container(buf: bytes) -> ContainerFile:
     for _ in range(n_levels):
         nx, ny, nz, u = r.take(_LEVEL)
         occupancy = _unpack_occupancy(r, (nx, ny, nz), u) if u else None
-        blob, r.offset = CompressedBlob.from_bytes(buf, r.offset)
+        blob, r.offset = CompressedBlob.from_bytes(buf, r.offset, dtype)
         if u != blob.u:
             raise FormatError(f"level u={u} disagrees with its blob's u={blob.u}")
         if not u and blob.dims != (nx, ny, nz):

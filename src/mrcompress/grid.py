@@ -3,9 +3,10 @@ the grid kernels.
 
 Conventions used throughout the package:
 
-* A volume with dims (nx, ny, nz) is stored as a C-contiguous float64 array
-  of shape (nz, ny, nx), so the flattened order is x-fastest:
-  flat index = x + nx * (y + ny * z).
+* A volume with dims (nx, ny, nz) is stored as a C-contiguous array of
+  shape (nz, ny, nx), so the flattened order is x-fastest:
+  flat index = x + nx * (y + ny * z). Its scalar type is float32 or float64
+  (see :func:`scalar_array`), kept from the raw file to the decoded output.
 * :class:`Volume` wraps such an array only where a field enters or leaves
   the library; the grid kernels take and return plain arrays.
 * Raw volume files are headerless little-endian arrays in that same order;
@@ -25,12 +26,29 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def scalar_array(a, copy: bool | None = None) -> np.ndarray:
+    """``a`` as a C-contiguous array of one of the library's two scalar
+    types: float32 when ``a`` holds 4-byte floats, else float64. ``copy``
+    as for ``np.array``: None copies only when the type or order changes."""
+    a = np.asarray(a)
+    dtype = np.float32 if a.dtype.kind == "f" and a.dtype.itemsize == 4 else np.float64
+    return np.array(a, dtype=dtype, order="C", copy=copy)
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every value of the float array ``a`` is finite. Its min and
+    max are NaN or infinite exactly when some value is, so this takes two
+    reductions and no array-sized mask."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 class Volume:
     """An immutable dense 3D scalar field, the type a field enters and
     leaves the library as; inside, the library works on ``data``.
 
-    ``Volume(data)`` copies ``data``, so the caller's array stays its own
-    and writeable. ``Volume._adopt(arr)`` takes a C-contiguous float64 array
+    ``Volume(data)`` copies ``data`` as :func:`scalar_array` does, so the
+    caller's array stays its own and writeable. ``Volume._adopt(arr)`` takes
+    a C-contiguous float32 or float64 array
     the library has just allocated and holds no other reference to: it runs
     the same checks and freezes ``arr`` in place, without a copy.
     ``finite=True`` skips the finiteness pass for a caller that has just
@@ -39,7 +57,7 @@ class Volume:
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
-        self._own(np.array(data, dtype=np.float64, order="C", copy=True))
+        self._own(scalar_array(data, copy=True))
 
     @classmethod
     def _adopt(cls, arr: np.ndarray, finite: bool = False) -> "Volume":
@@ -54,7 +72,7 @@ class Volume:
             raise ShapeError(f"expected a 3D array, got ndim={arr.ndim}")
         if min(arr.shape) < 1:
             raise ShapeError(f"all dims must be positive, got shape {arr.shape}")
-        if not (finite or np.isfinite(arr).all()):
+        if not (finite or all_finite(arr)):
             raise DataError("volume contains non-finite values")
         arr.flags.writeable = False
         self.data = arr
@@ -98,7 +116,9 @@ def block_ranges(arr: np.ndarray, b: int) -> np.ndarray:
     the b z-planes of a block row elementwise over whole (ny, nx) planes,
     then the b y-rows of each block over whole x-rows, and the x-runs of b
     last, on the 1/b^2 of the values that remain. Max and min do not depend
-    on order, so the ranges equal those of the 6-D ``block_view``."""
+    on order, so the ranges equal those of the 6-D ``block_view``. They are
+    exact in the array's type, and each range is their float64 difference,
+    so a float32 array ranks its blocks as its float64 widening does."""
     gx, gy, gz = block_grid(arr.shape[::-1], b)
     planes = arr.reshape(gz, b, gy * b, gx * b)
 
@@ -106,7 +126,7 @@ def block_ranges(arr: np.ndarray, b: int) -> np.ndarray:
         rows = reduce(planes, axis=1).reshape(gz, gy, b, gx * b)
         return reduce(reduce(rows, axis=2).reshape(gz, gy, gx, b), axis=3)
 
-    return (fold(np.maximum.reduce) - fold(np.minimum.reduce)).reshape(-1)
+    return np.subtract(fold(np.maximum.reduce), fold(np.minimum.reduce), dtype=np.float64).reshape(-1)
 
 
 def downsample2x(a: np.ndarray) -> np.ndarray:
@@ -118,9 +138,12 @@ def downsample2x(a: np.ndarray) -> np.ndarray:
     numpy's ``mean`` over the (1, 3, 5) axes of the (nz/2, 2, ny/2, 2,
     nx/2, 2) reshape, whose inner loop sums each contiguous x-pair into the
     zeroed output, cell pairs in (z, y) index order; writing it out pins the
-    bytes against a change in numpy. Each sij is formed in one reused
-    output-sized scratch, so the peak is about twice the output. Sums of
-    huge finite values may overflow: a non-finite cell is a DataError."""
+    bytes against a change in numpy. The sums run in float64 whatever the
+    type of ``a``, and each cell is rounded to that type once, at the end,
+    so a float32 array pools as its float64 widening does, rounded. Each
+    sij is formed in one reused output-sized scratch, so the peak is about
+    twice the float64 output. Sums of huge finite float64 values may
+    overflow (float32 ones cannot): a non-finite cell is a DataError."""
     nz, ny, nx = a.shape
     if nx % 2 or ny % 2 or nz % 2:
         raise ShapeError(f"dims {(nx, ny, nz)} not divisible by 2")
@@ -128,9 +151,10 @@ def downsample2x(a: np.ndarray) -> np.ndarray:
     pair = np.empty_like(out)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            out += np.add(a[i::2, j::2, 0::2], a[i::2, j::2, 1::2], out=pair)
-    out /= 8.0
-    if not np.isfinite(out).all():
+            out += np.add(a[i::2, j::2, 0::2], a[i::2, j::2, 1::2], out=pair, dtype=np.float64)
+        out /= 8.0
+        out = out.astype(a.dtype, copy=False)
+    if not all_finite(out):
         raise DataError("the coarse level overflows: a 2x2x2 cell sum exceeds the float64 range")
     return out
 
@@ -158,7 +182,8 @@ def _np_dtype(dtype: str) -> np.dtype:
 
 
 def read_raw_volume(path, dims: Dims, dtype: str = "f32") -> Volume:
-    """Read a headerless little-endian raw volume file."""
+    """Read a headerless little-endian raw volume file into a Volume of
+    the file's scalar type, bit for bit."""
     nx, ny, nz = dims
     dt = _np_dtype(dtype)
     flat = np.fromfile(path, dtype=dt)
@@ -166,13 +191,13 @@ def read_raw_volume(path, dims: Dims, dtype: str = "f32") -> Volume:
         raise ShapeError(
             f"file holds {flat.size} scalars, dims {dims} require {nx * ny * nz}"
         )
-    # widening f32 to f64 is exact, so the narrow array shows every NaN or inf
-    if not np.isfinite(flat).all():
+    if not all_finite(flat):
         raise DataError("volume contains non-finite values")
-    return Volume._adopt(flat.astype(np.float64, copy=False).reshape(nz, ny, nx), finite=True)
+    return Volume._adopt(scalar_array(flat).reshape(nz, ny, nx), finite=True)
 
 
 def write_raw_volume(v: Volume, path, dtype: str = "f32") -> None:
-    """Write the volume as a headerless little-endian raw file."""
-    dt = _np_dtype(dtype)
-    v.data.astype(dt).tofile(path)
+    """Write the volume as a headerless little-endian raw file of
+    ``dtype``: as it is when that is its type, else rounded or widened
+    (widening float32 to float64 is exact)."""
+    v.data.astype(_np_dtype(dtype), copy=False).tofile(path)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeError
-from .grid import Dims, _is_pow2, block_view
+from .grid import Dims, _is_pow2, block_view, scalar_array
 
 LINEAR = "linear"
 STACKED = "stacked"
@@ -52,7 +52,7 @@ def check_merge(dims: Dims, k: int, u: int, arrangement: str, padded: bool) -> N
 @dataclass(frozen=True)
 class MergedArray:
     """Dense array produced by merging k unit blocks, plus enough
-    bookkeeping to take it apart again."""
+    bookkeeping to take it apart again; of the blocks' scalar type."""
 
     values: np.ndarray  # shape (dz, dy, dx)
     k: int  # block count
@@ -61,7 +61,7 @@ class MergedArray:
     padded: bool = False
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
+        arr = scalar_array(self.values)
         if arr.ndim != 3:
             raise ShapeError("merged payload must be 3D")
         arr.flags.writeable = False
@@ -74,8 +74,9 @@ class MergedArray:
 
 
 def _block_array(blocks) -> np.ndarray:
-    """``blocks`` as a contiguous (k, u, u, u) float64 array, k >= 1."""
-    arr = np.ascontiguousarray(blocks, dtype=np.float64)
+    """``blocks`` as a contiguous (k, u, u, u) array, k >= 1, of its
+    scalar type."""
+    arr = scalar_array(blocks)
     if arr.ndim != 4 or not len(arr) or not arr.shape[1] == arr.shape[2] == arr.shape[3]:
         raise ShapeError(f"expected a nonempty (k, u, u, u) block array, got shape {arr.shape}")
     return arr
@@ -113,14 +114,15 @@ def stack_merge(blocks: np.ndarray) -> MergedArray:
     slots.
 
     Slots are filled row-major (x fastest); leftover slots hold the mean of
-    the last block so they compress to almost nothing.
+    the last block, taken in float64 and rounded to the blocks' type, so
+    they compress to almost nothing.
     """
     arr = _block_array(blocks)
     k, u = arr.shape[:2]
     gx, gy, gz = _stack_grid(k)
-    slots = np.full((gz * gy * gx, u, u, u), float(arr[-1].mean()))
+    slots = np.full((gz * gy * gx, u, u, u), arr[-1].mean(dtype=np.float64), dtype=arr.dtype)
     slots[:k] = arr
-    values = np.empty((gz * u, gy * u, gx * u), dtype=np.float64)
+    values = np.empty((gz * u, gy * u, gx * u), dtype=arr.dtype)
     block_view(values, u)[...] = slots.reshape(gz, gy, gx, u, u, u)
     return MergedArray(values=values, k=k, u=u, arrangement=STACKED)
 

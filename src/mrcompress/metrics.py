@@ -1,5 +1,9 @@
 """Reconstruction quality metrics, streamed in z-slabs, and a
-rate-distortion sweep harness."""
+rate-distortion sweep harness.
+
+The metrics run in float64 on float32 or float64 inputs: a float32 input
+is widened one slab at a time, never as a whole volume.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import numpy as np
 from .codec import ErrorBoundPolicy
 from .container import ContainerFile, ContainerLevel, container_from_dataset, dataset_from_container, encode_container
 from .errors import ShapeError
-from .grid import Volume
+from .grid import Volume, scalar_array
 from .pipeline import compress_volume, decompress_volume
 from .roi import MultiResDataset, reconstruct_uniform
 from .wire import atomic_write
@@ -28,32 +32,43 @@ _PSNR_SLAB = 1 << 15  # values per slab of psnr's squared differences
 
 
 def _paired(orig, recon):
-    o = orig.data if isinstance(orig, Volume) else np.asarray(orig, dtype=np.float64)
-    r = recon.data if isinstance(recon, Volume) else np.asarray(recon, dtype=np.float64)
+    o = orig.data if isinstance(orig, Volume) else scalar_array(orig)
+    r = recon.data if isinstance(recon, Volume) else scalar_array(recon)
     if o.shape != r.shape:
         raise ShapeError(f"shape mismatch: {o.shape} vs {r.shape}")
     return o, r
 
 
-def psnr(orig, recon) -> float:
-    """Peak signal-to-noise ratio in dB with the original's value range as
-    the peak. Identical inputs give +inf; a constant original that was
-    reconstructed imperfectly gives -inf. The squared differences are formed
-    in slabs of x-rows, ``_PSNR_SLAB`` values (or one row) at a time in one
-    reused buffer, and each slab is summed by numpy's pairwise sum: no
-    volume-sized temporary."""
+def value_range(orig) -> float:
+    """The value range of a Volume or array, max - min in float64: the
+    peak of :func:`psnr` and the dynamic range of :func:`ssim`. A caller
+    that scores one original more than once forms it once and passes it
+    to both as ``vrange``."""
+    o = orig.data if isinstance(orig, Volume) else scalar_array(orig)
+    return float(o.max()) - float(o.min())
+
+
+def psnr(orig, recon, *, vrange: float | None = None) -> float:
+    """Peak signal-to-noise ratio in dB with the original's value range
+    (``vrange`` when given) as the peak. Identical inputs give +inf; a
+    constant original that was reconstructed imperfectly gives -inf. The
+    squared differences are formed in float64 in slabs of x-rows,
+    ``_PSNR_SLAB`` values (or one row) at a time in one reused buffer, and
+    each slab is summed by numpy's pairwise sum: no volume-sized
+    temporary."""
     o, r = _paired(orig, recon)
     o, r = o.reshape(-1, o.shape[-1]), r.reshape(-1, r.shape[-1])
     step = max(1, _PSNR_SLAB // o.shape[1])
     buf = np.empty((min(step, len(o)), o.shape[1]))
     sse = 0.0
     for y in range(0, len(o), step):
-        d = np.subtract(o[y : y + step], r[y : y + step], out=buf[: min(step, len(o) - y)])
+        d = np.subtract(o[y : y + step], r[y : y + step], out=buf[: min(step, len(o) - y)], dtype=np.float64)
         sse += float(np.square(d, out=d).sum())
     mse = sse / o.size
     if mse == 0.0:
         return math.inf
-    vrange = float(o.max() - o.min())
+    if vrange is None:
+        vrange = value_range(o)
     if vrange == 0.0:
         return -math.inf
     return float(20.0 * np.log10(vrange / np.sqrt(mse)))
@@ -72,10 +87,10 @@ def _block_sum(a, b=None, out=None):
 
 
 def _block_moments(x, d, buf):
-    """Block means of a (4bz, 4by, 4bx) array ``x`` (copied into ``buf`` when
-    not C-contiguous), its values centered on them over whole x-rows into
-    ``d``, and the residual sums of ``d``."""
-    if not x.flags.c_contiguous:
+    """Block means of a (4bz, 4by, 4bx) array ``x`` (copied into the float64
+    ``buf`` when not C-contiguous float64), its values centered on them over
+    whole x-rows into ``d``, and the residual sums of ``d``."""
+    if not x.flags.c_contiguous or x.dtype != np.float64:
         np.copyto(buf, x)
         x = buf
     m = _block_sum(x) / _BLOCK_CELLS
@@ -107,11 +122,11 @@ def _window_comoment(ma, sa, mua, mb, sb, mub, cab):
     return total
 
 
-def ssim(orig, recon) -> float:
+def ssim(orig, recon, *, vrange: float | None = None) -> float:
     """Mean local structural similarity over 8^3 windows at stride 4.
 
-    Dynamic range is the original's value range (1.0 for a constant
-    original so the constants stay meaningful).
+    Dynamic range is the original's value range, ``vrange`` when given
+    (1.0 for a constant original so the constants stay meaningful).
 
     A window at stride 4 is exactly 2x2x2 aligned 4^3 blocks, so one
     centered pass computes each block's means and centered second moments
@@ -124,7 +139,7 @@ def ssim(orig, recon) -> float:
     o, r = _paired(orig, recon)
     if min(o.shape) < SSIM_WINDOW:
         raise ShapeError(f"volume {o.shape} smaller than the {SSIM_WINDOW}^3 ssim window")
-    L = float(o.max() - o.min())
+    L = value_range(o) if vrange is None else vrange
     if L == 0.0:
         L = 1.0
     c1 = (SSIM_K1 * L) ** 2
@@ -185,6 +200,7 @@ def rd_sweep(
     elif reference is None:
         raise ShapeError("dataset sweeps need the uniform reference volume")
     opts = dict(codec=codec, lossless=lossless, post_family=post_family, seed=seed)
+    vrange = value_range(reference)
     points = []
     for eb in ebs:
         policy = ErrorBoundPolicy(eb=float(eb), adaptive=adaptive)
@@ -197,7 +213,8 @@ def rd_sweep(
             recon = reconstruct_uniform(dataset_from_container(c))
         size, orig = len(encode_container(c)), reference.data.size * 8
         points.append(RateDistortionPoint(eb=float(eb), compressed_bytes=size, original_bytes=orig, cr=orig / size,
-                                          psnr_db=psnr(reference, recon), ssim=ssim(reference, recon)))
+                                          psnr_db=psnr(reference, recon, vrange=vrange),
+                                          ssim=ssim(reference, recon, vrange=vrange)))
     return points
 
 

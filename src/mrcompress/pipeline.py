@@ -30,7 +30,7 @@ from .codec import (
 )
 from .codec.lorenzo import BLOCK_EDGE
 from .errors import FormatError, SamplingError, ShapeError
-from .grid import Dims, Volume
+from .grid import Dims, Volume, scalar_array
 from .layout import LINEAR, linear_merge, pad_linear, stack_merge, unmerge, unpad
 from .postprocess import (
     IntensityConfig,
@@ -48,7 +48,8 @@ PAD_MIN_U = 4  # padding pays off only above this unit-block edge
 @dataclass(frozen=True)
 class SampleSet:
     """Original values over the regions of a sampling plan, kept so the
-    decompressed side can refit intensity or an error model offline."""
+    decompressed side can refit intensity or an error model offline; in the
+    level's scalar type."""
 
     plan: SamplingPlan
     regions: tuple
@@ -58,7 +59,7 @@ class SampleSet:
             raise ShapeError("sample regions must match plan origins one to one")
         frozen = []
         for r, _ in zip(self.regions, self.plan.origins):
-            arr = np.ascontiguousarray(r, dtype=np.float64)
+            arr = scalar_array(r)
             arr.flags.writeable = False
             frozen.append(arr)
         object.__setattr__(self, "regions", tuple(frozen))

@@ -11,7 +11,9 @@ The intensity is picked per axis by coordinate descent over a small
 family-specific candidate set, scored by L2 error against original values on
 a few sampled block-aligned regions (at most ``SAMPLE_RATE``, 5 percent, of
 the data).
-Every function here takes and returns plain (z, y, x) arrays.
+Every function here takes and returns plain (z, y, x) arrays, and the
+filter runs in the scalar type of the decoded array, float32 or float64,
+as the decoder does.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplingError, ShapeError
+from .grid import scalar_array
 
 FAMILY_SZ = "sz"
 FAMILY_ZFP = "zfp"
@@ -91,7 +94,7 @@ def apply_postprocess(decomp: np.ndarray, eb: float, blocksize: int, cfg: Intens
     ``decomp`` and return it."""
     if blocksize < 1:
         raise ShapeError(f"blocksize must be positive, got {blocksize}")
-    arr = np.array(decomp, dtype=np.float64)
+    arr = scalar_array(decomp, copy=True)
     for a, axis in zip(cfg.chosen, _AXIS_ORDER):
         _axis_pass(arr, axis, blocksize, a, eb)
     return arr
@@ -169,12 +172,13 @@ def select_intensity(
 ) -> IntensityConfig:
     """Coordinate descent, one sweep per axis in x, y, z order; each axis
     keeps the candidate with the lowest sampled L2 error, ties going to the
-    smaller intensity."""
+    smaller intensity. The trials run in the decoded samples' scalar type,
+    as the decoder's filter does; the errors are summed in float64."""
     cands = family_candidates(family)
     if len(orig_sample) != len(decomp_sample) or not orig_sample:
         raise SamplingError("need matched, nonempty original and decompressed samples")
-    work = [np.array(r, dtype=np.float64) for r in decomp_sample]
-    orig = [np.asarray(r, dtype=np.float64) for r in orig_sample]
+    work = [scalar_array(r, copy=True) for r in decomp_sample]
+    orig = [np.asarray(r) for r in orig_sample]
     chosen = []
     for axis in _AXIS_ORDER:
         best_a = None
@@ -184,7 +188,7 @@ def select_intensity(
             for o, w in zip(orig, work):
                 trial = w.copy()
                 _axis_pass(trial, axis, blocksize, a, eb)
-                err += float(((trial - o) ** 2).sum())
+                err += float((np.subtract(trial, o, dtype=np.float64) ** 2).sum())
             if err < best_err:
                 best_err = err
                 best_a = a

@@ -27,6 +27,7 @@ from .grid import (
     block_ranges,
     block_view,
     downsample2x,
+    scalar_array,
     upsample2x,
 )
 
@@ -49,7 +50,8 @@ class RoiConfig:
 class Level:
     """One resolution level: the u-blocks of a ``dims`` grid that
     ``occupancy``, a (gz, gy, gx) bool array, flags, held as one
-    (k, u, u, u) array in ``np.argwhere(occupancy)`` order."""
+    (k, u, u, u) array in ``np.argwhere(occupancy)`` order, of the scalar
+    type :func:`~mrcompress.grid.scalar_array` keeps."""
 
     dims: Dims
     u: int
@@ -63,7 +65,7 @@ class Level:
         occ = np.array(self.occupancy, dtype=bool)
         if occ.shape != (gz, gy, gx):
             raise ShapeError(f"occupancy of shape {occ.shape} on a ({gz}, {gy}, {gx}) block grid")
-        blocks = np.ascontiguousarray(self.blocks, dtype=np.float64)
+        blocks = scalar_array(self.blocks)
         want = (int(occ.sum()),) + (self.u,) * 3
         if blocks.shape != want:
             raise ShapeError(f"blocks of shape {blocks.shape} for {want[0]} occupied u={self.u} cells")
@@ -112,7 +114,7 @@ def select_roi(v: Volume, cfg: RoiConfig) -> np.ndarray:
 def build_adaptive(v: Volume, occupancy: np.ndarray, cfg: RoiConfig) -> MultiResDataset:
     """Two-level dataset from the (gz, gy, gx) ROI ``occupancy``: occupied
     blocks verbatim at u=b, the rest downsampled once into u=b/2 blocks on
-    the half-resolution grid."""
+    the half-resolution grid, both of the volume's scalar type."""
     gx, gy, gz = block_grid(v.dims, cfg.b)
     occ = np.asarray(occupancy, dtype=bool)
     if occ.shape != (gz, gy, gx):
@@ -167,13 +169,15 @@ def reconstruct_uniform(ds: MultiResDataset) -> Volume:
     finest, and each finer one doubles the grid with ``upsample2x`` and
     pastes its blocks with one masked write. The levels tile the grid, so
     every cell ends up with the value of the level that owns it, replicated
-    exactly. The finest grid is allocated before the coarser ones: allocated
-    after them, it took fresh pages and raised the cli-roi chain's peak RSS
-    by 2 MB. The result is checked for finiteness once, as it is adopted."""
-    out = np.empty(ds.levels[0].dims[::-1])
+    exactly, in the levels' scalar type. The finest grid is allocated before
+    the coarser ones: allocated after them, it took fresh pages and raised
+    the cli-roi chain's peak RSS by 2 MB. The result is checked for
+    finiteness once, as it is adopted."""
+    dtype = np.result_type(*(lv.blocks for lv in ds.levels))
+    out = np.empty(ds.levels[0].dims[::-1], dtype=dtype)
     grid = None
     for lv in reversed(ds.levels):
-        dest = out if lv is ds.levels[0] else np.zeros(lv.dims[::-1])
+        dest = out if lv is ds.levels[0] else np.zeros(lv.dims[::-1], dtype=dtype)
         grid = dest if grid is None else upsample2x(grid, dest)
         block_view(grid, lv.u)[lv.occupancy] = lv.blocks
     return Volume._adopt(out)
@@ -185,7 +189,8 @@ def ingest_amr(levels) -> MultiResDataset:
     ``levels`` is ordered fine to coarse as (dims, u, coords, data) with
     dims halving between neighbors: ``coords`` is a (k, 3) array of block
     positions (bx, by, bz) on the level's u-grid and ``data`` the (k, u, u, u)
-    block values in the same order (k may be 0). Blocks are re-sorted into
+    block values in the same order (k may be 0), kept float32 when they are
+    4-byte floats and float64 otherwise. Blocks are re-sorted into
     block-index order, and the refinement chain and disjoint-coverage
     invariants are enforced.
     """
@@ -195,7 +200,7 @@ def ingest_amr(levels) -> MultiResDataset:
     for dims, u, coords, data in levels:
         grid = block_grid(dims, u)
         xyz = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-        blocks = np.asarray(data, dtype=np.float64)
+        blocks = scalar_array(data)
         if len(blocks) != len(xyz):
             raise ShapeError(f"{len(xyz)} block coords for {len(blocks)} blocks")
         if ((xyz < 0) | (xyz >= grid)).any():

@@ -22,6 +22,10 @@ unsaturated points of a slab only, or over the whole slab when those are more
 than ``_DENSE_BAND`` of it. A slab with more than ``_DENSE_LIVE`` (a fifth)
 of its cells live runs the products over the whole slab; a sparser one
 gathers the live cells' corners and runs them alone, in the same order.
+
+The arithmetic is float64 whatever the decoded volume's scalar type: a
+float32 volume is widened one slab at a time, never as a whole, and errors
+are float64 differences of the values given.
 """
 
 from __future__ import annotations
@@ -66,30 +70,31 @@ class ErrorModel:
 
 def sample_errors(orig_sample, decomp_sample) -> np.ndarray:
     """Pointwise original-minus-decompressed over one region or a list of
-    matched regions."""
+    matched regions, in float64."""
     if not isinstance(orig_sample, (list, tuple)):
         orig_sample, decomp_sample = [orig_sample], [decomp_sample]
     if len(orig_sample) != len(decomp_sample):
         raise ShapeError("sample region lists differ in length")
     parts = []
     for o, d in zip(orig_sample, decomp_sample):
-        o, d = np.asarray(o, dtype=np.float64), np.asarray(d, dtype=np.float64)
+        o, d = np.asarray(o), np.asarray(d)
         if o.shape != d.shape:
             raise ShapeError(f"region shapes differ: {o.shape} vs {d.shape}")
-        parts.append((o - d).reshape(-1))
+        parts.append(np.subtract(o, d, dtype=np.float64).reshape(-1))
     # one region needs no concatenating copy
     return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0)])
 
 
 def _window_picks(errors: np.ndarray, values: np.ndarray, isovalue: float, half: float) -> np.ndarray:
-    """``errors[np.abs(values - isovalue) <= half]``, the same floats in the
-    same order, formed ``_CHUNK`` values at a time in reused buffers."""
+    """``errors[np.abs(values - isovalue) <= half]`` in float64, the same
+    floats in the same order, formed ``_CHUNK`` values at a time in reused
+    buffers."""
     dist = np.empty(min(_CHUNK, values.size))
     sel = np.empty(dist.size, dtype=bool)
     picks = []
     for i in range(0, values.size, _CHUNK):
         chunk = values[i : i + _CHUNK]
-        d = np.subtract(chunk, isovalue, out=dist[: chunk.size])
+        d = np.subtract(chunk, isovalue, out=dist[: chunk.size], dtype=np.float64)
         s = np.less_equal(np.abs(d, out=d), half, out=sel[: chunk.size])
         picks.append(errors[i : i + _CHUNK][s])
     return np.concatenate(picks)
@@ -108,14 +113,14 @@ def fit_model(
     if that still fails, all samples are used and the model is flagged.
     """
     errors = np.asarray(errors, dtype=np.float64).reshape(-1)
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    values = np.asarray(values).reshape(-1)
     if errors.size != values.size:
         raise ShapeError("errors and values must pair up one to one")
     if errors.size < 2:
         raise ShapeError("need at least two error samples")
     if not (window > 0):
         raise ShapeError(f"window must be positive, got {window}")
-    vrange = float(values.max() - values.min())
+    vrange = float(values.max()) - float(values.min())
     w = window
     for _ in range(_MAX_WIDENINGS + 1):
         picked = _window_picks(errors, values, isovalue, w * vrange)
@@ -267,10 +272,14 @@ def probability_field(decomp: Volume, isovalue: float, model: ErrorModel) -> Pro
     p = np.zeros((nz - 1, ny - 1, nx - 1))
     slab_shape = (min(_SLAB_CELLS + 1, nz), ny, nx)
     q_buf = np.empty(slab_shape)
+    v_buf = None if decomp.data.dtype == np.float64 else np.empty(slab_shape)
     one_buf, zero_buf = np.empty(slab_shape, dtype=bool), np.empty(slab_shape, dtype=bool)
     for z in range(0, nz - 1, _SLAB_CELLS):
         v = decomp.data[z : z + _SLAB_CELLS + 1]
         k = v.shape[0]
+        if v_buf is not None:  # widened one slab at a time
+            np.copyto(v_buf[:k], v)
+            v = v_buf[:k]
         one = np.less_equal(v, v1, out=one_buf[:k])
         zero = np.greater_equal(v, v0, out=zero_buf[:k])
         saturated = _corner_product(one)  # cells whose corners all saturate at one

@@ -230,9 +230,10 @@ def build_adaptive_per_block(v: Volume, mask: np.ndarray, cfg: RoiConfig):
 def reconstruct_uniform_per_block(levels) -> Volume:
     """Paste every reference level back onto the finest grid, replicating
     each coarse block's values by its level's scale with ``np.repeat``
-    (not ``grid.upsample2x``, the kernel under test)."""
+    (not ``grid.upsample2x``, the kernel under test), in the blocks'
+    scalar type."""
     nx, ny, nz = levels[0][0]
-    out = np.empty((nz, ny, nx), dtype=np.float64)
+    out = np.empty((nz, ny, nx), dtype=np.result_type(*(blk.data for _, _, blocks in levels for blk in blocks)))
     for li, (_, u, blocks) in enumerate(levels):
         scale = 2**li
         for blk in blocks:

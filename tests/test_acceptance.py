@@ -84,7 +84,8 @@ def test_01_error_bound_never_violated():
     t0 = time.perf_counter()
     runs = 0
     worst = 0.0
-    for v in _corpus():
+    corpus = _corpus()
+    for v in corpus:
         for eb in EBS:
             for codec in CODECS:
                 back = decompress_volume(compress_volume(v, ErrorBoundPolicy(eb), codec=codec))
@@ -92,10 +93,22 @@ def test_01_error_bound_never_violated():
                 worst = max(worst, err / eb)
                 assert err <= eb, f"bound broken: codec={codec} eb={eb} err={err}"
                 runs += 1
-    elapsed = time.perf_counter() - t0
     assert runs == 1200
+    # every tenth volume as f32 at eb = 1e-5, a few f32 steps at values
+    # near 1: the bound holds on the f32 values the decoder returns
+    for v in corpus[::10]:
+        v32 = Volume(v.data.astype(np.float32))
+        for codec in CODECS:
+            back = decompress_volume(compress_volume(v32, ErrorBoundPolicy(1e-5), codec=codec))
+            assert back.data.dtype == np.float32
+            err = float(np.abs(v32.data.astype(np.float64) - back.data).max())
+            worst = max(worst, err / 1e-5)
+            assert err <= 1e-5, f"f32 bound broken: codec={codec} err={err}"
+            runs += 1
+    elapsed = time.perf_counter() - t0
+    assert runs == 1240
     assert elapsed < 120.0, f"corpus took {elapsed:.1f}s"
-    print(f"criterion 01 error bound: {runs} runs, worst |err|/eb={worst:.4f}, "
+    print(f"criterion 01 error bound: {runs} runs (40 of them f32), worst |err|/eb={worst:.4f}, "
           f"0 violations, {elapsed:.1f}s: PASS")
 
 

@@ -176,8 +176,8 @@ def test_three_level_ingest_in_partial_chunks_matches_per_block(dims, monkeypatc
 
 def test_reconstruct_uniform_peak_stays_near_the_output(cli_roi):
     # the finest grid is filled in place and adopted as the output; the rest
-    # is the coarse grid it is upsampled from (1/8), one x-doubled plane of
-    # scratch and the output's finiteness mask (1/8 each, not alive at once)
+    # is the coarse grid it is upsampled from (1/8) and one x-doubled plane
+    # of scratch, and the finiteness check allocates no mask
     v, cfg, mask = cli_roi
     ds = build_adaptive(v, mask, cfg)
     tracemalloc.start()

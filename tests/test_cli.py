@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -130,7 +131,48 @@ def test_compress_f32_input(tmp_path):
     assert rc == 0
     orig32 = read_raw_volume(raw, v.dims, "f32")
     back32 = read_raw_volume(out, v.dims, "f32")
-    assert max_abs_err(orig32, back32) <= 1e-2 + 1e-5
+    assert max_abs_err(orig32, back32) <= 1e-2
+
+
+@pytest.mark.parametrize("codec", ["interp", "block"])
+@pytest.mark.parametrize("eb", [1e-3, 1e-4, 1e-5])
+def test_f32_round_trip_holds_the_bound_in_f32(tmp_path, codec, eb):
+    # the f32 values the user gets back are within eb of the f32 input,
+    # and decompress --dtype f64 widens those same values exactly
+    v = sum_of_gaussians((48, 40, 32), seed=21)
+    raw = _write_raw(tmp_path, v, dtype="f32")
+    cont, out, wide = (str(tmp_path / n) for n in ("v.mrc", "b.f32", "b.f64"))
+    assert main(["compress", "--input", raw, "--dims", _dims_arg(v), "--codec", codec,
+                 "--eb", repr(eb), "--out", cont]) == 0
+    assert read_container(cont).dtype == np.float32
+    assert main(["decompress", "--input", cont, "--out", out]) == 0
+    assert main(["decompress", "--input", cont, "--dtype", "f64", "--out", wide]) == 0
+    orig32 = np.fromfile(raw, dtype="<f4")
+    back32 = np.fromfile(out, dtype="<f4")
+    assert np.abs(orig32.astype(np.float64) - back32.astype(np.float64)).max() <= eb
+    assert np.fromfile(wide, dtype="<f8").tobytes() == back32.astype("<f8").tobytes()
+
+
+def test_roi_and_compress_peaks_on_f32_input(tmp_path):
+    # f32 stays f32 from the read on: roi peaks near 2.5x the 1 MB input and
+    # compress near 3.6x, where both peaked at 4.9x when they widened to f64
+    v = sum_of_gaussians((64, 64, 64), seed=16)
+    raw = _write_raw(tmp_path, v, dtype="f32")
+    roi_out = str(tmp_path / "roi.mrc")
+    size = 64**3 * 4
+
+    def peak(argv):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    roi = peak(["roi", "--input", raw, "--dims", _dims_arg(v), "--block", "8", "--percent", "25", "--out", roi_out])
+    cmp_ = peak(["compress", "--input", roi_out, "--eb", "1e-3", "--lossless", "zlib", "--post", "sz",
+                 "--out", str(tmp_path / "v.mrc")])
+    assert roi < 3.0 * size and cmp_ < 4.1 * size, (roi / size, cmp_ / size)
 
 
 # --------------------------------------------------------------------- eval
@@ -542,21 +584,25 @@ def test_levels_run_on_the_calling_thread(tmp_path, monkeypatch):
 # while the levels still ran on a thread pool; eval.json re-recorded when
 # its cr began to count the whole container file (psnr and ssim unchanged),
 # and with roi.mrc and out.mrc when the coord tables gave way to occupancy
-# bitmaps (out.f32 and the probability field unchanged)
+# bitmaps (out.f32 and the probability field unchanged); every digest
+# re-recorded when f32 input began to stay f32 from the read to the write
+# (containers of scalar width 4, levels coded and filtered in f32)
 GOLDEN_CHAIN = {
-    "roi.mrc": "38f747990191402fe748b7863197ad57955f46d62f2af09390c233eed6143f2d",
-    "out.mrc": "0c40b17ae20f86d450fab81c7f058d18f58da328cde4a716491e7ec5ee06faf3",
-    "out.f32": "448b5cc0106ac8fa25f36af1b0805e0f3304aea2db63af8a8c05a8d8a519b20c",
-    "prob.f32": "0863aec7c7d2e24dba126cd6dfc44510bbce67dc3dfcf26e3882a65ca64b46db",
-    "prob.f32.json": "3e998b67efea37610d15fee3c2abc4adf995f9a4036fec7c12db0fbd0c688c18",
-    "eval.json": "353aa4c1bd9039736ac3628c096c2b89eb24674d881b16aba44ffe24f0e4b299",
+    "roi.mrc": "8963d25abfd3991f2449ee7760cd9d932aab1dd61cc531d977fab292c8b5019f",
+    "out.mrc": "14c8b4053fa75f2db6c233aaf741d4ccc734b8cd7a0e62b8c72312f03474118f",
+    "out.f32": "2152a7aa2975aae0c838d9aaaa728b4cad9741f71cdfd80af80aa6a87e2e3297",
+    "prob.f32": "63f4ea39a005a53878b53b4f9d99b5497a500e31453c14a7320799caae240e8a",
+    "prob.f32.json": "46ab23b47abb83c3af982aab197f24b5dd9550b4c0ac17160dbbbfa2af485dc1",
+    "eval.json": "0d6c27eb7ad986ccd4f504596081c7e6d91b556c8fe79c4fd39697311d86ac6c",
 }
 
 # sha256 of the f64 reconstruction of each container of the chain, recorded
-# with the coord-table format the goldens above replaced
+# with the coord-table format the goldens above replaced; re-recorded with
+# them when f32 input began to stay f32 (the exact widening of the f32
+# reconstruction)
 GOLDEN_CHAIN_DECODED = {
-    "roi.mrc": "53d7be9debb45c9588e2322ac041178e596840d65c5e9ac86cbc0dc735f3e02d",
-    "out.mrc": "5f7e873bb57aef54edb655846d4ee72ff6427f0d628e41d68c6a8c440c2c8913",
+    "roi.mrc": "df039afecc5dac24660a07b97fa4bc9c02058190817a5acb120c11c4d3069034",
+    "out.mrc": "34abbc8b0fc8c27273691996d71e606d20aaf17e396147c8197877d53715a3c5",
 }
 
 
@@ -579,6 +625,35 @@ def test_cli_chain_golden_bytes(tmp_path):
         rec = str(tmp_path / f"{name}.f64")
         assert main(["decompress", "--input", out[name], "--uniform", "--dtype", "f64", "--out", rec]) == 0
         assert hashlib.sha256(open(rec, "rb").read()).hexdigest() == want
+
+
+# sha256 of every output of the same chain on the field as an f64 raw file,
+# recorded while the library widened every input to f64: f64 input keeps
+# its bytes from end to end
+GOLDEN_CHAIN_F64 = {
+    "roi.mrc": "57e49859a517be2b8deae0d05e9296e09d426ef0970e90c5e10edbd8e1cc3c7b",
+    "out.mrc": "9fa8d388f340182468bbc9a89114a65cec7bd74f848d7811ab1fc08483997172",
+    "out.f64": "5f7e873bb57aef54edb655846d4ee72ff6427f0d628e41d68c6a8c440c2c8913",
+    "prob.f32": "7d11314eb587f8d105d0850098d64a4f7f7cff2eedddf97631c0af26b90a73f6",
+    "prob.f32.json": "aa0e45f5e0e0c6b02e2bdf43496a97d5e5c6239d0e3a211254ab40896b741b07",
+    "eval.json": "c58bac80dadad01e0e45496065a1e71302c8a6f912d9b416a9c2bbd9610ab096",
+}
+
+
+def test_cli_chain_f64_golden_bytes(tmp_path):
+    v = sum_of_gaussians((64, 64, 64), seed=16)
+    raw = _write_raw(tmp_path, v, name="vol.f64", dtype="f64")
+    out = {name: str(tmp_path / name) for name in GOLDEN_CHAIN_F64}
+    f64 = ["--dims", _dims_arg(v), "--dtype", "f64"]
+    assert main(["roi", "--input", raw, *f64, "--block", "8", "--percent", "25", "--out", out["roi.mrc"]]) == 0
+    assert main(["compress", "--input", out["roi.mrc"], "--eb", "1e-3", "--lossless", "zlib",
+                 "--post", "sz", "--out", out["out.mrc"]]) == 0
+    assert main(["decompress", "--input", out["out.mrc"], "--uniform", "--dtype", "f64",
+                 "--out", out["out.f64"]]) == 0
+    assert main(["uncertainty", "--input", out["out.mrc"], "--isovalue", "0.5", "--out", out["prob.f32"]]) == 0
+    assert main(["eval", "--orig", raw, *f64, "--recon", out["out.mrc"], "--out", out["eval.json"]]) == 0
+    digests = {name: hashlib.sha256(open(path, "rb").read()).hexdigest() for name, path in out.items()}
+    assert digests == GOLDEN_CHAIN_F64
 
 
 # ------------------------------------------------------------- entry point

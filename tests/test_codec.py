@@ -675,14 +675,20 @@ def test_stored_codec_keeps_values_verbatim():
         compress(v, STORED_POLICY, codec="stored", lossless="zlib")
 
 
-def test_stored_payload_is_the_little_endian_f64_array():
-    # one serializing copy whatever the input's dtype and strides
-    v = noisy_field((6, 4, 5), seed=19)
-    want, _ = stored_compress(v.data, STORED_POLICY)
-    assert want.endswith(v.data.astype("<f8").tobytes())
-    for arr in (v.data.astype(np.float32), v.data[:, ::2, :], v.data.astype(">f8")):
-        got, _ = stored_compress(arr, STORED_POLICY)
-        assert got == stored_compress(np.array(arr, dtype=np.float64), STORED_POLICY)[0]
+def test_stored_f32_level_is_its_little_endian_f32_array():
+    # the payload is the merged level's values at their own width, one
+    # serializing copy whatever the strides and byte order
+    blocks = noisy_field((8, 8, 24), seed=19).data.reshape(3, 8, 8, 8)
+    for dtype, wire in ((np.float32, "<f4"), (np.float64, "<f8")):
+        m = linear_merge(blocks.astype(dtype))
+        blob = compress(m, STORED_POLICY, codec="stored")
+        assert blob.dtype == dtype and blob.stream.endswith(m.values.astype(wire).tobytes())
+        assert len(blob.stream) == 20 + m.values.size * np.dtype(wire).itemsize
+        back = decompress(CompressedBlob.from_bytes(blob.to_bytes(), 0, dtype)[0])
+        assert back.dtype == dtype and back.tobytes() == m.values.tobytes()
+        for arr in (m.values[:, ::2, :], m.values.astype(np.dtype(dtype).newbyteorder(">"))):
+            got, _ = stored_compress(arr, STORED_POLICY)
+            assert got == stored_compress(np.array(arr, dtype=dtype), STORED_POLICY)[0]
 
 
 def test_blob_original_bytes_ignores_padding():

@@ -273,10 +273,12 @@ def test_unsupported_version_and_width():
     struct.pack_into("<H", bad_version, 4, 9)
     with pytest.raises(FormatError):
         decode_container(bytes(bad_version))
-    bad_width = bytearray(raw)
-    bad_width[6] = 4
-    with pytest.raises(FormatError):
-        decode_container(bytes(bad_width))
+    # 4 (f32) and 8 (f64) are the scalar widths
+    for width in (0, 2, 16):
+        bad_width = bytearray(raw)
+        bad_width[6] = width
+        with pytest.raises(FormatError):
+            decode_container(bytes(bad_width))
 
 
 def test_truncation_always_raises_format_error():

@@ -273,10 +273,19 @@ def test_read_raw_refuses_nonfinite_values(tmp_path, bad, dtype):
 
 
 @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
-def test_read_raw_widens_the_file_exactly(tmp_path, dtype):
+def test_read_raw_keeps_the_file_type_bit_for_bit(tmp_path, dtype):
     p = tmp_path / "v.raw"
     noisy_field((6, 5, 4), seed=3).data.astype(dtype).tofile(p)
     got = read_raw_volume(p, (6, 5, 4), "f32" if dtype == "<f4" else "f64")
-    want = np.fromfile(p, dtype=dtype).astype(np.float64).reshape(4, 5, 6)
-    assert got.data.dtype == np.float64 and got.data.tobytes() == want.tobytes()
+    assert got.data.dtype == np.dtype(dtype) and got.data.tobytes() == p.read_bytes()
     assert got.data.flags.c_contiguous and not got.data.flags.writeable
+
+
+def test_write_raw_widens_f32_exactly_and_narrows_back(tmp_path):
+    noisy_field((6, 5, 4), seed=3).data.astype("<f4").tofile(tmp_path / "v.f32")
+    v = read_raw_volume(tmp_path / "v.f32", (6, 5, 4), "f32")
+    write_raw_volume(v, tmp_path / "w.f64", "f64")
+    assert (tmp_path / "w.f64").read_bytes() == v.data.astype("<f8").tobytes()
+    wide = read_raw_volume(tmp_path / "w.f64", (6, 5, 4), "f64")
+    write_raw_volume(wide, tmp_path / "back.f32", "f32")
+    assert (tmp_path / "back.f32").read_bytes() == (tmp_path / "v.f32").read_bytes()
