@@ -19,7 +19,8 @@ from mrcompress.container import (
     write_container,
 )
 from mrcompress.errors import FormatError, ShapeError
-from mrcompress.pipeline import SampleSet, compress_level, compress_volume
+from mrcompress.grid import Volume
+from mrcompress.pipeline import SampleSet, compress_level, compress_volume, decompress_volume
 from mrcompress.roi import (
     Level,
     MultiResDataset,
@@ -264,6 +265,20 @@ def test_bad_magic_rejected():
     raw[:4] = b"NOPE"
     with pytest.raises(FormatError):
         decode_container(bytes(raw))
+
+
+@pytest.mark.parametrize("codec", ["interp", "block"])
+@pytest.mark.parametrize("eb", [1e-3, 1e-4, 1e-5])
+def test_f32_volume_round_trips_through_a_width_4_container(codec, eb):
+    v = Volume(sum_of_gaussians((24, 20, 16), seed=4).data.astype(np.float32))
+    arch = compress_volume(v, ErrorBoundPolicy(eb=eb), codec=codec, post_family="sz")
+    raw = encode_container(ContainerFile(levels=(ContainerLevel(archive=arch),)))
+    assert raw[6] == 4
+    back = decompress_volume(decode_container(raw).levels[0].archive)
+    assert back.data.dtype == np.float32
+    plain = decompress_volume(replace(arch, post=None, samples=None))
+    assert np.abs(v.data.astype(np.float64) - plain.data).max() <= eb
+    assert encode_container(decode_container(raw)) == raw
 
 
 def test_unsupported_version_and_width():
